@@ -6,10 +6,11 @@ Modules:
     partition  phase-estimation partition procedures and claims
     protocol   four-round toy protocol, repetition, Fiat-Shamir
     effverify  efficient-verifier composition over stub backends
-    cli        experiment runner and table renderer
+    cli        experiment runner and table renderer (imported on demand,
+               so `python -m cvqc_lab.cli` runs it exactly once)
 """
 
-from . import cli, config, effverify, jordan, partition, protocol, qsim
+from . import config, effverify, jordan, partition, protocol, qsim
 from .effverify import make_stub_suite, run_four_round, run_two_round_fs, toy_inner
 from .jordan import jordan_decompose, reconstruct_check
 from .partition import PartitionParams, ProverStrategy, partition_chain, run_G, run_H

@@ -7,8 +7,7 @@ an existing data file as an aligned text table with per-row pass/fail
 margins.
 
 Reproducibility contract: given the same config and seed, the written
-data file is byte-identical, independent of worker count.  The
-environment variable named by config.THREADS_ENV caps the worker pool.
+data file is byte-identical.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,44 +47,80 @@ EXIT_CONFIG = 2
 # ---------------------------------------------------------------------------
 # Configuration
 
-# per-command parameter schema: name -> (type, default)
-_PARAM_SPECS: dict[str, dict[str, tuple[type, object]]] = {
+FORMATS = ("csv", "json")
+
+
+class Param(NamedTuple):
+    """One parameter: kind, default, and its allowed values.
+
+    kind "int" and "int-list" carry an inclusive (lo, hi) range, checked
+    per entry for an int-list (a comma-separated string, kept as text so
+    the JSON payload's params echo what was given); kind "choice" carries
+    the allowed strings.
+    """
+
+    kind: str
+    default: object
+    allowed: tuple
+
+
+_PARAMS: dict[str, dict[str, Param]] = {
     "jordan-demo": {
-        "pairs": (int, 20),
-        "dim_min": (int, 2),
-        "dim_max": (int, 8),
+        "pairs": Param("int", 20, (1, 10000)),
+        "dim_min": Param("int", 2, (2, 32)),
+        "dim_max": Param("int", 8, (2, 32)),
     },
     "partition-claims": {
-        "T": (int, 16),
-        "m": (int, 2),
-        "strategies": (int, 5),
-        "grid_strategies": (int, 1),
-        "mode": (str, "ideal"),
+        "T": Param("int", 16, (2, 64)),
+        "m": Param("int", 2, (1, 4)),
+        "strategies": Param("int", 5, (1, 200)),
+        "grid_strategies": Param("int", 1, (0, 50)),
+        "mode": Param("choice", "ideal", ("ideal", "kernel")),
     },
     "repetition-sweep": {
-        "m_list": (str, "1,2,3,4,5,6,7,8"),
-        "trials": (int, 20000),
-        "adversary": (str, "testonly"),
-        "n": (int, 12),
+        "m_list": Param("int-list", "1,2,3,4,5,6,7,8", (1, 24)),
+        "trials": Param("int", 20000, (1, 10**7)),
+        "adversary": Param("choice", "testonly", ("honest", "testonly", "cheat")),
+        "n": Param("int", 12, (1, 18)),
     },
     "fs-attack": {
-        "m": (int, 4),
-        "budgets": (str, "1,2,4,8,16,32"),
-        "trials": (int, 5000),
-        "n": (int, 12),
+        "m": Param("int", 4, (1, 16)),
+        "budgets": Param("int-list", "1,2,4,8,16,32", (1, 10**6)),
+        "trials": Param("int", 5000, (1, 10**7)),
+        "n": Param("int", 12, (1, 18)),
     },
     "effverify-demo": {
-        "inner": (str, "toy"),
-        "suite": (str, "stub"),
-        "n": (int, 12),
-        "m": (int, 4),
-        "time_bound": (int, 4096),
-        "trials": (int, 20),
-        "flow": (str, "two-round"),
+        "inner": Param("choice", "toy", ("toy",)),
+        "suite": Param("choice", "stub", ("stub",)),
+        "n": Param("int", 12, (1, 16)),
+        # the cost probe's smallest time bound (_EFF_SWEEP[0] = 256) must
+        # cover key derivation, 9 + 32m machine steps
+        "m": Param("int", 4, (1, 7)),
+        "time_bound": Param("int", 4096, (256, 65536)),
+        "trials": Param("int", 20, (1, 1000)),
+        "flow": Param("choice", "two-round", ("four-round", "two-round")),
     },
 }
 
-_COMMANDS = tuple(_PARAM_SPECS)
+# Rules across parameters of one command: (holds, message over params).
+_CROSS_RULES: dict[str, tuple] = {
+    "jordan-demo": (
+        (lambda p: p["dim_min"] <= p["dim_max"],
+         "need dim_min <= dim_max, got {dim_min}..{dim_max}"),
+    ),
+    "partition-claims": (
+        # phase-register width grows with T; keep the demo desk-sized
+        (lambda p: p["mode"] != "kernel" or p["T"] <= 32,
+         "kernel mode limited to T <= 32, got T={T}"),
+    ),
+    "repetition-sweep": (
+        # the cheat simulates a dense unitary on 2^(n+3) amplitudes
+        (lambda p: p["adversary"] != "cheat" or p["n"] <= 6,
+         "cheat adversary limited to n <= 6, got n={n}"),
+    ),
+}
+
+_COMMANDS = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -98,29 +132,9 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-def _coerce(command: str, key: str, value, from_text: bool):
-    spec = _PARAM_SPECS[command]
-    if key not in spec:
-        raise ConfigError(f"unknown key {key!r} for {command} "
-                          f"(known: {', '.join(sorted(spec))})")
-    want, _ = spec[key]
-    if from_text:
-        if want is int:
-            try:
-                return int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return str(value)
-    if want is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if want is str and not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
 def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
     items = [p.strip() for p in text.split(",")]
-    if not items or any(not p for p in items):
+    if any(not p for p in items):
         raise ConfigError(f"{key} must be a comma-separated list of integers, "
                           f"got {text!r}")
     out = []
@@ -132,59 +146,39 @@ def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _spec(command: str, key: str) -> Param:
+    spec = _PARAMS[command]
+    if key not in spec:
+        raise ConfigError(f"unknown key {key!r} for {command} "
+                          f"(known: {', '.join(sorted(spec))})")
+    return spec[key]
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
 
 
-def _validate(cfg: ExperimentConfig):
-    p = cfg.params
-    _require(cfg.fmt in ("csv", "json"), f"format must be csv or json, got {cfg.fmt!r}")
-    _require(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
-    c = cfg.command
-    if c == "jordan-demo":
-        _require(1 <= p["pairs"] <= 10000, f"pairs={p['pairs']} outside 1..10000")
-        _require(2 <= p["dim_min"] <= p["dim_max"] <= 32,
-                 f"need 2 <= dim_min <= dim_max <= 32, got {p['dim_min']}..{p['dim_max']}")
-    elif c == "partition-claims":
-        _require(2 <= p["T"] <= 64, f"T={p['T']} outside 2..64")
-        _require(1 <= p["m"] <= 4, f"m={p['m']} outside 1..4")
-        _require(1 <= p["strategies"] <= 200, f"strategies={p['strategies']} outside 1..200")
-        _require(0 <= p["grid_strategies"] <= 50,
-                 f"grid_strategies={p['grid_strategies']} outside 0..50")
-        _require(p["mode"] in ("ideal", "kernel"),
-                 f"mode must be ideal or kernel, got {p['mode']!r}")
-        if p["mode"] == "kernel":
-            # phase-register width grows with T; keep the demo desk-sized
-            _require(p["T"] <= 32, "kernel mode limited to T <= 32")
-    elif c == "repetition-sweep":
-        ms = _parse_int_list(p["m_list"], "m_list")
-        _require(all(1 <= m <= 24 for m in ms), f"m_list entries outside 1..24: {p['m_list']}")
-        _require(1 <= p["trials"] <= 10**7, f"trials={p['trials']} outside 1..1e7")
-        _require(p["adversary"] in ("honest", "testonly", "cheat"),
-                 f"adversary must be honest, testonly or cheat, got {p['adversary']!r}")
-        _require(1 <= p["n"] <= 18, f"n={p['n']} outside 1..18")
-        if p["adversary"] == "cheat":
-            # the cheat simulates a dense unitary on 2^(n+3) amplitudes
-            _require(p["n"] <= 6, "cheat adversary limited to n <= 6")
-    elif c == "fs-attack":
-        _require(1 <= p["m"] <= 16, f"m={p['m']} outside 1..16")
-        qs = _parse_int_list(p["budgets"], "budgets")
-        _require(all(1 <= q <= 10**6 for q in qs), f"budgets entries outside 1..1e6: {p['budgets']}")
-        _require(1 <= p["trials"] <= 10**7, f"trials={p['trials']} outside 1..1e7")
-        _require(1 <= p["n"] <= 18, f"n={p['n']} outside 1..18")
-    elif c == "effverify-demo":
-        _require(p["inner"] == "toy", f"only the toy inner protocol is shipped, got {p['inner']!r}")
-        _require(p["suite"] == "stub", f"only the stub backend suite is shipped, got {p['suite']!r}")
-        _require(1 <= p["n"] <= 16, f"n={p['n']} outside 1..16")
-        _require(1 <= p["m"] <= 16, f"m={p['m']} outside 1..16")
-        _require(256 <= p["time_bound"] <= 65536,
-                 f"time_bound={p['time_bound']} outside 256..65536")
-        _require(1 <= p["trials"] <= 1000, f"trials={p['trials']} outside 1..1000")
-        _require(p["flow"] in ("four-round", "two-round"),
-                 f"flow must be four-round or two-round, got {p['flow']!r}")
-    else:
-        raise ConfigError(f"unknown command {c!r}")
+def _check_params(command: str, params: dict):
+    """Type and range of every parameter, then the command's cross rules."""
+    for key, spec in _PARAMS[command].items():
+        value = params[key]
+        if spec.kind == "int":
+            _require(isinstance(value, int) and not isinstance(value, bool),
+                     f"{key} must be an integer, got {value!r}")
+            entries = (value,)
+        else:
+            _require(isinstance(value, str), f"{key} must be a string, got {value!r}")
+            if spec.kind == "choice":
+                _require(value in spec.allowed, f"{key} must be one of "
+                         f"{', '.join(spec.allowed)}, got {value!r}")
+                continue
+            entries = _parse_int_list(value, key)
+        lo, hi = spec.allowed
+        _require(all(lo <= v <= hi for v in entries),
+                 f"{key}={value} outside {lo}..{hi}")
+    for holds, message in _CROSS_RULES.get(command, ()):
+        _require(holds(params), message.format(**params))
 
 
 def build_config(command: str, *, seed=None, out=None, fmt=None,
@@ -196,7 +190,7 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    params = {k: d for k, (_, d) in _PARAM_SPECS[command].items()}
+    params = {k: spec.default for k, spec in _PARAMS[command].items()}
 
     file_seed = None
     file_fmt = None
@@ -216,9 +210,10 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
                     raise ConfigError(f"seed must be an integer, got {value!r}")
                 file_seed = value
             elif key == "format":
-                file_fmt = _coerce_fmt(value)
+                file_fmt = value
             else:
-                params[key] = _coerce(command, key, value, from_text=False)
+                _spec(command, key)
+                params[key] = value
 
     for pair in sets:
         if "=" not in pair:
@@ -227,58 +222,29 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
         key = key.strip()
         if key == "seed":
             raise ConfigError("set the seed with --seed, not --set")
-        params[key] = _coerce(command, key, value, from_text=True)
+        if _spec(command, key).kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        params[key] = value
 
     if seed is None:
         seed = file_seed
     if seed is None:
         raise ConfigError(f"{command} draws randomness; --seed is required")
+    _require(seed >= 0, f"seed must be >= 0, got {seed}")
     if fmt is None:
         fmt = file_fmt if file_fmt is not None else "csv"
-    if out is None:
-        out = f"{command}.{fmt}"
-
-    cfg = ExperimentConfig(command=command, seed=int(seed), out=out,
-                           fmt=fmt, params=params)
-    _validate(cfg)
-    return cfg
-
-
-def _coerce_fmt(value) -> str:
-    if value not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {value!r}")
-    return value
+    _require(fmt in FORMATS, f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    _check_params(command, params)
+    return ExperimentConfig(command=command, seed=int(seed),
+                            out=out if out is not None else f"{command}.{fmt}",
+                            fmt=fmt, params=params)
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
-
-def _worker_cap() -> int:
-    raw = os.environ.get(config.THREADS_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{config.THREADS_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"{config.THREADS_ENV} must be >= 1, got {cap}")
-    return cap
-
-
-def _pool_map(fn, items):
-    """Order-preserving map, optionally fanned out over threads.
-
-    Results are joined by input position, so the merged output is
-    independent of completion order and of the worker count.
-    """
-    items = list(items)
-    workers = min(_worker_cap(), max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
+# Task seeds
 
 def _task_seeds(seed: int, count: int) -> list[int]:
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
@@ -323,8 +289,7 @@ def _dense_eigenphases(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.angle(np.linalg.eigvals(w))))
 
 
-def _jordan_pair(task):
-    index, task_seed, dim_min, dim_max = task
+def _jordan_pair(index, task_seed, dim_min, dim_max):
     rng = np.random.default_rng(task_seed)
     dim = int(rng.integers(dim_min, dim_max + 1))
     rank0 = int(rng.integers(1, dim))
@@ -350,8 +315,8 @@ def _jordan_pair(task):
 def _run_jordan(cfg: ExperimentConfig):
     p = cfg.params
     seeds = _task_seeds(cfg.seed, p["pairs"])
-    tasks = [(i, seeds[i], p["dim_min"], p["dim_max"]) for i in range(p["pairs"])]
-    rows = [row for chunk in _pool_map(_jordan_pair, tasks) for row in chunk]
+    rows = [row for i in range(p["pairs"])
+            for row in _jordan_pair(i, seeds[i], p["dim_min"], p["dim_max"])]
     return _JORDAN_COLUMNS, rows, {}
 
 
@@ -363,12 +328,6 @@ _PARTITION_COLUMNS = ("seed", "m", "i", "gamma0", "T", "gamma", "mode",
                       "claim_id", "bound", "measured")
 
 
-def _random_xz_state(rng, strategy) -> StateVector:
-    amps = rng.normal(size=strategy.xz_dim) + 1j * rng.normal(size=strategy.xz_dim)
-    amps /= np.linalg.norm(amps)
-    return StateVector(strategy.xz_layout(), amps)
-
-
 def _partition_row(idx, params, out, claim_id, bound, measured):
     return {
         "seed": idx, "m": params.m, "i": params.i, "gamma0": params.gamma0,
@@ -378,12 +337,11 @@ def _partition_row(idx, params, out, claim_id, bound, measured):
     }
 
 
-def _partition_err_grid(task):
+def _partition_err_grid(idx, task_seed, T, mode):
     """Single-step branch-defect mass, averaged over the whole gamma grid."""
-    idx, task_seed, T, mode = task
     rng = np.random.default_rng(task_seed)
     s = partition.random_strategy(rng, m=1, x_width=1, z_width=1)
-    psi = _random_xz_state(rng, s)
+    psi = partition.random_xz_state(rng, s)
     grid = partition.gamma_grid(1.0, T)
     outs = []
     for gamma in grid:
@@ -400,17 +358,16 @@ def _partition_err_grid(task):
     ]
 
 
-def _partition_branches(task):
+def _partition_branches(idx, task_seed, m, T, mode):
     """Exclusivity and contraction of one split at a mid-grid gamma.
 
     Contraction holds in both execution modes; exact branch
     orthogonality is a property of the ideal threshold split only, so
     that row always uses the ideal route.
     """
-    idx, task_seed, m, T, mode = task
     rng = np.random.default_rng(task_seed)
     s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
-    psi = _random_xz_state(rng, s)
+    psi = partition.random_xz_state(rng, s)
     grid = partition.gamma_grid(1.0, T)
     gamma = float(grid[len(grid) // 2])
     params = partition.PartitionParams(m, 1, 1.0, T, gamma, mode)
@@ -430,13 +387,12 @@ def _partition_branches(task):
     ]
 
 
-def _partition_test_round(task):
+def _partition_test_round(idx, task_seed, m, T, _mode):
     """Worst fixed-rest-challenge test acceptance of the low branch.
 
     The bound is proved for the exact split, so this row is always
     computed on the ideal route regardless of the configured mode.
     """
-    idx, task_seed, m, T, _mode = task
     rng = np.random.default_rng(task_seed)
     s = partition.random_strategy(rng, m=m, x_width=1, z_width=1, controlled=True)
     grid = partition.gamma_grid(1.0, T)
@@ -444,7 +400,7 @@ def _partition_test_round(task):
     params = partition.PartitionParams(m, 1, 1.0, T, gamma, "ideal")
     out = None
     for _ in range(20):
-        psi = _random_xz_state(rng, s)
+        psi = partition.random_xz_state(rng, s)
         out = partition.run_G(s, params, psi)
         if out.psi0.norm2 > 1e-9:
             break
@@ -458,17 +414,16 @@ def _partition_test_round(task):
     return [_partition_row(idx, params, norms, "test-round", bound, worst)]
 
 
-def _partition_chain_remainder(task):
+def _partition_chain_remainder(idx, task_seed, m, T, _mode):
     """Exhaustive challenge average of the surviving remainder mass.
 
     The 2^-m average is exact for the ideal split, so this row ignores
     the configured mode.
     """
-    idx, task_seed, m, T, _mode = task
     mode = "ideal"
     rng = np.random.default_rng(task_seed)
     s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
-    psi = _random_xz_state(rng, s)
+    psi = partition.random_xz_state(rng, s)
     grid = partition.gamma_grid(1.0, T)
     gammas = tuple(float(grid[int(v)]) for v in rng.integers(0, len(grid), size=m))
     kept = rem = err = 0.0
@@ -485,12 +440,11 @@ def _partition_chain_remainder(task):
                            "chain-remainder-avg", 2.0 ** -m + 1e-9, rem / shots)]
 
 
-def _partition_chain_grid(task):
+def _partition_chain_grid(idx, task_seed, m, T, mode):
     """Accumulated defect mass averaged over the full gamma-tuple grid."""
-    idx, task_seed, m, T, mode = task
     rng = np.random.default_rng(task_seed)
     s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
-    psi = _random_xz_state(rng, s)
+    psi = partition.random_xz_state(rng, s)
     grid = [float(g) for g in partition.gamma_grid(1.0, T)]
     total = kept = rem = 0.0
     count = 0
@@ -525,8 +479,7 @@ def _run_partition(cfg: ExperimentConfig):
         tasks.append((_partition_chain_remainder, (i, seeds[3 * n_str + i], m, T, mode)))
     for i in range(n_grid):
         tasks.append((_partition_chain_grid, (i, seeds[4 * n_str + i], m, T, mode)))
-    chunks = _pool_map(lambda t: t[0](t[1]), tasks)
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for fn, args in tasks for row in fn(*args)]
     return _PARTITION_COLUMNS, rows, {}
 
 
@@ -546,8 +499,7 @@ def _protocol_row(m, adversary, stats, claim_id, bound, measured):
     }
 
 
-def _sweep_point(task):
-    m, n, adversary, trials, task_seed = task
+def _sweep_point(m, n, adversary, trials, task_seed):
     base = protocol.toy_protocol(n)
     rep = protocol.parallel_repeat(base, m)
     if adversary == "honest":
@@ -558,20 +510,18 @@ def _sweep_point(task):
         rng = np.random.default_rng(task_seed ^ 0xA5A5)
         adv = protocol.UnitaryCheat(
             partition.random_strategy(rng, m=1, x_width=n + 1, z_width=1))
-    stats = protocol.run_protocol(rep, adv, "yes", trials=trials, seed=task_seed)
-    return m, adversary, stats
+    return protocol.run_protocol(rep, adv, "yes", trials=trials, seed=task_seed)
 
 
 def _run_repetition(cfg: ExperimentConfig):
     p = cfg.params
     ms = _parse_int_list(p["m_list"], "m_list")
-    adversary, trials, n = p["adversary"], p["trials"], p["n"]
+    name, trials, n = p["adversary"], p["trials"], p["n"]
     seeds = _task_seeds(cfg.seed, len(ms))
-    tasks = [(m, n, adversary, trials, seeds[i]) for i, m in enumerate(ms)]
-    points = _pool_map(_sweep_point, tasks)
     rows = []
     prev_rate = 1.0
-    for m, name, stats in points:
+    for m, task_seed in zip(ms, seeds):
+        stats = _sweep_point(m, n, name, trials, task_seed)
         if name == "testonly":
             expect = protocol.testonly_rate_oracle(m)
             sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
@@ -591,16 +541,14 @@ def _run_repetition(cfg: ExperimentConfig):
     return _PROTOCOL_COLUMNS, rows, {}
 
 
-def _fs_point(task):
-    kind, m, n, trials, budget, task_seed = task
+def _fs_point(kind, m, n, trials, budget, task_seed):
     base = protocol.parallel_repeat(protocol.toy_protocol(n), m)
     fs = protocol.fiat_shamir(base, protocol.OracleTable(task_seed ^ 0x0F5, m))
     if kind == "honest":
         adv = protocol.Honest(base)
     else:
         adv = protocol.FsGrinder(budget, protocol.TestOnly(base))
-    stats = protocol.run_protocol(fs, adv, "yes", trials=trials, seed=task_seed)
-    return kind, budget, stats
+    return protocol.run_protocol(fs, adv, "yes", trials=trials, seed=task_seed)
 
 
 def _run_fs(cfg: ExperimentConfig):
@@ -608,24 +556,19 @@ def _run_fs(cfg: ExperimentConfig):
     m, n, trials = p["m"], p["n"], p["trials"]
     budgets = _parse_int_list(p["budgets"], "budgets")
     seeds = _task_seeds(cfg.seed, len(budgets) + 1)
-    tasks = [("honest", m, n, trials, 0, seeds[0])]
-    tasks += [("grind", m, n, trials, q, seeds[1 + i])
-              for i, q in enumerate(budgets)]
-    points = _pool_map(_fs_point, tasks)
-    rows = []
-    for kind, budget, stats in points:
-        if kind == "honest":
-            rows.append(_protocol_row(m, "honest", stats, "fs-completeness",
-                                      0.01, 1.0 - stats.accept_rate))
-        else:
-            expect = protocol.grinder_rate_oracle(m, budget)
-            sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
-            rows.append(_protocol_row(m, f"grinder[{budget}]", stats,
-                                      "grinder-rate", 3.0 * sigma + 1e-12,
-                                      abs(stats.accept_rate - expect)))
+    honest = _fs_point("honest", m, n, trials, 0, seeds[0])
+    rows = [_protocol_row(m, "honest", honest, "fs-completeness",
+                          0.01, 1.0 - honest.accept_rate)]
+    for q, task_seed in zip(budgets, seeds[1:]):
+        stats = _fs_point("grind", m, n, trials, q, task_seed)
+        expect = protocol.grinder_rate_oracle(m, q)
+        sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
+        rows.append(_protocol_row(m, f"grinder[{q}]", stats,
+                                  "grinder-rate", 3.0 * sigma + 1e-12,
+                                  abs(stats.accept_rate - expect)))
     # hashed challenges must make reruns reproducible, not just close
-    a = _fs_point(tasks[0])[2]
-    same = (a.accepts == points[0][2].accepts and a.queries == points[0][2].queries)
+    a = _fs_point("honest", m, n, trials, 0, seeds[0])
+    same = (a.accepts == honest.accepts and a.queries == honest.queries)
     rows.append(_protocol_row(m, "honest-rerun", a, "fs-deterministic",
                               0.0, 0.0 if same else 1.0))
     return _PROTOCOL_COLUMNS, rows, {}
@@ -641,15 +584,13 @@ _EFF_COLUMNS = ("session", "flow", "n", "m", "time_bound", "verdict",
 _EFF_SWEEP = (256, 1024, 4096)
 
 
-def _eff_session(task):
-    idx, task_seed, n, m, time_bound, flow = task
+def _eff_session(task_seed, n, m, time_bound, flow):
     suite = effverify.make_stub_suite(task_seed)
     inner = effverify.toy_inner(n, m, fs_seed=task_seed ^ 0x7E57)
     runner = (effverify.run_two_round_fs if flow == "two-round"
               else effverify.run_four_round)
-    verdict, ses = runner(suite, inner, "yes", prover="honest",
-                          seed=task_seed, time_bound=time_bound)
-    return idx, verdict, ses
+    return runner(suite, inner, "yes", prover="honest",
+                  seed=task_seed, time_bound=time_bound)
 
 
 def _eff_row(idx, flow, n, m, time_bound, verdict, report, claim_id, bound, measured):
@@ -665,10 +606,9 @@ def _run_effverify(cfg: ExperimentConfig):
     p = cfg.params
     n, m, time_bound, flow = p["n"], p["m"], p["time_bound"], p["flow"]
     seeds = _task_seeds(cfg.seed, p["trials"] + len(_EFF_SWEEP))
-    tasks = [(i, seeds[i], n, m, time_bound, flow) for i in range(p["trials"])]
-    results = _pool_map(_eff_session, tasks)
     rows, dumps = [], []
-    for idx, verdict, ses in results:
+    for idx in range(p["trials"]):
+        verdict, ses = _eff_session(seeds[idx], n, m, time_bound, flow)
         report = effverify.cost_report(ses)
         rows.append(_eff_row(idx, flow, n, m, time_bound, verdict, report,
                              "eff-completeness", 0.0, 0.0 if verdict else 1.0))
@@ -677,7 +617,7 @@ def _run_effverify(cfg: ExperimentConfig):
     # cost scaling probe: one session per time bound, fixed seed
     sweep = []
     for j, tb in enumerate(_EFF_SWEEP):
-        _, verdict, ses = _eff_session((j, seeds[p["trials"] + j], n, m, tb, flow))
+        verdict, ses = _eff_session(seeds[p["trials"] + j], n, m, tb, flow)
         sweep.append((tb, verdict, effverify.cost_report(ses)))
     v_delta = sweep[-1][2].verifier_ops - sweep[0][2].verifier_ops
     logs_t = np.log([float(tb) for tb, _, _ in sweep])
@@ -892,7 +832,7 @@ def _parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override a single parameter")
         cp.add_argument("--seed", type=int, default=None, required=False)
         cp.add_argument("--out", default=None, help="output data file path")
-        cp.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+        cp.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
         if name == "effverify-demo":
             cp.add_argument("--inner", default=None, help="inner protocol (toy)")
             cp.add_argument("--suite", default=None, help="backend suite (stub)")

@@ -36,6 +36,3 @@ N_FAIL_DEFAULT = 20
 
 # Smallest grid step gamma0/T allowed before float underflow risks kick in.
 GRID_STEP_MIN = 2.0 ** -40
-
-# Environment variable capping CLI worker threads.
-THREADS_ENV = "CVQC_LAB_THREADS"

@@ -446,15 +446,19 @@ def _apply_kernel_column(block: np.ndarray, theta: float, t: int, mode: str, dag
     return phase * tmp
 
 
-def _apply_est(state: np.ndarray, data: SpectralData, t: int, mode: str, dagger: bool) -> np.ndarray:
-    dim = data.eig_full.shape[0]
-    rest = state.size // dim
-    coeff = data.eig_full.conj().T @ state.reshape(dim, rest)
-    ph_rest = rest // (1 << t)
-    for k in range(dim):
+def _apply_est(flat: np.ndarray, basis: np.ndarray, phases: np.ndarray, t: int,
+               mode: str, dagger: bool) -> np.ndarray:
+    """U_est (or its adjoint) on (system, rest) amplitudes, diagonalized.
+
+    basis holds the eigenvectors of Q as columns with eigenphases
+    `phases`; the rest axis leads with the 2^t ph labels.
+    """
+    coeff = basis.conj().T @ flat
+    ph_rest = coeff.shape[1] >> t
+    for k in range(coeff.shape[0]):
         blk = coeff[k].reshape(1 << t, ph_rest)
-        coeff[k] = _apply_kernel_column(blk, float(data.eig_phases[k]), t, mode, dagger).reshape(-1)
-    return (data.eig_full @ coeff).reshape(-1)
+        coeff[k] = _apply_kernel_column(blk, float(phases[k]), t, mode, dagger).reshape(-1)
+    return basis @ coeff
 
 
 def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVector) -> StateVector:
@@ -467,13 +471,15 @@ def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVec
     # input slots: C = 0^m, ph = 0^t, th = in = 0
     amps.reshape(dim, 1 << t, 2, 2)[:xz, 0, 0, 0] = psi.amps
 
-    amps = _apply_est(amps, data, t, params.mode, dagger=False)
+    amps = _apply_est(amps.reshape(dim, -1), data.eig_full, data.eig_phases, t,
+                      params.mode, dagger=False).reshape(-1)
     view = amps.reshape(dim, 1 << t, 2, 2)
     flip = np.where(threshold_mask(params))[0]
     tmp = view[:, flip, 0, :].copy()
     view[:, flip, 0, :] = view[:, flip, 1, :]
     view[:, flip, 1, :] = tmp
-    amps = _apply_est(amps, data, t, params.mode, dagger=True)
+    amps = _apply_est(amps.reshape(dim, -1), data.eig_full, data.eig_phases, t,
+                      params.mode, dagger=True).reshape(-1)
     view = amps.reshape(dim, 1 << t, 2, 2)
     tmp = view[:xz, :, :, 0].copy()
     view[:xz, :, :, 0] = view[:xz, :, :, 1]
@@ -514,12 +520,7 @@ def phase_estimate(q: Operator, state: StateVector, params: PartitionParams, dag
     flat = psi.reshape(sys_dim, 1 << t)
 
     tmat, zmat = scipy.linalg.schur(q.mat, output="complex")
-    phases = np.angle(np.diag(tmat))
-    coeff = zmat.conj().T @ flat
-    for k in range(sys_dim):
-        coeff[k] = _apply_kernel_column(
-            coeff[k][:, None], float(phases[k]), t, params.mode, dagger).reshape(-1)
-    flat = zmat @ coeff
+    flat = _apply_est(flat, zmat, np.angle(np.diag(tmat)), t, params.mode, dagger)
     psi = np.moveaxis(flat.reshape(psi.shape), range(n - t, n), ph_pos)
     return StateVector(state.layout, np.ascontiguousarray(psi).reshape(-1))
 
@@ -746,6 +747,13 @@ def random_accept_sets(rng: np.random.Generator, m: int, x_width: int) -> tuple[
         chosen = rng.choice(size, size=k, replace=False)
         sets.append(frozenset(format(v, f"0{x_width}b") for v in chosen))
     return tuple(sets)
+
+
+def random_xz_state(rng: np.random.Generator, strategy: ProverStrategy) -> StateVector:
+    """Haar-random normalized state on the strategy's (X, Z) registers."""
+    amps = rng.normal(size=strategy.xz_dim) + 1j * rng.normal(size=strategy.xz_dim)
+    amps /= np.linalg.norm(amps)
+    return StateVector(strategy.xz_layout(), amps)
 
 
 def random_strategy(rng: np.random.Generator, m: int, x_width: int = 1,

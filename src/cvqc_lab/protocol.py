@@ -506,6 +506,13 @@ def _is_toy_state(state) -> bool:
     return isinstance(state, tuple) and bool(state) and state[0] == _TOY_STATE_TAG
 
 
+def _answer_coords(strategy, state, c, rng):
+    """Answer each coordinate of a repeated state with its slice of c."""
+    w = len(c) // len(state)
+    return tuple(strategy.answer(state[i], c[i * w:(i + 1) * w], rng)
+                 for i in range(len(state)))
+
+
 class Honest:
     """Follows the protocol exactly."""
 
@@ -539,8 +546,7 @@ class TestOnly:
             if c == "0":
                 return ("test", b, r)
             return ("had", 0, 0)
-        return tuple(self.answer(state[i], c[i], rng)
-                     for i in range(len(state)))
+        return _answer_coords(self, state, c, rng)
 
 
 class UnitaryCheat:
@@ -562,8 +568,9 @@ class UnitaryCheat:
         self.n = strategy.x_width - 1
 
     def commit(self, x, k, rng):
-        if isinstance(k, tuple) and k and isinstance(k[0], tuple):
-            pairs = [self._commit_one(x, ki, rng) for ki in k]
+        # a toy key is the pair (x0, x1); repeated keys nest tuples of them
+        if isinstance(k[0], tuple):
+            pairs = [self.commit(x, ki, rng) for ki in k]
             return tuple(y for y, _ in pairs), tuple(s for _, s in pairs)
         return self._commit_one(x, k, rng)
 
@@ -576,8 +583,7 @@ class UnitaryCheat:
     def answer(self, state, c, rng):
         if isinstance(state, tuple) and state and state[0] == "cheat":
             return self._answer_one(c, rng)
-        return tuple(self.answer(state[i], c[i], rng)
-                     for i in range(len(state)))
+        return _answer_coords(self, state, c, rng)
 
     def _answer_one(self, c, rng):
         s = self.strategy

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cvqc_lab import effverify, jordan, partition, protocol
+from cvqc_lab.partition import random_xz_state
 from cvqc_lab.qsim import StateVector
 
 
@@ -27,12 +28,6 @@ def _report(num, label, failures, elapsed, budget):
     print(f"criterion {num:>2} [{status}] {label}: {elapsed:.2f}s (budget {budget:.0f}s)")
     assert not failures, failures[:5]
     assert elapsed < budget, f"criterion {num} took {elapsed:.2f}s, budget {budget}s"
-
-
-def _random_xz_state(rng, strategy) -> StateVector:
-    amps = rng.normal(size=strategy.xz_dim) + 1j * rng.normal(size=strategy.xz_dim)
-    amps /= np.linalg.norm(amps)
-    return StateVector(strategy.xz_layout(), amps)
 
 
 def test_criterion_01_jordan_suite():
@@ -72,7 +67,7 @@ def test_criterion_02_partition_grid_average():
     failures = []
     for k in range(50):
         s = partition.random_strategy(rng, m=1, x_width=1, z_width=1)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         # the difference vector psi - psi0 - psi1 vanishes by construction
         # (per-block branch weights sum to 1), so the same bound is also
         # checked against the branch-mass residual, the quantity that is
@@ -102,7 +97,7 @@ def test_criterion_03_branch_claims():
         params = partition.PartitionParams(m, 1, 0.75, 4, gamma, "ideal")
         for k in range(8):
             s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
-            psi = _random_xz_state(rng, s)
+            psi = random_xz_state(rng, s)
             out = partition.run_G(s, params, psi)
             overlap = abs(complex(np.vdot(out.psi0.amps, out.psi1.amps)))
             if overlap > 1e-8:
@@ -115,7 +110,7 @@ def test_criterion_03_branch_claims():
                                           controlled=True)
             out = None
             for _ in range(20):
-                psi = _random_xz_state(rng, s)
+                psi = random_xz_state(rng, s)
                 out = partition.run_G(s, params, psi)
                 if out.psi0.norm2 > 1e-9:
                     break
@@ -163,7 +158,7 @@ def test_criterion_05_chain_averages():
             s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
             grid = partition.gamma_grid(1.0, 8)
             gam = tuple(float(grid[int(v)]) for v in rng.integers(0, 8, size=m))
-            psi = _random_xz_state(rng, s)
+            psi = random_xz_state(rng, s)
             total = sum(
                 partition.partition_chain(s, gam, format(c, f"0{m}b"), psi,
                                           gamma0=1.0, T=8).remainder_norm2
@@ -173,7 +168,7 @@ def test_criterion_05_chain_averages():
     m, T = 3, 16
     s = partition.random_strategy(np.random.default_rng(5050), m=m,
                                   x_width=1, z_width=1)
-    psi = _random_xz_state(np.random.default_rng(5051), s)
+    psi = random_xz_state(np.random.default_rng(5051), s)
     rng_c = np.random.default_rng(5052)
     grid = [float(g) for g in partition.gamma_grid(1.0, T)]
     total = 0.0

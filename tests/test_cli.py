@@ -5,15 +5,15 @@ exercises the installed console script.
 """
 
 import csv
+import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cvqc_lab import cli, config, protocol
+from cvqc_lab import cli, protocol
 from cvqc_lab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -139,6 +139,54 @@ class TestConfigHandling:
                          "--set", "dim_max=3",
                          "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == 1
+
+
+def _int_params():
+    return [(command, key, spec.allowed) for command, table in cli._PARAMS.items()
+            for key, spec in table.items() if spec.kind in ("int", "int-list")]
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("command,key,bounds", _int_params(),
+                             ids=[f"{c}:{k}" for c, k, _ in _int_params()])
+    def test_range_edges_rejected(self, tmp_path, capsys, command, key, bounds):
+        lo, hi = bounds
+        for value in (lo - 1, hi + 1):
+            code, out = run_cli([command, "--seed", "1", "--set", f"{key}={value}"],
+                                tmp_path, "x.out")
+            assert code == 2, (key, value)
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert key in err and f"{lo}..{hi}" in err
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_defaults_validate(self, command):
+        cfg = build_config(command, seed=0)
+        assert cfg.params == {k: s.default for k, s in cli._PARAMS[command].items()}
+
+    def test_int_list_checks_every_entry(self):
+        with pytest.raises(ConfigError, match="m_list"):
+            build_config("repetition-sweep", seed=1, sets=["m_list=1,25,3"])
+        with pytest.raises(ConfigError, match="budgets"):
+            build_config("fs-attack", seed=1, sets=["budgets=0,2"])
+
+    def test_cross_rules(self):
+        with pytest.raises(ConfigError, match="dim_min <= dim_max"):
+            build_config("jordan-demo", seed=1, sets=["dim_min=6", "dim_max=4"])
+        with pytest.raises(ConfigError, match="T <= 32"):
+            build_config("partition-claims", seed=1, sets=["mode=kernel", "T=40"])
+        build_config("partition-claims", seed=1, sets=["mode=ideal", "T=40"])
+        build_config("repetition-sweep", seed=1, sets=["adversary=cheat", "n=6"])
+
+    def test_format_checked_from_every_source(self, tmp_path):
+        with pytest.raises(ConfigError, match="format"):
+            build_config("fs-attack", seed=1, fmt="xml")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        with pytest.raises(ConfigError, match="format"):
+            build_config("fs-attack", seed=1, config_path=str(cfg))
+        cfg.write_text(json.dumps({"format": "json"}))
+        assert build_config("fs-attack", seed=1, config_path=str(cfg)).fmt == "json"
 
 
 class TestJordanDemo:
@@ -295,6 +343,19 @@ class TestEffverifyDemo:
         assert dump["cost"]["prover_ops"] > dump["cost"]["verifier_ops"]
         assert [set(r) for r in payload["rows"]] == [set(payload["columns"])] * len(payload["rows"])
 
+    def test_m_limited_by_smallest_probe_bound(self, tmp_path, capsys):
+        # key derivation takes 9 + 32m machine steps; the cost probe's
+        # smallest time bound, 256, covers it up to m = 7
+        code, out = run_cli(["effverify-demo", "--seed", "1", "--trials", "1",
+                             "--time-bound", "256", "--set", "m=8"], tmp_path, "e8.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "m=8 outside 1..7" in capsys.readouterr().err
+        code, out = run_cli(["effverify-demo", "--seed", "1", "--trials", "1",
+                             "--time-bound", "256", "--set", "m=7"], tmp_path, "e7.csv")
+        assert code == 0
+        assert all(r["verdict"] == "1" for r in read_rows(out))
+
     def test_dedicated_flags_match_set_pairs(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -320,24 +381,30 @@ class TestReproducibility:
         _, b = run_cli(base + ["--seed", "4"], tmp_path, "b.csv")
         assert a.read_bytes() != b.read_bytes()
 
-    def test_worker_pool_does_not_change_bytes(self, tmp_path, monkeypatch):
-        args = ["partition-claims", "--seed", "5", "--set", "T=8",
-                "--set", "m=2", "--set", "strategies=3"]
-        _, a = run_cli(args, tmp_path, "a.csv")
-        monkeypatch.setenv(config.THREADS_ENV, "4")
-        _, b = run_cli(args, tmp_path, "b.csv")
-        assert a.read_bytes() == b.read_bytes()
+    # sha256 of small runs whose cells involve no LAPACK call, so they
+    # are the same on every platform; a change to how a command draws or
+    # formats anything shows up here
+    GOLDEN = [
+        (["repetition-sweep", "--seed", "3", "--set", "m_list=1,3",
+          "--set", "trials=1000"], "rs.csv",
+         "df0755cd492bff285def9b5afd9a6e2f7b14e313f22d535c024525f4ccee34bb"),
+        (["repetition-sweep", "--seed", "3", "--set", "m_list=2,5",
+          "--set", "trials=1000", "--set", "adversary=honest"], "rs.csv",
+         "abaf80891884744ac3c71199e9195423123ada505eea2e5ad27afeb79df18205"),
+        (["fs-attack", "--seed", "21", "--set", "m=2", "--set", "budgets=1,4",
+          "--set", "trials=300"], "fs.csv",
+         "59916c7fc5f265f0f0d914babdbbcca797e903523cb3458384fc7f5a0096858b"),
+        (["effverify-demo", "--seed", "31", "--trials", "2", "--time-bound", "512",
+          "--format", "json"], "eff.json",
+         "ff57e60756d4832bc9144348aa05c13ad33f7dd5d830bbe36eab1121b2fe8368"),
+    ]
 
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(config.THREADS_ENV, "zero point five")
-        code, out = run_cli(["jordan-demo", "--seed", "1", "--set", "pairs=2",
-                             "--set", "dim_max=3"], tmp_path, "x.csv")
-        assert code == 2
-        assert not out.exists()
-        monkeypatch.setenv(config.THREADS_ENV, "0")
-        code, out = run_cli(["jordan-demo", "--seed", "1", "--set", "pairs=2",
-                             "--set", "dim_max=3"], tmp_path, "x.csv")
-        assert code == 2
+    @pytest.mark.parametrize("args,name,digest", GOLDEN,
+                             ids=["testonly", "honest", "fs-attack", "effverify-json"])
+    def test_golden_digest(self, tmp_path, args, name, digest):
+        code, out = run_cli(args, tmp_path, name)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_json_mirror_same_rows_as_csv(self, tmp_path):
         args = ["fs-attack", "--seed", "21", "--set", "m=2",
@@ -441,3 +508,12 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-m", "cvqc_lab.cli"],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
+
+    def test_module_run_prints_nothing_on_stderr(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("claim_id,bound,measured\nx,1,0.5\n")
+        proc = subprocess.run([sys.executable, "-m", "cvqc_lab.cli", "render", str(data)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "yes" in proc.stdout

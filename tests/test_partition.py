@@ -27,6 +27,7 @@ from cvqc_lab.partition import (
     phase_label,
     qpe_failure_mass,
     random_strategy,
+    random_xz_state,
     run_G,
     run_G_state,
     run_H,
@@ -49,12 +50,6 @@ from cvqc_lab.qsim import (
 def _params(m=1, i=1, gamma0=0.75, T=4, j=2, mode="ideal", t=0):
     return PartitionParams(m=m, i=i, gamma0=gamma0, T=T,
                            gamma=gamma0 * j / T, mode=mode, t=t)
-
-
-def _random_xz_state(rng, strategy):
-    a = rng.normal(size=strategy.xz_dim) + 1j * rng.normal(size=strategy.xz_dim)
-    a /= np.linalg.norm(a)
-    return StateVector(strategy.xz_layout(), a)
 
 
 def _trivial_strategy():
@@ -314,7 +309,7 @@ class TestRunG:
         rng = np.random.default_rng(33)
         T = 16
         s = random_strategy(rng, m=1, x_width=1, z_width=1)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         total = 0.0
         total_resid = 0.0
         for j in range(1, T + 1):
@@ -333,7 +328,7 @@ class TestRunG:
         for trial in range(10):
             m = 1 if trial % 2 == 0 else 2
             s = random_strategy(rng, m=m, x_width=1, z_width=1)
-            psi = _random_xz_state(rng, s)
+            psi = random_xz_state(rng, s)
             p = _params(m=m, i=1 + trial % m, mode=mode)
             out = run_G(s, p, psi)
             recon = out.psi0.amps + out.psi1.amps + out.psi_err.amps
@@ -365,7 +360,7 @@ class TestClaimTwoExclusivity:
     def test_branch_labels_carry_only_psi_b(self, m, mode):
         rng = np.random.default_rng(40 + m)
         s = random_strategy(rng, m=m, x_width=1, z_width=1)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         p = _params(m=m, i=1, mode=mode)
         out = run_G(s, p, psi)
         full = run_G_state(s, p, psi)
@@ -378,7 +373,7 @@ class TestClaimTwoExclusivity:
     def test_norm_preserved_by_full_pipeline(self):
         rng = np.random.default_rng(43)
         s = random_strategy(rng, m=1, x_width=1, z_width=1)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         for mode in ("ideal", "kernel"):
             full = run_G_state(s, _params(mode=mode), psi)
             assert full.norm2 == pytest.approx(1.0, abs=1e-9)
@@ -395,7 +390,7 @@ class TestContractionAndTestRound:
             m = 1 + trial % 2
             mode = "ideal" if trial % 3 else "kernel"
             s = random_strategy(rng, m=m, x_width=1, z_width=1)
-            psi = _random_xz_state(rng, s)
+            psi = random_xz_state(rng, s)
             out = run_G(s, _params(m=m, i=1, mode=mode), psi)
             e_b = 0.5 * (out.psi0.norm2 + out.psi1.norm2)
             assert e_b <= 0.5 * psi.norm2 + 1e-9
@@ -407,7 +402,7 @@ class TestContractionAndTestRound:
         rng = np.random.default_rng(60 + m)
         s = random_strategy(rng, m=m, x_width=1, z_width=1, controlled=True)
         p = _params(m=m, i=1, gamma0=0.75, T=4, j=3)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         out = run_G(s, p, psi)
         if out.psi0.norm2 <= 1e-12:
             pytest.skip("no low component for this seed")
@@ -443,7 +438,7 @@ class TestRunH:
         s = random_strategy(rng, m=2, x_width=1, z_width=1)
         grid = gamma_grid(0.75, 4)
         gam = (grid[2], grid[1])
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         chain = partition_chain(s, gam, "10", psi, gamma0=0.75, T=4)
         n_mc = 4000
         stops = {1: 0, 2: 0}
@@ -463,7 +458,7 @@ class TestRunH:
         rng = np.random.default_rng(78)
         s = random_strategy(rng, m=2, x_width=1, z_width=1)
         grid = gamma_grid(0.75, 4)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         for k in range(200):
             res = run_H(s, (grid[0], grid[3]), "01", psi,
                         np.random.default_rng(k), gamma0=0.75, T=4)
@@ -506,7 +501,7 @@ class TestRunH:
     def test_argument_validation(self):
         rng = np.random.default_rng(1)
         s = random_strategy(rng, m=2, x_width=1, z_width=1)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         with pytest.raises(DimensionMismatch):
             run_H(s, [0.375], "10", psi, rng, gamma0=0.75, T=4)
         zero = StateVector(s.xz_layout(), np.zeros(s.xz_dim, dtype=complex))
@@ -520,7 +515,7 @@ class TestPartitionChain:
         rng = np.random.default_rng(91)
         s = random_strategy(rng, m=2, x_width=1, z_width=1)
         grid = gamma_grid(0.75, 4)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         chain = partition_chain(s, (grid[1], grid[2]), "01", psi,
                                 gamma0=0.75, T=4, mode=mode)
         total = sum(chain.kept_norms2) + chain.remainder_norm2 + sum(chain.err_norms2)
@@ -537,7 +532,7 @@ class TestPartitionChain:
         s = random_strategy(rng, m=m, x_width=1, z_width=1)
         grid = gamma_grid(0.75, 4)
         gam = tuple(grid[(k * 2) % 4] for k in range(m))
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         total = 0.0
         for cbits in range(1 << m):
             c = format(cbits, f"0{m}b")
@@ -550,7 +545,7 @@ class TestPartitionChain:
         m, T = 3, 16
         s = random_strategy(rng, m=m, x_width=1, z_width=1)
         grid = gamma_grid(1.0, T)
-        psi = _random_xz_state(rng, s)
+        psi = random_xz_state(rng, s)
         rng_c = np.random.default_rng(7)
         total = 0.0
         count = 0

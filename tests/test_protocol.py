@@ -389,6 +389,43 @@ class TestBulkReplay:
         assert nested.toy_draws is None
 
 
+class TestNestedRepetition:
+    """Repeating a repetition is the flat repetition with regrouped messages.
+
+    Both shapes consume the trial randomness coordinate by coordinate in
+    the same order, so on one seed every strategy gets identical Stats.
+    """
+
+    SHAPES = [(3, 2), (2, 3), (2, 2), (1, 3), (4, 1)]
+
+    @staticmethod
+    def _cheat(p):
+        rng = np.random.default_rng(41)
+        return UnitaryCheat(random_strategy(rng, 1, x_width=5, z_width=1))
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    @pytest.mark.parametrize("make", [Honest, protocol.TestOnly, _cheat.__func__],
+                             ids=["honest", "testonly", "cheat"])
+    def test_same_stats_as_flat_repetition(self, a, b, make):
+        nested = parallel_repeat(parallel_repeat(toy_protocol(4), a), b)
+        flat = parallel_repeat(toy_protocol(4), a * b)
+        got = run_protocol(nested, make(nested), "yes", trials=200, seed=40 + a * b)
+        want = run_protocol(flat, make(flat), "yes", trials=200, seed=40 + a * b)
+        assert got == want
+
+    def test_fs_grinder_matches_formula(self):
+        # encode(y) differs between the nested and the flat shape, so the
+        # hashed challenges do too; only the closed form can be compared
+        a, b, budget, trials = 2, 2, 4, 2000
+        nested = parallel_repeat(parallel_repeat(toy_protocol(4), a), b)
+        fs = fiat_shamir(nested, OracleTable(42, a * b))
+        st = run_protocol(fs, FsGrinder(budget, protocol.TestOnly(nested)), "yes",
+                          trials=trials, seed=43)
+        expect = grinder_rate_oracle(a * b, budget)
+        sigma = np.sqrt(expect * (1 - expect) / trials)
+        assert abs(st.accept_rate - expect) <= 5 * sigma
+
+
 class TestUnitaryCheat:
     def test_rate_decreases_with_repetition(self):
         rng = np.random.default_rng(14)
