@@ -102,7 +102,20 @@ _PARAMS: dict[str, dict[str, Param]] = {
     },
 }
 
-# Rules across parameters of one command: (holds, message over params).
+# A grinding attempt (one commitment, one oracle query, one verification)
+# costs 33-44 us at q = 16 on a 2-core machine, so this many take about
+# an hour.
+_FS_MAX_ATTEMPTS = 8 * 10**7
+
+
+def _fs_attempts(p: dict) -> int:
+    """Estimated commitment attempts of fs-attack: per trial one honest
+    pass plus up to q grinding attempts for each budget q."""
+    return p["trials"] * (1 + sum(_parse_int_list(p["budgets"], "budgets")))
+
+
+# Rules across parameters of one command: (holds, message), where the
+# message is a format string over params or a function of them.
 _CROSS_RULES: dict[str, tuple] = {
     "jordan-demo": (
         (lambda p: p["dim_min"] <= p["dim_max"],
@@ -117,6 +130,12 @@ _CROSS_RULES: dict[str, tuple] = {
         # the cheat simulates a dense unitary on 2^(n+3) amplitudes
         (lambda p: p["adversary"] != "cheat" or p["n"] <= 6,
          "cheat adversary limited to n <= 6, got n={n}"),
+    ),
+    "fs-attack": (
+        (lambda p: _fs_attempts(p) <= _FS_MAX_ATTEMPTS,
+         lambda p: f"fs-attack would make about {_fs_attempts(p):,} commitment "
+                   f"attempts (trials x (1 + sum of budgets)), over the "
+                   f"{_FS_MAX_ATTEMPTS:,} that take about an hour"),
     ),
 }
 
@@ -178,7 +197,9 @@ def _check_params(command: str, params: dict):
         _require(all(lo <= v <= hi for v in entries),
                  f"{key}={value} outside {lo}..{hi}")
     for holds, message in _CROSS_RULES.get(command, ()):
-        _require(holds(params), message.format(**params))
+        if not holds(params):
+            raise ConfigError(message(params) if callable(message)
+                              else message.format(**params))
 
 
 def build_config(command: str, *, seed=None, out=None, fmt=None,

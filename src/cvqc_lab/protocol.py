@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import config
 from .partition import ProverStrategy
-from .qsim import CapExceeded, StateVector, basis_state, measure
+from .qsim import CapExceeded, StateVector, basis_state, measure, outcome_probs
 
 
 class ProtocolError(Exception):
@@ -243,8 +244,8 @@ class FourRoundProtocol:
     v_out: Callable
     public_test_verify: Callable
     v_out_coords: Callable
-    # set only by the toy instance and its one-level repetition, whose
-    # trials run_protocol can replay in bulk (see _ToyDraws)
+    # set only by the toy instance and its repetitions, whose trials
+    # run_protocol can replay in bulk (see _ToyDraws)
     toy_draws: _ToyDraws | None = None
 
 
@@ -289,15 +290,18 @@ def _parity(v: int) -> int:
 
 @dataclass(frozen=True)
 class _ToyDraws:
-    """Where a toy trial's scalar draws sit in its stream of 32-bit words.
+    """Where a toy trial's draws sit in its stream of PCG64 outputs.
 
-    Against Honest or TestOnly, one trial of the m-coordinate toy protocol
-    makes 6m scalar draws in this order: v1 draws (x0, x1) per coordinate,
-    p2 draws (b, r, d) per coordinate, v3 one coin per coordinate.  Every
-    range is a power of two no wider than 2^32, for which numpy's Lemire
-    sampler never rejects: each draw is the top bits of one next_uint32.
-    PCG64 hands out the low half of each 64-bit output before the high
-    half, so one random_raw(3m) call replays the whole trial.
+    One trial of the m-coordinate toy protocol first makes v1's draws
+    (x0, x1) per coordinate.  Against Honest or TestOnly, p2 then draws
+    (b, r, d) per coordinate and v3 one coin per coordinate: 6m scalar
+    draws.  Against UnitaryCheat, the commitment draws y per coordinate,
+    v3 the coins, and each coordinate's measurement one double: 4m scalar
+    draws, then m doubles.  Every scalar range is a power of two no wider
+    than 2^32, for which numpy's Lemire sampler never rejects: each draw
+    is the top bits of one next_uint32.  PCG64 hands out the low half of
+    each 64-bit output before the high half, and a double is the top 53
+    bits of one whole output, so either layout is 3m raw outputs.
     """
 
     n: int
@@ -307,15 +311,45 @@ class _ToyDraws:
     def raw_per_trial(self) -> int:
         return 3 * self.m
 
-    def coins_and_answers(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c, d) per trial and coordinate from (trials, 3m) raw outputs."""
-        m = self.m
-        words = np.empty((raw.shape[0], 6 * m), dtype=np.uint64)
+    @staticmethod
+    def _words(raw: np.ndarray) -> np.ndarray:
+        """The 32-bit draws of (trials, k) raw outputs, in drawing order."""
+        words = np.empty((raw.shape[0], 2 * raw.shape[1]), dtype=np.uint64)
         words[:, 0::2] = raw & 0xFFFFFFFF
         words[:, 1::2] = raw >> 32
+        return words
+
+    def plain_verdicts(self, raw: np.ndarray, had_ok: bool):
+        """(c, ok) per trial and coordinate for Honest or TestOnly.
+
+        Both pass every test round; a Hadamard round passes only for an
+        honest d != 0 on a yes-instance (had_ok).
+        """
+        m = self.m
+        words = self._words(raw)
         d = words[:, 2 * m + 2:5 * m:3] >> (32 - self.n)
         c = words[:, 5 * m:] >> 31
-        return c, d
+        return c, (c == 0) | (had_ok & (d != 0))
+
+    def cheat_verdicts(self, raw: np.ndarray, cdfs: np.ndarray, yes: bool):
+        """(c, ok) per trial and coordinate for UnitaryCheat.
+
+        cdfs[c] is the cumulative outcome table of challenge c, which
+        Generator.choice searches with the measurement's double.
+        """
+        m, n = self.m, self.n
+        words = self._words(raw[:, :2 * m])
+        top = words[:, :3 * m] >> (32 - n)
+        x0, x1, y = top[:, 0:2 * m:2], top[:, 1:2 * m:2], top[:, 2 * m:]
+        x1 = x1 ^ ((np.bitwise_count(x0 ^ x1) & 1) ^ 1)  # v1's odd-parity fix
+        c = words[:, 3 * m:] >> 31
+        u = (raw[:, 2 * m:] >> 11) * 2.0 ** -53
+        outcome = np.where(c == 0, np.searchsorted(cdfs[0], u, "right"),
+                           np.searchsorted(cdfs[1], u, "right")).astype(np.uint64)
+        first, rest = outcome >> n, outcome & ((1 << n) - 1)
+        test_ok = (rest ^ np.where(first == 1, x1, x0)) == y
+        had_ok = yes & (rest != 0) & (first == (np.bitwise_count(rest & (x0 ^ x1)) & 1))
+        return c, np.where(c == 0, test_ok, had_ok)
 
 
 def toy_protocol(num_qubits: int,
@@ -443,8 +477,8 @@ def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
     def public_test_verify(x, k, y, a):
         return all(p.public_test_verify(x, k[i], y[i], a[i]) for i in range(m))
 
-    # repeating a one-coordinate toy gives the m-coordinate draw layout;
-    # deeper nesting stays on the per-trial route
+    # every shape draws coordinate by coordinate in flat order, so a
+    # repeated toy (nested or not) has the draw layout of its flat width
     inner = p.toy_draws
     return FourRoundProtocol(
         name=f"{p.name}^{m}",
@@ -456,7 +490,7 @@ def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
         v_out=v_out,
         public_test_verify=public_test_verify,
         v_out_coords=v_out_coords,
-        toy_draws=_ToyDraws(inner.n, m) if inner and inner.m == 1 else None,
+        toy_draws=_ToyDraws(inner.n, inner.m * m) if inner else None,
     )
 
 
@@ -585,17 +619,38 @@ class UnitaryCheat:
             return self._answer_one(c, rng)
         return _answer_coords(self, state, c, rng)
 
+    def _answer_states(self) -> tuple[StateVector, StateVector]:
+        """U applied to |c>_C (u0)|0>_{X,Z}, for c = 0 and c = 1."""
+        if "cheat_states" not in self.strategy._cache:
+            s = self.strategy
+            xz = s.xz_dim
+            zeros_xz = "0" * (s.layout().total_qubits - 1)
+            psi = basis_state(s.xz_layout(), zeros_xz).amps
+            if s.u0 is not None:
+                psi = s.u0.mat @ psi
+            states = []
+            for c in (0, 1):
+                full = np.zeros(2 * xz, dtype=np.complex128)
+                full[c * xz:(c + 1) * xz] = psi
+                states.append(StateVector(s.layout(), s.u.mat @ full))
+            self.strategy._cache["cheat_states"] = tuple(states)
+        return self.strategy._cache["cheat_states"]
+
+    def _outcome_cdfs(self) -> np.ndarray:
+        """Per-challenge cumulative tables of the X measurement's outcomes.
+
+        Row c is what Generator.choice searches when `measure` samples
+        the answer to challenge c: the Born probabilities' cumsum,
+        divided by its last entry.
+        """
+        if "cheat_cdfs" not in self.strategy._cache:
+            cdfs = np.array([outcome_probs(st, "X1").cumsum()
+                             for st in self._answer_states()])
+            self.strategy._cache["cheat_cdfs"] = cdfs / cdfs[:, -1:]
+        return self.strategy._cache["cheat_cdfs"]
+
     def _answer_one(self, c, rng):
-        s = self.strategy
-        xz = s.xz_dim
-        zeros_xz = "0" * (s.layout().total_qubits - 1)
-        psi = basis_state(s.xz_layout(), zeros_xz).amps
-        if s.u0 is not None:
-            psi = s.u0.mat @ psi
-        full = np.zeros(2 * xz, dtype=np.complex128)
-        full[int(c) * xz:(int(c) + 1) * xz] = psi
-        out = StateVector(s.layout(), s.u.mat @ full)
-        outcome, _, _ = measure(out, "X1", rng)
+        outcome, _, _ = measure(self._answer_states()[int(c)], "X1", rng)
         first, rest = int(outcome[0]), int(outcome[1:], 2)
         if c == "0":
             return ("test", first, rest)
@@ -648,6 +703,133 @@ def _trial_seeds(seed: int, trials: int):
         yield root.spawn(min(_TRIAL_CHUNK, trials - start))
 
 
+# The bulk route derives each trial's PCG64 outputs as arrays over a
+# chunk of child indices instead of building a SeedSequence and a PCG64
+# per trial.  The constants and steps are numpy's: SeedSequence's entropy
+# pool (hashmix/mix over uint32 words, pool size 4), generate_state, and
+# PCG64's seeding, 128-bit LCG step and XSL-RR output.  All 32-bit
+# arithmetic runs in uint64 arrays and is masked back to 32 bits.
+
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hashmix(value, hc: int):
+    value = (value ^ hc) & _MASK32
+    hc = (hc * _MULT_A) & _MASK32
+    value = (value * hc) & _MASK32
+    return value ^ (value >> 16), hc
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _words32(v) -> list[int]:
+    """SeedSequence entropy as uint32 words: an int little-endian (0 is
+    one word), a sequence entry by entry."""
+    if not isinstance(v, (int, np.integer)):
+        return [w for item in v for w in _words32(item)]
+    v = int(v)
+    out = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        out.append(v & _MASK32)
+    return out
+
+
+def _spawn_prefix(seed) -> tuple[list[int], int]:
+    """Pool and hash constant of every child of SeedSequence(seed), before its spawn key.
+
+    A child's entropy is the root's words padded to the pool size, then
+    its child index; only the index differs between children.
+    """
+    run = _words32(np.random.SeedSequence(seed).entropy)
+    run += [0] * (_POOL - len(run))
+    hc = _INIT_A
+    pool = []
+    for w in run[:_POOL]:
+        v, hc = _hashmix(w, hc)
+        pool.append(v)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                v, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], v)
+    for w in run[_POOL:]:
+        for dst in range(_POOL):
+            v, hc = _hashmix(w, hc)
+            pool[dst] = _mix(pool[dst], v)
+    return pool, hc
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of a * b for uint64 a and a constant b < 2^64."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _trial_raw(seed, start: int, count: int, k: int) -> np.ndarray:
+    """(count, k) raw PCG64 outputs of children start..start+count-1 of seed.
+
+    Row i equals np.random.PCG64(child).random_raw(k) for the child
+    SeedSequence(seed, spawn_key=(start + i,)), which is what
+    SeedSequence(seed).spawn hands out in that position.
+    """
+    pool0, hc0 = _spawn_prefix(seed)
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    pool = [np.full(count, v, dtype=np.uint64) for v in pool0]
+    # the child index enters as one word, or two from 2^32 on
+    lo, hi = idx & _MASK32, idx >> 32
+    hc = hc0
+    for dst in range(_POOL):
+        v, hc = _hashmix(lo, hc)
+        pool[dst] = _mix(pool[dst], v)
+    if hi.any():
+        two = hi != 0
+        for dst in range(_POOL):
+            v, hc = _hashmix(hi, hc)
+            pool[dst] = np.where(two, _mix(pool[dst], v), pool[dst])
+    # generate_state(4, uint64): eight words cycled from the pool
+    hc = _INIT_B
+    state = []
+    for i in range(8):
+        v = pool[i % _POOL] ^ hc
+        hc = (hc * _MULT_B) & _MASK32
+        v = (v * hc) & _MASK32
+        state.append(v ^ (v >> 16))
+    s_hi, s_lo, q_hi, q_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+    # PCG64 seeding: inc = 2q + 1, state = (inc + s) stepped once
+    inc_hi = (q_hi << 1) | (q_lo >> 63)
+    inc_lo = (q_lo << 1) | 1
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo)
+    out = np.empty((count, k), dtype=np.uint64)
+    for j in range(k + 1):
+        # state = state * MULT + inc (mod 2^128)
+        new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+        lo = lo * _PCG_MULT_LO + inc_lo
+        hi = new_hi + inc_hi + (lo < inc_lo)
+        if j:
+            x, rot = hi ^ lo, hi >> 58
+            out[:, j - 1] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out
+
+
+def _trial_streams(seed, trials: int, k: int):
+    """Every trial's first k raw outputs, one (chunk, k) array at a time."""
+    for start in range(0, trials, _TRIAL_CHUNK):
+        yield _trial_raw(seed, start, min(_TRIAL_CHUNK, trials - start), k)
+
+
 def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     """Seeded acceptance statistics for a strategy against a protocol.
 
@@ -658,17 +840,22 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     queries counts the prover's oracle calls and stays 0 when no oracle
     is involved.
 
-    Honest or TestOnly against the toy instance (or one level of its
-    repetition) is replayed in bulk; that route gives the same Stats as
-    the per-trial route on the same seed.
+    Honest, TestOnly, and a UnitaryCheat of the toy's width, against the
+    toy instance or any repetition of it, are replayed in bulk; that
+    route gives the same Stats as the per-trial route on the same seed.
     """
     if trials < 1:
         raise ProtocolError(f"trials={trials}")
     draws = getattr(p, "toy_draws", None)
-    if (draws is not None and type(adversary) in (Honest, TestOnly)
-            and adversary.p is p):
-        return _run_toy_batch(draws, type(adversary) is Honest, x, trials, seed)
-    return _run_per_trial(p, adversary, x, trials, seed)
+    kind = type(adversary)
+    if draws is not None and kind in (Honest, TestOnly) and adversary.p is p:
+        verdicts = partial(draws.plain_verdicts, had_ok=kind is Honest and x == "yes")
+    elif draws is not None and kind is UnitaryCheat and adversary.n == draws.n:
+        verdicts = partial(draws.cheat_verdicts, cdfs=adversary._outcome_cdfs(),
+                           yes=x == "yes")
+    else:
+        return _run_per_trial(p, adversary, x, trials, seed)
+    return _run_toy_batch(draws, verdicts, trials, seed)
 
 
 def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
@@ -694,25 +881,18 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
     )
 
 
-def _run_toy_batch(draws: _ToyDraws, honest: bool, x, trials: int,
+def _run_toy_batch(draws: _ToyDraws, verdicts: Callable, trials: int,
                    seed: int) -> Stats:
-    # Both strategies pass every test round.  On a Hadamard round the
-    # honest answer fails only for d = 0 or a no-instance; TestOnly's
-    # sentinel always fails.
-    had_ok = honest and x == "yes"
+    """Stats from verdicts(raw) -> (c, ok), per trial and coordinate."""
     accepts = 0
     counts = {"test": [0, 0], "hadamard": [0, 0]}
-    for chunk in _trial_seeds(seed, trials):
-        raw = np.array([np.random.PCG64(child).random_raw(draws.raw_per_trial)
-                        for child in chunk])
-        c, d = draws.coins_and_answers(raw)
+    for raw in _trial_streams(seed, trials, draws.raw_per_trial):
+        c, ok = verdicts(raw)
         had = c == 1
-        ok = ~had | (had_ok & (d != 0))
         accepts += int(np.count_nonzero(ok.all(axis=1)))
         n_had = int(np.count_nonzero(had))
-        n_test = had.size - n_had
-        counts["test"][0] += n_test
-        counts["test"][1] += n_test
+        counts["test"][0] += int(np.count_nonzero(~had & ok))
+        counts["test"][1] += had.size - n_had
         counts["hadamard"][0] += int(np.count_nonzero(had & ok))
         counts["hadamard"][1] += n_had
     return Stats(

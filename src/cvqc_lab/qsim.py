@@ -231,6 +231,31 @@ def project(p: Operator, state: StateVector, targets) -> StateVector:
     return apply(p, state, targets)
 
 
+def _register_blocks(state: StateVector, register: str):
+    """The register's qubit positions, the amplitudes moved to the front,
+    one row of them per outcome, the row masses and the probabilities."""
+    total = state.norm2
+    if total <= config.ZERO_STATE_TOL:
+        raise ZeroState(f"norm^2 = {total:.3e}")
+    positions = state.layout.qubit_positions(register)
+    w = len(positions)
+    psi = state.amps.reshape((2,) * state.layout.total_qubits)
+    psi = np.moveaxis(psi, positions, range(w))
+    blocks = psi.reshape(1 << w, -1)
+    masses = np.einsum("ij,ij->i", blocks.conj(), blocks).real
+    probs = np.clip(masses / total, 0.0, None)
+    return positions, psi, blocks, masses, probs / probs.sum()
+
+
+def outcome_probs(state: StateVector, register: str) -> np.ndarray:
+    """Born probabilities of each computational-basis outcome of one register.
+
+    Taken relative to the state's squared norm, exactly as `measure`
+    samples them; entry i is the outcome whose bits read i MSB-first.
+    """
+    return _register_blocks(state, register)[-1]
+
+
 def measure(state: StateVector, register: str, rng: np.random.Generator):
     """Projective computational-basis measurement of one register.
 
@@ -239,18 +264,8 @@ def measure(state: StateVector, register: str, rng: np.random.Generator):
     the state's squared norm, so sub-normalized inputs behave like their
     normalized versions.
     """
-    total = state.norm2
-    if total <= config.ZERO_STATE_TOL:
-        raise ZeroState(f"norm^2 = {total:.3e}")
-    w = state.layout.width(register)
-    positions = state.layout.qubit_positions(register)
-    n = state.layout.total_qubits
-    psi = state.amps.reshape((2,) * n)
-    psi = np.moveaxis(psi, positions, range(w))
-    blocks = psi.reshape(1 << w, -1)
-    masses = np.einsum("ij,ij->i", blocks.conj(), blocks).real
-    probs = np.clip(masses / total, 0.0, None)
-    probs = probs / probs.sum()
+    positions, psi, blocks, masses, probs = _register_blocks(state, register)
+    w = len(positions)
     outcome = int(rng.choice(1 << w, p=probs))
     post_blocks = np.zeros_like(blocks)
     post_blocks[outcome] = blocks[outcome] / np.sqrt(masses[outcome])

@@ -178,6 +178,18 @@ class TestParamTable:
         build_config("partition-claims", seed=1, sets=["mode=ideal", "T=40"])
         build_config("repetition-sweep", seed=1, sets=["adversary=cheat", "n=6"])
 
+    def test_fs_attack_work_ceiling(self, tmp_path, capsys):
+        # hi-range budgets at the default 5000 trials: 5000 * (1 + 10^6)
+        code, out = run_cli(["fs-attack", "--seed", "1", "--set", "budgets=1000000"],
+                            tmp_path, "x.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "5,000,005,000 commitment attempts" in capsys.readouterr().err
+        # the ceiling itself is allowed, one trial more is not
+        build_config("fs-attack", seed=1, sets=["budgets=15", "trials=5000000"])
+        with pytest.raises(ConfigError, match="80,000,016 commitment attempts"):
+            build_config("fs-attack", seed=1, sets=["budgets=15", "trials=5000001"])
+
     def test_format_checked_from_every_source(self, tmp_path):
         with pytest.raises(ConfigError, match="format"):
             build_config("fs-attack", seed=1, fmt="xml")
@@ -383,7 +395,10 @@ class TestReproducibility:
 
     # sha256 of small runs whose cells involve no LAPACK call, so they
     # are the same on every platform; a change to how a command draws or
-    # formats anything shows up here
+    # formats anything shows up here.  The cheat run is the exception: its
+    # strategy is a Haar unitary from a QR decomposition, so another
+    # LAPACK could round its outcome tables differently, which changes
+    # the bytes only if a sampled double falls between the two roundings.
     GOLDEN = [
         (["repetition-sweep", "--seed", "3", "--set", "m_list=1,3",
           "--set", "trials=1000"], "rs.csv",
@@ -397,10 +412,13 @@ class TestReproducibility:
         (["effverify-demo", "--seed", "31", "--trials", "2", "--time-bound", "512",
           "--format", "json"], "eff.json",
          "ff57e60756d4832bc9144348aa05c13ad33f7dd5d830bbe36eab1121b2fe8368"),
+        (["repetition-sweep", "--seed", "3", "--set", "adversary=cheat", "--set", "n=4",
+          "--set", "m_list=1,3", "--set", "trials=300"], "rs.csv",
+         "2ace4924949edebff61cb62c5e38a068b69d2ee6deade4e54e7fcd044ce86ca6"),
     ]
 
     @pytest.mark.parametrize("args,name,digest", GOLDEN,
-                             ids=["testonly", "honest", "fs-attack", "effverify-json"])
+                             ids=["testonly", "honest", "fs-attack", "effverify-json", "cheat"])
     def test_golden_digest(self, tmp_path, args, name, digest):
         code, out = run_cli(args, tmp_path, name)
         assert code == 0

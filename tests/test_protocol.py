@@ -1,10 +1,12 @@
 """Protocol shells, oracle tables, repetition, Fiat-Shamir, adversaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from cvqc_lab.partition import random_strategy
+from cvqc_lab.partition import haar_unitary, random_strategy
 from cvqc_lab import protocol
 from cvqc_lab.protocol import (
     FsGrinder,
@@ -25,7 +27,7 @@ from cvqc_lab.protocol import (
     run_protocol,
     toy_protocol,
 )
-from cvqc_lab.qsim import CapExceeded
+from cvqc_lab.qsim import CapExceeded, Operator
 
 
 class TestEncoding:
@@ -385,8 +387,111 @@ class TestBulkReplay:
 
         assert toy_protocol(4, accept_rule=rule).toy_draws is None
         assert parallel_repeat(toy_protocol(4, accept_rule=rule), 3).toy_draws is None
+        # nested repetition replays in bulk too; its reference is the
+        # per-trial route, not the flat shape (TestNestedRepetition
+        # compares bulk with bulk)
         nested = parallel_repeat(parallel_repeat(toy_protocol(4), 2), 3)
-        assert nested.toy_draws is None
+        assert nested.toy_draws == protocol._ToyDraws(4, 6)
+        cheat = _cheat(5, False)
+        for adv in (Honest(nested), protocol.TestOnly(nested), cheat):
+            bulk = run_protocol(nested, adv, "yes", trials=300, seed=39)
+            assert bulk == protocol._run_per_trial(nested, adv, "yes", trials=300, seed=39)
+
+
+def _cheat(x_width: int, with_u0: bool) -> UnitaryCheat:
+    rng = np.random.default_rng(50 + x_width)
+    strategy = random_strategy(rng, 1, x_width=x_width, z_width=1)
+    if with_u0:
+        strategy = replace(strategy, u0=Operator.unitary(haar_unitary(rng, strategy.xz_dim)))
+    return UnitaryCheat(strategy)
+
+
+class TestArrayStreams:
+    """The bulk route's array-derived PCG64 outputs against numpy's own objects."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, (1 << 99) + 12345, [7, 2**40, 0]]
+
+    @staticmethod
+    def _numpy_raw(children, k):
+        return np.array([np.random.PCG64(c).random_raw(k) for c in children])
+
+    @pytest.mark.parametrize("k", [3, 24, 60])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_words_match_pcg64(self, seed, k):
+        got = protocol._trial_raw(seed, 0, 9, k)
+        assert np.array_equal(got, self._numpy_raw(np.random.SeedSequence(seed).spawn(9), k))
+
+    def test_second_chunk_starts_at_chunk_size(self):
+        k, trials = 6, protocol._TRIAL_CHUNK + 3
+        chunks = list(protocol._trial_streams(44, trials, k))
+        assert [len(c) for c in chunks] == [protocol._TRIAL_CHUNK, 3]
+        want = self._numpy_raw(np.random.SeedSequence(44).spawn(trials), k)
+        assert np.array_equal(np.concatenate(chunks), want)
+
+    def test_partial_last_chunk(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 7)
+        chunks = list(protocol._trial_streams(45, 17, 12))
+        assert [len(c) for c in chunks] == [7, 7, 3]
+        want = self._numpy_raw(np.random.SeedSequence(45).spawn(17), 12)
+        assert np.array_equal(np.concatenate(chunks), want)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_child_indices_beyond_32_bits(self, seed):
+        # a child index from 2^32 on enters the pool as two words
+        for start in (2**32 - 2, 2**33 + 5, 2**40):
+            children = [np.random.SeedSequence(seed, spawn_key=(start + i,))
+                        for i in range(4)]
+            got = protocol._trial_raw(seed, start, 4, 5)
+            assert np.array_equal(got, self._numpy_raw(children, 5))
+
+    def test_negative_seed_fails_like_per_trial_route(self):
+        p = parallel_repeat(toy_protocol(4), 2)
+        with pytest.raises(ValueError) as ref:
+            protocol._run_per_trial(p, Honest(p), "yes", trials=5, seed=-1)
+        with pytest.raises(ValueError) as bulk:
+            run_protocol(p, Honest(p), "yes", trials=5, seed=-1)
+        assert str(bulk.value) == str(ref.value)
+
+
+class TestUnitaryCheatBulk:
+    """UnitaryCheat's bulk route against the per-trial route.
+
+    The bulk route rests on Generator.choice taking one random() double
+    and searching the Born probabilities' normalised cumsum; a change in
+    numpy's choice or random() breaks these equalities.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("x", ["yes", "no"])
+    @pytest.mark.parametrize("x_width,with_u0", [(3, False), (3, True), (5, False),
+                                                 (5, True), (7, False), (7, True)])
+    def test_same_stats_as_per_trial_route(self, monkeypatch, x_width, with_u0, m, x):
+        monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 64)
+        trials = 150  # ends on a partial chunk
+        cheat = _cheat(x_width, with_u0)
+        p = parallel_repeat(toy_protocol(x_width - 1), m)
+        bulk = run_protocol(p, cheat, x, trials=trials, seed=46 + m)
+        assert bulk == protocol._run_per_trial(p, cheat, x, trials=trials, seed=46 + m)
+
+    def test_unrepeated_toy_matches_per_trial_route(self):
+        cheat, p = _cheat(3, True), toy_protocol(2)
+        bulk = run_protocol(p, cheat, "yes", trials=500, seed=47)
+        assert bulk.accepts > 0
+        assert bulk == protocol._run_per_trial(p, cheat, "yes", trials=500, seed=47)
+
+    def test_route_follows_strategy_width(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("route not expected")
+
+        cheat = _cheat(4, False)
+        matching = parallel_repeat(toy_protocol(3), 2)
+        other = parallel_repeat(toy_protocol(4), 2)
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol, "_run_per_trial", refuse)
+            run_protocol(matching, cheat, "yes", trials=20, seed=48)
+        monkeypatch.setattr(protocol, "_run_toy_batch", refuse)
+        st = run_protocol(other, cheat, "yes", trials=20, seed=48)
+        assert st.trials == 20
 
 
 class TestNestedRepetition:
