@@ -103,15 +103,24 @@ _PARAMS: dict[str, dict[str, Param]] = {
 }
 
 # A grinding attempt (one commitment, one oracle query, one verification)
-# costs 33-44 us at q = 16 on a 2-core machine, so this many take about
-# an hour.
+# costs 4-12 us on the bulk route on a 2-core machine (m = 1..16), so this
+# many take 5-16 minutes.
 _FS_MAX_ATTEMPTS = 8 * 10**7
+# A trial coordinate of repetition-sweep costs 0.08-0.12 us on the bulk
+# route for honest and testonly and 0.31 us for the cheat (m = 24, 2-core
+# machine), so this many take under an hour for every adversary.
+_SWEEP_MAX_COORDS = 10**10
 
 
 def _fs_attempts(p: dict) -> int:
     """Estimated commitment attempts of fs-attack: per trial one honest
     pass plus up to q grinding attempts for each budget q."""
     return p["trials"] * (1 + sum(_parse_int_list(p["budgets"], "budgets")))
+
+
+def _sweep_coords(p: dict) -> int:
+    """Trial coordinates repetition-sweep replays: trials per entry of m_list."""
+    return p["trials"] * sum(_parse_int_list(p["m_list"], "m_list"))
 
 
 # Rules across parameters of one command: (holds, message), where the
@@ -130,12 +139,16 @@ _CROSS_RULES: dict[str, tuple] = {
         # the cheat simulates a dense unitary on 2^(n+3) amplitudes
         (lambda p: p["adversary"] != "cheat" or p["n"] <= 6,
          "cheat adversary limited to n <= 6, got n={n}"),
+        (lambda p: _sweep_coords(p) <= _SWEEP_MAX_COORDS,
+         lambda p: f"repetition-sweep would replay about {_sweep_coords(p):,} trial "
+                   f"coordinates (trials x sum of m_list), over the "
+                   f"{_SWEEP_MAX_COORDS:,} that take up to an hour"),
     ),
     "fs-attack": (
         (lambda p: _fs_attempts(p) <= _FS_MAX_ATTEMPTS,
          lambda p: f"fs-attack would make about {_fs_attempts(p):,} commitment "
                    f"attempts (trials x (1 + sum of budgets)), over the "
-                   f"{_FS_MAX_ATTEMPTS:,} that take about an hour"),
+                   f"{_FS_MAX_ATTEMPTS:,} that take up to 16 minutes"),
     ),
 }
 

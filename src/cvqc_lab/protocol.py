@@ -18,6 +18,7 @@ soundness assumption directly (no-instances reject that round outright).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -117,8 +118,50 @@ def decode(buf: bytes):
     return value
 
 
+# Entry v is encode(v).  Filled on first use up to the widest toy served,
+# not at import; the Fiat-Shamir bulk route builds its keys from it.
+_INT_FRAMES: list[bytes] = []
+
+
+def _int_frames(n: int) -> list[bytes]:
+    """encode(v) for every v < 2^n, indexed by v."""
+    _INT_FRAMES.extend(encode(v) for v in range(len(_INT_FRAMES), 1 << n))
+    return _INT_FRAMES
+
+
+def _encode_coords(frames: list[bytes], values: list[int], shape: tuple) -> bytes:
+    """encode(y) of a toy commitment from its flat coordinate values.
+
+    shape lists the repetition factors innermost first, as
+    _ToyDraws.shape does: () is a bare int, (m,) an m-tuple, (a, b) a
+    b-tuple of a-tuples.
+    """
+    parts = [frames[v] for v in values]
+    if not shape:
+        return parts[0]
+    for size in shape[:-1]:
+        parts = [_frame(_TAG_TUPLE, b"".join(parts[i:i + size]))
+                 for i in range(0, len(parts), size)]
+    return _frame(_TAG_TUPLE, b"".join(parts))
+
+
 # ---------------------------------------------------------------------------
 # Oracle tables
+
+
+def _oracle_value(seed_bytes: bytes, key: bytes, out_bits: int) -> int:
+    """The oracle's out_bits-bit output for key under an 8-byte seed.
+
+    The output is the leading bytes of the sha256 stream of
+    seed || key || counter (4-byte big-endian counter from 0), read
+    big-endian with the bits above out_bits cleared.
+    """
+    out_bytes = (out_bits + 7) // 8
+    data = seed_bytes + key
+    stream = hashlib.sha256(data + bytes(4)).digest()
+    for counter in range(1, (out_bytes + 31) // 32):
+        stream += hashlib.sha256(data + counter.to_bytes(4, "big")).digest()
+    return int.from_bytes(stream[:out_bytes], "big") & ((1 << out_bits) - 1)
 
 
 class OracleTable:
@@ -142,18 +185,8 @@ class OracleTable:
         self._queried: set[bytes] = set()
 
     def _sample(self, key: bytes) -> bytes:
-        seed_bytes = self.master_seed.to_bytes(8, "big")
-        stream = b""
-        counter = 0
-        while len(stream) < self.out_bytes:
-            stream += hashlib.sha256(
-                seed_bytes + key + counter.to_bytes(4, "big")).digest()
-            counter += 1
-        raw = bytearray(stream[:self.out_bytes])
-        extra = 8 * self.out_bytes - self.out_bits
-        if extra:
-            raw[0] &= 0xFF >> extra
-        return bytes(raw)
+        value = _oracle_value(self.master_seed.to_bytes(8, "big"), key, self.out_bits)
+        return value.to_bytes(self.out_bytes, "big")
 
     def query(self, key: bytes) -> bytes:
         if not isinstance(key, bytes):
@@ -302,10 +335,27 @@ class _ToyDraws:
     is the top bits of one next_uint32.  PCG64 hands out the low half of
     each 64-bit output before the high half, and a double is the top 53
     bits of one whole output, so either layout is 3m raw outputs.
+
+    Under Fiat-Shamir, a trial first draws its oracle seed with
+    integers(1 << 62), which is one whole 64-bit output shifted right by
+    2 (the range is a power of two, so there is no rejection).  Then come
+    v1's 2m scalar draws and, for each commitment attempt, p2's 3m
+    (b, r, d per coordinate); there is no coin.  So the seed and v1 take
+    1 + m raw outputs, and every two attempts another 3m.
+
+    shape holds the repetition factors, innermost first: () for the bare
+    toy, (m,) for its m-fold repetition, (a, b) for b copies of the
+    a-fold one.  Draws run coordinate by coordinate in flat order for
+    every shape; only encode(y), and so a hashed challenge, sees the
+    nesting.
     """
 
     n: int
-    m: int
+    shape: tuple = ()
+
+    @property
+    def m(self) -> int:
+        return math.prod(self.shape)
 
     @property
     def raw_per_trial(self) -> int:
@@ -318,6 +368,34 @@ class _ToyDraws:
         words[:, 0::2] = raw & 0xFFFFFFFF
         words[:, 1::2] = raw >> 32
         return words
+
+    @staticmethod
+    def _keys(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """v1's (x0, x1) per coordinate from its 2m draws, odd parity fixed."""
+        x0, x1 = top[:, 0::2], top[:, 1::2]
+        return x0, x1 ^ ((np.bitwise_count(x0 ^ x1) & 1) ^ 1)
+
+    def fs_head(self, raw: np.ndarray):
+        """(oracle seeds, x0, x1) of Fiat-Shamir trials from their first 1 + m outputs."""
+        x0, x1 = self._keys(self._words(raw[:, 1:]) >> (32 - self.n))
+        return raw[:, 0] >> 2, x0, x1
+
+    def fs_attempts(self, raw: np.ndarray, attempts: int, x0, x1, had_ok: bool):
+        """(y, failmask) of each trial's next commitment attempts.
+
+        raw holds the attempts' outputs; y is (trials, attempts, m) and
+        failmask (trials, attempts) has bit m-1-i set when coordinate i
+        rejects a Hadamard round, the bit where the oracle's output
+        carries coordinate i's challenge.  Honest or TestOnly pass every
+        test round, so an attempt accepts iff challenge & failmask == 0.
+        """
+        m, n = self.m, self.n
+        words = self._words(raw)[:, :3 * m * attempts].reshape(-1, attempts, 3 * m)
+        b, r, d = words[..., 0::3] >> 31, words[..., 1::3], words[..., 2::3]
+        y = (r >> (32 - n)) ^ np.where(b == 1, x1[:, None], x0[:, None])
+        fail = ((d >> (32 - n)) == 0) | (not had_ok)
+        shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
+        return y, (fail.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
 
     def plain_verdicts(self, raw: np.ndarray, had_ok: bool):
         """(c, ok) per trial and coordinate for Honest or TestOnly.
@@ -340,8 +418,7 @@ class _ToyDraws:
         m, n = self.m, self.n
         words = self._words(raw[:, :2 * m])
         top = words[:, :3 * m] >> (32 - n)
-        x0, x1, y = top[:, 0:2 * m:2], top[:, 1:2 * m:2], top[:, 2 * m:]
-        x1 = x1 ^ ((np.bitwise_count(x0 ^ x1) & 1) ^ 1)  # v1's odd-parity fix
+        (x0, x1), y = self._keys(top[:, :2 * m]), top[:, 2 * m:]
         c = words[:, 3 * m:] >> 31
         u = (raw[:, 2 * m:] >> 11) * 2.0 ** -53
         outcome = np.where(c == 0, np.searchsorted(cdfs[0], u, "right"),
@@ -430,7 +507,7 @@ def toy_protocol(num_qubits: int,
         v_out=v_out,
         public_test_verify=public_test_verify,
         v_out_coords=v_out_coords,
-        toy_draws=_ToyDraws(n, 1) if accept_rule is None and n <= 32 else None,
+        toy_draws=_ToyDraws(n) if accept_rule is None and n <= 32 else None,
     )
 
 
@@ -478,7 +555,8 @@ def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
         return all(p.public_test_verify(x, k[i], y[i], a[i]) for i in range(m))
 
     # every shape draws coordinate by coordinate in flat order, so a
-    # repeated toy (nested or not) has the draw layout of its flat width
+    # repeated toy (nested or not) has the draw layout of its flat width;
+    # the shape is kept for encode(y)
     inner = p.toy_draws
     return FourRoundProtocol(
         name=f"{p.name}^{m}",
@@ -490,7 +568,7 @@ def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
         v_out=v_out,
         public_test_verify=public_test_verify,
         v_out_coords=v_out_coords,
-        toy_draws=_ToyDraws(inner.n, inner.m * m) if inner else None,
+        toy_draws=_ToyDraws(inner.n, inner.shape + (m,)) if inner else None,
     )
 
 
@@ -777,51 +855,69 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _trial_raw(seed, start: int, count: int, k: int) -> np.ndarray:
-    """(count, k) raw PCG64 outputs of children start..start+count-1 of seed.
+class _TrialStreams:
+    """The PCG64 output streams of children start..start+count-1 of seed.
 
-    Row i equals np.random.PCG64(child).random_raw(k) for the child
+    Row i continues np.random.PCG64(child).random_raw for the child
     SeedSequence(seed, spawn_key=(start + i,)), which is what
-    SeedSequence(seed).spawn hands out in that position.
+    SeedSequence(seed).spawn hands out in that position: each take(k)
+    returns the next k outputs of every row still kept.
     """
-    pool0, hc0 = _spawn_prefix(seed)
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    pool = [np.full(count, v, dtype=np.uint64) for v in pool0]
-    # the child index enters as one word, or two from 2^32 on
-    lo, hi = idx & _MASK32, idx >> 32
-    hc = hc0
-    for dst in range(_POOL):
-        v, hc = _hashmix(lo, hc)
-        pool[dst] = _mix(pool[dst], v)
-    if hi.any():
-        two = hi != 0
+
+    def __init__(self, seed, start: int, count: int):
+        pool0, hc0 = _spawn_prefix(seed)
+        idx = np.arange(start, start + count, dtype=np.uint64)
+        pool = [np.full(count, v, dtype=np.uint64) for v in pool0]
+        # the child index enters as one word, or two from 2^32 on
+        lo, hi = idx & _MASK32, idx >> 32
+        hc = hc0
         for dst in range(_POOL):
-            v, hc = _hashmix(hi, hc)
-            pool[dst] = np.where(two, _mix(pool[dst], v), pool[dst])
-    # generate_state(4, uint64): eight words cycled from the pool
-    hc = _INIT_B
-    state = []
-    for i in range(8):
-        v = pool[i % _POOL] ^ hc
-        hc = (hc * _MULT_B) & _MASK32
-        v = (v * hc) & _MASK32
-        state.append(v ^ (v >> 16))
-    s_hi, s_lo, q_hi, q_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
-    # PCG64 seeding: inc = 2q + 1, state = (inc + s) stepped once
-    inc_hi = (q_hi << 1) | (q_lo >> 63)
-    inc_lo = (q_lo << 1) | 1
-    lo = inc_lo + s_lo
-    hi = inc_hi + s_hi + (lo < s_lo)
-    out = np.empty((count, k), dtype=np.uint64)
-    for j in range(k + 1):
-        # state = state * MULT + inc (mod 2^128)
-        new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
-        lo = lo * _PCG_MULT_LO + inc_lo
-        hi = new_hi + inc_hi + (lo < inc_lo)
-        if j:
+            v, hc = _hashmix(lo, hc)
+            pool[dst] = _mix(pool[dst], v)
+        if hi.any():
+            two = hi != 0
+            for dst in range(_POOL):
+                v, hc = _hashmix(hi, hc)
+                pool[dst] = np.where(two, _mix(pool[dst], v), pool[dst])
+        # generate_state(4, uint64): eight words cycled from the pool
+        hc = _INIT_B
+        state = []
+        for i in range(8):
+            v = pool[i % _POOL] ^ hc
+            hc = (hc * _MULT_B) & _MASK32
+            v = (v * hc) & _MASK32
+            state.append(v ^ (v >> 16))
+        s_hi, s_lo, q_hi, q_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+        # PCG64 seeding: inc = 2q + 1, state = (inc + s) stepped once
+        self.inc_hi = (q_hi << 1) | (q_lo >> 63)
+        self.inc_lo = (q_lo << 1) | 1
+        self.lo = self.inc_lo + s_lo
+        self.hi = self.inc_hi + s_hi + (self.lo < s_lo)
+        self.take(1)
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k outputs of every kept row, as a (rows, k) array."""
+        lo, hi, inc_lo, inc_hi = self.lo, self.hi, self.inc_lo, self.inc_hi
+        out = np.empty((lo.size, k), dtype=np.uint64)
+        for j in range(k):
+            # state = state * MULT + inc (mod 2^128)
+            new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+            lo = lo * _PCG_MULT_LO + inc_lo
+            hi = new_hi + inc_hi + (lo < inc_lo)
             x, rot = hi ^ lo, hi >> 58
-            out[:, j - 1] = (x >> rot) | (x << ((64 - rot) & 63))
-    return out
+            out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))
+        self.lo, self.hi = lo, hi
+        return out
+
+    def keep(self, rows: np.ndarray):
+        """Drop every row not selected by rows (a mask or index array)."""
+        self.lo, self.hi = self.lo[rows], self.hi[rows]
+        self.inc_lo, self.inc_hi = self.inc_lo[rows], self.inc_hi[rows]
+
+
+def _trial_raw(seed, start: int, count: int, k: int) -> np.ndarray:
+    """(count, k) raw PCG64 outputs of children start..start+count-1 of seed."""
+    return _TrialStreams(seed, start, count).take(k)
 
 
 def _trial_streams(seed, trials: int, k: int):
@@ -843,9 +939,20 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     Honest, TestOnly, and a UnitaryCheat of the toy's width, against the
     toy instance or any repetition of it, are replayed in bulk; that
     route gives the same Stats as the per-trial route on the same seed.
+    So are Honest and TestOnly under Fiat-Shamir, alone or inside an
+    FsGrinder, up to 64 challenge bits.
     """
     if trials < 1:
         raise ProtocolError(f"trials={trials}")
+    if isinstance(p, TwoRoundFS):
+        grinder = type(adversary) is FsGrinder
+        inner = adversary.inner if grinder else adversary
+        draws = p.base.toy_draws
+        if (draws is not None and type(inner) in (Honest, TestOnly) and inner.p is p.base
+                and draws.m <= _FS_MAX_M):
+            return _run_fs_batch(draws, type(inner) is Honest and x == "yes",
+                                 adversary.query_budget if grinder else 1, trials, seed)
+        return _run_per_trial(p, adversary, x, trials, seed)
     draws = getattr(p, "toy_draws", None)
     kind = type(adversary)
     if draws is not None and kind in (Honest, TestOnly) and adversary.p is p:
@@ -901,6 +1008,64 @@ def _run_toy_batch(draws: _ToyDraws, verdicts: Callable, trials: int,
         accept_rate=accepts / trials,
         per_round_counts=counts,
         queries=0,
+    )
+
+
+# The Fiat-Shamir bulk route keeps failmasks in uint64; wider challenges
+# run trial by trial.  Its key frames need no such limit: the qubit cap
+# keeps toys at n <= 18, a table of 2^18 frames (about 14 MB).
+_FS_MAX_M = 64
+# Raw outputs one window of commitment attempts derives at most (beyond
+# a 2-attempt minimum), so memory stays flat whatever the query budget.
+_FS_WINDOW_RAW = 4 * 4096
+
+
+def _run_fs_batch(draws: _ToyDraws, had_ok: bool, budget: int, trials: int,
+                  seed) -> Stats:
+    """Stats of Honest or TestOnly under Fiat-Shamir, alone (budget 1) or grinding.
+
+    A trial makes commitment attempts in order until one's hashed
+    challenge misses its failmask, at most budget of them; each attempt
+    is one oracle query, as on the per-trial route.  Attempts run in
+    windows over the trials still grinding, two at a time or as many as
+    fit in _FS_WINDOW_RAW raw outputs.
+    """
+    m, shape = draws.m, draws.shape
+    frames = _int_frames(draws.n)
+    # two attempts of a chunk's trials fill one window
+    per_chunk = max(1, min(_TRIAL_CHUNK, _FS_WINDOW_RAW // (3 * m)))
+    accepts = queries = 0
+    for start in range(0, trials, per_chunk):
+        streams = _TrialStreams(seed, start, min(per_chunk, trials - start))
+        seeds, x0, x1 = draws.fs_head(streams.take(1 + m))
+        seed_bytes = [s.to_bytes(8, "big") for s in seeds.tolist()]
+        done = 0
+        while seed_bytes and done < budget:
+            rows = len(seed_bytes)
+            # an even count keeps every window but the last on whole outputs
+            attempts = min(budget - done, max(2, 2 * (_FS_WINDOW_RAW // (3 * m * rows))))
+            raw = streams.take((3 * m * attempts + 1) // 2)
+            y, failmask = draws.fs_attempts(raw, attempts, x0, x1, had_ok)
+            grinding = [True] * rows
+            for a in range(attempts):
+                ys, masks = y[:, a].tolist(), failmask[:, a].tolist()
+                for i in range(rows):
+                    if grinding[i]:
+                        queries += 1
+                        key = _encode_coords(frames, ys[i], shape)
+                        grinding[i] = _oracle_value(seed_bytes[i], key, m) & masks[i] != 0
+            accepts += grinding.count(False)
+            keep = np.array(grinding)
+            streams.keep(keep)
+            x0, x1 = x0[keep], x1[keep]
+            seed_bytes = [sb for sb, g in zip(seed_bytes, grinding) if g]
+            done += attempts
+    return Stats(
+        trials=trials,
+        accepts=accepts,
+        accept_rate=accepts / trials,
+        per_round_counts={"test": [0, 0], "hadamard": [0, 0]},
+        queries=queries,
     )
 
 

@@ -190,6 +190,17 @@ class TestParamTable:
         with pytest.raises(ConfigError, match="80,000,016 commitment attempts"):
             build_config("fs-attack", seed=1, sets=["budgets=15", "trials=5000001"])
 
+    def test_repetition_sweep_work_ceiling(self, tmp_path, capsys):
+        # 50 entries of m = 20 at the top trial count reach the ceiling
+        # exactly; one coordinate more exits 2 and writes nothing
+        at_limit = "m_list=" + ",".join(["20"] * 50)
+        build_config("repetition-sweep", seed=1, sets=[at_limit, "trials=10000000"])
+        code, out = run_cli(["repetition-sweep", "--seed", "1", "--set", at_limit + ",1",
+                             "--set", "trials=10000000"], tmp_path, "x.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "10,010,000,000 trial coordinates" in capsys.readouterr().err
+
     def test_format_checked_from_every_source(self, tmp_path):
         with pytest.raises(ConfigError, match="format"):
             build_config("fs-attack", seed=1, fmt="xml")
@@ -311,6 +322,28 @@ class TestFsAttack:
             assert abs(float(r["rate"]) - expect) <= 4 * sigma
             assert int(r["queries"]) > 0
 
+    def test_huge_budget_grinds_in_bounded_windows(self, tmp_path, monkeypatch):
+        # 20 x (1 + 10^6) attempts is under the ceiling, and every grinder
+        # accepts long before its budget runs out.  Attempt windows must
+        # not grow with the budget: a block for the whole budget would be
+        # 6 * 10^6 raw outputs per trial.
+        blocks = []
+        take = protocol._TrialStreams.take
+
+        def recording(self, k):
+            out = take(self, k)
+            blocks.append(out.size)
+            return out
+
+        monkeypatch.setattr(protocol._TrialStreams, "take", recording)
+        code, out = run_cli(["fs-attack", "--seed", "21", "--set", "budgets=1000000",
+                             "--set", "trials=20"], tmp_path, "f.csv")
+        assert code == 0
+        rows = {r["adversary"]: r for r in read_rows(out)}
+        assert rows["grinder[1000000]"]["accepts"] == "20"
+        assert 20 < int(rows["grinder[1000000]"]["queries"]) < 20 * 1000
+        assert 0 < max(blocks) <= protocol._FS_WINDOW_RAW
+
     def test_completeness_and_determinism_rows_pass(self, tmp_path):
         code, out = run_cli(["fs-attack", "--seed", "22", "--set", "m=2",
                              "--set", "budgets=1", "--set", "trials=1500"],
@@ -415,10 +448,16 @@ class TestReproducibility:
         (["repetition-sweep", "--seed", "3", "--set", "adversary=cheat", "--set", "n=4",
           "--set", "m_list=1,3", "--set", "trials=300"], "rs.csv",
          "2ace4924949edebff61cb62c5e38a068b69d2ee6deade4e54e7fcd044ce86ca6"),
+        # a two-byte oracle output with its top 7 bits masked, and n = 3
+        # so that honest d = 0 rejections are common
+        (["fs-attack", "--seed", "21", "--set", "m=9", "--set", "n=3",
+          "--set", "budgets=1,3", "--set", "trials=300"], "fs.csv",
+         "368e26008879905400904d615ff289132c9717d02309cecf74928fcc890327c1"),
     ]
 
     @pytest.mark.parametrize("args,name,digest", GOLDEN,
-                             ids=["testonly", "honest", "fs-attack", "effverify-json", "cheat"])
+                             ids=["testonly", "honest", "fs-attack", "effverify-json", "cheat",
+                                  "fs-attack-wide"])
     def test_golden_digest(self, tmp_path, args, name, digest):
         code, out = run_cli(args, tmp_path, name)
         assert code == 0

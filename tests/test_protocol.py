@@ -1,5 +1,6 @@
 """Protocol shells, oracle tables, repetition, Fiat-Shamir, adversaries."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,18 @@ class TestEncoding:
         with pytest.raises(ProtocolError):
             decode(b"Z" + buf[1:])
 
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3), (1, 3), (3, 2, 2)])
+    def test_coordinate_frames_encode_nested_commitments(self, shape):
+        # the Fiat-Shamir bulk route's keys: encode(y) from per-value
+        # frames, for values of one, two and three bytes
+        rng = np.random.default_rng(len(shape))
+        flat = [int(v) for v in rng.integers(0, 1 << 18, size=int(np.prod(shape)))]
+        flat[0], flat[-1] = 0, 255
+        y = flat
+        for size in shape:
+            y = [tuple(y[i:i + size]) for i in range(0, len(y), size)]
+        assert protocol._encode_coords(protocol._int_frames(18), flat, shape) == encode(y[0])
+
     def test_transcript_round_trip(self):
         t = Transcript(x="yes", k=((3, 5), (1, 2)), y=(7, 9), c="01",
                        a=(("test", 1, 4), ("had", 0, 3)), verdict=True)
@@ -110,6 +123,17 @@ class TestOracleTable:
             assert raw[0] < 16
             bits = h.query_bits(i.to_bytes(2, "big"))
             assert len(bits) == 4 and set(bits) <= {"0", "1"}
+
+    @pytest.mark.parametrize("bits", [1, 4, 9, 16, 256, 300])
+    def test_output_is_seeded_sha256_stream(self, bits):
+        # sha256(seed || key || counter) blocks, read big-endian and cut
+        # to the output width
+        seed, key = 2**40 + 5, encode((1, 2))
+        stream = b"".join(hashlib.sha256(seed.to_bytes(8, "big") + key + c.to_bytes(4, "big"))
+                          .digest() for c in range(2))
+        nbytes = (bits + 7) // 8
+        want = int.from_bytes(stream[:nbytes], "big") % (1 << bits)
+        assert OracleTable(seed, bits).query(key) == want.to_bytes(nbytes, "big")
 
     def test_query_count(self):
         h = OracleTable(0, 8)
@@ -391,7 +415,7 @@ class TestBulkReplay:
         # per-trial route, not the flat shape (TestNestedRepetition
         # compares bulk with bulk)
         nested = parallel_repeat(parallel_repeat(toy_protocol(4), 2), 3)
-        assert nested.toy_draws == protocol._ToyDraws(4, 6)
+        assert nested.toy_draws == protocol._ToyDraws(4, (2, 3))
         cheat = _cheat(5, False)
         for adv in (Honest(nested), protocol.TestOnly(nested), cheat):
             bulk = run_protocol(nested, adv, "yes", trials=300, seed=39)
@@ -492,6 +516,103 @@ class TestUnitaryCheatBulk:
         monkeypatch.setattr(protocol, "_run_toy_batch", refuse)
         st = run_protocol(other, cheat, "yes", trials=20, seed=48)
         assert st.trials == 20
+
+
+class TestFsBulkReplay:
+    """run_protocol's Fiat-Shamir bulk route against the per-trial route.
+
+    The bulk route rests on integers(1 << 62) taking one whole PCG64
+    output shifted right by 2, on p2's draws following v1's with no coin
+    between attempts, and on sharing OracleTable's derivation; a change
+    to any of these breaks these equalities.
+    """
+
+    @staticmethod
+    def _fs(n, shape):
+        base = toy_protocol(n)
+        for size in shape:
+            base = parallel_repeat(base, size)
+        return base, fiat_shamir(base, OracleTable(60, base.challenge_bits))
+
+    @staticmethod
+    def _same(fs, adv, x, trials, seed):
+        bulk = run_protocol(fs, adv, x, trials=trials, seed=seed)
+        assert bulk == protocol._run_per_trial(fs, adv, x, trials=trials, seed=seed)
+        return bulk
+
+    @pytest.mark.parametrize("n", [3, 12])
+    @pytest.mark.parametrize("m", [1, 4, 9, 16])
+    @pytest.mark.parametrize("x", ["yes", "no"])
+    def test_same_stats_as_per_trial_route(self, monkeypatch, n, m, x):
+        # m = 9 and 16 take two-byte oracle outputs with masked top bits;
+        # n = 3 makes the honest d = 0 rejection common; 150 trials over
+        # chunks of 64 end on a partial chunk
+        monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 64)
+        base, fs = self._fs(n, (m,))
+        for adv in (Honest(base), protocol.TestOnly(base),
+                    FsGrinder(5, protocol.TestOnly(base)), FsGrinder(3, Honest(base))):
+            st = self._same(fs, adv, x, 150, 61 + m)
+            assert st.queries >= 150
+
+    def test_grinder_accepting_on_its_last_attempt(self, monkeypatch):
+        # on one seed a trial's attempts are the same whatever the budget,
+        # so each budget's extra accepts are trials whose only accepted
+        # attempt is their last; odd budgets end on half a raw output
+        monkeypatch.setattr(protocol, "_FS_WINDOW_RAW", 1)
+        base, fs = self._fs(5, (2,))
+        accepts = [self._same(fs, FsGrinder(q, protocol.TestOnly(base)), "yes", 120, 62).accepts
+                   for q in (1, 2, 3, 4)]
+        assert accepts == sorted(accepts) and len(set(accepts)) == 4
+
+    @pytest.mark.parametrize("window", [1, 40, 500, 10**6])
+    def test_window_boundaries_change_nothing(self, monkeypatch, window):
+        base, fs = self._fs(4, (3,))
+        adv = FsGrinder(11, protocol.TestOnly(base))
+        want = run_protocol(fs, adv, "yes", trials=300, seed=63)
+        monkeypatch.setattr(protocol, "_FS_WINDOW_RAW", window)
+        assert run_protocol(fs, adv, "yes", trials=300, seed=63) == want
+        if window == 1:
+            assert protocol._run_per_trial(fs, adv, "yes", trials=300, seed=63) == want
+
+    @pytest.mark.parametrize("shape", [(), (2, 2), (3, 2), (2, 1, 2)])
+    def test_bare_and_nested_shapes(self, shape):
+        base, fs = self._fs(4, shape)
+        assert base.toy_draws == protocol._ToyDraws(4, shape)
+        for adv in (Honest(base), protocol.TestOnly(base), FsGrinder(4, protocol.TestOnly(base)),
+                    FsGrinder(2, Honest(base))):
+            self._same(fs, adv, "yes", 200, 64)
+
+    def test_same_seed_rerun(self):
+        base, fs = self._fs(12, (4,))
+        a = run_protocol(fs, FsGrinder(6, protocol.TestOnly(base)), "yes", trials=500, seed=65)
+        assert a == run_protocol(fs, FsGrinder(6, protocol.TestOnly(base)), "yes",
+                                 trials=500, seed=65)
+
+    def test_oracle_seed_is_first_output_shifted(self):
+        children = np.random.SeedSequence(66).spawn(40)
+        raw = protocol._trial_raw(66, 0, 40, 1)
+        want = [np.random.Generator(np.random.PCG64(c)).integers(1 << 62) for c in children]
+        assert np.array_equal(raw[:, 0] >> 2, want)
+
+    def test_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("route not expected")
+
+        def rule(x, k, td, y, a):
+            return True
+
+        base, fs = self._fs(4, (2,))
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol, "_run_per_trial", refuse)
+            run_protocol(fs, FsGrinder(3, Honest(base)), "yes", trials=20, seed=67)
+        monkeypatch.setattr(protocol, "_run_fs_batch", refuse)
+        custom = parallel_repeat(toy_protocol(4, accept_rule=rule), 2)
+        wide, wide_fs = self._fs(1, (protocol._FS_MAX_M + 1,))
+        for fs_, adv in [(fs, Honest(parallel_repeat(toy_protocol(4), 2))),  # another base
+                         (fs, FsGrinder(2, _cheat(5, False))),
+                         (fiat_shamir(custom, OracleTable(1, 2)), Honest(custom)),
+                         (wide_fs, Honest(wide))]:
+            assert run_protocol(fs_, adv, "yes", trials=20, seed=67).trials == 20
 
 
 class TestNestedRepetition:
