@@ -152,37 +152,34 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     phases = np.angle(np.diag(tmat))
 
     tol = config.EIGPHASE_TOL
-    blocks2d: list[JordanBlock2D] = []
-    plus_cols: list[int] = []  # Q-eigenvalue +1, i.e. phase ~ 0
-    minus_cols: list[int] = []  # Q-eigenvalue -1, i.e. phase ~ +-pi
-    n_conj = 0
-    for k in range(dim):
-        th = phases[k]
-        if abs(th) <= tol:
-            plus_cols.append(k)
-        elif abs(abs(th) - np.pi) <= tol:
-            minus_cols.append(k)
-        elif th > 0:
-            u = zmat[:, k]
-            alpha = m0 @ u
-            na = np.linalg.norm(alpha)
-            if na < config.DEGENERATE_LIMIT:
-                raise DegenerateNumerics(f"P0 image collapsed at theta={th:.3e}")
-            alpha = alpha / na
-            alpha_perp = -1j * (np.sqrt(2.0) * u - alpha)
-            alpha_perp = alpha_perp / np.linalg.norm(alpha_perp)
-            w = np.exp(0.5j * th) * (m1 @ u)
-            nb = np.linalg.norm(w)
-            if nb < config.DEGENERATE_LIMIT:
-                raise DegenerateNumerics(f"P1 image collapsed at theta={th:.3e}")
-            beta = w / nb
-            beta_perp = -1j * (np.sqrt(2.0) * np.exp(0.5j * th) * u - beta)
-            beta_perp = beta_perp / np.linalg.norm(beta_perp)
-            blocks2d.append(JordanBlock2D(
-                theta=float(th), p=float(np.cos(th / 2.0) ** 2),
-                alpha=alpha, alpha_perp=alpha_perp, beta=beta, beta_perp=beta_perp))
-        else:
-            n_conj += 1
+    plus = np.abs(phases) <= tol  # Q-eigenvalue +1
+    minus = ~plus & (np.abs(np.abs(phases) - np.pi) <= tol)  # Q-eigenvalue -1
+    rot = ~(plus | minus) & (phases > 0)
+    n_conj = int(np.count_nonzero(~(plus | minus) & (phases <= 0)))
+
+    th = phases[rot]
+    u = zmat[:, rot]
+    alpha = m0 @ u
+    na = np.linalg.norm(alpha, axis=0)
+    if np.any(na < config.DEGENERATE_LIMIT):
+        raise DegenerateNumerics(f"P0 image collapsed at theta={th[np.argmin(na)]:.3e}")
+    alpha = alpha / na
+    alpha_perp = -1j * (np.sqrt(2.0) * u - alpha)
+    alpha_perp = alpha_perp / np.linalg.norm(alpha_perp, axis=0)
+    half = np.exp(0.5j * th)
+    w = half * (m1 @ u)
+    nb = np.linalg.norm(w, axis=0)
+    if np.any(nb < config.DEGENERATE_LIMIT):
+        raise DegenerateNumerics(f"P1 image collapsed at theta={th[np.argmin(nb)]:.3e}")
+    beta = w / nb
+    beta_perp = -1j * (np.sqrt(2.0) * half * u - beta)
+    beta_perp = beta_perp / np.linalg.norm(beta_perp, axis=0)
+    blocks2d = [
+        JordanBlock2D(theta=float(th[k]), p=float(np.cos(th[k] / 2.0) ** 2),
+                      alpha=alpha[:, k], alpha_perp=alpha_perp[:, k],
+                      beta=beta[:, k], beta_perp=beta_perp[:, k])
+        for k in range(len(th))
+    ]
 
     if len(blocks2d) != n_conj:
         raise DegenerateNumerics(
@@ -192,8 +189,8 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     # Each +-1 eigenspace of Q is invariant under both projectors, and on
     # it P1 equals P0 (for +1) or I - P0 (for -1).  Diagonalizing the
     # restriction of P0 therefore separates the four (b, c) types.
-    for cols, same in ((plus_cols, True), (minus_cols, False)):
-        if not cols:
+    for cols, same in ((plus, True), (minus, False)):
+        if not cols.any():
             continue
         vsub = zmat[:, cols]
         restricted = vsub.conj().T @ m0 @ vsub

@@ -15,13 +15,17 @@ branch psi_1, and a residual psi_err.
 Two execution routes are kept deliberately separate:
 
   - run_G computes the branch components in the Jordan eigenbasis with a
-    closed-form phase-estimation kernel.  It never materializes the
-    ancilla registers and is fast enough for exhaustive grid sweeps.
+    closed-form phase-estimation kernel.  It reads the blocks as
+    principal angles (spectral_data: one SVD of the small acc x xz block
+    of U H_{C-i}), never builds a dense projector or the ancilla
+    registers, and is fast enough for exhaustive grid sweeps.
   - run_G_state executes the literal pipeline U_in U_est^dag U_th U_est
-    on the full register space (C, X_1..X_m, Z, ph, th, in).
+    on the full register space (C, X_1..X_m, Z, ph, th, in), in the Q
+    eigenbasis of the dense Schur route (eigenbasis: jordan_decompose
+    on build_projectors).
 
-Tests cross-check the two routes against each other; do not collapse
-them into one.
+Tests cross-check the two routes, and so the two spectral sources,
+against each other; do not collapse them into one.
 """
 
 from __future__ import annotations
@@ -265,60 +269,73 @@ def qpe_failure_mass(theta: float, t: int, tau: int) -> float:
 
 @dataclass(frozen=True)
 class SpectralData:
-    pi_in: np.ndarray
-    pi_out: np.ndarray
     alphas_xz: np.ndarray  # xz_dim x n2; alpha_j = |0^m> (x) column
-    thetas: np.ndarray  # n2 block angles in (0, pi)
+    thetas: np.ndarray  # n2 block angles in (0, pi), ascending
     pvals: np.ndarray
     v11_xz: np.ndarray  # (1,1) common eigenvectors, xz part
     v10_xz: np.ndarray  # (1,0) vectors, xz part
-    eig_full: np.ndarray  # full orthonormal Q eigenbasis, dim x dim
-    eig_phases: np.ndarray
 
 
 def spectral_data(strategy: ProverStrategy, params: PartitionParams) -> SpectralData:
-    """Cached Jordan eigenstructure of coordinate params.i."""
+    """Cached Jordan blocks of Pi_in against Pi_i,out, from principal angles.
+
+    On the C = 0^m block Pi_in Pi_i,out Pi_in is M^dag M with
+    M = W[acc, :xz], so each right singular vector v_k of M is an alpha
+    with p_k = sigma_k^2 (Bjorck-Golub).  The angle is read as
+    2 atan2(||W[rej, :xz] v_k||, sigma_k), which stays accurate at both
+    ends where arccos(sigma_k) does not; theta = 0 gives the (1,1)
+    vectors and theta = pi the (1,0) vectors.
+    """
     key = ("spec", params.i)
     if key in strategy._cache:
         return strategy._cache[key]
-    pi_in, pi_out = build_projectors(strategy, params)
-    dec = jordan_decompose(pi_in.mat, pi_out.mat)
+    if params.m != strategy.m:
+        raise DimensionMismatch(f"params.m={params.m} vs strategy.m={strategy.m}")
     xz = strategy.xz_dim
-    alphas = [blk.alpha for blk in dec.blocks2d]
-    thetas = np.array([blk.theta for blk in dec.blocks2d])
-    pvals = np.array([blk.p for blk in dec.blocks2d])
-    v11 = [blk.vector for blk in dec.blocks1d if (blk.b, blk.c) == (1, 1)]
-    v10 = [blk.vector for blk in dec.blocks1d if (blk.b, blk.c) == (1, 0)]
-
-    def xz_part(cols):
-        if not cols:
-            return np.zeros((xz, 0), dtype=np.complex128)
-        mat = np.column_stack(cols)
-        # vectors in range(Pi_in) live in the C=0^m block, the top slice
-        assert np.max(np.abs(mat[xz:, :])) <= 1e-9
-        return mat[:xz, :]
-
-    eig_cols = []
-    eig_phases = []
-    for blk in dec.blocks2d:
-        eig_cols += [blk.phi_plus, blk.phi_minus]
-        eig_phases += [blk.theta, -blk.theta]
-    for blk in dec.blocks1d:
-        eig_cols.append(blk.vector)
-        eig_phases.append(0.0 if blk.b == blk.c else np.pi)
+    # W[:, :xz] = U (H_{C-i}|0^m> (x) I_xz), without forming W
+    c_col = _hadamard_c_minus_i(strategy.m, params.i, 1)[:, 0]
+    w_top = np.tensordot(strategy.u.mat.reshape(strategy.dim, -1, xz), c_col, axes=([1], [0]))
+    acc = _accept_mask(strategy, params.i)
+    # full_matrices only when M is wide: its null space is (1,0) and needs a basis
+    _, sig, vh = np.linalg.svd(w_top[acc], full_matrices=int(acc.sum()) < xz)
+    v = vh.conj().T
+    cos = np.zeros(xz)
+    cos[:len(sig)] = sig
+    thetas = 2.0 * np.arctan2(np.linalg.norm(w_top[~acc] @ v, axis=0), cos)
+    tol = config.EIGPHASE_TOL
+    is11 = thetas <= tol
+    is10 = np.abs(thetas - np.pi) <= tol
+    rot = np.flatnonzero(~(is11 | is10))
+    rot = rot[np.argsort(thetas[rot], kind="stable")]
     data = SpectralData(
-        pi_in=pi_in.mat,
-        pi_out=pi_out.mat,
-        alphas_xz=xz_part(alphas),
-        thetas=thetas,
-        pvals=pvals,
-        v11_xz=xz_part(v11),
-        v10_xz=xz_part(v10),
-        eig_full=np.column_stack(eig_cols),
-        eig_phases=np.array(eig_phases),
+        alphas_xz=v[:, rot],
+        thetas=thetas[rot],
+        pvals=cos[rot] ** 2,
+        v11_xz=v[:, is11],
+        v10_xz=v[:, is10],
     )
     strategy._cache[key] = data
     return data
+
+
+def eigenbasis(strategy: ProverStrategy, params: PartitionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Cached full Q eigenbasis (dim x dim) and eigenphases of coordinate params.i.
+
+    Read off the dense Schur route, jordan_decompose on build_projectors,
+    so that run_G_state stays independent of spectral_data.
+    """
+    key = ("eig", params.i)
+    if key not in strategy._cache:
+        dec = jordan_decompose(*build_projectors(strategy, params))
+        cols, phases = [], []
+        for blk in dec.blocks2d:
+            cols += [blk.phi_plus, blk.phi_minus]
+            phases += [blk.theta, -blk.theta]
+        for blk in dec.blocks1d:
+            cols.append(blk.vector)
+            phases.append(0.0 if blk.b == blk.c else np.pi)
+        strategy._cache[key] = (np.column_stack(cols), np.array(phases))
+    return strategy._cache[key]
 
 
 def _kernel_matrix(strategy: ProverStrategy, params: PartitionParams, data: SpectralData) -> np.ndarray:
@@ -463,7 +480,7 @@ def _apply_est(flat: np.ndarray, basis: np.ndarray, phases: np.ndarray, t: int,
 
 def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVector) -> StateVector:
     """Literal G = U_in U_est^dag U_th U_est on (C, X, Z, ph, th, in)."""
-    data = spectral_data(strategy, params)
+    eig_full, eig_phases = eigenbasis(strategy, params)
     t = params.t
     lay = _full_layout(strategy, t)
     dim, xz = strategy.dim, strategy.xz_dim
@@ -471,14 +488,14 @@ def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVec
     # input slots: C = 0^m, ph = 0^t, th = in = 0
     amps.reshape(dim, 1 << t, 2, 2)[:xz, 0, 0, 0] = psi.amps
 
-    amps = _apply_est(amps.reshape(dim, -1), data.eig_full, data.eig_phases, t,
+    amps = _apply_est(amps.reshape(dim, -1), eig_full, eig_phases, t,
                       params.mode, dagger=False).reshape(-1)
     view = amps.reshape(dim, 1 << t, 2, 2)
     flip = np.where(threshold_mask(params))[0]
     tmp = view[:, flip, 0, :].copy()
     view[:, flip, 0, :] = view[:, flip, 1, :]
     view[:, flip, 1, :] = tmp
-    amps = _apply_est(amps.reshape(dim, -1), data.eig_full, data.eig_phases, t,
+    amps = _apply_est(amps.reshape(dim, -1), eig_full, eig_phases, t,
                       params.mode, dagger=True).reshape(-1)
     view = amps.reshape(dim, 1 << t, 2, 2)
     tmp = view[:xz, :, :, 0].copy()

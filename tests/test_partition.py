@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvqc_lab import config
+from cvqc_lab.jordan import jordan_decompose
 from cvqc_lab.partition import (
     ChainResult,
     DomainError,
@@ -15,10 +16,12 @@ from cvqc_lab.partition import (
     ProverStrategy,
     build_projectors,
     cs_bound,
+    eigenbasis,
     estimation_unitary,
     ext_success_formula,
     extract,
     gamma_grid,
+    haar_unitary,
     kernel_amplitudes,
     kernel_masses,
     label_phase,
@@ -704,10 +707,12 @@ class TestSpectralData:
         assert np.max(np.abs(g - np.eye(g.shape[0]))) <= 1e-8
         assert np.all(data.pvals >= -1e-12) and np.all(data.pvals <= 1 + 1e-12)
         assert np.all(data.thetas > 0) and np.all(data.thetas < np.pi)
-        full = data.eig_full
-        assert np.max(np.abs(full.conj().T @ full - np.eye(s.dim))) <= 1e-8
         # caching: same object on repeat call
         assert spectral_data(s, p) is data
+        # run_G_state's eigenbasis, from its own cached Schur route
+        full, _ = eigenbasis(s, p)
+        assert np.max(np.abs(full.conj().T @ full - np.eye(s.dim))) <= 1e-8
+        assert eigenbasis(s, p)[0] is full
 
     def test_tau_rounding_accuracy(self):
         # the tau formula keeps the decoded cos^2 within delta/2 of the truth
@@ -719,3 +724,77 @@ class TestSpectralData:
             lab = phase_label(theta, tau)
             decoded = np.cos(np.pi * lab / (1 << tau)) ** 2
             assert abs(decoded - np.cos(theta / 2.0) ** 2) <= p.delta / 2 + 1e-12
+
+
+def _schur_blocks(s, p):
+    """(alphas, thetas, pvals, v11, v10) of the dense route, as full-dim columns."""
+    dec = jordan_decompose(*build_projectors(s, p))
+
+    def cols(vs):
+        return np.column_stack(vs) if vs else np.zeros((s.dim, 0), dtype=np.complex128)
+
+    return (cols([blk.alpha for blk in dec.blocks2d]),
+            np.array([blk.theta for blk in dec.blocks2d]),
+            np.array([blk.p for blk in dec.blocks2d]),
+            cols([blk.vector for blk in dec.blocks1d if (blk.b, blk.c) == (1, 1)]),
+            cols([blk.vector for blk in dec.blocks1d if (blk.b, blk.c) == (1, 0)]))
+
+
+def _outer(cols, weights=1.0):
+    return (cols * weights) @ cols.conj().T
+
+
+def _route_cases():
+    cases = []
+    for m in range(1, 5):
+        for controlled in (False, True):
+            cases.append(pytest.param(
+                lambda m=m, c=controlled: random_strategy(
+                    np.random.default_rng(1000 + m), m=m, controlled=c),
+                id=f"random-m{m}-{'ctl' if controlled else 'joint'}"))
+    for m in (1, 2):
+        cases.append(pytest.param(lambda m=m: random_strategy(
+            np.random.default_rng(2000 + m), m=m, x_width=2), id=f"random-m{m}-x2"))
+    for pv in (0.0, 0.3, 1.0):
+        cases.append(pytest.param(lambda pv=pv: single_block_strategy(pv),
+                                  id=f"single-block-{pv}"))
+    cases.append(pytest.param(_trivial_strategy, id="identity-m1"))
+    cases.append(pytest.param(lambda: ProverStrategy(
+        m=2, x_width=1, z_width=1, u=Operator.unitary(np.eye(32, dtype=np.complex128)),
+        accept_sets=(frozenset({"0"}), frozenset({"1"}))), id="identity-m2"))
+    cases.append(pytest.param(lambda: ProverStrategy(
+        m=1, x_width=1, z_width=1,
+        u=Operator.unitary(haar_unitary(np.random.default_rng(3), 8)),
+        accept_sets=(frozenset({"0", "1"}),)), id="accept-all"))
+    return cases
+
+
+class TestSpectralRoutes:
+    """spectral_data (principal angles) against jordan_decompose (dense Schur)."""
+
+    @pytest.mark.parametrize("make", _route_cases())
+    def test_blocks_match_schur_route(self, make):
+        s = make()
+        for i in range(1, s.m + 1):
+            p = _params(m=s.m, i=i)
+            data = spectral_data(s, p)
+            alphas, thetas, pvals, v11, v10 = _schur_blocks(s, p)
+            assert data.alphas_xz.shape[1] == alphas.shape[1]
+            assert data.v11_xz.shape[1] == v11.shape[1]
+            assert data.v10_xz.shape[1] == v10.shape[1]
+            assert np.max(np.abs(data.thetas - thetas), initial=0.0) <= 1e-12
+            assert np.max(np.abs(data.pvals - pvals), initial=0.0) <= 1e-12
+
+            def embed(xz_cols):
+                out = np.zeros((s.dim, xz_cols.shape[1]), dtype=np.complex128)
+                out[:s.xz_dim] = xz_cols
+                return out
+
+            # the p-weighted alpha projector pins each alpha to its p
+            pairs = [(data.alphas_xz, alphas, 1.0, 1.0),
+                     (data.alphas_xz, alphas, data.pvals, pvals),
+                     (data.v11_xz, v11, 1.0, 1.0),
+                     (data.v10_xz, v10, 1.0, 1.0)]
+            for ours, theirs, w_ours, w_theirs in pairs:
+                diff = _outer(embed(ours), w_ours) - _outer(theirs, w_theirs)
+                assert np.max(np.abs(diff)) <= 1e-12
