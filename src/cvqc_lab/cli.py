@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -110,6 +111,10 @@ _FS_MAX_ATTEMPTS = 8 * 10**7
 # route for honest and testonly and 0.31 us for the cheat (m = 24, 2-core
 # machine), so this many take under an hour for every adversary.
 _SWEEP_MAX_COORDS = 10**10
+# A partition chain of the gamma-tuple grid costs 155-190 us in ideal mode
+# and 180-220 us in kernel mode at m = 4 (45-130 us at m = 1..3) on a
+# 2-core machine, so this many take at most 55 minutes.
+_PARTITION_MAX_CHAINS = 15 * 10**6
 
 
 def _fs_attempts(p: dict) -> int:
@@ -123,6 +128,11 @@ def _sweep_coords(p: dict) -> int:
     return p["trials"] * sum(_parse_int_list(p["m_list"], "m_list"))
 
 
+def _grid_chains(p: dict) -> int:
+    """partition_chain calls of the grid rows: one per gamma tuple per strategy."""
+    return p["grid_strategies"] * p["T"] ** p["m"]
+
+
 # Rules across parameters of one command: (holds, message), where the
 # message is a format string over params or a function of them.
 _CROSS_RULES: dict[str, tuple] = {
@@ -134,6 +144,10 @@ _CROSS_RULES: dict[str, tuple] = {
         # phase-register width grows with T; keep the demo desk-sized
         (lambda p: p["mode"] != "kernel" or p["T"] <= 32,
          "kernel mode limited to T <= 32, got T={T}"),
+        (lambda p: _grid_chains(p) <= _PARTITION_MAX_CHAINS,
+         lambda p: f"partition-claims would run about {_grid_chains(p):,} partition "
+                   f"chains (grid_strategies x T^m), over the "
+                   f"{_PARTITION_MAX_CHAINS:,} that take up to an hour"),
     ),
     "repetition-sweep": (
         # the cheat simulates a dense unitary on 2^(n+3) amplitudes
@@ -232,7 +246,7 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}")
@@ -448,6 +462,19 @@ def _partition_test_round(idx, task_seed, m, T, _mode):
     return [_partition_row(idx, params, norms, "test-round", bound, worst)]
 
 
+def _chain_average(s, psi, runs, T, mode):
+    """Mean (kept, remainder, defect) mass of partition_chain over (gammas, c) runs."""
+    kept = rem = err = 0.0
+    count = 0
+    for gammas, c in runs:
+        chain = partition.partition_chain(s, gammas, c, psi, gamma0=1.0, T=T, mode=mode)
+        kept += sum(chain.kept_norms2)
+        rem += chain.remainder_norm2
+        err += sum(chain.err_norms2)
+        count += 1
+    return kept / count, rem / count, err / count
+
+
 def _partition_chain_remainder(idx, task_seed, m, T, _mode):
     """Exhaustive challenge average of the surviving remainder mass.
 
@@ -460,18 +487,11 @@ def _partition_chain_remainder(idx, task_seed, m, T, _mode):
     psi = partition.random_xz_state(rng, s)
     grid = partition.gamma_grid(1.0, T)
     gammas = tuple(float(grid[int(v)]) for v in rng.integers(0, len(grid), size=m))
-    kept = rem = err = 0.0
-    for cbits in range(1 << m):
-        c = format(cbits, f"0{m}b")
-        chain = partition.partition_chain(s, gammas, c, psi,
-                                          gamma0=1.0, T=T, mode=mode)
-        kept += sum(chain.kept_norms2)
-        rem += chain.remainder_norm2
-        err += sum(chain.err_norms2)
-    shots = float(1 << m)
+    runs = ((gammas, format(c, f"0{m}b")) for c in range(1 << m))
+    means = _chain_average(s, psi, runs, T, mode)
     params = partition.PartitionParams(m, 1, 1.0, T, gammas[0], mode)
-    return [_partition_row(idx, params, (kept / shots, rem / shots, err / shots),
-                           "chain-remainder-avg", 2.0 ** -m + 1e-9, rem / shots)]
+    return [_partition_row(idx, params, means, "chain-remainder-avg",
+                           2.0 ** -m + 1e-9, means[1])]
 
 
 def _partition_chain_grid(idx, task_seed, m, T, mode):
@@ -480,24 +500,14 @@ def _partition_chain_grid(idx, task_seed, m, T, mode):
     s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
     psi = partition.random_xz_state(rng, s)
     grid = [float(g) for g in partition.gamma_grid(1.0, T)]
-    total = kept = rem = 0.0
-    count = 0
-    for flat in range(len(grid) ** m):
-        digits, v = [], flat
-        for _ in range(m):
-            digits.append(grid[v % len(grid)])
-            v //= len(grid)
-        c = format(int(rng.integers(1 << m)), f"0{m}b")
-        chain = partition.partition_chain(s, tuple(digits), c, psi,
-                                          gamma0=1.0, T=T, mode=mode)
-        total += sum(chain.err_norms2)
-        kept += sum(chain.kept_norms2)
-        rem += chain.remainder_norm2
-        count += 1
+    # reversed so the first coordinate varies fastest; each tuple draws
+    # its challenge just before its chain runs
+    runs = ((g[::-1], format(int(rng.integers(1 << m)), f"0{m}b"))
+            for g in itertools.product(grid, repeat=m))
+    means = _chain_average(s, psi, runs, T, mode)
     params = partition.PartitionParams(m, 1, 1.0, T, grid[len(grid) // 2], mode)
     bound = 6.0 * m * m / T + 0.05
-    return [_partition_row(idx, params, (kept / count, rem / count, total / count),
-                           "chain-err-grid-avg", bound, total / count)]
+    return [_partition_row(idx, params, means, "chain-err-grid-avg", bound, means[2])]
 
 
 def _run_partition(cfg: ExperimentConfig):
@@ -533,6 +543,13 @@ def _protocol_row(m, adversary, stats, claim_id, bound, measured):
     }
 
 
+def _rate_row(m, adversary, stats, claim_id, expect):
+    """A rate claim: the measured rate lies within 3 sigma of expect."""
+    sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
+    return _protocol_row(m, adversary, stats, claim_id, 3.0 * sigma + 1e-12,
+                         abs(stats.accept_rate - expect))
+
+
 def _sweep_point(m, n, adversary, trials, task_seed):
     base = protocol.toy_protocol(n)
     rep = protocol.parallel_repeat(base, m)
@@ -557,15 +574,9 @@ def _run_repetition(cfg: ExperimentConfig):
     for m, task_seed in zip(ms, seeds):
         stats = _sweep_point(m, n, name, trials, task_seed)
         if name == "testonly":
-            expect = protocol.testonly_rate_oracle(m)
-            sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
-            row = _protocol_row(m, name, stats, "testonly-rate",
-                                3.0 * sigma + 1e-12, abs(stats.accept_rate - expect))
+            row = _rate_row(m, name, stats, "testonly-rate", protocol.testonly_rate_oracle(m))
         elif name == "honest":
-            expect = protocol.honest_rate_oracle(n, m)
-            sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
-            row = _protocol_row(m, name, stats, "honest-rate",
-                                3.0 * sigma + 1e-12, abs(stats.accept_rate - expect))
+            row = _rate_row(m, name, stats, "honest-rate", protocol.honest_rate_oracle(n, m))
         else:
             # product structure: more coordinates can only hurt the cheat
             row = _protocol_row(m, name, stats, "cheat-nonincreasing",
@@ -595,11 +606,8 @@ def _run_fs(cfg: ExperimentConfig):
                           0.01, 1.0 - honest.accept_rate)]
     for q, task_seed in zip(budgets, seeds[1:]):
         stats = _fs_point("grind", m, n, trials, q, task_seed)
-        expect = protocol.grinder_rate_oracle(m, q)
-        sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
-        rows.append(_protocol_row(m, f"grinder[{q}]", stats,
-                                  "grinder-rate", 3.0 * sigma + 1e-12,
-                                  abs(stats.accept_rate - expect)))
+        rows.append(_rate_row(m, f"grinder[{q}]", stats, "grinder-rate",
+                              protocol.grinder_rate_oracle(m, q)))
     # hashed challenges must make reruns reproducible, not just close
     a = _fs_point("honest", m, n, trials, 0, seeds[0])
     same = (a.accepts == honest.accepts and a.queries == honest.queries)
@@ -720,9 +728,8 @@ def summarize(columns, rows) -> str:
     return "\n".join(lines)
 
 
-def run(cfg: ExperimentConfig, stream=None) -> int:
+def run(cfg: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit code."""
-    stream = stream if stream is not None else sys.stdout
     try:
         columns, raw_rows, extra = _RUNNERS[cfg.command](cfg)
         rows = _stringify_rows(columns, raw_rows)
@@ -744,8 +751,8 @@ def run(cfg: ExperimentConfig, stream=None) -> int:
     except RuntimeFailure as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"wrote {len(rows)} rows to {cfg.out}", file=stream)
-    print(summarize(columns, rows), file=stream)
+    print(f"wrote {len(rows)} rows to {cfg.out}")
+    print(summarize(columns, rows))
     return EXIT_OK
 
 
@@ -757,7 +764,7 @@ def _load_rows(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     if not text.strip():
         raise ParseError(f"{path} is empty")
@@ -772,12 +779,17 @@ def _load_rows(path: str):
         if (not isinstance(columns, list) or not columns
                 or not all(isinstance(c, str) for c in columns)):
             raise ParseError(f"{path}: malformed column list")
+        if not isinstance(payload["rows"], list):
+            raise ParseError(f"{path}: 'rows' must be a list")
         rows = []
         for row in payload["rows"]:
             if not isinstance(row, dict) or set(columns) - set(row):
                 raise ParseError(f"{path}: row does not match columns")
-            rows.append({c: row[c] if isinstance(row[c], str) else _cell(row[c])
-                         for c in columns})
+            try:
+                rows.append({c: row[c] if isinstance(row[c], str) else _cell(row[c])
+                             for c in columns})
+            except RuntimeFailure as exc:
+                raise ParseError(f"{path}: {exc}")
         return list(columns), rows
     reader = csv.reader(io.StringIO(text))
     table = [r for r in reader if r]

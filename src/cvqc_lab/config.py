@@ -30,9 +30,5 @@ ZERO_BRANCH_TOL = 1e-12
 # States with squared norm at or below this cannot be measured.
 ZERO_STATE_TOL = 1e-15
 
-# Failure-probability exponent the phase-estimation abstraction is
-# documented against (the estimator's out-of-window mass target 2**-N_FAIL).
-N_FAIL_DEFAULT = 20
-
 # Smallest grid step gamma0/T allowed before float underflow risks kick in.
 GRID_STEP_MIN = 2.0 ** -40

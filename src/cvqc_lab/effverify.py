@@ -63,9 +63,6 @@ class IncompleteSession(Exception):
 # HASH instruction fills with the PRG expansion of the machine input, and
 # an output tape of integers.
 
-_OPS = {"SETI", "MOV", "LOAD", "ADD", "XOR", "AND", "OR", "SHR", "SHL",
-        "DEC", "JNZ", "HASH", "OUT", "HALT"}
-
 
 def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
     """Execute until HALT; returns (outputs, steps).  Deterministic.
@@ -540,7 +537,7 @@ def cost_report(session: EffSession) -> CostReport:
     )
 
 
-def setup_eff(security: int, ell: int, rng, suite: BackendSuite | None = None):
+def setup_eff(security: int, ell: int, rng, suite: BackendSuite):
     """Sample a uniform crs and derive the encoder key from it.
 
     Returns (crs_prover, crs_verifier): the prover's share is the raw
@@ -548,8 +545,6 @@ def setup_eff(security: int, ell: int, rng, suite: BackendSuite | None = None):
     """
     if security < 1:
         raise BackendFailure(f"security={security}")
-    if suite is None:
-        suite = make_stub_suite(0)
     crs = rng.bytes(security)
     ek = suite.re.setup(security, ell, crs)
     return crs, ek

@@ -196,6 +196,18 @@ def _accept_mask(strategy: ProverStrategy, i: int) -> np.ndarray:
     return np.isin(_xi_values(strategy, i), acc_ints)
 
 
+def _rotated_frame(strategy: ProverStrategy, i: int) -> np.ndarray:
+    """W = U H_{C-i}, the frame in which X_i acceptance is diagonal."""
+    return strategy.u.mat @ _hadamard_c_minus_i(strategy.m, i, strategy.xz_dim)
+
+
+def answer_amps(strategy: ProverStrategy, c: int, psi_xz: np.ndarray) -> np.ndarray:
+    """U (|c>_C (x) psi_xz) over (C, X, Z); c is the challenge as an integer."""
+    full = np.zeros(strategy.dim, dtype=np.complex128)
+    full.reshape(1 << strategy.m, strategy.xz_dim)[c] = psi_xz
+    return strategy.u.mat @ full
+
+
 def build_projectors(strategy: ProverStrategy, params: PartitionParams) -> tuple[Operator, Operator]:
     """Pi_in and Pi_i,out for coordinate params.i, as dense projectors."""
     if params.m != strategy.m:
@@ -204,7 +216,7 @@ def build_projectors(strategy: ProverStrategy, params: PartitionParams) -> tuple
     pi_in = np.zeros((dim, dim), dtype=np.complex128)
     xz = strategy.xz_dim
     pi_in[:xz, :xz] = np.eye(xz)
-    w = strategy.u.mat @ _hadamard_c_minus_i(strategy.m, params.i, xz)
+    w = _rotated_frame(strategy, params.i)
     pi_out = w.conj().T @ (_accept_mask(strategy, params.i)[:, None] * w)
     return Operator.projector(pi_in), Operator.projector(pi_out)
 
@@ -562,14 +574,14 @@ class HRemainder:
     state: StateVector
 
 
-def _step_params(strategy, gammas, idx, gamma0, T, mode, t):
+def _step_params(strategy, gammas, idx, gamma0, T, mode):
     return PartitionParams(m=strategy.m, i=idx, gamma0=gamma0, T=T,
-                           gamma=float(gammas[idx - 1]), mode=mode, t=t)
+                           gamma=float(gammas[idx - 1]), mode=mode)
 
 
 def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
           rng: np.random.Generator, *, gamma0: float, T: int,
-          mode: str = "ideal", t: int = 0):
+          mode: str = "ideal"):
     """Iterate G_{i, gamma_i} with a three-way measurement per step.
 
     Outcome (0^t, c_i, 1) halts with the collapsed branch; (0^t, !c_i, 1)
@@ -584,7 +596,7 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
         norm2 = float(np.vdot(current, current).real)
         if norm2 <= config.ZERO_STATE_TOL:
             raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
-        params = _step_params(strategy, gammas, idx, gamma0, T, mode, t)
+        params = _step_params(strategy, gammas, idx, gamma0, T, mode)
         b0, b1, _ = _branches(strategy, params, current)
         want = b1 if c[idx - 1] == "1" else b0
         other = b0 if c[idx - 1] == "1" else b1
@@ -611,14 +623,14 @@ class ChainResult:
 
 
 def partition_chain(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
-                    *, gamma0: float, T: int, mode: str = "ideal", t: int = 0) -> ChainResult:
+                    *, gamma0: float, T: int, mode: str = "ideal") -> ChainResult:
     """Exact (probability-free) branch chain underlying run_H."""
     if len(gammas) != strategy.m or len(c) != strategy.m:
         raise DimensionMismatch(f"need m={strategy.m} gammas and challenge bits")
     current = psi.amps.copy()
     kept, errs = [], []
     for idx in range(1, strategy.m + 1):
-        params = _step_params(strategy, gammas, idx, gamma0, T, mode, t)
+        params = _step_params(strategy, gammas, idx, gamma0, T, mode)
         b0, b1, _ = _branches(strategy, params, current)
         errs.append(float(np.linalg.norm(current - b0 - b1) ** 2))
         want = b1 if c[idx - 1] == "1" else b0
@@ -652,7 +664,7 @@ def _extract_frame(strategy: ProverStrategy, i: int):
     """Cached (W, W^dagger, X_i accept mask, X_i value per index) for extract."""
     key = ("extract", i)
     if key not in strategy._cache:
-        w = strategy.u.mat @ _hadamard_c_minus_i(strategy.m, i, strategy.xz_dim)
+        w = _rotated_frame(strategy, i)
         strategy._cache[key] = (w, w.conj().T, _accept_mask(strategy, i),
                                 _xi_values(strategy, i))
     return strategy._cache[key]
@@ -683,22 +695,18 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
         hit = rotated * acc
         p_hit = float(np.vdot(hit, hit).real)
         if rng.random() < p_hit:
-            post = hit / np.sqrt(p_hit)
-            masses = np.bincount(xi_vals, weights=(post.conj() * post).real,
+            # the X_i outcome masses of the accepted part, read in place
+            masses = np.bincount(xi_vals, weights=(hit.conj() * hit).real,
                                  minlength=1 << strategy.x_width)
-            outcome = int(rng.choice(1 << strategy.x_width, p=np.clip(masses, 0, None) / masses.sum()))
+            outcome = int(rng.choice(len(masses), p=masses / masses.sum()))
             return ExtractOutcome(a_i=format(outcome, f"0{strategy.x_width}b"), rounds_used=rnd)
         amps = wd @ (rotated - hit)
-        amps /= np.linalg.norm(amps)
-        inside = amps.copy()
-        inside[xz:] = 0.0
-        p_in = float(np.vdot(inside, inside).real)
+        p_in = float(np.vdot(amps[:xz], amps[:xz]).real / np.vdot(amps, amps).real)
         if rng.random() < p_in:
-            amps = inside / np.sqrt(p_in)
+            amps[xz:] = 0.0
         else:
-            outside = amps.copy()
-            outside[:xz] = 0.0
-            amps = outside / np.linalg.norm(outside)
+            amps[:xz] = 0.0
+        amps /= np.linalg.norm(amps)
     return ExtractOutcome(a_i=None, rounds_used=n_rounds)
 
 
@@ -719,15 +727,10 @@ def test_round_accept_prob(strategy: ProverStrategy, i: int, c: str, psi_xz: Sta
     """Pr of an accepted X_i outcome when U hits |c>_C (x) psi directly."""
     if len(c) != strategy.m:
         raise DimensionMismatch(f"challenge length {len(c)} vs m={strategy.m}")
-    full = np.zeros(strategy.dim, dtype=np.complex128)
-    c_idx = int(c, 2)
-    xz = strategy.xz_dim
-    full[c_idx * xz: (c_idx + 1) * xz] = psi_xz.amps
-    nrm2 = float(np.vdot(full, full).real)
+    nrm2 = psi_xz.norm2
     if nrm2 <= config.ZERO_STATE_TOL:
         raise ZeroState("zero input state")
-    out = strategy.u.mat @ full
-    hit = out * _accept_mask(strategy, i)
+    hit = answer_amps(strategy, int(c, 2), psi_xz.amps) * _accept_mask(strategy, i)
     return float(np.vdot(hit, hit).real) / nrm2
 
 

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .partition import ProverStrategy
-from .qsim import CapExceeded, StateVector, basis_state, measure, outcome_probs
+from .partition import ProverStrategy, answer_amps
+from .qsim import CapExceeded, StateVector, measure, outcome_probs
 
 
 class ProtocolError(Exception):
@@ -164,7 +164,15 @@ def _oracle_value(seed_bytes: bytes, key: bytes, out_bits: int) -> int:
     return int.from_bytes(stream[:out_bytes], "big") & ((1 << out_bits) - 1)
 
 
-class OracleTable:
+class _OracleBits:
+    """query_bits for an oracle or a view of one: anything with query and out_bits."""
+
+    def query_bits(self, key: bytes) -> str:
+        """The output of `query` as an out_bits-character bit string."""
+        return format(int.from_bytes(self.query(key), "big"), f"0{self.out_bits}b")
+
+
+class OracleTable(_OracleBits):
     """Lazily sampled random function with a fixed output width.
 
     Outputs are deterministic in (master_seed, key): the first query of a
@@ -178,6 +186,9 @@ class OracleTable:
         if out_bits < 1:
             raise ProtocolError(f"out_bits={out_bits}")
         self.master_seed = int(master_seed)
+        # the seed enters every hash as 8 big-endian bytes
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ProtocolError(f"master_seed={master_seed} outside 0..2^64-1")
         self.out_bits = out_bits
         self.out_bytes = (out_bits + 7) // 8
         self.query_count = 0
@@ -197,11 +208,6 @@ class OracleTable:
             self._cache[key] = self._sample(key)
         return self._cache[key]
 
-    def query_bits(self, key: bytes) -> str:
-        """The output of `query` as an out_bits-character bit string."""
-        raw = self.query(key)
-        return format(int.from_bytes(raw, "big"), f"0{self.out_bits}b")
-
     def program(self, key: bytes, value: bytes) -> None:
         if len(value) != self.out_bytes:
             raise WidthMismatch(f"value width {len(value)} vs {self.out_bytes}")
@@ -216,7 +222,7 @@ class OracleTable:
         return RoutedOracle(self, z, g)
 
 
-class SaltedOracle:
+class SaltedOracle(_OracleBits):
     """View H(z, .) of a base table: every query gets the salt prefixed."""
 
     def __init__(self, base, z: bytes):
@@ -227,11 +233,8 @@ class SaltedOracle:
     def query(self, key: bytes) -> bytes:
         return self.base.query(self.z + key)
 
-    def query_bits(self, key: bytes) -> str:
-        return self.base.query_bits(self.z + key)
 
-
-class RoutedOracle:
+class RoutedOracle(_OracleBits):
     """H[z, G]: queries carrying the salt prefix z go to the fresh table G.
 
     Salts are fixed-width, so the prefix test is unambiguous.
@@ -250,10 +253,6 @@ class RoutedOracle:
             return self.g.query(key[len(self.z):])
         return self.base.query(key)
 
-    def query_bits(self, key: bytes) -> str:
-        raw = self.query(key)
-        return format(int.from_bytes(raw, "big"), f"0{self.out_bits}b")
-
 
 # ---------------------------------------------------------------------------
 # Protocol shells
@@ -264,8 +263,8 @@ class FourRoundProtocol:
     """Message shape: V1 -> (k, td); P2 -> y; V3 -> c; P4 -> a; V_out.
 
     v3 takes only an rng, so the challenge is a public coin by
-    construction.  v_out_coords returns the per-coordinate verdicts whose
-    conjunction is v_out; base protocols return a one-entry list.
+    construction.  v_out_coords returns the per-coordinate verdicts, a
+    one-entry list for a base protocol; v_out is their conjunction.
     """
 
     name: str
@@ -274,12 +273,14 @@ class FourRoundProtocol:
     p2: Callable
     v3: Callable
     p4: Callable
-    v_out: Callable
     public_test_verify: Callable
     v_out_coords: Callable
     # set only by the toy instance and its repetitions, whose trials
     # run_protocol can replay in bulk (see _ToyDraws)
     toy_draws: _ToyDraws | None = None
+
+    def v_out(self, x, k, td, y, c, a) -> bool:
+        return all(self.v_out_coords(x, k, td, y, c, a))
 
 
 @dataclass(frozen=True)
@@ -489,13 +490,10 @@ def toy_protocol(num_qubits: int,
 
     rule = accept_rule if accept_rule is not None else hadamard_verify
 
-    def v_out(x, k, td, y, c, a):
-        if c == "0":
-            return public_test_verify(x, k, y, a)
-        return rule(x, k, td, y, a)
-
     def v_out_coords(x, k, td, y, c, a):
-        return [v_out(x, k, td, y, c, a)]
+        if c == "0":
+            return [public_test_verify(x, k, y, a)]
+        return [rule(x, k, td, y, a)]
 
     return FourRoundProtocol(
         name=f"toy[{n}]",
@@ -504,7 +502,6 @@ def toy_protocol(num_qubits: int,
         p2=p2,
         v3=v3,
         p4=p4,
-        v_out=v_out,
         public_test_verify=public_test_verify,
         v_out_coords=v_out_coords,
         toy_draws=_ToyDraws(n) if accept_rule is None and n <= 32 else None,
@@ -548,9 +545,6 @@ def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
             out.extend(p.v_out_coords(x, k[i], td[i], y[i], ci, a[i]))
         return out
 
-    def v_out(x, k, td, y, c, a):
-        return all(v_out_coords(x, k, td, y, c, a))
-
     def public_test_verify(x, k, y, a):
         return all(p.public_test_verify(x, k[i], y[i], a[i]) for i in range(m))
 
@@ -565,7 +559,6 @@ def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
         p2=p2,
         v3=v3,
         p4=p4,
-        v_out=v_out,
         public_test_verify=public_test_verify,
         v_out_coords=v_out_coords,
         toy_draws=_ToyDraws(inner.n, inner.shape + (m,)) if inner else None,
@@ -699,20 +692,15 @@ class UnitaryCheat:
 
     def _answer_states(self) -> tuple[StateVector, StateVector]:
         """U applied to |c>_C (u0)|0>_{X,Z}, for c = 0 and c = 1."""
-        if "cheat_states" not in self.strategy._cache:
-            s = self.strategy
-            xz = s.xz_dim
-            zeros_xz = "0" * (s.layout().total_qubits - 1)
-            psi = basis_state(s.xz_layout(), zeros_xz).amps
+        s = self.strategy
+        if "cheat_states" not in s._cache:
+            psi = np.zeros(s.xz_dim, dtype=np.complex128)
+            psi[0] = 1.0
             if s.u0 is not None:
                 psi = s.u0.mat @ psi
-            states = []
-            for c in (0, 1):
-                full = np.zeros(2 * xz, dtype=np.complex128)
-                full[c * xz:(c + 1) * xz] = psi
-                states.append(StateVector(s.layout(), s.u.mat @ full))
-            self.strategy._cache["cheat_states"] = tuple(states)
-        return self.strategy._cache["cheat_states"]
+            s._cache["cheat_states"] = tuple(
+                StateVector(s.layout(), answer_amps(s, c, psi)) for c in (0, 1))
+        return s._cache["cheat_states"]
 
     def _outcome_cdfs(self) -> np.ndarray:
         """Per-challenge cumulative tables of the X measurement's outcomes.
@@ -764,6 +752,11 @@ class Stats:
     accept_rate: float
     per_round_counts: dict
     queries: int
+
+
+def _stats(trials: int, accepts: int, counts: dict, queries: int) -> Stats:
+    return Stats(trials=trials, accepts=accepts, accept_rate=accepts / trials,
+                 per_round_counts=counts, queries=queries)
 
 
 # Trials are seeded and replayed this many at a time, so memory stays
@@ -979,13 +972,7 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
             else:
                 ok = _run_interactive_trial(p, adversary, x, rng, counts)
             accepts += int(ok)
-    return Stats(
-        trials=trials,
-        accepts=accepts,
-        accept_rate=accepts / trials,
-        per_round_counts=counts,
-        queries=queries,
-    )
+    return _stats(trials, accepts, counts, queries)
 
 
 def _run_toy_batch(draws: _ToyDraws, verdicts: Callable, trials: int,
@@ -1002,13 +989,7 @@ def _run_toy_batch(draws: _ToyDraws, verdicts: Callable, trials: int,
         counts["test"][1] += had.size - n_had
         counts["hadamard"][0] += int(np.count_nonzero(had & ok))
         counts["hadamard"][1] += n_had
-    return Stats(
-        trials=trials,
-        accepts=accepts,
-        accept_rate=accepts / trials,
-        per_round_counts=counts,
-        queries=0,
-    )
+    return _stats(trials, accepts, counts, 0)
 
 
 # The Fiat-Shamir bulk route keeps failmasks in uint64; wider challenges
@@ -1060,13 +1041,7 @@ def _run_fs_batch(draws: _ToyDraws, had_ok: bool, budget: int, trials: int,
             x0, x1 = x0[keep], x1[keep]
             seed_bytes = [sb for sb, g in zip(seed_bytes, grinding) if g]
             done += attempts
-    return Stats(
-        trials=trials,
-        accepts=accepts,
-        accept_rate=accepts / trials,
-        per_round_counts={"test": [0, 0], "hadamard": [0, 0]},
-        queries=queries,
-    )
+    return _stats(trials, accepts, {"test": [0, 0], "hadamard": [0, 0]}, queries)
 
 
 def _run_interactive_trial(p, adversary, x, rng, counts) -> bool:
@@ -1082,8 +1057,8 @@ def _run_interactive_trial(p, adversary, x, rng, counts) -> bool:
         row = c_test if c[i * width:(i + 1) * width] == "0" else c_had
         row[0] += int(ok)
         row[1] += 1
-    # v_out is the conjunction of v_out_coords by contract; reusing the
-    # verdicts avoids verifying every coordinate a second time
+    # v_out is the conjunction of these verdicts; reusing them avoids
+    # verifying every coordinate a second time
     return all(coords)
 
 
@@ -1092,21 +1067,15 @@ def _run_fs_trial(p: TwoRoundFS, adversary, x, rng) -> tuple[bool, int]:
     fs = replace(p, oracle=OracleTable(int(rng.integers(1 << 62)),
                                        p.oracle.out_bits))
     k, td = fs.base.v1(None, x, rng)
-    if isinstance(adversary, FsGrinder):
-        inner = adversary.inner
-        y = a = None
-        for _ in range(adversary.query_budget):
-            y_try, state = inner.commit(x, k, rng)
-            c = fs.challenge_of(y_try)
-            a_try = inner.answer(state, c, rng)
-            y, a = y_try, a_try
-            if fs.base.v_out(x, k, td, y_try, c, a_try):
-                break
-        used = fs.oracle.query_count
-        return fs.verify(x, k, td, y, a), used
-    y, state = adversary.commit(x, k, rng)
-    c = fs.challenge_of(y)
-    a = adversary.answer(state, c, rng)
+    # a grinder retries until an attempt verifies; anything else makes one
+    grinder = isinstance(adversary, FsGrinder)
+    inner = adversary.inner if grinder else adversary
+    for _ in range(adversary.query_budget if grinder else 1):
+        y, state = inner.commit(x, k, rng)
+        c = fs.challenge_of(y)
+        a = inner.answer(state, c, rng)
+        if not grinder or fs.base.v_out(x, k, td, y, c, a):
+            break
     used = fs.oracle.query_count
     return fs.verify(x, k, td, y, a), used
 

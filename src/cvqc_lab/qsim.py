@@ -49,7 +49,6 @@ class RegisterLayout:
     """Ordered named registers; first register = most significant qubits."""
 
     registers: tuple[tuple[str, int], ...]
-    cap: int = config.QUBIT_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "registers", tuple((str(n), int(w)) for n, w in self.registers))
@@ -58,8 +57,8 @@ class RegisterLayout:
             raise ValueError(f"duplicate register names in {names}")
         if any(w < 0 for _, w in self.registers):
             raise ValueError("negative register width")
-        if self.total_qubits > self.cap:
-            raise CapExceeded(f"{self.total_qubits} qubits exceeds cap {self.cap}")
+        if self.total_qubits > config.QUBIT_CAP:
+            raise CapExceeded(f"{self.total_qubits} qubits exceeds cap {config.QUBIT_CAP}")
 
     @property
     def total_qubits(self) -> int:
@@ -128,7 +127,7 @@ class Operator:
 
     dim: int
     mat: np.ndarray
-    kind: str  # unitary | projector | hermitian | general
+    kind: str  # unitary | projector
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=np.complex128)
@@ -146,10 +145,7 @@ class Operator:
             if res_idem > config.ATOL or res_herm > config.ATOL:
                 raise NotAProjector(
                     f"P^2-P residual {res_idem:.3e}, P-P^dag residual {res_herm:.3e}")
-        elif self.kind == "hermitian":
-            if np.max(np.abs(mat - mat.conj().T)) > config.ATOL:
-                raise ValueError("not hermitian")
-        elif self.kind != "general":
+        else:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "mat", mat)
 
@@ -162,11 +158,6 @@ class Operator:
     def projector(cls, mat) -> "Operator":
         mat = np.asarray(mat, dtype=np.complex128)
         return cls(mat.shape[0], mat, "projector")
-
-    @classmethod
-    def general(cls, mat) -> "Operator":
-        mat = np.asarray(mat, dtype=np.complex128)
-        return cls(mat.shape[0], mat, "general")
 
 
 def zeros(layout: RegisterLayout) -> StateVector:
@@ -190,12 +181,7 @@ def from_amplitudes(layout: RegisterLayout, amps) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's registers become the most significant."""
-    combined = a.layout.registers + b.layout.registers
-    cap = max(a.layout.cap, b.layout.cap)
-    total = a.layout.total_qubits + b.layout.total_qubits
-    if total > cap:
-        raise CapExceeded(f"{total} qubits exceeds cap {cap}")
-    layout = RegisterLayout(combined, cap=cap)
+    layout = RegisterLayout(a.layout.registers + b.layout.registers)
     return StateVector(layout, np.kron(a.amps, b.amps))
 
 

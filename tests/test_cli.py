@@ -56,6 +56,15 @@ class TestConfigHandling:
         assert code == 2
         assert not out.exists()
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_bytes(b'{"pairs": "\xff"}')
+        code, out = run_cli(["jordan-demo", "--seed", "1", "--config", str(bad)],
+                            tmp_path, "x.csv")
+        assert code == 2
+        assert not out.exists()
+        assert str(bad) in capsys.readouterr().err
+
     def test_config_file_values_apply(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pairs": 3, "dim_max": 4}))
@@ -200,6 +209,22 @@ class TestParamTable:
         assert code == 2
         assert not out.exists()
         assert "10,010,000,000 trial coordinates" in capsys.readouterr().err
+
+    def test_partition_claims_work_ceiling(self, tmp_path, capsys):
+        # 14 strategies over the 32^4 kernel grid stay under the ceiling,
+        # 15 go over it; so does the largest grid at one strategy
+        kernel = ["mode=kernel", "T=32", "m=4"]
+        build_config("partition-claims", seed=1, sets=kernel + ["grid_strategies=14"])
+        with pytest.raises(ConfigError, match="15,728,640 partition chains"):
+            build_config("partition-claims", seed=1, sets=kernel + ["grid_strategies=15"])
+        build_config("partition-claims", seed=1, sets=["T=62", "m=4", "grid_strategies=1"])
+        with pytest.raises(ConfigError, match="15,752,961 partition chains"):
+            build_config("partition-claims", seed=1, sets=["T=63", "m=4", "grid_strategies=1"])
+        code, out = run_cli(["partition-claims", "--seed", "1", "--set", "grid_strategies=50",
+                             "--set", "T=64", "--set", "m=4"], tmp_path, "x.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "838,860,800 partition chains" in capsys.readouterr().err
 
     def test_format_checked_from_every_source(self, tmp_path):
         with pytest.raises(ConfigError, match="format"):
@@ -548,6 +573,36 @@ class TestRender:
         assert "pass" in capsys.readouterr().out
         assert cli.main(["render", str(tmp_path / "nope.csv")]) == 1
         capsys.readouterr()
+
+
+class TestRenderTypedErrors:
+    """Malformed data files exit 1 with a parse error naming the file."""
+
+    def _render_fails(self, path, capsys):
+        assert cli.main(["render", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and str(path) in err
+
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"claim_id,bound,measured\n\xff,1,0\n")
+        self._render_fails(f, capsys)
+
+    def test_json_rows_not_a_list(self, tmp_path, capsys):
+        f = tmp_path / "rows.json"
+        f.write_text(json.dumps({"columns": ["claim_id"], "rows": 5}))
+        with pytest.raises(ParseError, match="rows"):
+            render_summary(str(f))
+        self._render_fails(f, capsys)
+
+    @pytest.mark.parametrize("cell", [None, True, [1, 2]], ids=["null", "true", "list"])
+    def test_json_cell_of_wrong_type(self, tmp_path, capsys, cell):
+        f = tmp_path / "cell.json"
+        row = {"claim_id": "x", "bound": 1, "measured": cell}
+        f.write_text(json.dumps({"columns": list(row), "rows": [row]}))
+        with pytest.raises(ParseError, match="cell"):
+            render_summary(str(f))
+        self._render_fails(f, capsys)
 
 
 class TestConsoleScript:

@@ -23,7 +23,7 @@ from cvqc_lab.effverify import (
     toy_inner,
     _prg_bytes,
 )
-from cvqc_lab.protocol import encode
+from cvqc_lab.protocol import ProtocolError, encode
 
 
 def _suite_and_inner(seed=3, n=12, m=4, fs_seed=11):
@@ -367,3 +367,11 @@ class TestCostReport:
         slope = np.polyfit(np.log([1 << 8, 1 << 10, 1 << 12]),
                            np.log([r.prover_ops for r in rows]), 1)[0]
         assert slope >= 0.9
+
+
+class TestStubSuiteSeed:
+    def test_seed_outside_oracle_range_rejected_at_build(self):
+        # the suite's oracle seeds are oracle_seed ^ constant; a negative
+        # one used to build and then fail at the first query
+        with pytest.raises(ProtocolError, match="master_seed"):
+            make_stub_suite(-5)

@@ -1,5 +1,7 @@
 """Partition-procedure tests: projectors, phase estimation, G/H/Ext."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -798,3 +800,26 @@ class TestSpectralRoutes:
             for ours, theirs, w_ours, w_theirs in pairs:
                 diff = _outer(embed(ours), w_ours) - _outer(theirs, w_theirs)
                 assert np.max(np.abs(diff)) <= 1e-12
+
+
+class TestExtractorStream:
+    # sha256 over criterion 04's 16 (p, N) cells, its seeds, 500 calls per
+    # cell: every (a_i, rounds_used), then the generator state after the
+    # cell, so a changed draw count shows up too
+    DIGEST = "d34abc6207ba79c2cf703b2a21d3f44860d5579d2b79be98b0ef6259498a2e62"
+
+    def test_outcome_stream_is_pinned(self):
+        h = hashlib.sha256()
+        pp = PartitionParams(1, 1, 1.0, 4, 0.25)
+        for pi, p in enumerate((0.1, 0.3, 0.5, 0.9)):
+            s = single_block_strategy(p)
+            amps = np.zeros(4, dtype=np.complex128)
+            amps[0] = 1.0
+            st = StateVector(s.layout(), amps)
+            for ni, n in enumerate((1, 2, 10, 50)):
+                rng = np.random.default_rng(4000 + 10 * pi + ni)
+                for _ in range(500):
+                    o = extract(s, pp, st, n, rng)
+                    h.update(repr((o.a_i, o.rounds_used)).encode())
+                h.update(rng.bit_generator.state["state"]["state"].to_bytes(16, "big"))
+        assert h.hexdigest() == self.DIGEST

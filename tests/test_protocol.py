@@ -748,3 +748,30 @@ class TestFiatShamir:
         assert isinstance(st, Stats)
         assert st.trials == 50
         assert st.accepts == round(st.accept_rate * 50)
+
+
+class TestOracleSeedRange:
+    def test_both_ends_of_the_seed_range_work(self):
+        for seed in (0, (1 << 64) - 1):
+            assert len(OracleTable(seed, 8).query(b"k")) == 1
+
+    def test_seeds_outside_eight_bytes_rejected(self):
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ProtocolError, match="master_seed"):
+                OracleTable(seed, 8)
+
+
+class TestOracleViewBits:
+    def test_views_read_the_bits_of_their_table(self):
+        # 12 bits: the bit strings keep the leading zeros of a two-byte output
+        base, fresh = OracleTable(3, 12), OracleTable(4, 12)
+        salted = base.salted(b"zz")
+        routed = base.with_salt_routed(b"zz", fresh)
+        for i in range(64):
+            key = i.to_bytes(2, "big")
+            assert salted.query_bits(key) == base.query_bits(b"zz" + key)
+            assert routed.query_bits(b"zz" + key) == fresh.query_bits(key)
+            assert routed.query_bits(key) == base.query_bits(key)
+            assert len(salted.query_bits(key)) == 12
+        bits = fresh.query_bits(b"\x00\x01")
+        assert int(bits, 2) == int.from_bytes(fresh.query(b"\x00\x01"), "big")
