@@ -97,7 +97,9 @@ _PARAMS: dict[str, dict[str, Param]] = {
         # the cost probe's smallest time bound (_EFF_SWEEP[0] = 256) must
         # cover key derivation, 9 + 32m machine steps
         "m": Param("int", 4, (1, 7)),
-        "time_bound": Param("int", 4096, (256, 65536)),
+        # the machine's idle loop runs in one interpreter step whatever
+        # its length, so a session costs about 1 ms even at T = 2^40
+        "time_bound": Param("int", 4096, (256, 1 << 40)),
         "trials": Param("int", 20, (1, 1000)),
         "flow": Param("choice", "two-round", ("four-round", "two-round")),
     },

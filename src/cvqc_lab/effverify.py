@@ -19,6 +19,7 @@ parties.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -69,7 +70,11 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
 
     Raises BackendFailure when the step budget runs out first; callers
     use the encoding's declared time bound as the budget, so decode time
-    is capped by min(T, Time(M)).
+    is capped by min(T, Time(M)).  A counted loop, DEC r directly
+    followed by JNZ r back to that DEC, runs in one step of the
+    interpreter but is charged its 2 * passes machine steps, so outputs,
+    step counts and budget failures are those of executing it pass by
+    pass.  A malformed instruction raises BackendFailure naming its pc.
     """
     regs = [0] * 8
     mem = bytearray(ELL_R)
@@ -83,40 +88,55 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
             raise BackendFailure(f"step budget {budget} exhausted")
         ins = program[pc]
         steps += 1
-        name = ins[0]
         nxt = pc + 1
-        if name == "HALT":
-            return tuple(out), steps
-        elif name == "SETI":
-            regs[ins[1]] = ins[2] & MACHINE_WORD
-        elif name == "MOV":
-            regs[ins[1]] = regs[ins[2]]
-        elif name == "LOAD":
-            regs[ins[1]] = mem[ins[2]]
-        elif name == "ADD":
-            regs[ins[1]] = (regs[ins[1]] + regs[ins[2]]) & MACHINE_WORD
-        elif name == "XOR":
-            regs[ins[1]] ^= regs[ins[2]]
-        elif name == "AND":
-            regs[ins[1]] &= regs[ins[2]]
-        elif name == "OR":
-            regs[ins[1]] |= regs[ins[2]]
-        elif name == "SHR":
-            regs[ins[1]] >>= ins[2]
-        elif name == "SHL":
-            regs[ins[1]] = (regs[ins[1]] << ins[2]) & MACHINE_WORD
-        elif name == "DEC":
-            regs[ins[1]] = (regs[ins[1]] - 1) & MACHINE_WORD
-        elif name == "JNZ":
-            if regs[ins[1]] != 0:
-                nxt = ins[2]
-        elif name == "HASH":
+        try:
+            name = ins[0]
+            if name == "HALT":
+                return tuple(out), steps
+            elif name == "SETI":
+                regs[ins[1]] = ins[2] & MACHINE_WORD
+            elif name == "MOV":
+                regs[ins[1]] = regs[ins[2]]
+            elif name == "LOAD":
+                regs[ins[1]] = mem[ins[2]]
+            elif name == "ADD":
+                regs[ins[1]] = (regs[ins[1]] + regs[ins[2]]) & MACHINE_WORD
+            elif name == "XOR":
+                regs[ins[1]] ^= regs[ins[2]]
+            elif name == "AND":
+                regs[ins[1]] &= regs[ins[2]]
+            elif name == "OR":
+                regs[ins[1]] |= regs[ins[2]]
+            elif name == "SHR":
+                regs[ins[1]] >>= ins[2]
+            elif name == "SHL":
+                regs[ins[1]] = (regs[ins[1]] << ins[2]) & MACHINE_WORD
+            elif name == "DEC":
+                r = ins[1]
+                if nxt < len(program) and program[nxt] == ("JNZ", r, pc):
+                    # DEC wraps, so a loop entered at 0 makes 2^64 passes
+                    passes = regs[r] or MACHINE_WORD + 1
+                    if steps - 1 + 2 * passes > budget:
+                        raise BackendFailure(f"step budget {budget} exhausted")
+                    steps += 2 * passes - 1
+                    regs[r] = 0
+                    nxt = pc + 2
+                else:
+                    regs[r] = (regs[r] - 1) & MACHINE_WORD
+            elif name == "JNZ":
+                if regs[ins[1]] != 0:
+                    nxt = operator.index(ins[2])
+            elif name == "OUT":
+                out.append(regs[ins[1]])
+            elif name != "HASH":
+                raise BackendFailure(f"unknown opcode {name!r}")
+        except (IndexError, TypeError, ValueError) as exc:
+            raise BackendFailure(
+                f"malformed instruction {ins!r} at pc {pc}: {exc}") from exc
+        if name == "HASH":
+            # outside the guard, so a failing prg keeps its own error
             stream = prg(inp)
             mem[:len(stream)] = stream[:ELL_R]
-        elif name == "OUT":
-            out.append(regs[ins[1]])
-        else:
-            raise BackendFailure(f"unknown opcode {name!r}")
         pc = nxt
 
 
@@ -126,7 +146,9 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     Per coordinate it reads four PRG stream bytes, builds two n-bit
     values, forces their xor to odd parity, and OUTs the pair; the busy
     loop at the end pads execution up to the declared time bound, which
-    models an inner key derivation that genuinely costs T steps.
+    models an inner key derivation that genuinely costs T steps.  The
+    loop is a counted loop, so run_machine charges its T steps in
+    constant wall time.
     """
     if not 1 <= n <= 16:
         raise BackendFailure(f"n={n} outside machine word loads")

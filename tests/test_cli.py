@@ -437,6 +437,19 @@ class TestEffverifyDemo:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_time_bound_reaches_two_to_the_40(self, tmp_path):
+        top = 1 << 40
+        cfg = build_config("effverify-demo", seed=1, sets=[f"time_bound={top}"])
+        assert cfg.params["time_bound"] == top
+        with pytest.raises(ConfigError):
+            build_config("effverify-demo", seed=1, sets=[f"time_bound={top + 1}"])
+        code, out = run_cli(["effverify-demo", "--seed", "1", "--trials", "1",
+                             "--time-bound", str(top)], tmp_path, "e.csv")
+        assert code == 0
+        row = read_rows(out)[0]
+        assert row["verdict"] == "1"
+        assert int(row["prover_ops"]) >= top
+
 class TestReproducibility:
     def test_same_seed_byte_identical(self, tmp_path):
         args = ["repetition-sweep", "--seed", "3", "--set", "m_list=1,3",

@@ -1,6 +1,7 @@
 """Delegated verification: machine, stub backends, composed sessions."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,196 @@ class TestMachine:
         with pytest.raises(BackendFailure):
             derive_keys(b"\x00" * 3, 8, 1)
 
+
+def _stepwise_machine(program, inp, prg, budget):
+    """Reference interpreter: one machine step per loop iteration, no fusion."""
+    regs = [0] * 8
+    mem = bytearray(256)
+    out = []
+    pc = 0
+    steps = 0
+    word = (1 << 64) - 1
+    while True:
+        if pc < 0 or pc >= len(program):
+            raise BackendFailure(f"pc {pc} outside program")
+        if steps >= budget:
+            raise BackendFailure(f"step budget {budget} exhausted")
+        ins = program[pc]
+        steps += 1
+        name = ins[0]
+        nxt = pc + 1
+        if name == "HALT":
+            return tuple(out), steps
+        elif name == "SETI":
+            regs[ins[1]] = ins[2] & word
+        elif name == "MOV":
+            regs[ins[1]] = regs[ins[2]]
+        elif name == "LOAD":
+            regs[ins[1]] = mem[ins[2]]
+        elif name == "ADD":
+            regs[ins[1]] = (regs[ins[1]] + regs[ins[2]]) & word
+        elif name == "XOR":
+            regs[ins[1]] ^= regs[ins[2]]
+        elif name == "AND":
+            regs[ins[1]] &= regs[ins[2]]
+        elif name == "OR":
+            regs[ins[1]] |= regs[ins[2]]
+        elif name == "SHR":
+            regs[ins[1]] >>= ins[2]
+        elif name == "SHL":
+            regs[ins[1]] = (regs[ins[1]] << ins[2]) & word
+        elif name == "DEC":
+            regs[ins[1]] = (regs[ins[1]] - 1) & word
+        elif name == "JNZ":
+            if regs[ins[1]] != 0:
+                nxt = ins[2]
+        elif name == "HASH":
+            stream = prg(inp)
+            mem[:len(stream)] = stream[:256]
+        elif name == "OUT":
+            out.append(regs[ins[1]])
+        else:
+            raise BackendFailure(f"unknown opcode {name!r}")
+        pc = nxt
+
+
+def _outcome(interpreter, program, budget, inp=b"\x00" * 16):
+    """(outputs, steps), or the failure's type and message."""
+    try:
+        return interpreter(program, inp, _prg_bytes, budget)
+    except BackendFailure as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_stepwise(program, budgets, inp=b"\x00" * 16):
+    for budget in budgets:
+        assert _outcome(run_machine, program, budget, inp) == \
+            _outcome(_stepwise_machine, program, budget, inp), (program, budget)
+
+
+class TestCountedLoop:
+    """run_machine runs DEC r; JNZ r <that DEC> in one interpreter step."""
+
+    def test_key_machines_match_stepwise_at_every_budget_region(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 17))
+            m = int(rng.integers(1, 8))
+            t = int(rng.integers(256, 3001))
+            prog = key_machine(n, m, t)
+            inp = rng.bytes(16)
+            _, total = _stepwise_machine(prog, inp, _prg_bytes, t + 50)
+            busy = prog[-4][2]
+            before_loop = total - 1 - 2 * busy
+            budgets = {1, before_loop - 1, before_loop, before_loop + 1,
+                       before_loop + 2, before_loop + busy, total - 3,
+                       total - 2, total - 1, total, t + 50}
+            budgets |= {int(b) for b in rng.integers(1, t + 51, size=4)}
+            _assert_matches_stepwise(prog, sorted(budgets), inp)
+
+    def test_loop_entered_at_zero_wraps_to_two_to_the_64_passes(self):
+        prog = (("DEC", 0), ("JNZ", 0, 0), ("HALT",))
+        _assert_matches_stepwise(prog, (1, 2, 3, 1000))
+        passes = 1 << 64
+        with pytest.raises(BackendFailure, match=r"step budget 1000000 exhausted"):
+            run_machine(prog, b"", _prg_bytes, budget=10**6)
+        # the loop fits exactly; HALT is the step that runs out
+        with pytest.raises(BackendFailure, match="exhausted"):
+            run_machine(prog, b"", _prg_bytes, budget=2 * passes)
+        assert run_machine(prog, b"", _prg_bytes, budget=2 * passes + 1) == \
+            ((), 2 * passes + 1)
+
+    def test_jnz_to_another_pc_or_register_is_not_fused(self):
+        programs = [
+            # JNZ tests another register, which never reaches zero
+            (("SETI", 0, 3), ("SETI", 1, 4), ("DEC", 1), ("JNZ", 0, 2),
+             ("OUT", 0), ("OUT", 1), ("HALT",)),
+            # JNZ jumps back past the DEC, re-arming the counter
+            (("SETI", 0, 3), ("DEC", 0), ("JNZ", 0, 0), ("HALT",)),
+            # JNZ jumps forward
+            (("SETI", 0, 3), ("DEC", 0), ("JNZ", 0, 4), ("OUT", 0),
+             ("HALT",)),
+            # DEC then a JNZ on the same register with an OUT between
+            (("SETI", 0, 3), ("DEC", 0), ("OUT", 0), ("JNZ", 0, 1),
+             ("HALT",)),
+        ]
+        for prog in programs:
+            _assert_matches_stepwise(prog, range(1, 40))
+
+    def test_dec_at_last_pc(self):
+        prog = (("SETI", 0, 3), ("DEC", 0))
+        _assert_matches_stepwise(prog, range(1, 5))
+        with pytest.raises(BackendFailure, match="pc 2 outside program"):
+            run_machine(prog, b"", _prg_bytes, budget=10)
+
+    def test_loop_at_last_pc_that_uses_the_whole_budget(self):
+        # the loop's 6 steps fit a budget of 7, so the run falls off the
+        # end of the program before the budget runs out
+        prog = (("SETI", 0, 3), ("DEC", 0), ("JNZ", 0, 1))
+        _assert_matches_stepwise(prog, range(1, 10))
+        with pytest.raises(BackendFailure, match="pc 3 outside program"):
+            run_machine(prog, b"", _prg_bytes, budget=7)
+
+    def test_counted_loop_nested_in_outer_loop(self):
+        prog = (("SETI", 1, 3), ("SETI", 0, 5), ("DEC", 0), ("JNZ", 0, 2),
+                ("OUT", 1), ("DEC", 1), ("JNZ", 1, 1), ("HALT",))
+        out, steps = run_machine(prog, b"", _prg_bytes, budget=10**6)
+        assert out == (3, 2, 1)
+        assert steps == 1 + 3 * (1 + 10 + 3) + 1
+        _assert_matches_stepwise(prog, range(1, steps + 3))
+
+    def test_random_small_programs_match_stepwise(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            size = int(rng.integers(2, 9))
+            prog = []
+            for _ in range(size - 1):
+                r = int(rng.integers(0, 3))
+                kind = int(rng.integers(0, 5))
+                if kind == 0:
+                    prog.append(("SETI", r, int(rng.integers(0, 6))))
+                elif kind == 1:
+                    prog.append(("DEC", r))
+                elif kind == 2:
+                    prog.append(("JNZ", r, int(rng.integers(0, size + 1))))
+                elif kind == 3:
+                    prog.append(("ADD", r, int(rng.integers(0, 3))))
+                else:
+                    prog.append(("OUT", r))
+                if kind == 1 and rng.random() < 0.5:
+                    # a counted loop on the DEC just placed
+                    prog.append(("JNZ", r, len(prog) - 1))
+            prog.append(("HALT",))
+            _assert_matches_stepwise(tuple(prog), range(1, 60, 3))
+
+
+class TestMalformedProgram:
+    @pytest.mark.parametrize("ins", [
+        ("LOAD", 0, 999),   # memory address out of range
+        ("SETI", 8, 1),     # register out of range
+        ("SETI", 0),        # missing operand
+        (),                 # no opcode
+        ("SHR", 0, -1),     # negative shift
+    ])
+    def test_malformed_instruction_is_typed_failure(self, ins):
+        prog = (("SETI", 1, 1), ins, ("HALT",))
+        with pytest.raises(BackendFailure, match=r"at pc 1"):
+            run_machine(prog, b"", _prg_bytes, budget=10)
+
+    def test_non_integer_jump_target_fails_when_taken(self):
+        prog = (("SETI", 0, 1), ("JNZ", 0, "top"), ("HALT",))
+        with pytest.raises(BackendFailure, match=r"at pc 1"):
+            run_machine(prog, b"", _prg_bytes, budget=10)
+        # not taken, the target is never read
+        untaken = (("SETI", 0, 0), ("JNZ", 0, "top"), ("HALT",))
+        assert run_machine(untaken, b"", _prg_bytes, budget=10) == ((), 3)
+
+    def test_prg_errors_are_not_relabelled(self):
+        def broken_prg(_inp):
+            raise ValueError("prg down")
+
+        with pytest.raises(ValueError, match="prg down"):
+            run_machine((("HASH",), ("HALT",)), b"", broken_prg, budget=10)
 
 class TestStubFhe:
     def test_round_trip(self):
@@ -368,6 +559,28 @@ class TestCostReport:
                            np.log([r.prover_ops for r in rows]), 1)[0]
         assert slope >= 0.9
 
+
+    def test_session_at_two_to_the_40_accepts_quickly(self):
+        suite, inner = _suite_and_inner()
+        t = 1 << 40
+        t0 = time.perf_counter()
+        ok, ses = run_two_round_fs(suite, inner, "yes", "honest", 0,
+                                   time_bound=t)
+        elapsed = time.perf_counter() - t0
+        assert ok
+        assert cost_report(ses).prover_ops >= t
+        # the idle loop is charged its T steps but runs in one step
+        assert elapsed < 1.0
+
+    def test_verifier_ops_grow_with_log_t_up_to_two_to_the_40(self):
+        suite, inner = _suite_and_inner()
+        lo, hi = 1 << 8, 1 << 40
+        ops = []
+        for t in (lo, hi):
+            _, ses = run_two_round_fs(suite, inner, "yes", "honest", 0,
+                                      time_bound=t)
+            ops.append(cost_report(ses).verifier_ops)
+        assert 0 <= ops[1] - ops[0] <= hi.bit_length() - lo.bit_length()
 
 class TestStubSuiteSeed:
     def test_seed_outside_oracle_range_rejected_at_build(self):

@@ -1,0 +1,144 @@
+"""Record benchmark runs in BENCH_<label>.json and compare two records.
+
+    python3 tools/bench.py --label head --workloads hashed --seeds 1 2 3
+    python3 tools/bench.py --label base --checkout ../base-checkout
+    python3 tools/bench.py --compare base head
+
+A record runs `perfbench/run.py --trace 0` of a checkout (this
+repository unless --checkout names another) once per seed and workload,
+and keeps in BENCH_<label>.json at the root of this repository the
+command and, for each run, its result line and the machine line it
+printed on stderr.  Runs are added to an existing record of the same
+label and command, so two checkouts can be recorded in alternation.
+
+--compare A B takes two labels (or paths) and prints, per workload and
+end-to-end metric of BENCHMARK.json, each side's median and quartiles,
+the change of B's median against A's, and how many runs of B beat the
+run of A with the same seed.  It flags a median of B worse than A's by
+more than the metric's bound, a run of B that is not correct, and
+failed operations, and exits 1 when anything is flagged.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"bench: {' '.join(cmd)} exited {proc.returncode}:\n"
+                 f"{proc.stderr[-2000:]}")
+    machine = [ln for ln in proc.stderr.splitlines() if ln.startswith("machine:")]
+    return {"workload": workload, "seed": seed, "result": json.loads(lines[-1]),
+            "machine": machine[0] if machine else None}
+
+
+def record(args) -> int:
+    checkout = Path(args.checkout).resolve()
+    out = ROOT / f"BENCH_{args.label}.json"
+    command = f"perfbench/run.py --seconds {args.seconds:g} --trace 0"
+    bench = {"label": args.label, "command": command, "runs": []}
+    if out.is_file():
+        bench = json.loads(out.read_text())
+        if bench["command"] != command:
+            sys.exit(f"bench: {out.name} holds runs of `{bench['command']}`")
+    for seed in args.seeds:
+        for workload in args.workloads:
+            run = _run_once(checkout, workload, seed, args.seconds)
+            print(f"{workload} seed {seed}: {json.dumps(run['result']['metrics'])}",
+                  file=sys.stderr)
+            bench["runs"].append(run)
+            out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+def _load(name: str) -> dict:
+    path = Path(name)
+    if not path.is_file():
+        path = ROOT / f"BENCH_{name}.json"
+    return json.loads(path.read_text())
+
+
+def _values(bench: dict) -> dict:
+    """{workload: {metric: {seed: [values in run order]}}}"""
+    values: dict = {}
+    for run in bench["runs"]:
+        per = values.setdefault(run["workload"], {})
+        for metric, entry in run["result"]["metrics"].items():
+            per.setdefault(metric, {}).setdefault(run["seed"], []).append(entry["value"])
+    return values
+
+
+def _quartiles(xs: list) -> tuple:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return q1, q2, q3
+
+
+def compare(name_a: str, name_b: str) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench_b = _load(name_b)
+    a, b = _values(_load(name_a)), _values(bench_b)
+    flagged = 0
+    for run in bench_b["runs"]:
+        res = run["result"]
+        if not res["correct"] or res["failed"]:
+            print(f"FLAG {run['workload']} seed {run['seed']}: correct "
+                  f"{res['correct']}, {res['failed']} failed operations")
+            flagged += 1
+    for workload in sorted(set(a) & set(b)):
+        print(f"{workload}: {name_a} -> {name_b}, median [quartiles]")
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            if name not in a[workload] or name not in b[workload]:
+                continue
+            by_seed_a, by_seed_b = a[workload][name], b[workload][name]
+            qa = _quartiles([v for vs in by_seed_a.values() for v in vs])
+            qb = _quartiles([v for vs in by_seed_b.values() for v in vs])
+            sign = 1 if metric["better"] == "lower" else -1
+            pairs = [(x, y) for seed in by_seed_a.keys() & by_seed_b.keys()
+                     for x, y in zip(by_seed_a[seed], by_seed_b[seed])]
+            wins = sum(sign * (y - x) < 0 for x, y in pairs)
+            change = (qb[1] - qa[1]) / qa[1]
+            flag = sign * change > metric["bound"]
+            flagged += flag
+            print(f"  {name:13s} {qa[1]:10.4g} [{qa[0]:.4g}, {qa[2]:.4g}]"
+                  f" -> {qb[1]:10.4g} [{qb[0]:.4g}, {qb[2]:.4g}] {change:+7.1%}"
+                  f"  wins {wins}/{len(pairs)}  bound {metric['bound']:.0%}"
+                  f"{'  WORSE' if flag else ''}")
+    return 1 if flagged else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", help="record runs into BENCH_<label>.json")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="compare two records, labels or paths")
+    ap.add_argument("--workloads", nargs="+", default=["sweep", "hashed", "spectral"])
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--checkout", default=str(ROOT),
+                    help="checkout whose perfbench/run.py and src/ are run")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.label:
+        ap.error("give --label to record or --compare A B")
+    return record(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
