@@ -29,6 +29,7 @@ from .protocol import (
     OracleTable,
     SaltedOracle,
     TwoRoundFS,
+    _oracle_value,
     encode,
     fiat_shamir,
     parallel_repeat,
@@ -41,6 +42,9 @@ SECURITY = 16       # n_sec in bytes at desk scale
 SALT_LEN = 2 * SECURITY
 DEFAULT_TIME_BOUND = 4096
 MACHINE_WORD = (1 << 64) - 1
+# opcodes whose second operand indexes a register or memory; SETI's is an
+# immediate and JNZ's a jump target
+_INDEXED_2 = frozenset({"MOV", "LOAD", "ADD", "XOR", "AND", "OR"})
 
 
 class BackendFailure(Exception):
@@ -74,7 +78,8 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
     followed by JNZ r back to that DEC, runs in one step of the
     interpreter but is charged its 2 * passes machine steps, so outputs,
     step counts and budget failures are those of executing it pass by
-    pass.  A malformed instruction raises BackendFailure naming its pc.
+    pass.  A malformed instruction, a negative register or memory operand
+    included, raises BackendFailure naming its pc.
     """
     regs = [0] * 8
     mem = bytearray(ELL_R)
@@ -91,6 +96,9 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
         nxt = pc + 1
         try:
             name = ins[0]
+            # Python would read a negative index from the end instead
+            if len(ins) > 1 and (ins[1] < 0 or name in _INDEXED_2 and ins[2] < 0):
+                raise IndexError("negative operand")
             if name == "HALT":
                 return tuple(out), steps
             elif name == "SETI":
@@ -208,9 +216,7 @@ class Counters:
     """Per-party work units, switched by the driver between phases."""
 
     def __init__(self):
-        self.verifier = 0
-        self.prover = 0
-        self.active = "verifier"
+        self.reset()
 
     def reset(self):
         self.verifier = 0
@@ -222,12 +228,8 @@ class Counters:
 
 
 def _prg_bytes(seed: bytes) -> bytes:
-    stream = b""
-    counter = 0
-    while len(stream) < ELL_R:
-        stream += hashlib.sha256(b"prg" + seed + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return stream[:ELL_R]
+    """ELL_R bytes of the sha256 counter stream of "prg" || seed."""
+    return _oracle_value(b"prg", seed, 8 * ELL_R).to_bytes(ELL_R, "big")
 
 
 @dataclass(frozen=True)
@@ -401,9 +403,6 @@ class BackendSuite:
             raise BackendFailure(f"party {party!r}")
         self.counters.active = party
 
-    def charge(self, units: int):
-        self.counters.charge(units)
-
 
 def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
     counters = Counters()
@@ -448,8 +447,7 @@ class TwoRoundInner:
                      for i in range(self.m))
 
     def p2(self, x, k, rng):
-        y, a = self.fs.prove(x, k, rng)
-        return (y, a)
+        return self.fs.prove(x, k, rng)
 
     def rejecting_response(self, x, k, rng):
         y, _ = self.fs.prove(x, k, rng)
@@ -611,13 +609,12 @@ def _run_session(suite: BackendSuite, inner: TwoRoundInner, x, prover,
     circuit = VerificationCircuit(x=x, e=ses.e, inner=inner, prg=suite.prg,
                                   time_bound=time_bound)
     honest_ct_prime = suite.fhe.eval(ses.pk_fhe, circuit, ses.ct)
+    # the proof binds the honest statement; a mismatched prover ships another ct'
+    proof_statement = _statement(x, ses.pk_fhe, ses.ct, honest_ct_prime)
     if prover == "mismatched-statement":
-        # proof will bind the honest statement, but something else ships
         ses.ct_prime = suite.fhe.enc(ses.pk_fhe, 0)
-        proof_statement = _statement(x, ses.pk_fhe, ses.ct, honest_ct_prime)
     else:
         ses.ct_prime = honest_ct_prime
-        proof_statement = _statement(x, ses.pk_fhe, ses.ct, ses.ct_prime)
     ses.message_bytes += len(ses.ct_prime.serialize())
 
     # V_eff,3: the salt, fresh or derived from the received ct'
@@ -626,7 +623,7 @@ def _run_session(suite: BackendSuite, inner: TwoRoundInner, x, prover,
         ses.z = suite.salt_oracle.query(ses.ct_prime.serialize())
     else:
         ses.z = rng.bytes(SALT_LEN)
-    suite.charge(SALT_LEN)
+    suite.counters.charge(SALT_LEN)
     ses.message_bytes += SALT_LEN
 
     # P_eff,4: proof under the salted oracle

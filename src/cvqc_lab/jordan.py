@@ -83,6 +83,18 @@ class JordanDecomposition:
             cols.append(blk.vector)
         return np.column_stack(cols) if cols else np.zeros((self.dim, 0), dtype=np.complex128)
 
+    def eigvecs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q eigenvectors as columns, (phi_plus, phi_minus) per 2-D block then
+        the 1-D vectors, with their eigenphases (+-theta; 0 if b = c, else pi)."""
+        cols, phases = [], []
+        for blk in self.blocks2d:
+            cols += [blk.phi_plus, blk.phi_minus]
+            phases += [blk.theta, -blk.theta]
+        for blk in self.blocks1d:
+            cols.append(blk.vector)
+            phases.append(0.0 if blk.b == blk.c else np.pi)
+        return np.column_stack(cols), np.array(phases)
+
     def to_json_dict(self) -> dict:
         def vec(v):
             return [[float(x.real), float(x.imag)] for x in v]
@@ -116,16 +128,11 @@ class Residuals:
 
 
 def _projector_matrix(p) -> np.ndarray:
-    if isinstance(p, Operator):
-        if p.kind != "projector":
-            raise NotAProjector(f"kind {p.kind!r}")
-        return p.mat
-    mat = np.asarray(p, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"shape {mat.shape}")
-    if np.max(np.abs(mat @ mat - mat)) > config.ATOL or np.max(np.abs(mat - mat.conj().T)) > config.ATOL:
-        raise NotAProjector("matrix is not an orthogonal projector")
-    return mat
+    if not isinstance(p, Operator):
+        return Operator.projector(p).mat
+    if p.kind != "projector":
+        raise NotAProjector(f"kind {p.kind!r}")
+    return p.mat
 
 
 def reflect(p) -> Operator:
@@ -249,12 +256,7 @@ def reconstruct_check(dec: JordanDecomposition, p0, p1) -> Residuals:
 
 def eigenphases(dec: JordanDecomposition) -> np.ndarray:
     """Sorted multiset of Q eigenphases implied by the block structure."""
-    phases = []
-    for blk in dec.blocks2d:
-        phases.extend([blk.theta, -blk.theta])
-    for blk in dec.blocks1d:
-        phases.append(0.0 if blk.b == blk.c else np.pi)
-    return np.sort(np.asarray(phases))
+    return np.sort(dec.eigvecs()[1])
 
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:

@@ -114,7 +114,8 @@ class ProverStrategy:
     u is the unitary the prover applies to |c>_C |psi>_{X,Z} before
     measuring X.  accept_sets[i-1] lists the X_i outcomes the verifier
     accepts on coordinate i.  u0 (state preparation) is carried along for
-    completeness but not consumed here.
+    completeness but not consumed here.  Data derived from it is cached
+    through `derived`; `dataclasses.replace` starts an empty cache.
     """
 
     m: int
@@ -123,7 +124,7 @@ class ProverStrategy:
     u: Operator
     accept_sets: tuple[frozenset, ...]
     u0: Operator | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         want = 1 << (self.m + self.m * self.x_width + self.z_width)
@@ -137,6 +138,14 @@ class ProverStrategy:
             for a in acc:
                 if len(a) != self.x_width or set(a) - {"0", "1"}:
                     raise DomainError(f"acceptance string {a!r}")
+
+    def derived(self, key, build, *args):
+        """The value cached under key, built as build(*args) on first use."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build(*args)
+            return value
 
     def layout(self) -> RegisterLayout:
         regs = [("C", self.m)]
@@ -182,18 +191,10 @@ def _hadamard_c_minus_i(m: int, i: int, xz_dim: int) -> np.ndarray:
     return np.kron(out, np.eye(xz_dim))
 
 
-def _xi_values(strategy: ProverStrategy, i: int) -> np.ndarray:
-    """Value of register X_i at every basis index over (C, X, Z)."""
-    n = strategy.m + strategy.m * strategy.x_width + strategy.z_width
-    start = strategy.m + (i - 1) * strategy.x_width  # qubit offset of X_i, MSB first
-    shift = n - start - strategy.x_width
-    return (np.arange(strategy.dim) >> shift) & ((1 << strategy.x_width) - 1)
-
-
 def _accept_mask(strategy: ProverStrategy, i: int) -> np.ndarray:
     """Boolean diagonal of the X_i acceptance projector over (C, X, Z)."""
     acc_ints = [int(a, 2) for a in strategy.accept_sets[i - 1]]
-    return np.isin(_xi_values(strategy, i), acc_ints)
+    return np.isin(strategy.layout().values(f"X{i}"), acc_ints)
 
 
 def _rotated_frame(strategy: ProverStrategy, i: int) -> np.ndarray:
@@ -298,9 +299,10 @@ def spectral_data(strategy: ProverStrategy, params: PartitionParams) -> Spectral
     ends where arccos(sigma_k) does not; theta = 0 gives the (1,1)
     vectors and theta = pi the (1,0) vectors.
     """
-    key = ("spec", params.i)
-    if key in strategy._cache:
-        return strategy._cache[key]
+    return strategy.derived(("spec", params.i), _principal_angles, strategy, params)
+
+
+def _principal_angles(strategy: ProverStrategy, params: PartitionParams) -> SpectralData:
     if params.m != strategy.m:
         raise DimensionMismatch(f"params.m={params.m} vs strategy.m={strategy.m}")
     xz = strategy.xz_dim
@@ -319,15 +321,13 @@ def spectral_data(strategy: ProverStrategy, params: PartitionParams) -> Spectral
     is10 = np.abs(thetas - np.pi) <= tol
     rot = np.flatnonzero(~(is11 | is10))
     rot = rot[np.argsort(thetas[rot], kind="stable")]
-    data = SpectralData(
+    return SpectralData(
         alphas_xz=v[:, rot],
         thetas=thetas[rot],
         pvals=cos[rot] ** 2,
         v11_xz=v[:, is11],
         v10_xz=v[:, is10],
     )
-    strategy._cache[key] = data
-    return data
 
 
 def eigenbasis(strategy: ProverStrategy, params: PartitionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -336,35 +336,21 @@ def eigenbasis(strategy: ProverStrategy, params: PartitionParams) -> tuple[np.nd
     Read off the dense Schur route, jordan_decompose on build_projectors,
     so that run_G_state stays independent of spectral_data.
     """
-    key = ("eig", params.i)
-    if key not in strategy._cache:
-        dec = jordan_decompose(*build_projectors(strategy, params))
-        cols, phases = [], []
-        for blk in dec.blocks2d:
-            cols += [blk.phi_plus, blk.phi_minus]
-            phases += [blk.theta, -blk.theta]
-        for blk in dec.blocks1d:
-            cols.append(blk.vector)
-            phases.append(0.0 if blk.b == blk.c else np.pi)
-        strategy._cache[key] = (np.column_stack(cols), np.array(phases))
-    return strategy._cache[key]
+    return strategy.derived(("eig", params.i), _schur_eigvecs, strategy, params)
 
 
-def _kernel_matrix(strategy: ProverStrategy, params: PartitionParams, data: SpectralData) -> np.ndarray:
-    key = ("K", params.i, params.t)
-    if key not in strategy._cache:
-        strategy._cache[key] = np.stack(
-            [kernel_masses(th, params.t) for th in data.thetas]
-        ) if len(data.thetas) else np.zeros((0, 1 << params.t))
-    return strategy._cache[key]
+def _schur_eigvecs(strategy: ProverStrategy, params: PartitionParams):
+    return jordan_decompose(*build_projectors(strategy, params)).eigvecs()
 
 
-def _ideal_labels(strategy: ProverStrategy, params: PartitionParams, data: SpectralData) -> np.ndarray:
-    key = ("lab", params.i, params.t)
-    if key not in strategy._cache:
-        strategy._cache[key] = np.array(
-            [phase_label(th, params.t) for th in data.thetas], dtype=int)
-    return strategy._cache[key]
+def _kernel_rows(thetas: np.ndarray, t: int) -> np.ndarray:
+    if not len(thetas):
+        return np.zeros((0, 1 << t))
+    return np.stack([kernel_masses(th, t) for th in thetas])
+
+
+def _ideal_labels(thetas: np.ndarray, t: int) -> np.ndarray:
+    return np.array([phase_label(th, t) for th in thetas], dtype=int)
 
 
 def _branch_weights(strategy: ProverStrategy, params: PartitionParams, data: SpectralData) -> np.ndarray:
@@ -376,9 +362,10 @@ def _branch_weights(strategy: ProverStrategy, params: PartitionParams, data: Spe
     """
     mask = threshold_mask(params)
     if params.mode == "ideal":
-        labels = _ideal_labels(strategy, params, data)
+        labels = strategy.derived(("lab", params.i, params.t), _ideal_labels, data.thetas, params.t)
         return mask[labels].astype(float)
-    return _kernel_matrix(strategy, params, data) @ mask.astype(float)
+    rows = strategy.derived(("K", params.i, params.t), _kernel_rows, data.thetas, params.t)
+    return rows @ mask.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +491,11 @@ def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVec
                       params.mode, dagger=False).reshape(-1)
     view = amps.reshape(dim, 1 << t, 2, 2)
     flip = np.where(threshold_mask(params))[0]
-    tmp = view[:, flip, 0, :].copy()
-    view[:, flip, 0, :] = view[:, flip, 1, :]
-    view[:, flip, 1, :] = tmp
+    view[:, flip] = view[:, flip, ::-1]  # th flips on the passing labels
     amps = _apply_est(amps.reshape(dim, -1), eig_full, eig_phases, t,
                       params.mode, dagger=True).reshape(-1)
     view = amps.reshape(dim, 1 << t, 2, 2)
-    tmp = view[:xz, :, :, 0].copy()
-    view[:xz, :, :, 0] = view[:xz, :, :, 1]
-    view[:xz, :, :, 1] = tmp
+    view[:xz] = view[:xz, :, :, ::-1]  # in flips where C = 0^m
     return StateVector(lay, amps)
 
 
@@ -574,9 +557,11 @@ class HRemainder:
     state: StateVector
 
 
-def _step_params(strategy, gammas, idx, gamma0, T, mode):
-    return PartitionParams(m=strategy.m, i=idx, gamma0=gamma0, T=T,
-                           gamma=float(gammas[idx - 1]), mode=mode)
+def _step(strategy, gammas, idx, current, gamma0, T, mode):
+    """Branches (b0, b1) of G_{idx, gamma_idx} on current."""
+    params = PartitionParams(m=strategy.m, i=idx, gamma0=gamma0, T=T,
+                             gamma=float(gammas[idx - 1]), mode=mode)
+    return _branches(strategy, params, current)[:2]
 
 
 def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
@@ -596,10 +581,8 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
         norm2 = float(np.vdot(current, current).real)
         if norm2 <= config.ZERO_STATE_TOL:
             raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
-        params = _step_params(strategy, gammas, idx, gamma0, T, mode)
-        b0, b1, _ = _branches(strategy, params, current)
-        want = b1 if c[idx - 1] == "1" else b0
-        other = b0 if c[idx - 1] == "1" else b1
+        b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
+        want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
         p_want = float(np.vdot(want, want).real) / norm2
         p_other = float(np.vdot(other, other).real) / norm2
         r = rng.random()
@@ -630,11 +613,9 @@ def partition_chain(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
     current = psi.amps.copy()
     kept, errs = [], []
     for idx in range(1, strategy.m + 1):
-        params = _step_params(strategy, gammas, idx, gamma0, T, mode)
-        b0, b1, _ = _branches(strategy, params, current)
+        b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
         errs.append(float(np.linalg.norm(current - b0 - b1) ** 2))
-        want = b1 if c[idx - 1] == "1" else b0
-        other = b0 if c[idx - 1] == "1" else b1
+        want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
         kept.append(want)
         current = other
     return ChainResult(
@@ -661,13 +642,9 @@ class ExtractOutcome:
 
 
 def _extract_frame(strategy: ProverStrategy, i: int):
-    """Cached (W, W^dagger, X_i accept mask, X_i value per index) for extract."""
-    key = ("extract", i)
-    if key not in strategy._cache:
-        w = _rotated_frame(strategy, i)
-        strategy._cache[key] = (w, w.conj().T, _accept_mask(strategy, i),
-                                _xi_values(strategy, i))
-    return strategy._cache[key]
+    """(W, W^dagger, X_i accept mask, X_i value per index) for extract."""
+    w = _rotated_frame(strategy, i)
+    return w, w.conj().T, _accept_mask(strategy, i), strategy.layout().values(f"X{i}")
 
 
 def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVector,
@@ -682,7 +659,8 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     """
     if n_rounds < 1:
         raise DomainError(f"n_rounds={n_rounds}")
-    w, wd, acc, xi_vals = _extract_frame(strategy, params.i)
+    w, wd, acc, xi_vals = strategy.derived(("extract", params.i), _extract_frame,
+                                           strategy, params.i)
     xz = strategy.xz_dim
     amps = state.amps.astype(np.complex128, copy=True)
     nrm = np.linalg.norm(amps)

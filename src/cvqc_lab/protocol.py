@@ -150,11 +150,12 @@ def _encode_coords(frames: list[bytes], values: list[int], shape: tuple) -> byte
 
 
 def _oracle_value(seed_bytes: bytes, key: bytes, out_bits: int) -> int:
-    """The oracle's out_bits-bit output for key under an 8-byte seed.
+    """The out_bits-bit output for key under a seed prefix.
 
     The output is the leading bytes of the sha256 stream of
     seed || key || counter (4-byte big-endian counter from 0), read
-    big-endian with the bits above out_bits cleared.
+    big-endian with the bits above out_bits cleared.  Oracle tables use
+    an 8-byte seed; effverify's PRG reads the same stream.
     """
     out_bytes = (out_bits + 7) // 8
     data = seed_bytes + key
@@ -192,7 +193,7 @@ class OracleTable(_OracleBits):
         self.out_bits = out_bits
         self.out_bytes = (out_bits + 7) // 8
         self.query_count = 0
-        self._cache: dict[bytes, bytes] = {}
+        self._entries: dict[bytes, bytes] = {}
         self._queried: set[bytes] = set()
 
     def _sample(self, key: bytes) -> bytes:
@@ -204,16 +205,16 @@ class OracleTable(_OracleBits):
             raise ProtocolError("oracle keys are bytes")
         self.query_count += 1
         self._queried.add(key)
-        if key not in self._cache:
-            self._cache[key] = self._sample(key)
-        return self._cache[key]
+        if key not in self._entries:
+            self._entries[key] = self._sample(key)
+        return self._entries[key]
 
     def program(self, key: bytes, value: bytes) -> None:
         if len(value) != self.out_bytes:
             raise WidthMismatch(f"value width {len(value)} vs {self.out_bytes}")
         if key in self._queried:
             raise OracleConflict("entry already observed; cannot reprogram")
-        self._cache[key] = value
+        self._entries[key] = value
 
     def salted(self, z: bytes) -> "SaltedOracle":
         return SaltedOracle(self, z)
@@ -690,18 +691,6 @@ class UnitaryCheat:
             return self._answer_one(c, rng)
         return _answer_coords(self, state, c, rng)
 
-    def _answer_states(self) -> tuple[StateVector, StateVector]:
-        """U applied to |c>_C (u0)|0>_{X,Z}, for c = 0 and c = 1."""
-        s = self.strategy
-        if "cheat_states" not in s._cache:
-            psi = np.zeros(s.xz_dim, dtype=np.complex128)
-            psi[0] = 1.0
-            if s.u0 is not None:
-                psi = s.u0.mat @ psi
-            s._cache["cheat_states"] = tuple(
-                StateVector(s.layout(), answer_amps(s, c, psi)) for c in (0, 1))
-        return s._cache["cheat_states"]
-
     def _outcome_cdfs(self) -> np.ndarray:
         """Per-challenge cumulative tables of the X measurement's outcomes.
 
@@ -709,18 +698,30 @@ class UnitaryCheat:
         the answer to challenge c: the Born probabilities' cumsum,
         divided by its last entry.
         """
-        if "cheat_cdfs" not in self.strategy._cache:
-            cdfs = np.array([outcome_probs(st, "X1").cumsum()
-                             for st in self._answer_states()])
-            self.strategy._cache["cheat_cdfs"] = cdfs / cdfs[:, -1:]
-        return self.strategy._cache["cheat_cdfs"]
+        states = self.strategy.derived("cheat_states", _cheat_states, self.strategy)
+        return self.strategy.derived("cheat_cdfs", _cheat_cdfs, states)
 
     def _answer_one(self, c, rng):
-        outcome, _, _ = measure(self._answer_states()[int(c)], "X1", rng)
+        states = self.strategy.derived("cheat_states", _cheat_states, self.strategy)
+        outcome, _, _ = measure(states[int(c)], "X1", rng)
         first, rest = int(outcome[0]), int(outcome[1:], 2)
         if c == "0":
             return ("test", first, rest)
         return ("had", first, rest)
+
+
+def _cheat_states(s: ProverStrategy) -> tuple[StateVector, StateVector]:
+    """U applied to |c>_C (u0)|0>_{X,Z}, for c = 0 and c = 1."""
+    psi = np.zeros(s.xz_dim, dtype=np.complex128)
+    psi[0] = 1.0
+    if s.u0 is not None:
+        psi = s.u0.mat @ psi
+    return tuple(StateVector(s.layout(), answer_amps(s, c, psi)) for c in (0, 1))
+
+
+def _cheat_cdfs(states) -> np.ndarray:
+    cdfs = np.array([outcome_probs(st, "X1").cumsum() for st in states])
+    return cdfs / cdfs[:, -1:]
 
 
 @dataclass
@@ -933,15 +934,26 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     toy instance or any repetition of it, are replayed in bulk; that
     route gives the same Stats as the per-trial route on the same seed.
     So are Honest and TestOnly under Fiat-Shamir, alone or inside an
-    FsGrinder, up to 64 challenge bits.
+    FsGrinder, up to 64 challenge bits.  An FsGrinder outside Fiat-Shamir
+    or inside another FsGrinder, and an Honest or TestOnly built for
+    another challenge width, are rejected before any trial runs.
     """
     if trials < 1:
         raise ProtocolError(f"trials={trials}")
-    if isinstance(p, TwoRoundFS):
-        grinder = type(adversary) is FsGrinder
-        inner = adversary.inner if grinder else adversary
-        draws = p.base.toy_draws
-        if (draws is not None and type(inner) in (Honest, TestOnly) and inner.p is p.base
+    hashed = isinstance(p, TwoRoundFS)
+    base = p.base if hashed else p
+    grinder = isinstance(adversary, FsGrinder)
+    inner = adversary.inner if grinder else adversary
+    if grinder and not hashed:
+        raise ProtocolError("FsGrinder needs a Fiat-Shamir protocol")
+    if isinstance(inner, FsGrinder):
+        raise ProtocolError("FsGrinder cannot wrap another FsGrinder")
+    if isinstance(inner, (Honest, TestOnly)) and inner.p.challenge_bits != base.challenge_bits:
+        raise WidthMismatch(f"strategy built for {inner.p.challenge_bits} challenge bits, "
+                            f"protocol has {base.challenge_bits}")
+    if hashed:
+        draws = base.toy_draws
+        if (draws is not None and type(inner) in (Honest, TestOnly) and inner.p is base
                 and draws.m <= _FS_MAX_M):
             return _run_fs_batch(draws, type(inner) is Honest and x == "yes",
                                  adversary.query_budget if grinder else 1, trials, seed)

@@ -92,6 +92,15 @@ class RegisterLayout:
             pos.extend(self.qubit_positions(n))
         return pos
 
+    def values(self, name: str) -> np.ndarray:
+        """The register's value, its bits read MSB-first, at every flat index."""
+        shift = 0
+        for n, w in reversed(self.registers):
+            if n == name:
+                return (np.arange(self.dim) >> shift) & ((1 << w) - 1)
+            shift += w
+        raise UnknownRegister(name)
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -152,12 +161,13 @@ class Operator:
     @classmethod
     def unitary(cls, mat) -> "Operator":
         mat = np.asarray(mat, dtype=np.complex128)
-        return cls(mat.shape[0], mat, "unitary")
+        # a 0-d array claims dim 0 and fails the shape check
+        return cls(mat.shape[0] if mat.ndim else 0, mat, "unitary")
 
     @classmethod
     def projector(cls, mat) -> "Operator":
         mat = np.asarray(mat, dtype=np.complex128)
-        return cls(mat.shape[0], mat, "projector")
+        return cls(mat.shape[0] if mat.ndim else 0, mat, "projector")
 
 
 def zeros(layout: RegisterLayout) -> StateVector:
@@ -217,20 +227,16 @@ def project(p: Operator, state: StateVector, targets) -> StateVector:
     return apply(p, state, targets)
 
 
-def _register_blocks(state: StateVector, register: str):
-    """The register's qubit positions, the amplitudes moved to the front,
-    one row of them per outcome, the row masses and the probabilities."""
+def _register_masses(state: StateVector, register: str):
+    """The register's value at every index, the outcome masses and probabilities."""
     total = state.norm2
     if total <= config.ZERO_STATE_TOL:
         raise ZeroState(f"norm^2 = {total:.3e}")
-    positions = state.layout.qubit_positions(register)
-    w = len(positions)
-    psi = state.amps.reshape((2,) * state.layout.total_qubits)
-    psi = np.moveaxis(psi, positions, range(w))
-    blocks = psi.reshape(1 << w, -1)
-    masses = np.einsum("ij,ij->i", blocks.conj(), blocks).real
+    vals = state.layout.values(register)
+    masses = np.bincount(vals, weights=(state.amps.conj() * state.amps).real,
+                         minlength=1 << state.layout.width(register))
     probs = np.clip(masses / total, 0.0, None)
-    return positions, psi, blocks, masses, probs / probs.sum()
+    return vals, masses, probs / probs.sum()
 
 
 def outcome_probs(state: StateVector, register: str) -> np.ndarray:
@@ -239,7 +245,7 @@ def outcome_probs(state: StateVector, register: str) -> np.ndarray:
     Taken relative to the state's squared norm, exactly as `measure`
     samples them; entry i is the outcome whose bits read i MSB-first.
     """
-    return _register_blocks(state, register)[-1]
+    return _register_masses(state, register)[-1]
 
 
 def measure(state: StateVector, register: str, rng: np.random.Generator):
@@ -250,11 +256,9 @@ def measure(state: StateVector, register: str, rng: np.random.Generator):
     the state's squared norm, so sub-normalized inputs behave like their
     normalized versions.
     """
-    positions, psi, blocks, masses, probs = _register_blocks(state, register)
-    w = len(positions)
-    outcome = int(rng.choice(1 << w, p=probs))
-    post_blocks = np.zeros_like(blocks)
-    post_blocks[outcome] = blocks[outcome] / np.sqrt(masses[outcome])
-    post = np.moveaxis(post_blocks.reshape((2,) * w + psi.shape[w:]), range(w), positions)
+    vals, masses, probs = _register_masses(state, register)
+    outcome = int(rng.choice(len(probs), p=probs))
+    post = np.where(vals == outcome, state.amps / np.sqrt(masses[outcome]), 0.0)
+    w = state.layout.width(register)
     bits = format(outcome, f"0{w}b") if w else ""
-    return bits, StateVector(state.layout, np.ascontiguousarray(post).reshape(-1)), float(probs[outcome])
+    return bits, StateVector(state.layout, post), float(probs[outcome])

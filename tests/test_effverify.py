@@ -1,5 +1,6 @@
 """Delegated verification: machine, stub backends, composed sessions."""
 
+import hashlib
 import json
 import time
 
@@ -277,6 +278,34 @@ class TestMalformedProgram:
 
         with pytest.raises(ValueError, match="prg down"):
             run_machine((("HASH",), ("HALT",)), b"", broken_prg, budget=10)
+
+class TestNegativeOperands:
+    @pytest.mark.parametrize("ins", [
+        ("SETI", -1, 5),    # would write r7
+        ("LOAD", 0, -1),    # would read memory byte 255
+        ("MOV", 0, -8),     # would read r0
+        ("OUT", -2),
+        ("ADD", -8, 0),
+        ("DEC", -1),
+        ("JNZ", -1, 0),
+    ])
+    def test_negative_operand_is_typed_failure(self, ins):
+        prog = (("HASH",), ("SETI", 0, 5), ins, ("OUT", 7), ("HALT",))
+        with pytest.raises(BackendFailure, match=r"at pc 2: negative operand"):
+            run_machine(prog, b"", _prg_bytes, budget=10)
+
+    def test_negative_immediate_still_wraps(self):
+        prog = (("SETI", 0, -1), ("OUT", 0), ("HALT",))
+        assert run_machine(prog, b"", _prg_bytes, budget=10) == ((2**64 - 1,), 3)
+
+
+class TestPrgStream:
+    def test_prg_is_the_sha256_counter_stream(self):
+        s = bytes(range(16))
+        want = b"".join(hashlib.sha256(b"prg" + s + i.to_bytes(4, "big")).digest()
+                        for i in range(8))
+        assert _prg_bytes(s) == want
+
 
 class TestStubFhe:
     def test_round_trip(self):

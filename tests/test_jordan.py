@@ -175,3 +175,24 @@ def test_json_dump_shape():
     assert d["dim"] == 2
     assert len(d["blocks2d"]) == 1 and d["blocks1d"] == []
     assert len(d["blocks2d"][0]["alpha"]) == 2
+
+
+def test_0d_projectors_are_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        jordan_decompose(1.0, 1.0)
+
+
+def test_raw_non_projector_is_rejected():
+    with pytest.raises(NotAProjector):
+        jordan_decompose(np.array([[1.0, 1.0], [0.0, 0.0]]), KET0)
+
+
+def test_eigvecs_are_q_eigenvectors_in_block_order():
+    rng = np.random.default_rng(81)
+    p0, p1 = random_projector(rng, 6, 2), random_projector(rng, 6, 3)
+    dec = jordan_decompose(p0, p1)
+    vecs, phases = dec.eigvecs()
+    q = (2 * p1 - np.eye(6)) @ (2 * p0 - np.eye(6))
+    assert np.allclose(q @ vecs, vecs * np.exp(1j * phases), atol=1e-9)
+    assert np.allclose(vecs[:, 0], dec.blocks2d[0].phi_plus)
+    assert np.array_equal(np.sort(phases), eigenphases(dec))

@@ -1,6 +1,7 @@
 """Partition-procedure tests: projectors, phase estimation, G/H/Ext."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -823,3 +824,32 @@ class TestExtractorStream:
                     h.update(repr((o.a_i, o.rounds_used)).encode())
                 h.update(rng.bit_generator.state["state"]["state"].to_bytes(16, "big"))
         assert h.hexdigest() == self.DIGEST
+
+
+class TestDerivedData:
+    def test_replaced_unitary_gets_fresh_spectral_data(self):
+        rng = np.random.default_rng(61)
+        s = random_strategy(rng, 1, x_width=2, z_width=1)
+        p = _params()
+        old = spectral_data(s, p)
+        u = Operator.unitary(haar_unitary(rng, s.dim))
+        got = spectral_data(replace(s, u=u), p)
+        want = spectral_data(ProverStrategy(m=1, x_width=2, z_width=1, u=u,
+                                            accept_sets=s.accept_sets), p)
+        assert got is not old
+        assert np.array_equal(got.thetas, want.thetas)
+        assert np.array_equal(got.alphas_xz, want.alphas_xz)
+        assert spectral_data(s, p) is old
+
+    def test_derived_builds_once_per_key(self):
+        s = _trivial_strategy()
+        calls = []
+
+        def build(*args):
+            calls.append(args)
+            return len(calls)
+
+        assert s.derived("k", build, 1, 2) == 1
+        assert s.derived("k", build, 3) == 1
+        assert s.derived("j", build) == 2
+        assert calls == [(1, 2), ()]

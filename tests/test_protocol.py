@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from cvqc_lab.partition import haar_unitary, random_strategy
+from cvqc_lab.partition import ProverStrategy, haar_unitary, random_strategy
 from cvqc_lab import protocol
 from cvqc_lab.protocol import (
     FsGrinder,
@@ -775,3 +775,74 @@ class TestOracleViewBits:
             assert len(salted.query_bits(key)) == 12
         bits = fresh.query_bits(b"\x00\x01")
         assert int(bits, 2) == int.from_bytes(fresh.query(b"\x00\x01"), "big")
+
+
+class TestCheatTablesPerStrategy:
+    def test_replaced_u0_gets_its_own_tables_and_rate(self):
+        rng = np.random.default_rng(9)
+        s = random_strategy(rng, 1, x_width=5, z_width=1)
+        p = parallel_repeat(toy_protocol(4), 2)
+        before = run_protocol(p, UnitaryCheat(s), "yes", trials=4000, seed=9)
+        u0 = Operator.unitary(haar_unitary(rng, s.xz_dim))
+        moved = UnitaryCheat(replace(s, u0=u0))
+        fresh = UnitaryCheat(ProverStrategy(m=1, x_width=5, z_width=1, u=s.u,
+                                            accept_sets=s.accept_sets, u0=u0))
+        got = run_protocol(p, moved, "yes", trials=4000, seed=9)
+        assert got == run_protocol(p, fresh, "yes", trials=4000, seed=9)
+        assert got.accepts != before.accepts
+        assert np.array_equal(moved._outcome_cdfs(), fresh._outcome_cdfs())
+        assert not np.array_equal(moved._outcome_cdfs(), UnitaryCheat(s)._outcome_cdfs())
+
+
+class TestMismatchedAdversary:
+    """Adversaries that do not fit the protocol fail with a typed error at entry."""
+
+    def test_grinder_outside_fiat_shamir(self):
+        p = parallel_repeat(toy_protocol(3), 2)
+        with pytest.raises(ProtocolError, match="Fiat-Shamir"):
+            run_protocol(p, FsGrinder(4, Honest(p)), "yes", trials=10, seed=1)
+
+    def test_grinder_inside_grinder(self):
+        p = parallel_repeat(toy_protocol(3), 2)
+        fs = fiat_shamir(p, OracleTable(1, 2))
+        with pytest.raises(ProtocolError, match="another FsGrinder"):
+            run_protocol(fs, FsGrinder(4, FsGrinder(2, Honest(p))), "yes", trials=10, seed=1)
+
+    def test_strategy_for_another_width_under_fiat_shamir(self):
+        toy = toy_protocol(3)
+        fs = fiat_shamir(parallel_repeat(toy, 2), OracleTable(1, 2))
+        with pytest.raises(WidthMismatch, match="3 challenge bits"):
+            run_protocol(fs, Honest(parallel_repeat(toy, 3)), "yes", trials=10, seed=1)
+        with pytest.raises(WidthMismatch):
+            run_protocol(fs, FsGrinder(3, protocol.TestOnly(toy)), "yes", trials=10, seed=1)
+
+    def test_strategy_for_another_width_interactive(self):
+        toy = toy_protocol(3)
+        with pytest.raises(WidthMismatch):
+            run_protocol(parallel_repeat(toy, 2), protocol.TestOnly(parallel_repeat(toy, 3)),
+                         "yes", trials=10, seed=1)
+
+    def test_strategy_for_another_toy_of_the_same_width_still_runs(self):
+        p = parallel_repeat(toy_protocol(3), 2)
+        st = run_protocol(p, Honest(parallel_repeat(toy_protocol(4), 2)), "yes",
+                          trials=10, seed=1)
+        assert st.trials == 10
+
+
+class TestWideSeeds:
+    """Root seeds whose entropy runs past SeedSequence's four-word pool."""
+
+    SEEDS = [2**200 + 12345, [1, 2, 3, 4, 5, 6], 2**127 + 5, [2**70, 3]]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_words_match_pcg64(self, seed):
+        children = np.random.SeedSequence(seed).spawn(6)
+        want = np.array([np.random.PCG64(c).random_raw(9) for c in children])
+        assert np.array_equal(protocol._trial_raw(seed, 0, 6, 9), want)
+
+    def test_bulk_stats_equal_per_trial(self):
+        seed = 2**200 + 12345
+        p = parallel_repeat(toy_protocol(4), 3)
+        for adv in (Honest(p), protocol.TestOnly(p)):
+            bulk = run_protocol(p, adv, "yes", trials=300, seed=seed)
+            assert bulk == protocol._run_per_trial(p, adv, "yes", trials=300, seed=seed)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cvqc_lab import qsim
 from cvqc_lab.qsim import (
+    outcome_probs,
     CapExceeded,
     DimensionMismatch,
     NotAProjector,
@@ -267,3 +268,34 @@ def test_qsim_module_has_no_hidden_norm_mutation():
     project(Operator.projector(P0), psi, ["q"])
     measure(psi, "q", np.random.default_rng(0))
     assert np.array_equal(psi.amps, before)
+
+
+def test_operator_rejects_0d_input():
+    for make in (Operator.unitary, Operator.projector):
+        with pytest.raises(DimensionMismatch):
+            make(1.0)
+
+
+def test_layout_values_read_register_bits():
+    lay = RegisterLayout((("a", 2), ("b", 0), ("c", 3), ("d", 1)))
+    idx = np.arange(lay.dim)
+    bits = [format(i, "06b") for i in idx]
+    for name, lo, hi in (("a", 0, 2), ("c", 2, 5), ("d", 5, 6), ("b", 2, 2)):
+        want = [int(b[lo:hi] or "0", 2) for b in bits]
+        assert lay.values(name).tolist() == want
+    with pytest.raises(UnknownRegister):
+        lay.values("e")
+
+
+def test_measure_middle_register_against_reshaped_reference():
+    lay = RegisterLayout((("a", 2), ("b", 2), ("c", 1)))
+    psi = _random_state(np.random.default_rng(71), lay)
+    blocks = np.moveaxis(psi.amps.reshape(4, 4, 2), 1, 0).reshape(4, -1)
+    masses = (np.abs(blocks) ** 2).sum(axis=1)
+    assert np.allclose(outcome_probs(psi, "b"), masses / masses.sum(), atol=1e-15)
+    bits, post, p = measure(psi, "b", np.random.default_rng(3))
+    k = int(bits, 2)
+    want = np.zeros((4, 4, 2), dtype=np.complex128)
+    want[:, k, :] = psi.amps.reshape(4, 4, 2)[:, k, :] / np.sqrt(masses[k])
+    assert np.allclose(post.amps, want.reshape(-1), atol=1e-15)
+    assert abs(p - masses[k] / masses.sum()) < 1e-15
