@@ -12,9 +12,9 @@ Q = (2 P1 - I)(2 P0 - I) is unitary and the space splits into
   - 1-D blocks spanned by a common eigenvector v of both projectors:
     P0 v = b v and P1 v = c v for bits b, c, and Q v = (2b-1)(2c-1) v.
 
-The construction runs one dense Schur decomposition of Q and then reads
-every block off the eigenvectors.  For an eigenvector u of Q with
-eigenvalue exp(i theta), theta in (0, pi):
+The construction diagonalises Q once with unitary_eig (numpy eigh only)
+and then reads every block off the eigenvectors.  For an eigenvector u
+of Q with eigenvalue exp(i theta), theta in (0, pi):
 
     alpha      = normalize(P0 u)                (norm is 1/sqrt(2))
     alpha_perp = -i (sqrt(2) u - alpha)         (already unit)
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import config
 from .qsim import DimensionMismatch, NotAProjector, Operator
@@ -141,6 +140,35 @@ def reflect(p) -> Operator:
     return Operator.unitary(2.0 * mat - np.eye(mat.shape[0]))
 
 
+def unitary_eig(q) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and orthonormal eigenvectors (columns) of a unitary q.
+
+    eigh of (q + q^dag)/2 gives cos(phi); each run of cosines within
+    EIGPHASE_TOL (an exp(+-i phi) pair, a degenerate eigenvalue) is split by
+    eigh of (q - q^dag)/2i on the run.  A non-normal q raises DegenerateNumerics."""
+    q = np.asarray(q, dtype=np.complex128)
+    n = len(q)
+    cos, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
+    vq = np.vstack([vecs, q @ vecs])  # column j holds v_j over q v_j
+    starts = np.flatnonzero(np.diff(cos, prepend=-np.inf) > config.EIGPHASE_TOL)
+    sizes = np.diff(starts, append=n)
+    for size in np.unique(sizes[sizes > 1]):  # all runs of one size at once
+        runs = starts[sizes == size, None] + np.arange(size)
+        r = np.einsum("iab,iac->abc", vq[:n, runs].conj(), vq[n:, runs])  # q on each run
+        w = np.linalg.eigh((r - r.conj().transpose(0, 2, 1)) / 2j)[1]
+        vq[:, runs] = np.einsum("iab,abc->iac", vq[:, runs], w)
+    # one first-order rotation on V^dag q V undoes the mixing of close cosines
+    rq = vq[:n].conj().T @ vq[n:]
+    lam = np.diag(rq)
+    gap = lam[None, :] - lam[:, None]
+    mix = np.divide(rq, gap, out=np.zeros_like(rq), where=np.abs(gap) > config.EIGPHASE_TOL)
+    vq = vq + vq @ (0.5 * (mix - mix.conj().T))
+    resid = np.max(np.abs(vq[n:] - vq[:n] * lam), initial=0.0)
+    if resid > config.DEGENERATE_LIMIT:
+        raise DegenerateNumerics(f"eigenvector residual max|qV - V Lambda| {resid:.3e}")
+    return np.angle(lam), vq[:n]
+
+
 def jordan_decompose(p0, p1) -> JordanDecomposition:
     """Split the space into Jordan blocks of the projector pair (p0, p1)."""
     m0 = _projector_matrix(p0)
@@ -150,14 +178,7 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     dim = m0.shape[0]
     q = (2.0 * m1 - np.eye(dim)) @ (2.0 * m0 - np.eye(dim))
 
-    # Q is unitary hence normal, so its complex Schur form is diagonal and
-    # the Schur basis is a full orthonormal eigenbasis.
-    tmat, zmat = scipy.linalg.schur(q, output="complex")
-    offdiag = np.max(np.abs(tmat - np.diag(np.diag(tmat)))) if dim > 1 else 0.0
-    if offdiag > config.DEGENERATE_LIMIT:
-        raise DegenerateNumerics(f"Schur form off-diagonal {offdiag:.3e}")
-    phases = np.angle(np.diag(tmat))
-
+    phases, qvecs = unitary_eig(q)
     tol = config.EIGPHASE_TOL
     plus = np.abs(phases) <= tol  # Q-eigenvalue +1
     minus = ~plus & (np.abs(np.abs(phases) - np.pi) <= tol)  # Q-eigenvalue -1
@@ -165,7 +186,7 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     n_conj = int(np.count_nonzero(~(plus | minus) & (phases <= 0)))
 
     th = phases[rot]
-    u = zmat[:, rot]
+    u = qvecs[:, rot]
     alpha = m0 @ u
     na = np.linalg.norm(alpha, axis=0)
     if np.any(na < config.DEGENERATE_LIMIT):
@@ -199,7 +220,7 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     for cols, same in ((plus, True), (minus, False)):
         if not cols.any():
             continue
-        vsub = zmat[:, cols]
+        vsub = qvecs[:, cols]
         restricted = vsub.conj().T @ m0 @ vsub
         evals, evecs = np.linalg.eigh(restricted)
         vecs = vsub @ evecs

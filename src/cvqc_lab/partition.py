@@ -21,8 +21,8 @@ Two execution routes are kept deliberately separate:
     registers, and is fast enough for exhaustive grid sweeps.
   - run_G_state executes the literal pipeline U_in U_est^dag U_th U_est
     on the full register space (C, X_1..X_m, Z, ph, th, in), in the Q
-    eigenbasis of the dense Schur route (eigenbasis: jordan_decompose
-    on build_projectors).
+    eigenbasis of the dense route (eigenbasis: jordan_decompose on
+    build_projectors, via jordan.unitary_eig).
 
 Tests cross-check the two routes, and so the two spectral sources,
 against each other; do not collapse them into one.
@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import config
-from .jordan import jordan_decompose
+from .jordan import jordan_decompose, unitary_eig
 from .qsim import (
     DimensionMismatch,
     MissingRegister,
@@ -333,13 +332,13 @@ def _principal_angles(strategy: ProverStrategy, params: PartitionParams) -> Spec
 def eigenbasis(strategy: ProverStrategy, params: PartitionParams) -> tuple[np.ndarray, np.ndarray]:
     """Cached full Q eigenbasis (dim x dim) and eigenphases of coordinate params.i.
 
-    Read off the dense Schur route, jordan_decompose on build_projectors,
-    so that run_G_state stays independent of spectral_data.
+    Read off jordan_decompose on build_projectors (the dense unitary_eig
+    route), so that run_G_state stays independent of spectral_data.
     """
-    return strategy.derived(("eig", params.i), _schur_eigvecs, strategy, params)
+    return strategy.derived(("eig", params.i), _jordan_eigvecs, strategy, params)
 
 
-def _schur_eigvecs(strategy: ProverStrategy, params: PartitionParams):
+def _jordan_eigvecs(strategy: ProverStrategy, params: PartitionParams):
     return jordan_decompose(*build_projectors(strategy, params)).eigvecs()
 
 
@@ -502,13 +501,12 @@ def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVec
 def estimation_unitary(q_mat: np.ndarray, t: int, mode: str) -> np.ndarray:
     """Dense U_est on (system (x) ph); small-t oracle for the fast paths."""
     dim = q_mat.shape[0]
-    tmat, zmat = scipy.linalg.schur(np.asarray(q_mat, dtype=np.complex128), output="complex")
-    phases = np.angle(np.diag(tmat))
+    phases, vecs = unitary_eig(q_mat)
     size = 1 << t
     out = np.zeros((dim * size, dim * size), dtype=np.complex128)
     for k in range(dim):
         kmat = _apply_kernel_column(np.eye(size, dtype=np.complex128), float(phases[k]), t, mode, dagger=False)
-        proj = np.outer(zmat[:, k], zmat[:, k].conj())
+        proj = np.outer(vecs[:, k], vecs[:, k].conj())
         out += np.kron(proj, kmat)
     return out
 
@@ -531,8 +529,8 @@ def phase_estimate(q: Operator, state: StateVector, params: PartitionParams, dag
     psi = np.moveaxis(psi, ph_pos, range(n - t, n))  # ph least significant
     flat = psi.reshape(sys_dim, 1 << t)
 
-    tmat, zmat = scipy.linalg.schur(q.mat, output="complex")
-    flat = _apply_est(flat, zmat, np.angle(np.diag(tmat)), t, params.mode, dagger)
+    phases, vecs = unitary_eig(q.mat)
+    flat = _apply_est(flat, vecs, phases, t, params.mode, dagger)
     psi = np.moveaxis(flat.reshape(psi.shape), range(n - t, n), ph_pos)
     return StateVector(state.layout, np.ascontiguousarray(psi).reshape(-1))
 
@@ -764,8 +762,9 @@ def random_strategy(rng: np.random.Generator, m: int, x_width: int = 1,
     """
     xz = 1 << (m * x_width + z_width)
     if controlled:
-        blocks = [haar_unitary(rng, xz) for _ in range(1 << m)]
-        u = scipy.linalg.block_diag(*blocks)
+        u = np.zeros(((1 << m) * xz,) * 2, dtype=np.complex128)
+        for k in range(0, len(u), xz):
+            u[k:k + xz, k:k + xz] = haar_unitary(rng, xz)
     else:
         u = haar_unitary(rng, (1 << m) * xz)
     return ProverStrategy(

@@ -634,6 +634,32 @@ class TestConsoleScript:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
 
+    def test_run_commands_never_import_scipy(self, tmp_path):
+        # partition-claims always adds the controlled test-round row, so the
+        # block-diagonal strategy placement runs as well
+        runs = [
+            ["jordan-demo", "--seed", "1", "--set", "pairs=3", "--set", "dim_max=6"],
+            ["partition-claims", "--seed", "2", "--set", "T=4", "--set", "m=2",
+             "--set", "strategies=1"],
+            ["repetition-sweep", "--seed", "3", "--set", "m_list=1,2", "--set", "trials=200"],
+            ["fs-attack", "--seed", "4", "--set", "m=2", "--set", "budgets=1,2",
+             "--set", "trials=100"],
+            ["effverify-demo", "--seed", "5", "--trials", "1", "--time-bound", "256"],
+        ]
+        script = (
+            "import sys\n"
+            "import cvqc_lab\n"
+            "import cvqc_lab.cli\n"
+            f"for k, args in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + f'/run{{k}}.csv'\n"
+            "    assert cvqc_lab.cli.main(args + ['--out', out]) == 0, args\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("run*.csv"))) == len(runs)
+
     def test_module_run_prints_nothing_on_stderr(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("claim_id,bound,measured\nx,1,0.5\n")

@@ -13,7 +13,9 @@ from cvqc_lab.jordan import (
     random_projector,
     reconstruct_check,
     reflect,
+    unitary_eig,
 )
+from cvqc_lab.partition import estimation_unitary, haar_unitary
 from cvqc_lab.qsim import DimensionMismatch, NotAProjector
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -196,3 +198,43 @@ def test_eigvecs_are_q_eigenvectors_in_block_order():
     assert np.allclose(q @ vecs, vecs * np.exp(1j * phases), atol=1e-9)
     assert np.allclose(vecs[:, 0], dec.blocks2d[0].phi_plus)
     assert np.array_equal(np.sort(phases), eigenphases(dec))
+
+
+def _haar(dim, seed=5):
+    return haar_unitary(np.random.default_rng(seed), dim)
+
+
+def _conjugated(phases):
+    w = _haar(len(phases), seed=len(phases))
+    return w @ np.diag(np.exp(1j * np.asarray(phases, dtype=float))) @ w.conj().T
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _haar(1), id="haar-1"),
+    pytest.param(lambda: _haar(2), id="haar-2"),
+    pytest.param(lambda: _haar(7), id="haar-7"),
+    pytest.param(lambda: _haar(64), id="haar-64"),
+    pytest.param(lambda: _conjugated([0.0] * 5), id="identity"),
+    pytest.param(lambda: _conjugated([0.0, 0.0, np.pi, np.pi]), id="plus-minus-one"),
+    pytest.param(lambda: _conjugated([np.pi / 3, -np.pi / 3] * 3), id="repeated-pairs"),
+    pytest.param(lambda: _conjugated([0.4, np.pi - 0.4, -0.4, 0.0]), id="equal-sines"),
+])
+def test_unitary_eig_matches_dense_eigvals(make):
+    q = make()
+    dim = q.shape[0]
+    phases, vecs = unitary_eig(q)
+
+    def canonical(ph):
+        return np.sort(np.where(ph < -np.pi + 1e-9, ph + 2 * np.pi, ph))
+
+    assert np.max(np.abs(canonical(phases) - canonical(np.angle(np.linalg.eigvals(q))))) <= 1e-12
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-12
+    assert np.max(np.abs(q @ vecs - vecs * np.exp(1j * phases))) <= 1e-12
+
+
+def test_unitary_eig_rejects_non_normal():
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateNumerics):
+        unitary_eig(shear)
+    with pytest.raises(DegenerateNumerics):
+        estimation_unitary(shear, 2, "ideal")
