@@ -454,6 +454,8 @@ class TwoRoundInner:
         return (y, tuple(("had", 0, 0) for _ in range(self.m)))
 
     def v_out(self, x, k, td, e) -> bool:
+        if not (isinstance(e, tuple) and len(e) == 2):
+            return False
         y, a = e
         return self.fs.verify(x, k, td, y, a)
 

@@ -94,29 +94,6 @@ class JordanDecomposition:
             phases.append(0.0 if blk.b == blk.c else np.pi)
         return np.column_stack(cols), np.array(phases)
 
-    def to_json_dict(self) -> dict:
-        def vec(v):
-            return [[float(x.real), float(x.imag)] for x in v]
-
-        return {
-            "dim": self.dim,
-            "blocks2d": [
-                {
-                    "theta": blk.theta,
-                    "p": blk.p,
-                    "alpha": vec(blk.alpha),
-                    "alpha_perp": vec(blk.alpha_perp),
-                    "beta": vec(blk.beta),
-                    "beta_perp": vec(blk.beta_perp),
-                }
-                for blk in self.blocks2d
-            ],
-            "blocks1d": [
-                {"b": blk.b, "c": blk.c, "vector": vec(blk.vector)}
-                for blk in self.blocks1d
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class Residuals:

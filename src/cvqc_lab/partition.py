@@ -72,7 +72,6 @@ class PartitionParams:
     T: int
     gamma: float
     mode: str = "ideal"
-    t: int = 0  # 0 means: use tau
 
     def __post_init__(self):
         if self.m < 1 or not 1 <= self.i <= self.m:
@@ -88,10 +87,6 @@ class PartitionParams:
             raise DomainError(f"gamma={self.gamma} not on the grid")
         if self.mode not in ("ideal", "kernel"):
             raise DomainError(f"mode={self.mode!r}")
-        if self.t == 0:
-            object.__setattr__(self, "t", self.tau)
-        if self.t < self.tau:
-            raise DomainError(f"t={self.t} below precision requirement tau={self.tau}")
 
     @property
     def delta(self) -> float:
@@ -100,6 +95,11 @@ class PartitionParams:
     @property
     def tau(self) -> int:
         return math.ceil(math.log2(8.0 / self.delta))
+
+    @property
+    def t(self) -> int:
+        """Phase-register width: exactly the tau bits the precision needs."""
+        return self.tau
 
 
 def gamma_grid(gamma0: float, T: int) -> np.ndarray:

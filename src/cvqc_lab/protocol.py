@@ -1,4 +1,4 @@
-"""Four-round public-coin protocols and their combinators.
+"""A toy four-round public-coin protocol, its parallel repetition and Fiat-Shamir.
 
 The protocol shape is the standard one: V1 emits a key pair (k, td), the
 prover commits y, V3 tosses public coins c, the prover answers a, and
@@ -6,10 +6,13 @@ V_out judges the transcript.  Challenge bit 0 is the test round, which is
 verifiable from public data alone; bit 1 is the Hadamard round, which
 needs the trapdoor.
 
-This module provides a small concrete instance (`toy_protocol`) with a
-real completeness/soundness gap, an m-fold parallel repetition
-combinator, a Fiat-Shamir combinator over a lazily sampled oracle table,
-and the adversary strategies the experiments use.  Security here is
+One frozen value, FourRoundProtocol(n, shape), is a small concrete
+instance with a real completeness/soundness gap, repeated in parallel to
+a shape; `toy_protocol` and `parallel_repeat` build it.  `run_protocol`
+plays trials through its per-trial methods, the reference, or replays
+them as arrays through its bulk methods.  The module also has a
+Fiat-Shamir combinator over a lazily sampled oracle table and the
+adversary strategies the experiments use.  Security here is
 experimental, not cryptographic: the oracle is a deterministic
 pseudorandom table, and the toy instance's Hadamard round encodes its
 soundness assumption directly (no-instances reject that round outright).
@@ -133,8 +136,8 @@ def _encode_coords(frames: list[bytes], values: list[int], shape: tuple) -> byte
     """encode(y) of a toy commitment from its flat coordinate values.
 
     shape lists the repetition factors innermost first, as
-    _ToyDraws.shape does: () is a bare int, (m,) an m-tuple, (a, b) a
-    b-tuple of a-tuples.
+    FourRoundProtocol.shape does: () is a bare int, (m,) an m-tuple,
+    (a, b) a b-tuple of a-tuples.
     """
     parts = [frames[v] for v in values]
     if not shape:
@@ -256,55 +259,7 @@ class RoutedOracle(_OracleBits):
 
 
 # ---------------------------------------------------------------------------
-# Protocol shells
-
-
-@dataclass(frozen=True)
-class FourRoundProtocol:
-    """Message shape: V1 -> (k, td); P2 -> y; V3 -> c; P4 -> a; V_out.
-
-    v3 takes only an rng, so the challenge is a public coin by
-    construction.  v_out_coords returns the per-coordinate verdicts, a
-    one-entry list for a base protocol; v_out is their conjunction.
-    """
-
-    name: str
-    challenge_bits: int
-    v1: Callable
-    p2: Callable
-    v3: Callable
-    p4: Callable
-    public_test_verify: Callable
-    v_out_coords: Callable
-    # set only by the toy instance and its repetitions, whose trials
-    # run_protocol can replay in bulk (see _ToyDraws)
-    toy_draws: _ToyDraws | None = None
-
-    def v_out(self, x, k, td, y, c, a) -> bool:
-        return all(self.v_out_coords(x, k, td, y, c, a))
-
-
-@dataclass(frozen=True)
-class Transcript:
-    x: object
-    k: object
-    y: object
-    c: str
-    a: object
-    verdict: bool
-
-    def serialize(self) -> bytes:
-        flag = 1 if self.verdict else 0
-        return encode((self.x, self.k, self.y, self.c, self.a, flag))
-
-    @staticmethod
-    def deserialize(buf: bytes) -> "Transcript":
-        x, k, y, c, a, flag = decode(buf)
-        return Transcript(x=x, k=k, y=y, c=c, a=a, verdict=bool(flag))
-
-
-# ---------------------------------------------------------------------------
-# The toy instance
+# The toy protocol
 #
 # Keys are a pair of n-bit strings x0, x1 whose xor has odd parity.  A
 # commitment is y = r ^ x_b for prover-chosen (b, r), so each y has one
@@ -316,48 +271,149 @@ class Transcript:
 # as a hardness claim, which keeps the combinator experiments honest
 # about what they establish.
 
-_TOY_STATE_TAG = "toy-honest"
-
 
 def _parity(v: int) -> int:
     return int(v).bit_count() & 1
 
 
+def _uint(v, bits: int) -> bool:
+    """Whether v is an integer in 0..2^bits - 1."""
+    return isinstance(v, (int, np.integer)) and 0 <= v < 1 << bits
+
+
 @dataclass(frozen=True)
-class _ToyDraws:
-    """Where a toy trial's draws sit in its stream of PCG64 outputs.
+class FourRoundProtocol:
+    """The toy protocol on n-bit strings, repeated in parallel to a shape.
 
-    One trial of the m-coordinate toy protocol first makes v1's draws
-    (x0, x1) per coordinate.  Against Honest or TestOnly, p2 then draws
-    (b, r, d) per coordinate and v3 one coin per coordinate: 6m scalar
-    draws.  Against UnitaryCheat, the commitment draws y per coordinate,
-    v3 the coins, and each coordinate's measurement one double: 4m scalar
-    draws, then m doubles.  Every scalar range is a power of two no wider
-    than 2^32, for which numpy's Lemire sampler never rejects: each draw
-    is the top bits of one next_uint32.  PCG64 hands out the low half of
-    each 64-bit output before the high half, and a double is the top 53
-    bits of one whole output, so either layout is 3m raw outputs.
-
-    Under Fiat-Shamir, a trial first draws its oracle seed with
-    integers(1 << 62), which is one whole 64-bit output shifted right by
-    2 (the range is a power of two, so there is no rejection).  Then come
-    v1's 2m scalar draws and, for each commitment attempt, p2's 3m
-    (b, r, d per coordinate); there is no coin.  So the seed and v1 take
-    1 + m raw outputs, and every two attempts another 3m.
-
+    Message shape: V1 -> (k, td); P2 -> y; V3 -> c; P4 -> a; V_out.
     shape holds the repetition factors, innermost first: () for the bare
     toy, (m,) for its m-fold repetition, (a, b) for b copies of the
-    a-fold one.  Draws run coordinate by coordinate in flat order for
-    every shape; only encode(y), and so a hashed challenge, sees the
-    nesting.
+    a-fold one.  Messages nest to the shape (a bare coordinate, an
+    m-tuple, a b-tuple of a-tuples); the challenge is one public coin
+    per coordinate, and v3 takes only an rng, so it is public by
+    construction.  The verifier accepts iff every coordinate does;
+    messages that do not nest to the shape get all-False verdicts.
+
+    The per-trial methods draw coordinate by coordinate in flat order for
+    every shape, so a repetition has the draw layout of its flat width;
+    only encode(y), and so a hashed challenge, sees the nesting.  The
+    array methods further down replay those draws in bulk.
     """
 
     n: int
     shape: tuple = ()
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ProtocolError(f"num_qubits={self.n}")
+        # a cheating unitary acts on 1 (C) + 1 (b) + n (r) qubits
+        if self.n + 2 > config.QUBIT_CAP:
+            raise CapExceeded(f"{self.n + 2} qubits exceed cap {config.QUBIT_CAP}")
+        for m in self.shape:
+            if m < 1:
+                raise ProtocolError(f"m={m}")
+
     @property
     def m(self) -> int:
+        """The number of coordinates, and so of challenge bits."""
         return math.prod(self.shape)
+
+    def _flat(self, message) -> list | None:
+        """The coordinates of a message nested to the shape, or None if it is not."""
+        coords = [message]
+        for size in reversed(self.shape):
+            if not all(isinstance(v, tuple) and len(v) == size for v in coords):
+                return None
+            coords = [v for level in coords for v in level]
+        return coords
+
+    def _nest(self, coords: list):
+        """The message nested to the shape whose coordinates are coords."""
+        for size in self.shape:
+            coords = [tuple(coords[i:i + size]) for i in range(0, len(coords), size)]
+        return coords[0]
+
+    def _coords(self, *messages) -> list | None:
+        """Each coordinate's parts of messages, or None if one does not nest to the shape."""
+        flats = [self._flat(v) for v in messages]
+        return None if None in flats else list(zip(*flats))
+
+    def v1(self, security, x, rng):
+        keys = []
+        for _ in range(self.m):
+            x0, x1 = int(rng.integers(1 << self.n)), int(rng.integers(1 << self.n))
+            # force odd parity of the claw difference
+            keys.append((x0, x1 ^ _parity(x0 ^ x1) ^ 1))
+        k = self._nest(keys)
+        return k, k
+
+    def p2(self, x, k, rng):
+        ys, states = [], []
+        for key in self._flat(k):
+            b, r = int(rng.integers(2)), int(rng.integers(1 << self.n))
+            d = int(rng.integers(1 << self.n))  # Hadamard answer, drawn up front
+            ys.append(r ^ key[b])
+            states.append((key, b, r, d))
+        return self._nest(ys), self._nest(states)
+
+    def v3(self, rng) -> str:
+        return "".join("01"[rng.integers(2)] for _ in range(self.m))
+
+    def p4(self, state, c):
+        return self._nest([("test", b, r) if ci == "0"
+                           else ("had", _parity(d & (key[0] ^ key[1])), d)
+                           for (key, b, r, d), ci in zip(self._flat(state), c)])
+
+    def _test_ok(self, key, y, a) -> bool:
+        """One coordinate's test round: a = ("test", b, r) opens y as r ^ x_b."""
+        if not (isinstance(a, tuple) and len(a) == 3 and a[0] == "test"):
+            return False
+        _, b, r = a
+        return _uint(b, 1) and _uint(r, self.n) and (r ^ key[b]) == y
+
+    def _had_ok(self, x, td, a) -> bool:
+        """One coordinate's Hadamard round: a = ("had", m0, d) with d != 0, on a yes-instance."""
+        if not (isinstance(a, tuple) and len(a) == 3 and a[0] == "had"):
+            return False
+        _, m0, d = a
+        return x == "yes" and _uint(d, self.n) and d != 0 and m0 == _parity(d & (td[0] ^ td[1]))
+
+    def public_test_verify(self, x, k, y, a) -> bool:
+        """Whether every coordinate passes its test round, from public data alone."""
+        coords = self._coords(k, y, a)
+        return coords is not None and all(self._test_ok(*parts) for parts in coords)
+
+    def v_out_coords(self, x, k, td, y, c, a) -> list[bool]:
+        """The per-coordinate verdicts, in flat order; v_out is their conjunction."""
+        coords = self._coords(k, td, y, a)
+        if coords is None or not (isinstance(c, str) and len(c) == self.m):
+            return [False] * self.m
+        return [self._test_ok(key, yi, ai) if ci == "0" else self._had_ok(x, tdi, ai)
+                for (key, tdi, yi, ai), ci in zip(coords, c)]
+
+    def v_out(self, x, k, td, y, c, a) -> bool:
+        return all(self.v_out_coords(x, k, td, y, c, a))
+
+    # The bulk route's view of the same trials: where a trial's draws sit
+    # in its stream of PCG64 outputs.
+    #
+    # One interactive trial first makes v1's draws (x0, x1) per coordinate.
+    # Against Honest or TestOnly, p2 then draws (b, r, d) per coordinate and
+    # v3 one coin per coordinate: 6m scalar draws.  Against UnitaryCheat,
+    # the commitment draws y per coordinate, v3 the coins, and each
+    # coordinate's measurement one double: 4m scalar draws, then m doubles.
+    # Every scalar range is a power of two no wider than 2^32, for which
+    # numpy's Lemire sampler never rejects: each draw is the top bits of one
+    # next_uint32.  PCG64 hands out the low half of each 64-bit output
+    # before the high half, and a double is the top 53 bits of one whole
+    # output, so either layout is 3m raw outputs.
+    #
+    # Under Fiat-Shamir, a trial first draws its oracle seed with
+    # integers(1 << 62), which is one whole 64-bit output shifted right by 2
+    # (the range is a power of two, so there is no rejection).  Then come
+    # v1's 2m scalar draws and, for each commitment attempt, p2's 3m (b, r,
+    # d per coordinate); there is no coin.  So the seed and v1 take 1 + m
+    # raw outputs, and every two attempts another 3m.
 
     @property
     def raw_per_trial(self) -> int:
@@ -431,139 +487,43 @@ class _ToyDraws:
         return c, np.where(c == 0, test_ok, had_ok)
 
 
-def toy_protocol(num_qubits: int,
-                 accept_rule: Callable | None = None) -> FourRoundProtocol:
-    """Concrete base instance; num_qubits is the width n of r and d.
+@dataclass(frozen=True)
+class Transcript:
+    x: object
+    k: object
+    y: object
+    c: str
+    a: object
+    verdict: bool
+
+    def serialize(self) -> bytes:
+        flag = 1 if self.verdict else 0
+        return encode((self.x, self.k, self.y, self.c, self.a, flag))
+
+    @staticmethod
+    def deserialize(buf: bytes) -> "Transcript":
+        x, k, y, c, a, flag = decode(buf)
+        return Transcript(x=x, k=k, y=y, c=c, a=a, verdict=bool(flag))
+
+
+def toy_protocol(num_qubits: int) -> FourRoundProtocol:
+    """The bare toy instance; num_qubits is the width n of r and d.
 
     The statement x is the literal string "yes" for yes-instances; the
     Hadamard round rejects every other statement, so for any other x an
     honest prover wins only the test rounds.
-
-    accept_rule, when given, replaces the Hadamard-round predicate; its
-    signature is (x, k, td, y, a) -> bool.
     """
-    n = num_qubits
-    if n < 1:
-        raise ProtocolError(f"num_qubits={n}")
-    # a cheating unitary acts on 1 (C) + 1 (b) + n (r) qubits
-    if n + 2 > config.QUBIT_CAP:
-        raise CapExceeded(f"{n + 2} qubits exceed cap {config.QUBIT_CAP}")
-    mask = (1 << n) - 1
-    size = 1 << n
-
-    def v1(security, x, rng):
-        x0 = int(rng.integers(size))
-        x1 = int(rng.integers(size))
-        if (x0 ^ x1).bit_count() & 1 == 0:
-            x1 ^= 1  # force odd parity of the claw difference
-        k = (x0, x1)
-        return k, k
-
-    def p2(x, k, rng):
-        b = int(rng.integers(2))
-        r = int(rng.integers(size))
-        d = int(rng.integers(size))  # Hadamard answer, drawn up front
-        y = r ^ k[b]
-        return y, (_TOY_STATE_TAG, x, k, b, r, y, d)
-
-    def v3(rng):
-        return "01"[rng.integers(2)]
-
-    def p4(state, c):
-        _, x, k, b, r, y, d = state
-        if c == "0":
-            return ("test", b, r)
-        return ("had", _parity(d & (k[0] ^ k[1])), d)
-
-    def public_test_verify(x, k, y, a):
-        if not (isinstance(a, tuple) and len(a) == 3 and a[0] == "test"):
-            return False
-        _, b, r = a
-        return b in (0, 1) and 0 <= r <= mask and (r ^ k[b]) == y
-
-    def hadamard_verify(x, k, td, y, a):
-        if not (isinstance(a, tuple) and len(a) == 3 and a[0] == "had"):
-            return False
-        _, m0, d = a
-        if x != "yes" or d == 0 or not 0 <= d <= mask:
-            return False
-        return m0 == _parity(d & (td[0] ^ td[1]))
-
-    rule = accept_rule if accept_rule is not None else hadamard_verify
-
-    def v_out_coords(x, k, td, y, c, a):
-        if c == "0":
-            return [public_test_verify(x, k, y, a)]
-        return [rule(x, k, td, y, a)]
-
-    return FourRoundProtocol(
-        name=f"toy[{n}]",
-        challenge_bits=1,
-        v1=v1,
-        p2=p2,
-        v3=v3,
-        p4=p4,
-        public_test_verify=public_test_verify,
-        v_out_coords=v_out_coords,
-        toy_draws=_ToyDraws(n) if accept_rule is None and n <= 32 else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Parallel repetition
+    return FourRoundProtocol(num_qubits)
 
 
 def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
-    """m independent copies; accept iff every coordinate accepts.
+    """m independent copies of p; accept iff every coordinate accepts.
 
-    Messages become m-tuples and the challenge the concatenation of m
-    coins.  m = 1 still wraps messages in 1-tuples, so callers can rely
-    on one shape.
+    Messages become m-tuples of p's messages and the challenge the
+    concatenation of m of p's.  m = 1 still wraps messages in 1-tuples,
+    so callers can rely on one shape.
     """
-    if m < 1:
-        raise ProtocolError(f"m={m}")
-    width = p.challenge_bits
-
-    def v1(security, x, rng):
-        ks, ts = zip(*[p.v1(security, x, rng) for _ in range(m)])
-        return ks, ts
-
-    def p2(x, k, rng):
-        ys, ss = zip(*[p.p2(x, k[i], rng) for i in range(m)])
-        return ys, ss
-
-    def v3(rng):
-        return "".join(p.v3(rng) for _ in range(m))
-
-    def p4(state, c):
-        return tuple(
-            p.p4(state[i], c[i * width:(i + 1) * width]) for i in range(m))
-
-    def v_out_coords(x, k, td, y, c, a):
-        out = []
-        for i in range(m):
-            ci = c[i * width:(i + 1) * width]
-            out.extend(p.v_out_coords(x, k[i], td[i], y[i], ci, a[i]))
-        return out
-
-    def public_test_verify(x, k, y, a):
-        return all(p.public_test_verify(x, k[i], y[i], a[i]) for i in range(m))
-
-    # every shape draws coordinate by coordinate in flat order, so a
-    # repeated toy (nested or not) has the draw layout of its flat width;
-    # the shape is kept for encode(y)
-    inner = p.toy_draws
-    return FourRoundProtocol(
-        name=f"{p.name}^{m}",
-        challenge_bits=m * width,
-        v1=v1,
-        p2=p2,
-        v3=v3,
-        p4=p4,
-        public_test_verify=public_test_verify,
-        v_out_coords=v_out_coords,
-        toy_draws=_ToyDraws(inner.n, inner.shape + (m,)) if inner else None,
-    )
+    return FourRoundProtocol(p.n, p.shape + (m,))
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +538,10 @@ class TwoRoundFS:
     oracle: OracleTable
 
     def __post_init__(self):
-        if self.oracle.out_bits != self.base.challenge_bits:
+        if self.oracle.out_bits != self.base.m:
             raise WidthMismatch(
                 f"oracle width {self.oracle.out_bits} vs challenge width "
-                f"{self.base.challenge_bits}")
+                f"{self.base.m}")
 
     def challenge_of(self, y) -> str:
         return self.oracle.query_bits(encode(y))
@@ -592,7 +552,10 @@ class TwoRoundFS:
         return y, self.base.p4(state, c)
 
     def verify(self, x, k, td, y, a) -> bool:
-        c = self.challenge_of(y)
+        try:
+            c = self.challenge_of(y)
+        except ProtocolError:
+            return False  # y has no canonical encoding, so no challenge
         return self.base.v_out(x, k, td, y, c, a)
 
 
@@ -608,17 +571,6 @@ def fiat_shamir(p: FourRoundProtocol, oracle: OracleTable) -> TwoRoundFS:
 # interactive or the Fiat-Shamir flow.
 
 
-def _is_toy_state(state) -> bool:
-    return isinstance(state, tuple) and bool(state) and state[0] == _TOY_STATE_TAG
-
-
-def _answer_coords(strategy, state, c, rng):
-    """Answer each coordinate of a repeated state with its slice of c."""
-    w = len(c) // len(state)
-    return tuple(strategy.answer(state[i], c[i * w:(i + 1) * w], rng)
-                 for i in range(len(state)))
-
-
 class Honest:
     """Follows the protocol exactly."""
 
@@ -632,7 +584,7 @@ class Honest:
         return self.p.p4(state, c)
 
 
-class TestOnly:
+class TestOnly(Honest):
     """Commits honestly, answers test rounds perfectly, throws the rest.
 
     The Hadamard sentinel ("had", 0, 0) is rejected by construction, so
@@ -640,19 +592,9 @@ class TestOnly:
     round: rate 2^-m under m-fold repetition.
     """
 
-    def __init__(self, p: FourRoundProtocol):
-        self.p = p
-
-    def commit(self, x, k, rng):
-        return self.p.p2(x, k, rng)
-
     def answer(self, state, c, rng):
-        if _is_toy_state(state):
-            _, x, k, b, r, y, d = state
-            if c == "0":
-                return ("test", b, r)
-            return ("had", 0, 0)
-        return _answer_coords(self, state, c, rng)
+        return self.p._nest([("test", b, r) if ci == "0" else ("had", 0, 0)
+                             for (_, b, r, _), ci in zip(self.p._flat(state), c)])
 
 
 class UnitaryCheat:
@@ -689,7 +631,10 @@ class UnitaryCheat:
     def answer(self, state, c, rng):
         if isinstance(state, tuple) and state and state[0] == "cheat":
             return self._answer_one(c, rng)
-        return _answer_coords(self, state, c, rng)
+        # a repeated state: answer each coordinate with its slice of c
+        w = len(c) // len(state)
+        return tuple(self.answer(state[i], c[i * w:(i + 1) * w], rng)
+                     for i in range(len(state)))
 
     def _outcome_cdfs(self) -> np.ndarray:
         """Per-challenge cumulative tables of the X measurement's outcomes.
@@ -930,13 +875,17 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     queries counts the prover's oracle calls and stays 0 when no oracle
     is involved.
 
-    Honest, TestOnly, and a UnitaryCheat of the toy's width, against the
-    toy instance or any repetition of it, are replayed in bulk; that
-    route gives the same Stats as the per-trial route on the same seed.
-    So are Honest and TestOnly under Fiat-Shamir, alone or inside an
-    FsGrinder, up to 64 challenge bits.  An FsGrinder outside Fiat-Shamir
-    or inside another FsGrinder, and an Honest or TestOnly built for
-    another challenge width, are rejected before any trial runs.
+    Trials take one of two routes with the same Stats on the same seed.
+    The bulk route replays, as arrays over the protocol's draw layout,
+    an Honest or TestOnly built for a protocol equal to this one and a
+    UnitaryCheat whose strategy acts on the protocol's width n; under
+    Fiat-Shamir it replays the Honest or TestOnly, alone or inside an
+    FsGrinder, up to 64 challenge bits.  Every other adversary runs on
+    the per-trial route, which calls the protocol's methods trial by
+    trial and is the bulk route's reference.  An FsGrinder outside
+    Fiat-Shamir or inside another FsGrinder, and an Honest or TestOnly
+    built for a protocol of another shape, are rejected before any
+    trial runs.
     """
     if trials < 1:
         raise ProtocolError(f"trials={trials}")
@@ -948,26 +897,23 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
         raise ProtocolError("FsGrinder needs a Fiat-Shamir protocol")
     if isinstance(inner, FsGrinder):
         raise ProtocolError("FsGrinder cannot wrap another FsGrinder")
-    if isinstance(inner, (Honest, TestOnly)) and inner.p.challenge_bits != base.challenge_bits:
-        raise WidthMismatch(f"strategy built for {inner.p.challenge_bits} challenge bits, "
-                            f"protocol has {base.challenge_bits}")
+    if isinstance(inner, Honest) and inner.p.shape != base.shape:
+        raise WidthMismatch(f"strategy built for shape {inner.p.shape} "
+                            f"({inner.p.m} challenge bits), "
+                            f"protocol has shape {base.shape}")
     if hashed:
-        draws = base.toy_draws
-        if (draws is not None and type(inner) in (Honest, TestOnly) and inner.p is base
-                and draws.m <= _FS_MAX_M):
-            return _run_fs_batch(draws, type(inner) is Honest and x == "yes",
+        if type(inner) in (Honest, TestOnly) and inner.p == base and base.m <= _FS_MAX_M:
+            return _run_fs_batch(base, type(inner) is Honest and x == "yes",
                                  adversary.query_budget if grinder else 1, trials, seed)
         return _run_per_trial(p, adversary, x, trials, seed)
-    draws = getattr(p, "toy_draws", None)
     kind = type(adversary)
-    if draws is not None and kind in (Honest, TestOnly) and adversary.p is p:
-        verdicts = partial(draws.plain_verdicts, had_ok=kind is Honest and x == "yes")
-    elif draws is not None and kind is UnitaryCheat and adversary.n == draws.n:
-        verdicts = partial(draws.cheat_verdicts, cdfs=adversary._outcome_cdfs(),
-                           yes=x == "yes")
+    if kind in (Honest, TestOnly) and adversary.p == p:
+        verdicts = partial(p.plain_verdicts, had_ok=kind is Honest and x == "yes")
+    elif kind is UnitaryCheat and adversary.n == p.n:
+        verdicts = partial(p.cheat_verdicts, cdfs=adversary._outcome_cdfs(), yes=x == "yes")
     else:
         return _run_per_trial(p, adversary, x, trials, seed)
-    return _run_toy_batch(draws, verdicts, trials, seed)
+    return _run_toy_batch(p, verdicts, trials, seed)
 
 
 def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
@@ -987,12 +933,12 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
     return _stats(trials, accepts, counts, queries)
 
 
-def _run_toy_batch(draws: _ToyDraws, verdicts: Callable, trials: int,
+def _run_toy_batch(p: FourRoundProtocol, verdicts: Callable, trials: int,
                    seed: int) -> Stats:
     """Stats from verdicts(raw) -> (c, ok), per trial and coordinate."""
     accepts = 0
     counts = {"test": [0, 0], "hadamard": [0, 0]}
-    for raw in _trial_streams(seed, trials, draws.raw_per_trial):
+    for raw in _trial_streams(seed, trials, p.raw_per_trial):
         c, ok = verdicts(raw)
         had = c == 1
         accepts += int(np.count_nonzero(ok.all(axis=1)))
@@ -1013,7 +959,7 @@ _FS_MAX_M = 64
 _FS_WINDOW_RAW = 4 * 4096
 
 
-def _run_fs_batch(draws: _ToyDraws, had_ok: bool, budget: int, trials: int,
+def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
                   seed) -> Stats:
     """Stats of Honest or TestOnly under Fiat-Shamir, alone (budget 1) or grinding.
 
@@ -1023,14 +969,14 @@ def _run_fs_batch(draws: _ToyDraws, had_ok: bool, budget: int, trials: int,
     windows over the trials still grinding, two at a time or as many as
     fit in _FS_WINDOW_RAW raw outputs.
     """
-    m, shape = draws.m, draws.shape
-    frames = _int_frames(draws.n)
+    m, shape = p.m, p.shape
+    frames = _int_frames(p.n)
     # two attempts of a chunk's trials fill one window
     per_chunk = max(1, min(_TRIAL_CHUNK, _FS_WINDOW_RAW // (3 * m)))
     accepts = queries = 0
     for start in range(0, trials, per_chunk):
         streams = _TrialStreams(seed, start, min(per_chunk, trials - start))
-        seeds, x0, x1 = draws.fs_head(streams.take(1 + m))
+        seeds, x0, x1 = p.fs_head(streams.take(1 + m))
         seed_bytes = [s.to_bytes(8, "big") for s in seeds.tolist()]
         done = 0
         while seed_bytes and done < budget:
@@ -1038,7 +984,7 @@ def _run_fs_batch(draws: _ToyDraws, had_ok: bool, budget: int, trials: int,
             # an even count keeps every window but the last on whole outputs
             attempts = min(budget - done, max(2, 2 * (_FS_WINDOW_RAW // (3 * m * rows))))
             raw = streams.take((3 * m * attempts + 1) // 2)
-            y, failmask = draws.fs_attempts(raw, attempts, x0, x1, had_ok)
+            y, failmask = p.fs_attempts(raw, attempts, x0, x1, had_ok)
             grinding = [True] * rows
             for a in range(attempts):
                 ys, masks = y[:, a].tolist(), failmask[:, a].tolist()
@@ -1062,11 +1008,8 @@ def _run_interactive_trial(p, adversary, x, rng, counts) -> bool:
     c = p.v3(rng)
     a = adversary.answer(state, c, rng)
     coords = p.v_out_coords(x, k, td, y, c, a)
-    width = p.challenge_bits // len(coords)
-    c_test = counts["test"]
-    c_had = counts["hadamard"]
-    for i, ok in enumerate(coords):
-        row = c_test if c[i * width:(i + 1) * width] == "0" else c_had
+    for ci, ok in zip(c, coords):
+        row = counts["test"] if ci == "0" else counts["hadamard"]
         row[0] += int(ok)
         row[1] += 1
     # v_out is the conjunction of these verdicts; reusing them avoids

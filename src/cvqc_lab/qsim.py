@@ -122,13 +122,6 @@ class StateVector:
     def norm2(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def to_snapshot(self) -> dict:
-        """JSON-ready dump: layout plus amplitudes as [re, im] pairs."""
-        return {
-            "layout": [[n, w] for n, w in self.layout.registers],
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        }
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -168,25 +161,6 @@ class Operator:
     def projector(cls, mat) -> "Operator":
         mat = np.asarray(mat, dtype=np.complex128)
         return cls(mat.shape[0] if mat.ndim else 0, mat, "projector")
-
-
-def zeros(layout: RegisterLayout) -> StateVector:
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(layout, amps)
-
-
-def basis_state(layout: RegisterLayout, bits: str) -> StateVector:
-    """Computational basis state from an MSB-first bitstring."""
-    if len(bits) != layout.total_qubits:
-        raise DimensionMismatch(f"{len(bits)} bits for {layout.total_qubits} qubits")
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[int(bits, 2) if bits else 0] = 1.0
-    return StateVector(layout, amps)
-
-
-def from_amplitudes(layout: RegisterLayout, amps) -> StateVector:
-    return StateVector(layout, np.asarray(amps, dtype=np.complex128))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -333,6 +333,20 @@ class TestStubFhe:
             ct = suite.fhe.enc(pk, s)
             assert suite.fhe.dec(sk, suite.fhe.eval(pk, circuit, ct)) == circuit(s)
 
+    def test_malformed_response_evaluates_to_zero(self):
+        _, inner = _suite_and_inner()
+        rng = np.random.default_rng(8)
+        s = rng.bytes(16)
+        k, _ = derive_keys(_prg_bytes(s), inner.n, inner.m)
+        y, a = inner.p2("yes", k, rng)
+
+        def circuit(e):
+            return VerificationCircuit(x="yes", e=e, inner=inner, prg=_prg_bytes, time_bound=256)
+
+        assert circuit((y, a))(s) == 1
+        for e in [(y, ()), (y, a[:-1]), (y, a + a[:1]), (y[:-1], a), (y,), (), None]:
+            assert circuit(e)(s) == 0
+
     def test_key_discipline(self):
         suite = make_stub_suite(0)
         rng = np.random.default_rng(4)

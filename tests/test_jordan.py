@@ -171,14 +171,6 @@ def test_dimension_mismatch():
         jordan_decompose(KET0, np.eye(4))
 
 
-def test_json_dump_shape():
-    dec = jordan_decompose(KET0, PLUS)
-    d = dec.to_json_dict()
-    assert d["dim"] == 2
-    assert len(d["blocks2d"]) == 1 and d["blocks1d"] == []
-    assert len(d["blocks2d"][0]["alpha"]) == 2
-
-
 def test_0d_projectors_are_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         jordan_decompose(1.0, 1.0)

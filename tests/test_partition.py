@@ -53,9 +53,9 @@ from cvqc_lab.qsim import (
 )
 
 
-def _params(m=1, i=1, gamma0=0.75, T=4, j=2, mode="ideal", t=0):
+def _params(m=1, i=1, gamma0=0.75, T=4, j=2, mode="ideal"):
     return PartitionParams(m=m, i=i, gamma0=gamma0, T=T,
-                           gamma=gamma0 * j / T, mode=mode, t=t)
+                           gamma=gamma0 * j / T, mode=mode)
 
 
 def _trivial_strategy():
@@ -98,12 +98,6 @@ class TestParams:
         with pytest.raises(DomainError):
             PartitionParams(m=1, i=1, gamma0=2.0 ** -30, T=2 ** 20,
                             gamma=2.0 ** -30 / 2 ** 20)
-
-    def test_explicit_t_below_tau_rejected(self):
-        p = _params()
-        with pytest.raises(DomainError):
-            _params(t=p.tau - 1)
-        assert _params(t=p.tau + 2).t == p.tau + 2
 
     def test_bad_mode(self):
         with pytest.raises(DomainError):
@@ -481,9 +475,7 @@ class TestRunH:
                 p = PartitionParams(m=1, i=1, gamma0=0.75, T=4,
                                     gamma=0.75 * j / 4, mode="kernel")
                 data = spectral_data(s, p)
-                mask = threshold_mask(PartitionParams(
-                    m=1, i=1, gamma0=0.75, T=4, gamma=0.75 * j / 4,
-                    mode="kernel", t=p.tau))
+                mask = threshold_mask(p)
                 for idx, theta in enumerate(data.thetas):
                     w1 = float(kernel_masses(theta, p.tau) @ mask)
                     junk = 2.0 * w1 * (1.0 - w1)

@@ -1,6 +1,7 @@
 """Protocol shells, oracle tables, repetition, Fiat-Shamir, adversaries."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -252,20 +253,6 @@ class TestToyProtocol:
                 assert p.v_out("yes", k, td, y, "0", a) == \
                     p.public_test_verify("yes", k, y, a)
 
-    def test_accept_rule_override(self):
-        hits = []
-
-        def rule(x, k, td, y, a):
-            hits.append(a)
-            return True
-
-        p = toy_protocol(4, accept_rule=rule)
-        rng = np.random.default_rng(5)
-        k, td = p.v1(None, "no", rng)
-        y, st = p.p2("no", k, rng)
-        assert p.v_out("no", k, td, y, "1", p.p4(st, "1"))
-        assert len(hits) == 1
-
     def test_width_guards(self):
         with pytest.raises(ProtocolError):
             toy_protocol(0)
@@ -285,13 +272,26 @@ class TestToyProtocol:
 
 class TestParallelRepeat:
     def test_messages_are_tuples_even_at_m_one(self):
-        p = parallel_repeat(toy_protocol(4), 1)
-        rng = np.random.default_rng(7)
-        k, td = p.v1(None, "yes", rng)
-        y, st = p.p2("yes", k, rng)
-        assert isinstance(k, tuple) and len(k) == 1
-        assert isinstance(y, tuple) and len(y) == 1
-        assert len(p.v3(rng)) == 1
+        for shape in [(1,), (2, 3), (1, 3)]:
+            p = toy_protocol(4)
+            for size in shape:
+                p = parallel_repeat(p, size)
+            assert p.shape == shape
+            rng = np.random.default_rng(7)
+            k, td = p.v1(None, "yes", rng)
+            y, st = p.p2("yes", k, rng)
+            c = p.v3(rng)
+            a = p.p4(st, c)
+            assert len(c) == math.prod(shape)
+            for message in (k, y, st, a):
+                # a b-tuple of a-tuples for shape (a, b)
+                assert isinstance(message, tuple) and len(message) == shape[-1]
+                if len(shape) == 2:
+                    assert all(isinstance(v, tuple) and len(v) == shape[0] for v in message)
+        nested = parallel_repeat(parallel_repeat(toy_protocol(4), 2), 3)
+        assert nested == protocol.FourRoundProtocol(4, (2, 3))
+        assert nested == parallel_repeat(parallel_repeat(toy_protocol(4), 2), 3)
+        assert nested != parallel_repeat(parallel_repeat(toy_protocol(4), 3), 2)
 
     def test_verdict_is_conjunction(self):
         base = toy_protocol(5)
@@ -323,6 +323,56 @@ class TestParallelRepeat:
     def test_m_must_be_positive(self):
         with pytest.raises(ProtocolError):
             parallel_repeat(toy_protocol(4), 0)
+
+
+class TestMalformedMessages:
+    """Messages that do not nest to the protocol's shape are rejected, never raised on."""
+
+    @staticmethod
+    def _misnested(v, shape):
+        """v with a wrong arity, or a value that is not a tuple, at each level of shape."""
+        bad = [(), None, 5, v[:-1], v + v[:1], list(v)]
+        if len(shape) == 2:
+            bad += [(v[0][:-1],) + v[1:], (v[0] + v[0][:1],) + v[1:], (list(v[0]),) + v[1:]]
+        return bad
+
+    @staticmethod
+    def _with_first(v, leaf, shape):
+        """v with its first coordinate replaced by leaf."""
+        return (leaf,) + v[1:] if len(shape) == 1 else ((leaf,) + v[0][1:],) + v[1:]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_rejected_without_raising(self, shape):
+        p = toy_protocol(8)
+        for size in shape:
+            p = parallel_repeat(p, size)
+        rng = np.random.default_rng(90)
+        k, td = p.v1(None, "yes", rng)
+        y, st = p.p2("yes", k, rng)
+        m = math.prod(shape)
+        c = "0" * m  # test rounds only, which an honest answer always passes
+        a = p.p4(st, c)
+        assert p.v_out("yes", k, td, y, c, a) and p.public_test_verify("yes", k, y, a)
+        cases = ([(y, c, bad) for bad in self._misnested(a, shape)]
+                 + [(bad, c, a) for bad in self._misnested(y, shape)]
+                 + [(y, bad, a) for bad in ("", c[:-1], c + "0", None)])
+        for y_, c_, a_ in cases:
+            assert p.v_out_coords("yes", k, td, y_, c_, a_) == [False] * m
+            assert not p.v_out("yes", k, td, y_, c_, a_)
+            if c_ == c:
+                assert not p.public_test_verify("yes", k, y_, a_)
+        # a coordinate whose answer fields have the wrong type fails on its own
+        had = "1" + c[1:]
+        for c_, leaf in [(c, ("test", 0, "x")), (c, ("test", 1.0, 0)), (had, ("had", 0, "x"))]:
+            verdicts = p.v_out_coords("yes", k, td, y, c_, self._with_first(a, leaf, shape))
+            assert verdicts == [False] + [True] * (m - 1)
+        fs = fiat_shamir(p, OracleTable(91, m))
+        y, a = fs.prove("yes", k, rng)
+        assert fs.verify("yes", k, td, y, a)
+        unencodable = self._with_first(y, -1, shape)  # encode rejects negative ints
+        for y_, a_ in ([(y, bad) for bad in self._misnested(a, shape)]
+                       + [(bad, a) for bad in self._misnested(y, shape) + [unencodable]]):
+            assert not fs.verify("yes", k, td, y_, a_)
 
 
 class TestHonestAndTestOnly:
@@ -386,7 +436,7 @@ class TestBulkReplay:
         monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 256)
         trials = 1000
         p = parallel_repeat(toy_protocol(3), m)
-        assert p.toy_draws is not None
+        assert p.shape == (m,)
         bulk = run_protocol(p, strategy(p), x, trials=trials, seed=30 + m)
         ref = protocol._run_per_trial(p, strategy(p), x, trials=trials, seed=30 + m)
         assert bulk == ref
@@ -406,16 +456,11 @@ class TestBulkReplay:
         assert np.array_equal(got, want)
 
     def test_only_plain_toy_shapes_replay_in_bulk(self):
-        def rule(x, k, td, y, a):
-            return True
-
-        assert toy_protocol(4, accept_rule=rule).toy_draws is None
-        assert parallel_repeat(toy_protocol(4, accept_rule=rule), 3).toy_draws is None
         # nested repetition replays in bulk too; its reference is the
         # per-trial route, not the flat shape (TestNestedRepetition
         # compares bulk with bulk)
         nested = parallel_repeat(parallel_repeat(toy_protocol(4), 2), 3)
-        assert nested.toy_draws == protocol._ToyDraws(4, (2, 3))
+        assert nested.shape == (2, 3)
         cheat = _cheat(5, False)
         for adv in (Honest(nested), protocol.TestOnly(nested), cheat):
             bulk = run_protocol(nested, adv, "yes", trials=300, seed=39)
@@ -532,7 +577,7 @@ class TestFsBulkReplay:
         base = toy_protocol(n)
         for size in shape:
             base = parallel_repeat(base, size)
-        return base, fiat_shamir(base, OracleTable(60, base.challenge_bits))
+        return base, fiat_shamir(base, OracleTable(60, base.m))
 
     @staticmethod
     def _same(fs, adv, x, trials, seed):
@@ -577,7 +622,7 @@ class TestFsBulkReplay:
     @pytest.mark.parametrize("shape", [(), (2, 2), (3, 2), (2, 1, 2)])
     def test_bare_and_nested_shapes(self, shape):
         base, fs = self._fs(4, shape)
-        assert base.toy_draws == protocol._ToyDraws(4, shape)
+        assert base.shape == shape
         for adv in (Honest(base), protocol.TestOnly(base), FsGrinder(4, protocol.TestOnly(base)),
                     FsGrinder(2, Honest(base))):
             self._same(fs, adv, "yes", 200, 64)
@@ -598,19 +643,14 @@ class TestFsBulkReplay:
         def refuse(*args, **kwargs):
             raise AssertionError("route not expected")
 
-        def rule(x, k, td, y, a):
-            return True
-
         base, fs = self._fs(4, (2,))
         with monkeypatch.context() as mp:
             mp.setattr(protocol, "_run_per_trial", refuse)
             run_protocol(fs, FsGrinder(3, Honest(base)), "yes", trials=20, seed=67)
         monkeypatch.setattr(protocol, "_run_fs_batch", refuse)
-        custom = parallel_repeat(toy_protocol(4, accept_rule=rule), 2)
         wide, wide_fs = self._fs(1, (protocol._FS_MAX_M + 1,))
-        for fs_, adv in [(fs, Honest(parallel_repeat(toy_protocol(4), 2))),  # another base
+        for fs_, adv in [(fs, Honest(parallel_repeat(toy_protocol(5), 2))),  # another width
                          (fs, FsGrinder(2, _cheat(5, False))),
-                         (fiat_shamir(custom, OracleTable(1, 2)), Honest(custom)),
                          (wide_fs, Honest(wide))]:
             assert run_protocol(fs_, adv, "yes", trials=20, seed=67).trials == 20
 
@@ -821,6 +861,17 @@ class TestMismatchedAdversary:
         with pytest.raises(WidthMismatch):
             run_protocol(parallel_repeat(toy, 2), protocol.TestOnly(parallel_repeat(toy, 3)),
                          "yes", trials=10, seed=1)
+
+    def test_strategy_for_another_shape_of_the_same_width(self):
+        toy = toy_protocol(3)
+        nested = parallel_repeat(parallel_repeat(toy, 2), 3)
+        for strategy in (Honest, protocol.TestOnly):
+            with pytest.raises(WidthMismatch, match="shape"):
+                run_protocol(nested, strategy(parallel_repeat(toy, 6)), "yes", trials=10, seed=1)
+            with pytest.raises(WidthMismatch, match="shape"):
+                run_protocol(fiat_shamir(nested, OracleTable(1, 6)),
+                             strategy(parallel_repeat(parallel_repeat(toy, 3), 2)), "yes",
+                             trials=10, seed=1)
 
     def test_strategy_for_another_toy_of_the_same_width_still_runs(self):
         p = parallel_repeat(toy_protocol(3), 2)
