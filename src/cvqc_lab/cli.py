@@ -882,8 +882,6 @@ def _parser() -> argparse.ArgumentParser:
         cp.add_argument("--out", default=None, help="output data file path")
         cp.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
         if name == "effverify-demo":
-            cp.add_argument("--inner", default=None, help="inner protocol (toy)")
-            cp.add_argument("--suite", default=None, help="backend suite (stub)")
             cp.add_argument("--time-bound", dest="time_bound", type=int, default=None)
             cp.add_argument("--trials", type=int, default=None)
     rp = sub.add_parser("render", help="pretty-print a data file")
@@ -904,7 +902,7 @@ def main(argv=None) -> int:
             return EXIT_RUNTIME
         return EXIT_OK
     sets = list(args.sets)
-    for flag in ("inner", "suite", "time_bound", "trials"):
+    for flag in ("time_bound", "trials"):
         value = getattr(args, flag, None)
         if value is not None:
             sets.append(f"{flag}={value}")

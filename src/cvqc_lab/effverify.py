@@ -27,7 +27,6 @@ import numpy as np
 
 from .protocol import (
     OracleTable,
-    SaltedOracle,
     TwoRoundFS,
     _oracle_value,
     encode,
@@ -307,6 +306,11 @@ class ReEncoding:
                        self.crs_digest))
 
 
+def _crs_digest(crs: bytes) -> bytes:
+    """The crs fingerprint a re-encoding key binds its encodings to."""
+    return hashlib.sha256(crs).digest()[:SECURITY]
+
+
 class StubRe:
     """Randomized encoding that ships the machine in the clear.
 
@@ -323,8 +327,7 @@ class StubRe:
         if security < 1 or ell < 1:
             raise BackendFailure(f"security={security}, ell={ell}")
         self._counters.charge(security + ell.bit_length())
-        return ReEncodingKey(security, ell,
-                             hashlib.sha256(crs).digest()[:SECURITY])
+        return ReEncodingKey(security, ell, _crs_digest(crs))
 
     def enc(self, ek: ReEncodingKey, machine: tuple, inp: bytes,
             time_bound: int) -> ReEncoding:
@@ -334,7 +337,7 @@ class StubRe:
         return ReEncoding(machine, inp, time_bound, ek.crs_digest)
 
     def dec(self, crs: bytes, encoding: ReEncoding):
-        if hashlib.sha256(crs).digest()[:SECURITY] != encoding.crs_digest:
+        if _crs_digest(crs) != encoding.crs_digest:
             raise BackendFailure("encoding bound to a different crs")
         out, steps = run_machine(encoding.program, encoding.inp, self._prg,
                                  budget=encoding.bound)
@@ -428,7 +431,6 @@ def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
 
 @dataclass(frozen=True)
 class TwoRoundInner:
-    name: str
     n: int
     m: int
     fs: TwoRoundFS
@@ -469,8 +471,7 @@ def toy_inner(num_qubits: int, m: int, fs_seed: int = 7) -> TwoRoundInner:
     fs = fiat_shamir(rep, OracleTable(fs_seed, m))
     mask = (1 << num_qubits) - 1
     key_length = len(encode(((mask, mask),) * m))
-    return TwoRoundInner(name=f"fs-toy[{num_qubits}]^{m}", n=num_qubits,
-                         m=m, fs=fs, key_length=key_length)
+    return TwoRoundInner(n=num_qubits, m=m, fs=fs, key_length=key_length)
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,8 @@ class ProverStrategy:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        want = 1 << (self.m + self.m * self.x_width + self.z_width)
-        if self.u.dim != want:
-            raise DimensionMismatch(f"u dim {self.u.dim}, registers need {want}")
+        if self.u.dim != self.dim:
+            raise DimensionMismatch(f"u dim {self.u.dim}, registers need {self.dim}")
         if self.u.kind != "unitary":
             raise NotUnitary(f"kind {self.u.kind!r}")
         if len(self.accept_sets) != self.m:
@@ -147,10 +146,7 @@ class ProverStrategy:
             return value
 
     def layout(self) -> RegisterLayout:
-        regs = [("C", self.m)]
-        regs += [(f"X{i}", self.x_width) for i in range(1, self.m + 1)]
-        regs += [("Z", self.z_width)]
-        return RegisterLayout(tuple(regs))
+        return RegisterLayout((("C", self.m),) + self.xz_layout().registers)
 
     def xz_layout(self) -> RegisterLayout:
         regs = [(f"X{i}", self.x_width) for i in range(1, self.m + 1)]

@@ -1029,10 +1029,10 @@ def _run_fs_trial(p: TwoRoundFS, adversary, x, rng) -> tuple[bool, int]:
         y, state = inner.commit(x, k, rng)
         c = fs.challenge_of(y)
         a = inner.answer(state, c, rng)
-        if not grinder or fs.base.v_out(x, k, td, y, c, a):
+        ok = fs.base.v_out(x, k, td, y, c, a)
+        if ok:
             break
-    used = fs.oracle.query_count
-    return fs.verify(x, k, td, y, a), used
+    return ok, fs.oracle.query_count
 
 
 def testonly_rate_oracle(m: int) -> float:

@@ -86,12 +86,6 @@ class RegisterLayout:
             off += w
         raise UnknownRegister(name)
 
-    def positions_of(self, names) -> list[int]:
-        pos: list[int] = []
-        for n in names:
-            pos.extend(self.qubit_positions(n))
-        return pos
-
     def values(self, name: str) -> np.ndarray:
         """The register's value, its bits read MSB-first, at every flat index."""
         shift = 0
@@ -163,44 +157,6 @@ class Operator:
         return cls(mat.shape[0] if mat.ndim else 0, mat, "projector")
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; a's registers become the most significant."""
-    layout = RegisterLayout(a.layout.registers + b.layout.registers)
-    return StateVector(layout, np.kron(a.amps, b.amps))
-
-
-def _permuted_apply(amps: np.ndarray, n: int, mat: np.ndarray, positions: list[int]) -> np.ndarray:
-    k = len(positions)
-    psi = amps.reshape((2,) * n) if n else amps.reshape(())
-    psi = np.moveaxis(psi, positions, range(k))
-    rest = psi.shape[k:]
-    psi = psi.reshape(1 << k, -1)
-    psi = mat @ psi
-    psi = psi.reshape((2,) * k + rest)
-    psi = np.moveaxis(psi, range(k), positions)
-    return np.ascontiguousarray(psi).reshape(-1)
-
-
-def apply(op: Operator, state: StateVector, targets) -> StateVector:
-    """Apply op on the named target registers, identity elsewhere.
-
-    The operator's qubit order matches the listed register order.
-    """
-    positions = state.layout.positions_of(targets)
-    if op.dim != 1 << len(positions):
-        raise DimensionMismatch(
-            f"operator dim {op.dim} vs target dim {1 << len(positions)}")
-    out = _permuted_apply(state.amps, state.layout.total_qubits, op.mat, positions)
-    return StateVector(state.layout, out)
-
-
-def project(p: Operator, state: StateVector, targets) -> StateVector:
-    """Apply a projector without renormalizing; output may be sub-normalized."""
-    if p.kind != "projector":
-        raise NotAProjector(f"kind {p.kind!r}")
-    return apply(p, state, targets)
-
-
 def _register_masses(state: StateVector, register: str):
     """The register's value at every index, the outcome masses and probabilities."""
     total = state.norm2
@@ -209,7 +165,7 @@ def _register_masses(state: StateVector, register: str):
     vals = state.layout.values(register)
     masses = np.bincount(vals, weights=(state.amps.conj() * state.amps).real,
                          minlength=1 << state.layout.width(register))
-    probs = np.clip(masses / total, 0.0, None)
+    probs = masses / total
     return vals, masses, probs / probs.sum()
 
 

@@ -778,6 +778,21 @@ class TestFiatShamir:
         mean_expect = expect / (2.0 ** -m)
         assert abs(st.queries / trials - mean_expect) <= 0.5
 
+    def test_per_trial_route_verifies_each_attempt_once(self, monkeypatch):
+        # a UnitaryCheat keeps the grinder on the per-trial route
+        calls = []
+        v_out_coords = protocol.FourRoundProtocol.v_out_coords
+
+        def counted(self, *args):
+            calls.append(1)
+            return v_out_coords(self, *args)
+
+        monkeypatch.setattr(protocol.FourRoundProtocol, "v_out_coords", counted)
+        strat = random_strategy(np.random.default_rng(1), 1, x_width=5, z_width=1)
+        fs = fiat_shamir(parallel_repeat(toy_protocol(4), 3), OracleTable(5, 3))
+        st = run_protocol(fs, FsGrinder(4, UnitaryCheat(strat)), "yes", trials=200, seed=3)
+        assert len(calls) == st.queries
+
     def test_grinder_budget_guard(self):
         with pytest.raises(ProtocolError):
             FsGrinder(0, None)
