@@ -40,7 +40,6 @@ from . import config
 from .jordan import jordan_decompose, unitary_eig
 from .qsim import (
     DimensionMismatch,
-    MissingRegister,
     NotUnitary,
     Operator,
     RegisterLayout,
@@ -112,9 +111,8 @@ class ProverStrategy:
 
     u is the unitary the prover applies to |c>_C |psi>_{X,Z} before
     measuring X.  accept_sets[i-1] lists the X_i outcomes the verifier
-    accepts on coordinate i.  u0 (state preparation) is carried along for
-    completeness but not consumed here.  Data derived from it is cached
-    through `derived`; `dataclasses.replace` starts an empty cache.
+    accepts on coordinate i.  Data derived from it is cached through
+    `derived`; `dataclasses.replace` starts an empty cache.
     """
 
     m: int
@@ -122,7 +120,6 @@ class ProverStrategy:
     z_width: int
     u: Operator
     accept_sets: tuple[frozenset, ...]
-    u0: Operator | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -223,12 +220,6 @@ def build_projectors(strategy: ProverStrategy, params: PartitionParams) -> tuple
 @lru_cache(maxsize=32)
 def _label_pvals(t: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(1 << t) / (1 << t)) ** 2
-
-
-def label_phase(label: int, t: int) -> float:
-    """Signed phase in (-pi, pi] encoded by a t-bit label."""
-    th = 2.0 * np.pi * label / (1 << t)
-    return float(th - 2.0 * np.pi) if label > (1 << (t - 1)) else float(th)
 
 
 def phase_label(theta: float, t: int) -> int:
@@ -505,30 +496,6 @@ def estimation_unitary(q_mat: np.ndarray, t: int, mode: str) -> np.ndarray:
         proj = np.outer(vecs[:, k], vecs[:, k].conj())
         out += np.kron(proj, kmat)
     return out
-
-
-def phase_estimate(q: Operator, state: StateVector, params: PartitionParams, dagger: bool = False) -> StateVector:
-    """Spectral phase estimation writing t-bit labels into the ph register."""
-    if q.kind != "unitary":
-        raise NotUnitary(f"kind {q.kind!r}")
-    if not state.layout.has("ph"):
-        raise MissingRegister("ph")
-    # t is whatever the state carries; params contributes the mode only, so
-    # small-t demonstrations stay representable
-    t = state.layout.width("ph")
-    sys_dim = state.layout.dim >> t
-    if q.dim != sys_dim:
-        raise DimensionMismatch(f"q dim {q.dim} vs system dim {sys_dim}")
-    n = state.layout.total_qubits
-    ph_pos = state.layout.qubit_positions("ph")
-    psi = state.amps.reshape((2,) * n)
-    psi = np.moveaxis(psi, ph_pos, range(n - t, n))  # ph least significant
-    flat = psi.reshape(sys_dim, 1 << t)
-
-    phases, vecs = unitary_eig(q.mat)
-    flat = _apply_est(flat, vecs, phases, t, params.mode, dagger)
-    psi = np.moveaxis(flat.reshape(psi.shape), range(n - t, n), ph_pos)
-    return StateVector(state.layout, np.ascontiguousarray(psi).reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -168,15 +168,7 @@ def _oracle_value(seed_bytes: bytes, key: bytes, out_bits: int) -> int:
     return int.from_bytes(stream[:out_bytes], "big") & ((1 << out_bits) - 1)
 
 
-class _OracleBits:
-    """query_bits for an oracle or a view of one: anything with query and out_bits."""
-
-    def query_bits(self, key: bytes) -> str:
-        """The output of `query` as an out_bits-character bit string."""
-        return format(int.from_bytes(self.query(key), "big"), f"0{self.out_bits}b")
-
-
-class OracleTable(_OracleBits):
+class OracleTable:
     """Lazily sampled random function with a fixed output width.
 
     Outputs are deterministic in (master_seed, key): the first query of a
@@ -212,6 +204,10 @@ class OracleTable(_OracleBits):
             self._entries[key] = self._sample(key)
         return self._entries[key]
 
+    def query_bits(self, key: bytes) -> str:
+        """The output of `query` as an out_bits-character bit string."""
+        return format(int.from_bytes(self.query(key), "big"), f"0{self.out_bits}b")
+
     def program(self, key: bytes, value: bytes) -> None:
         if len(value) != self.out_bytes:
             raise WidthMismatch(f"value width {len(value)} vs {self.out_bytes}")
@@ -222,40 +218,16 @@ class OracleTable(_OracleBits):
     def salted(self, z: bytes) -> "SaltedOracle":
         return SaltedOracle(self, z)
 
-    def with_salt_routed(self, z: bytes, g: "OracleTable") -> "RoutedOracle":
-        return RoutedOracle(self, z, g)
 
-
-class SaltedOracle(_OracleBits):
+class SaltedOracle:
     """View H(z, .) of a base table: every query gets the salt prefixed."""
 
     def __init__(self, base, z: bytes):
         self.base = base
         self.z = z
-        self.out_bits = base.out_bits
 
     def query(self, key: bytes) -> bytes:
         return self.base.query(self.z + key)
-
-
-class RoutedOracle(_OracleBits):
-    """H[z, G]: queries carrying the salt prefix z go to the fresh table G.
-
-    Salts are fixed-width, so the prefix test is unambiguous.
-    """
-
-    def __init__(self, base: OracleTable, z: bytes, g: OracleTable):
-        if g.out_bits != base.out_bits:
-            raise WidthMismatch("routed table width differs from base")
-        self.base = base
-        self.z = z
-        self.g = g
-        self.out_bits = base.out_bits
-
-    def query(self, key: bytes) -> bytes:
-        if key[:len(self.z)] == self.z:
-            return self.g.query(key[len(self.z):])
-        return self.base.query(key)
 
 
 # ---------------------------------------------------------------------------
@@ -487,25 +459,6 @@ class FourRoundProtocol:
         return c, np.where(c == 0, test_ok, had_ok)
 
 
-@dataclass(frozen=True)
-class Transcript:
-    x: object
-    k: object
-    y: object
-    c: str
-    a: object
-    verdict: bool
-
-    def serialize(self) -> bytes:
-        flag = 1 if self.verdict else 0
-        return encode((self.x, self.k, self.y, self.c, self.a, flag))
-
-    @staticmethod
-    def deserialize(buf: bytes) -> "Transcript":
-        x, k, y, c, a, flag = decode(buf)
-        return Transcript(x=x, k=k, y=y, c=c, a=a, verdict=bool(flag))
-
-
 def toy_protocol(num_qubits: int) -> FourRoundProtocol:
     """The bare toy instance; num_qubits is the width n of r and d.
 
@@ -656,17 +609,21 @@ class UnitaryCheat:
 
 
 def _cheat_states(s: ProverStrategy) -> tuple[StateVector, StateVector]:
-    """U applied to |c>_C (u0)|0>_{X,Z}, for c = 0 and c = 1."""
+    """U applied to |c>_C |0>_{X,Z}, for c = 0 and c = 1."""
     psi = np.zeros(s.xz_dim, dtype=np.complex128)
     psi[0] = 1.0
-    if s.u0 is not None:
-        psi = s.u0.mat @ psi
     return tuple(StateVector(s.layout(), answer_amps(s, c, psi)) for c in (0, 1))
 
 
 def _cheat_cdfs(states) -> np.ndarray:
     cdfs = np.array([outcome_probs(st, "X1").cumsum() for st in states])
     return cdfs / cdfs[:, -1:]
+
+
+def _check_count(name: str, value) -> None:
+    """Reject anything but a positive int (a bool is not one) as a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ProtocolError(f"{name}={value!r}")
 
 
 @dataclass
@@ -683,8 +640,7 @@ class FsGrinder:
     inner: object
 
     def __post_init__(self):
-        if self.query_budget < 1:
-            raise ProtocolError(f"query_budget={self.query_budget}")
+        _check_count("query_budget", self.query_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -883,12 +839,12 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     FsGrinder, up to 64 challenge bits.  Every other adversary runs on
     the per-trial route, which calls the protocol's methods trial by
     trial and is the bulk route's reference.  An FsGrinder outside
-    Fiat-Shamir or inside another FsGrinder, and an Honest or TestOnly
-    built for a protocol of another shape, are rejected before any
+    Fiat-Shamir or inside another FsGrinder, an Honest or TestOnly
+    built for anything but a FourRoundProtocol of this shape, and a
+    trial count that is not a positive int are rejected before any
     trial runs.
     """
-    if trials < 1:
-        raise ProtocolError(f"trials={trials}")
+    _check_count("trials", trials)
     hashed = isinstance(p, TwoRoundFS)
     base = p.base if hashed else p
     grinder = isinstance(adversary, FsGrinder)
@@ -897,6 +853,9 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
         raise ProtocolError("FsGrinder needs a Fiat-Shamir protocol")
     if isinstance(inner, FsGrinder):
         raise ProtocolError("FsGrinder cannot wrap another FsGrinder")
+    if isinstance(inner, Honest) and not isinstance(inner.p, FourRoundProtocol):
+        raise ProtocolError(f"{type(inner).__name__} built for a "
+                            f"{type(inner.p).__name__}, not a FourRoundProtocol")
     if isinstance(inner, Honest) and inner.p.shape != base.shape:
         raise WidthMismatch(f"strategy built for shape {inner.p.shape} "
                             f"({inner.p.m} challenge bits), "

@@ -28,10 +28,6 @@ class UnknownRegister(Exception):
     """A named register is not present in the layout."""
 
 
-class MissingRegister(Exception):
-    """A register required by an operation is absent."""
-
-
 class NotAProjector(Exception):
     """Operator failed the projector well-formedness check."""
 
@@ -72,18 +68,6 @@ class RegisterLayout:
         for n, w in self.registers:
             if n == name:
                 return w
-        raise UnknownRegister(name)
-
-    def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.registers)
-
-    def qubit_positions(self, name: str) -> list[int]:
-        """Global qubit indices of a register (MSB-first)."""
-        off = 0
-        for n, w in self.registers:
-            if n == name:
-                return list(range(off, off + w))
-            off += w
         raise UnknownRegister(name)
 
     def values(self, name: str) -> np.ndarray:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from cvqc_lab import config
-from cvqc_lab.jordan import jordan_decompose
+from cvqc_lab.jordan import jordan_decompose, unitary_eig
 from cvqc_lab.partition import (
+    _apply_est,
     ChainResult,
     DomainError,
     ExtractOutcome,
@@ -27,9 +28,7 @@ from cvqc_lab.partition import (
     haar_unitary,
     kernel_amplitudes,
     kernel_masses,
-    label_phase,
     partition_chain,
-    phase_estimate,
     phase_label,
     qpe_failure_mass,
     random_strategy,
@@ -44,10 +43,7 @@ from cvqc_lab.partition import (
 from cvqc_lab.partition import test_round_accept_prob as accept_prob
 from cvqc_lab.qsim import (
     DimensionMismatch,
-    MissingRegister,
-    NotUnitary,
     Operator,
-    RegisterLayout,
     StateVector,
     ZeroState,
 )
@@ -147,42 +143,43 @@ class TestProjectors:
 # Phase estimation
 
 
-def _sys_ph_layout(t):
-    return RegisterLayout((("sys", 1), ("ph", t)))
-
-
 def _with_ph(sys_amps, t):
-    amps = np.zeros((len(sys_amps) << t), dtype=np.complex128)
-    amps[:: 1 << t] = 0.0
-    full = np.kron(np.asarray(sys_amps, dtype=np.complex128),
+    """sys_amps on the system register (x) |0^t> on ph, ph least significant."""
+    return np.kron(np.asarray(sys_amps, dtype=np.complex128),
                    np.eye(1 << t, dtype=np.complex128)[0])
-    return StateVector(_sys_ph_layout(t), full)
+
+
+def _estimate(q, amps, t, mode, dagger=False):
+    """U_est (or its adjoint) on (system, ph) amplitudes.
+
+    This is _apply_est as run_G_state runs it, in unitary_eig's
+    eigenbasis of q.
+    """
+    phases, vecs = unitary_eig(q)
+    flat = np.asarray(amps, dtype=np.complex128).reshape(len(q), 1 << t)
+    return _apply_est(flat, vecs, phases, t, mode, dagger).reshape(-1)
 
 
 class TestPhaseEstimate:
     def test_phase_zero_ideal(self):
-        q = Operator.unitary(np.eye(2, dtype=np.complex128))
-        st = _with_ph([1.0, 0.0], 3)
-        out = phase_estimate(q, st, _params(mode="ideal"))
-        assert out.amps[0] == pytest.approx(1.0)
-        assert np.linalg.norm(out.amps[1:]) <= 1e-12
+        out = _estimate(np.eye(2, dtype=np.complex128), _with_ph([1.0, 0.0], 3), 3, "ideal")
+        assert out[0] == pytest.approx(1.0)
+        assert np.linalg.norm(out[1:]) <= 1e-12
 
     def test_phase_pi_reads_100(self):
         # phase pi = 0.100 in binary fractions of 2*pi
-        q = Operator.unitary(np.diag([1.0, -1.0]).astype(complex))
-        st = _with_ph([0.0, 1.0], 3)
-        out = phase_estimate(q, st, _params(mode="ideal"))
+        q = np.diag([1.0, -1.0]).astype(complex)
+        out = _estimate(q, _with_ph([0.0, 1.0], 3), 3, "ideal")
         idx = (1 << 3) + 0b100  # sys=1, ph=100
-        assert abs(out.amps[idx]) == pytest.approx(1.0)
+        assert abs(out[idx]) == pytest.approx(1.0)
 
     def test_kernel_marginal_matches_closed_form(self):
         t = 4
         th1, th2 = 0.7, 2.3
-        q = Operator.unitary(np.diag([np.exp(1j * th1), np.exp(1j * th2)]))
+        q = np.diag([np.exp(1j * th1), np.exp(1j * th2)])
         a, b = 0.6, 0.8
-        st = _with_ph([a, b], t)
-        out = phase_estimate(q, st, _params(mode="kernel"))
-        probs = np.abs(out.amps.reshape(2, 1 << t)) ** 2
+        out = _estimate(q, _with_ph([a, b], t), t, "kernel")
+        probs = np.abs(out.reshape(2, 1 << t)) ** 2
         marginal = probs.sum(axis=0)
         expect = a * a * kernel_masses(th1, t) + b * b * kernel_masses(th2, t)
         assert np.max(np.abs(marginal - expect)) <= 1e-9
@@ -190,26 +187,14 @@ class TestPhaseEstimate:
     def test_norm_preserved_and_dagger_inverts(self):
         rng = np.random.default_rng(5)
         u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-        q = Operator.unitary(u)
-        lay = RegisterLayout((("sys", 2), ("ph", 3)))
-        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+        dim = 4 << 3  # sys (2 qubits) (x) ph (3 qubits)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         amps /= np.linalg.norm(amps)
-        st = StateVector(lay, amps)
         for mode in ("ideal", "kernel"):
-            fwd = phase_estimate(q, st, _params(mode=mode))
-            assert fwd.norm2 == pytest.approx(1.0, abs=1e-9)
-            back = phase_estimate(q, fwd, _params(mode=mode), dagger=True)
-            assert np.max(np.abs(back.amps - st.amps)) <= 1e-9
-
-    def test_errors(self):
-        q_bad = Operator.projector(np.eye(2, dtype=np.complex128))
-        st = _with_ph([1.0, 0.0], 3)
-        with pytest.raises(NotUnitary):
-            phase_estimate(q_bad, st, _params())
-        q = Operator.unitary(np.eye(2, dtype=np.complex128))
-        no_ph = StateVector(RegisterLayout((("sys", 1),)), np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(MissingRegister):
-            phase_estimate(q, no_ph, _params())
+            fwd = _estimate(u, amps, 3, mode)
+            assert np.vdot(fwd, fwd).real == pytest.approx(1.0, abs=1e-9)
+            back = _estimate(u, fwd, 3, mode, dagger=True)
+            assert np.max(np.abs(back - amps)) <= 1e-9
 
 
 class TestEstimationUnitary:
@@ -220,19 +205,16 @@ class TestEstimationUnitary:
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         dense = estimation_unitary(u, t, mode)
         assert np.max(np.abs(dense.conj().T @ dense - np.eye(2 << t))) <= 1e-9
-        q = Operator.unitary(u)
-        lay = _sys_ph_layout(t)
-        for col in range(lay.dim):
-            e = np.zeros(lay.dim, dtype=np.complex128)
+        for col in range(2 << t):
+            e = np.zeros(2 << t, dtype=np.complex128)
             e[col] = 1.0
-            got = phase_estimate(q, StateVector(lay, e), _params(mode=mode))
-            assert np.max(np.abs(got.amps - dense[:, col])) <= 1e-9
+            got = _estimate(u, e, t, mode)
+            assert np.max(np.abs(got - dense[:, col])) <= 1e-9
 
 
 class TestKernelHelpers:
     def test_label_roundtrip_and_pin(self):
         assert phase_label(np.pi, 3) == 0b100
-        assert label_phase(0b100, 3) == pytest.approx(np.pi)
         assert phase_label(0.0, 5) == 0
 
     def test_kernel_masses_normalized(self):
@@ -704,7 +686,7 @@ class TestSpectralData:
         assert np.all(data.thetas > 0) and np.all(data.thetas < np.pi)
         # caching: same object on repeat call
         assert spectral_data(s, p) is data
-        # run_G_state's eigenbasis, from its own cached Schur route
+        # run_G_state's eigenbasis, from its own cached dense route
         full, _ = eigenbasis(s, p)
         assert np.max(np.abs(full.conj().T @ full - np.eye(s.dim))) <= 1e-8
         assert eigenbasis(s, p)[0] is full
@@ -721,7 +703,7 @@ class TestSpectralData:
             assert abs(decoded - np.cos(theta / 2.0) ** 2) <= p.delta / 2 + 1e-12
 
 
-def _schur_blocks(s, p):
+def _dense_blocks(s, p):
     """(alphas, thetas, pvals, v11, v10) of the dense route, as full-dim columns."""
     dec = jordan_decompose(*build_projectors(s, p))
 
@@ -765,15 +747,15 @@ def _route_cases():
 
 
 class TestSpectralRoutes:
-    """spectral_data (principal angles) against jordan_decompose (dense Schur)."""
+    """spectral_data (principal angles) against jordan_decompose (dense unitary_eig route)."""
 
     @pytest.mark.parametrize("make", _route_cases())
-    def test_blocks_match_schur_route(self, make):
+    def test_blocks_match_dense_route(self, make):
         s = make()
         for i in range(1, s.m + 1):
             p = _params(m=s.m, i=i)
             data = spectral_data(s, p)
-            alphas, thetas, pvals, v11, v10 = _schur_blocks(s, p)
+            alphas, thetas, pvals, v11, v10 = _dense_blocks(s, p)
             assert data.alphas_xz.shape[1] == alphas.shape[1]
             assert data.v11_xz.shape[1] == v11.shape[1]
             assert data.v10_xz.shape[1] == v10.shape[1]

@@ -17,7 +17,6 @@ from cvqc_lab.protocol import (
     OracleTable,
     ProtocolError,
     Stats,
-    Transcript,
     UnitaryCheat,
     WidthMismatch,
     decode,
@@ -93,13 +92,6 @@ class TestEncoding:
             y = [tuple(y[i:i + size]) for i in range(0, len(y), size)]
         assert protocol._encode_coords(protocol._int_frames(18), flat, shape) == encode(y[0])
 
-    def test_transcript_round_trip(self):
-        t = Transcript(x="yes", k=((3, 5), (1, 2)), y=(7, 9), c="01",
-                       a=(("test", 1, 4), ("had", 0, 3)), verdict=True)
-        buf = t.serialize()
-        assert Transcript.deserialize(buf) == t
-        assert Transcript.deserialize(buf).serialize() == buf
-
 
 class TestOracleTable:
     def test_identical_queries_agree(self):
@@ -124,6 +116,7 @@ class TestOracleTable:
             assert raw[0] < 16
             bits = h.query_bits(i.to_bytes(2, "big"))
             assert len(bits) == 4 and set(bits) <= {"0", "1"}
+            assert int(bits, 2) == raw[0]
 
     @pytest.mark.parametrize("bits", [1, 4, 9, 16, 256, 300])
     def test_output_is_seeded_sha256_stream(self, bits):
@@ -173,32 +166,6 @@ class TestSalting:
         for i in range(32):
             k = bytes([i])
             assert hz.query(k) == OracleTable(3, 8).query(b"\x07" + k)
-
-    def test_routed_fresh_on_salt_exhaustive(self):
-        # 4-bit salt and input domains, embedded in single bytes
-        h = OracleTable(21, 8)
-        g = OracleTable(87, 8)
-        z = bytes([5])
-        routed = h.with_salt_routed(z, g)
-        for w in range(16):
-            key = bytes([w])
-            assert routed.query(z + key) == OracleTable(87, 8).query(key)
-
-    def test_routed_untouched_off_salt_exhaustive(self):
-        h = OracleTable(21, 8)
-        g = OracleTable(87, 8)
-        z = bytes([5])
-        routed = h.with_salt_routed(z, g)
-        for zp in range(16):
-            if bytes([zp]) == z:
-                continue
-            for w in range(16):
-                key = bytes([zp, w])
-                assert routed.query(key) == OracleTable(21, 8).query(key)
-
-    def test_routed_width_must_match(self):
-        with pytest.raises(WidthMismatch):
-            OracleTable(0, 8).with_salt_routed(b"\x00", OracleTable(1, 4))
 
 
 class TestToyProtocol:
@@ -414,8 +381,10 @@ class TestHonestAndTestOnly:
 
     def test_trials_guard(self):
         p = toy_protocol(4)
-        with pytest.raises(ProtocolError):
-            run_protocol(p, Honest(p), "yes", trials=0, seed=1)
+        for trials in (0, 5.0, True, "5"):
+            with pytest.raises(ProtocolError, match="trials"):
+                run_protocol(p, Honest(p), "yes", trials=trials, seed=1)
+        assert run_protocol(p, Honest(p), "yes", trials=np.int64(5), seed=1).trials == 5
 
 
 class TestBulkReplay:
@@ -471,7 +440,10 @@ def _cheat(x_width: int, with_u0: bool) -> UnitaryCheat:
     rng = np.random.default_rng(50 + x_width)
     strategy = random_strategy(rng, 1, x_width=x_width, z_width=1)
     if with_u0:
-        strategy = replace(strategy, u0=Operator.unitary(haar_unitary(rng, strategy.xz_dim)))
+        # a prover that first prepares u0|0>_{X,Z} runs U (I_C (x) u0)
+        u0 = haar_unitary(rng, strategy.xz_dim)
+        folded = strategy.u.mat @ np.kron(np.eye(1 << strategy.m), u0)
+        strategy = replace(strategy, u=Operator.unitary(folded))
     return UnitaryCheat(strategy)
 
 
@@ -794,8 +766,10 @@ class TestFiatShamir:
         assert len(calls) == st.queries
 
     def test_grinder_budget_guard(self):
-        with pytest.raises(ProtocolError):
-            FsGrinder(0, None)
+        base = parallel_repeat(toy_protocol(4), 2)
+        for budget in (0, 2.0, True, "2"):
+            with pytest.raises(ProtocolError, match="query_budget"):
+                FsGrinder(budget, protocol.TestOnly(base))
 
     def test_stats_shape(self):
         p = toy_protocol(4)
@@ -816,32 +790,16 @@ class TestOracleSeedRange:
                 OracleTable(seed, 8)
 
 
-class TestOracleViewBits:
-    def test_views_read_the_bits_of_their_table(self):
-        # 12 bits: the bit strings keep the leading zeros of a two-byte output
-        base, fresh = OracleTable(3, 12), OracleTable(4, 12)
-        salted = base.salted(b"zz")
-        routed = base.with_salt_routed(b"zz", fresh)
-        for i in range(64):
-            key = i.to_bytes(2, "big")
-            assert salted.query_bits(key) == base.query_bits(b"zz" + key)
-            assert routed.query_bits(b"zz" + key) == fresh.query_bits(key)
-            assert routed.query_bits(key) == base.query_bits(key)
-            assert len(salted.query_bits(key)) == 12
-        bits = fresh.query_bits(b"\x00\x01")
-        assert int(bits, 2) == int.from_bytes(fresh.query(b"\x00\x01"), "big")
-
-
 class TestCheatTablesPerStrategy:
-    def test_replaced_u0_gets_its_own_tables_and_rate(self):
+    def test_replaced_u_gets_its_own_tables_and_rate(self):
         rng = np.random.default_rng(9)
         s = random_strategy(rng, 1, x_width=5, z_width=1)
         p = parallel_repeat(toy_protocol(4), 2)
         before = run_protocol(p, UnitaryCheat(s), "yes", trials=4000, seed=9)
-        u0 = Operator.unitary(haar_unitary(rng, s.xz_dim))
-        moved = UnitaryCheat(replace(s, u0=u0))
-        fresh = UnitaryCheat(ProverStrategy(m=1, x_width=5, z_width=1, u=s.u,
-                                            accept_sets=s.accept_sets, u0=u0))
+        u = Operator.unitary(haar_unitary(rng, s.dim))
+        moved = UnitaryCheat(replace(s, u=u))
+        fresh = UnitaryCheat(ProverStrategy(m=1, x_width=5, z_width=1, u=u,
+                                            accept_sets=s.accept_sets))
         got = run_protocol(p, moved, "yes", trials=4000, seed=9)
         assert got == run_protocol(p, fresh, "yes", trials=4000, seed=9)
         assert got.accepts != before.accepts
@@ -862,6 +820,17 @@ class TestMismatchedAdversary:
         fs = fiat_shamir(p, OracleTable(1, 2))
         with pytest.raises(ProtocolError, match="another FsGrinder"):
             run_protocol(fs, FsGrinder(4, FsGrinder(2, Honest(p))), "yes", trials=10, seed=1)
+
+    def test_strategy_built_for_the_fiat_shamir_protocol(self):
+        # Honest(fs) instead of Honest(fs.base): rejected with a typed error
+        # at entry, under Fiat-Shamir, inside a grinder and interactively
+        p = parallel_repeat(toy_protocol(3), 2)
+        fs = fiat_shamir(p, OracleTable(1, 2))
+        for strategy in (Honest, protocol.TestOnly):
+            for target, adv in ((fs, strategy(fs)), (fs, FsGrinder(2, strategy(fs))),
+                                (p, strategy(fs))):
+                with pytest.raises(ProtocolError, match="TwoRoundFS"):
+                    run_protocol(target, adv, "yes", trials=5, seed=1)
 
     def test_strategy_for_another_width_under_fiat_shamir(self):
         toy = toy_protocol(3)

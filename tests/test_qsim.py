@@ -34,7 +34,6 @@ def test_layout_rejects_duplicates_and_cap():
         RegisterLayout((("big", 21),))
     lay = RegisterLayout((("c", 2), ("x", 3)))
     assert lay.total_qubits == 5 and lay.dim == 32
-    assert lay.qubit_positions("x") == [2, 3, 4]
     with pytest.raises(UnknownRegister):
         lay.width("nope")
 
