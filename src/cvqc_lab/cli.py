@@ -437,7 +437,7 @@ def _partition_branches(idx, task_seed, m, T, mode):
     ]
 
 
-def _partition_test_round(idx, task_seed, m, T, _mode):
+def _partition_test_round(idx, task_seed, m, T):
     """Worst fixed-rest-challenge test acceptance of the low branch.
 
     The bound is proved for the exact split, so this row is always
@@ -477,7 +477,7 @@ def _chain_average(s, psi, runs, T, mode):
     return kept / count, rem / count, err / count
 
 
-def _partition_chain_remainder(idx, task_seed, m, T, _mode):
+def _partition_chain_remainder(idx, task_seed, m, T):
     """Exhaustive challenge average of the surviving remainder mass.
 
     The 2^-m average is exact for the ideal split, so this row ignores
@@ -517,15 +517,14 @@ def _run_partition(cfg: ExperimentConfig):
     m, T, mode = p["m"], p["T"], p["mode"]
     n_str, n_grid = p["strategies"], p["grid_strategies"]
     seeds = _task_seeds(cfg.seed, 4 * n_str + n_grid)
-    tasks = []
+    rows = []
     for i in range(n_str):
-        tasks.append((_partition_err_grid, (i, seeds[i], T, mode)))
-        tasks.append((_partition_branches, (i, seeds[n_str + i], m, T, mode)))
-        tasks.append((_partition_test_round, (i, seeds[2 * n_str + i], m, T, mode)))
-        tasks.append((_partition_chain_remainder, (i, seeds[3 * n_str + i], m, T, mode)))
+        rows += _partition_err_grid(i, seeds[i], T, mode)
+        rows += _partition_branches(i, seeds[n_str + i], m, T, mode)
+        rows += _partition_test_round(i, seeds[2 * n_str + i], m, T)
+        rows += _partition_chain_remainder(i, seeds[3 * n_str + i], m, T)
     for i in range(n_grid):
-        tasks.append((_partition_chain_grid, (i, seeds[4 * n_str + i], m, T, mode)))
-    rows = [row for fn, args in tasks for row in fn(*args)]
+        rows += _partition_chain_grid(i, seeds[4 * n_str + i], m, T, mode)
     return _PARTITION_COLUMNS, rows, {}
 
 

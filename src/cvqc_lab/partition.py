@@ -95,11 +95,6 @@ class PartitionParams:
     def tau(self) -> int:
         return math.ceil(math.log2(8.0 / self.delta))
 
-    @property
-    def t(self) -> int:
-        """Phase-register width: exactly the tau bits the precision needs."""
-        return self.tau
-
 
 def gamma_grid(gamma0: float, T: int) -> np.ndarray:
     return gamma0 * np.arange(1, T + 1) / T
@@ -250,7 +245,7 @@ def kernel_masses(theta: float, t: int) -> np.ndarray:
 
 def threshold_mask(params: PartitionParams) -> np.ndarray:
     """Labels whose decoded cos^2 passes the gamma - delta threshold."""
-    return _label_pvals(params.t) >= (params.gamma - params.delta)
+    return _label_pvals(params.tau) >= (params.gamma - params.delta)
 
 
 def qpe_failure_mass(theta: float, t: int, tau: int) -> float:
@@ -348,9 +343,9 @@ def _branch_weights(strategy: ProverStrategy, params: PartitionParams, data: Spe
     """
     mask = threshold_mask(params)
     if params.mode == "ideal":
-        labels = strategy.derived(("lab", params.i, params.t), _ideal_labels, data.thetas, params.t)
+        labels = strategy.derived(("lab", params.i, params.tau), _ideal_labels, data.thetas, params.tau)
         return mask[labels].astype(float)
-    rows = strategy.derived(("K", params.i, params.t), _kernel_rows, data.thetas, params.t)
+    rows = strategy.derived(("K", params.i, params.tau), _kernel_rows, data.thetas, params.tau)
     return rows @ mask.astype(float)
 
 
@@ -466,7 +461,7 @@ def _apply_est(flat: np.ndarray, basis: np.ndarray, phases: np.ndarray, t: int,
 def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVector) -> StateVector:
     """Literal G = U_in U_est^dag U_th U_est on (C, X, Z, ph, th, in)."""
     eig_full, eig_phases = eigenbasis(strategy, params)
-    t = params.t
+    t = params.tau
     lay = _full_layout(strategy, t)
     dim, xz = strategy.dim, strategy.xz_dim
     amps = np.zeros(lay.dim, dtype=np.complex128)

@@ -45,6 +45,12 @@ class OracleConflict(ProtocolError):
     """Programming an oracle entry that was already observed."""
 
 
+def _check_count(name: str, value) -> None:
+    """Reject anything but a positive int (a bool is not one) as a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ProtocolError(f"{name}={value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Canonical serialization
 #
@@ -179,8 +185,7 @@ class OracleTable:
     """
 
     def __init__(self, master_seed: int, out_bits: int):
-        if out_bits < 1:
-            raise ProtocolError(f"out_bits={out_bits}")
+        _check_count("out_bits", out_bits)
         self.master_seed = int(master_seed)
         # the seed enters every hash as 8 big-endian bytes
         if not 0 <= self.master_seed < 1 << 64:
@@ -276,14 +281,12 @@ class FourRoundProtocol:
     shape: tuple = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ProtocolError(f"num_qubits={self.n}")
+        _check_count("num_qubits", self.n)
         # a cheating unitary acts on 1 (C) + 1 (b) + n (r) qubits
         if self.n + 2 > config.QUBIT_CAP:
             raise CapExceeded(f"{self.n + 2} qubits exceed cap {config.QUBIT_CAP}")
         for m in self.shape:
-            if m < 1:
-                raise ProtocolError(f"m={m}")
+            _check_count("m", m)
 
     @property
     def m(self) -> int:
@@ -385,7 +388,8 @@ class FourRoundProtocol:
     # (the range is a power of two, so there is no rejection).  Then come
     # v1's 2m scalar draws and, for each commitment attempt, p2's 3m (b, r,
     # d per coordinate); there is no coin.  So the seed and v1 take 1 + m
-    # raw outputs, and every two attempts another 3m.
+    # raw outputs, and every two attempts another 3m, which keeps each pair
+    # of attempts on whole outputs.
 
     @property
     def raw_per_trial(self) -> int:
@@ -410,17 +414,17 @@ class FourRoundProtocol:
         x0, x1 = self._keys(self._words(raw[:, 1:]) >> (32 - self.n))
         return raw[:, 0] >> 2, x0, x1
 
-    def fs_attempts(self, raw: np.ndarray, attempts: int, x0, x1, had_ok: bool):
-        """(y, failmask) of each trial's next commitment attempts.
+    def fs_attempts(self, raw: np.ndarray, x0, x1, had_ok: bool):
+        """(y, failmask) of each trial's next two commitment attempts.
 
-        raw holds the attempts' outputs; y is (trials, attempts, m) and
-        failmask (trials, attempts) has bit m-1-i set when coordinate i
+        raw holds the attempts' 3m outputs; y is (trials, 2, m) and
+        failmask (trials, 2) has bit m-1-i set when coordinate i
         rejects a Hadamard round, the bit where the oracle's output
         carries coordinate i's challenge.  Honest or TestOnly pass every
         test round, so an attempt accepts iff challenge & failmask == 0.
         """
         m, n = self.m, self.n
-        words = self._words(raw)[:, :3 * m * attempts].reshape(-1, attempts, 3 * m)
+        words = self._words(raw).reshape(-1, 2, 3 * m)
         b, r, d = words[..., 0::3] >> 31, words[..., 1::3], words[..., 2::3]
         y = (r >> (32 - n)) ^ np.where(b == 1, x1[:, None], x0[:, None])
         fail = ((d >> (32 - n)) == 0) | (not had_ok)
@@ -601,7 +605,7 @@ class UnitaryCheat:
 
     def _answer_one(self, c, rng):
         states = self.strategy.derived("cheat_states", _cheat_states, self.strategy)
-        outcome, _, _ = measure(states[int(c)], "X1", rng)
+        outcome = measure(states[int(c)], "X1", rng)
         first, rest = int(outcome[0]), int(outcome[1:], 2)
         if c == "0":
             return ("test", first, rest)
@@ -618,12 +622,6 @@ def _cheat_states(s: ProverStrategy) -> tuple[StateVector, StateVector]:
 def _cheat_cdfs(states) -> np.ndarray:
     cdfs = np.array([outcome_probs(st, "X1").cumsum() for st in states])
     return cdfs / cdfs[:, -1:]
-
-
-def _check_count(name: str, value) -> None:
-    """Reject anything but a positive int (a bool is not one) as a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ProtocolError(f"{name}={value!r}")
 
 
 @dataclass
@@ -810,17 +808,6 @@ class _TrialStreams:
         self.inc_lo, self.inc_hi = self.inc_lo[rows], self.inc_hi[rows]
 
 
-def _trial_raw(seed, start: int, count: int, k: int) -> np.ndarray:
-    """(count, k) raw PCG64 outputs of children start..start+count-1 of seed."""
-    return _TrialStreams(seed, start, count).take(k)
-
-
-def _trial_streams(seed, trials: int, k: int):
-    """Every trial's first k raw outputs, one (chunk, k) array at a time."""
-    for start in range(0, trials, _TRIAL_CHUNK):
-        yield _trial_raw(seed, start, min(_TRIAL_CHUNK, trials - start), k)
-
-
 def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     """Seeded acceptance statistics for a strategy against a protocol.
 
@@ -897,8 +884,9 @@ def _run_toy_batch(p: FourRoundProtocol, verdicts: Callable, trials: int,
     """Stats from verdicts(raw) -> (c, ok), per trial and coordinate."""
     accepts = 0
     counts = {"test": [0, 0], "hadamard": [0, 0]}
-    for raw in _trial_streams(seed, trials, p.raw_per_trial):
-        c, ok = verdicts(raw)
+    for start in range(0, trials, _TRIAL_CHUNK):
+        streams = _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))
+        c, ok = verdicts(streams.take(p.raw_per_trial))
         had = c == 1
         accepts += int(np.count_nonzero(ok.all(axis=1)))
         n_had = int(np.count_nonzero(had))
@@ -913,9 +901,6 @@ def _run_toy_batch(p: FourRoundProtocol, verdicts: Callable, trials: int,
 # run trial by trial.  Its key frames need no such limit: the qubit cap
 # keeps toys at n <= 18, a table of 2^18 frames (about 14 MB).
 _FS_MAX_M = 64
-# Raw outputs one window of commitment attempts derives at most (beyond
-# a 2-attempt minimum), so memory stays flat whatever the query budget.
-_FS_WINDOW_RAW = 4 * 4096
 
 
 def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
@@ -924,28 +909,24 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
 
     A trial makes commitment attempts in order until one's hashed
     challenge misses its failmask, at most budget of them; each attempt
-    is one oracle query, as on the per-trial route.  Attempts run in
-    windows over the trials still grinding, two at a time or as many as
-    fit in _FS_WINDOW_RAW raw outputs.
+    is one oracle query, as on the per-trial route.  Attempts run two at
+    a time, 3m raw outputs, over the trials of a chunk still grinding, so
+    memory stays flat whatever the query budget.
     """
     m, shape = p.m, p.shape
     frames = _int_frames(p.n)
-    # two attempts of a chunk's trials fill one window
-    per_chunk = max(1, min(_TRIAL_CHUNK, _FS_WINDOW_RAW // (3 * m)))
     accepts = queries = 0
-    for start in range(0, trials, per_chunk):
-        streams = _TrialStreams(seed, start, min(per_chunk, trials - start))
+    for start in range(0, trials, _TRIAL_CHUNK):
+        streams = _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))
         seeds, x0, x1 = p.fs_head(streams.take(1 + m))
         seed_bytes = [s.to_bytes(8, "big") for s in seeds.tolist()]
         done = 0
         while seed_bytes and done < budget:
+            y, failmask = p.fs_attempts(streams.take(3 * m), x0, x1, had_ok)
             rows = len(seed_bytes)
-            # an even count keeps every window but the last on whole outputs
-            attempts = min(budget - done, max(2, 2 * (_FS_WINDOW_RAW // (3 * m * rows))))
-            raw = streams.take((3 * m * attempts + 1) // 2)
-            y, failmask = p.fs_attempts(raw, attempts, x0, x1, had_ok)
             grinding = [True] * rows
-            for a in range(attempts):
+            # a budget that runs out on the first attempt hashes only that one
+            for a in range(min(2, budget - done)):
                 ys, masks = y[:, a].tolist(), failmask[:, a].tolist()
                 for i in range(rows):
                     if grinding[i]:
@@ -957,7 +938,7 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
             streams.keep(keep)
             x0, x1 = x0[keep], x1[keep]
             seed_bytes = [sb for sb, g in zip(seed_bytes, grinding) if g]
-            done += attempts
+            done += 2
     return _stats(trials, accepts, {"test": [0, 0], "hadamard": [0, 0]}, queries)
 
 

@@ -2,9 +2,8 @@
 
 States live over an ordered list of named registers; the first register
 occupies the most significant bits of the flat amplitude index. Everything
-is immutable: operations return new states. Sub-normalized states are
-first-class citizens because the partition machinery manipulates
-unnormalized branch components throughout.
+is immutable. Sub-normalized states are first-class citizens because the
+partition machinery manipulates unnormalized branch components throughout.
 """
 
 from __future__ import annotations
@@ -141,38 +140,31 @@ class Operator:
         return cls(mat.shape[0] if mat.ndim else 0, mat, "projector")
 
 
-def _register_masses(state: StateVector, register: str):
-    """The register's value at every index, the outcome masses and probabilities."""
-    total = state.norm2
-    if total <= config.ZERO_STATE_TOL:
-        raise ZeroState(f"norm^2 = {total:.3e}")
-    vals = state.layout.values(register)
-    masses = np.bincount(vals, weights=(state.amps.conj() * state.amps).real,
-                         minlength=1 << state.layout.width(register))
-    probs = masses / total
-    return vals, masses, probs / probs.sum()
-
-
 def outcome_probs(state: StateVector, register: str) -> np.ndarray:
     """Born probabilities of each computational-basis outcome of one register.
 
-    Taken relative to the state's squared norm, exactly as `measure`
-    samples them; entry i is the outcome whose bits read i MSB-first.
+    Taken relative to the state's squared norm, so sub-normalized inputs
+    behave like their normalized versions; entry i is the outcome whose
+    bits read i MSB-first.
     """
-    return _register_masses(state, register)[-1]
+    total = state.norm2
+    if total <= config.ZERO_STATE_TOL:
+        raise ZeroState(f"norm^2 = {total:.3e}")
+    masses = np.bincount(state.layout.values(register),
+                         weights=(state.amps.conj() * state.amps).real,
+                         minlength=1 << state.layout.width(register))
+    probs = masses / total
+    return probs / probs.sum()
 
 
-def measure(state: StateVector, register: str, rng: np.random.Generator):
-    """Projective computational-basis measurement of one register.
+def measure(state: StateVector, register: str, rng: np.random.Generator) -> str:
+    """Sample one computational-basis outcome of a register as a bitstring.
 
-    Returns (outcome bitstring, renormalized post state, conditional
-    probability of the outcome). Born probabilities are taken relative to
-    the state's squared norm, so sub-normalized inputs behave like their
-    normalized versions.
+    The outcome is one rng.choice draw over `outcome_probs`, made even
+    for a width-0 register (whose outcome is ""), so a caller's stream
+    advances the same way whatever the width.
     """
-    vals, masses, probs = _register_masses(state, register)
+    probs = outcome_probs(state, register)
     outcome = int(rng.choice(len(probs), p=probs))
-    post = np.where(vals == outcome, state.amps / np.sqrt(masses[outcome]), 0.0)
     w = state.layout.width(register)
-    bits = format(outcome, f"0{w}b") if w else ""
-    return bits, StateVector(state.layout, post), float(probs[outcome])
+    return format(outcome, f"0{w}b") if w else ""

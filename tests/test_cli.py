@@ -351,13 +351,14 @@ class TestFsAttack:
         # 20 x (1 + 10^6) attempts is under the ceiling, and every grinder
         # accepts long before its budget runs out.  Attempt windows must
         # not grow with the budget: a block for the whole budget would be
-        # 6 * 10^6 raw outputs per trial.
+        # 6 * 10^6 raw outputs per trial, where two attempts at the default
+        # m = 4 take 3m = 12.
         blocks = []
         take = protocol._TrialStreams.take
 
         def recording(self, k):
             out = take(self, k)
-            blocks.append(out.size)
+            blocks.append(out.shape[1])
             return out
 
         monkeypatch.setattr(protocol._TrialStreams, "take", recording)
@@ -367,7 +368,7 @@ class TestFsAttack:
         rows = {r["adversary"]: r for r in read_rows(out)}
         assert rows["grinder[1000000]"]["accepts"] == "20"
         assert 20 < int(rows["grinder[1000000]"]["queries"]) < 20 * 1000
-        assert 0 < max(blocks) <= protocol._FS_WINDOW_RAW
+        assert 0 < max(blocks) <= 3 * 4
 
     def test_completeness_and_determinism_rows_pass(self, tmp_path):
         code, out = run_cli(["fs-attack", "--seed", "22", "--set", "m=2",

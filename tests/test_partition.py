@@ -73,7 +73,6 @@ class TestParams:
         assert p.gamma == pytest.approx(0.375)
         assert p.delta == 0.75 / 12
         assert p.tau == int(np.ceil(np.log2(8 / p.delta)))
-        assert p.t == p.tau  # default: no padding bits
 
     def test_off_grid_gamma_rejected(self):
         with pytest.raises(DomainError):
@@ -244,7 +243,7 @@ class TestKernelHelpers:
 
     def test_threshold_mask_is_literal_geq(self):
         p = _params(gamma0=0.75, T=4, j=2)
-        size = 1 << p.t
+        size = 1 << p.tau
         mask = threshold_mask(p)
         pv = np.cos(np.pi * np.arange(size) / size) ** 2
         assert np.array_equal(mask, pv >= p.gamma - p.delta)

@@ -153,8 +153,9 @@ class TestOracleTable:
             h.program(b"k", b"\xaa\xbb")
 
     def test_bad_width_rejected(self):
-        with pytest.raises(ProtocolError):
-            OracleTable(0, 0)
+        for width in (0, 8.0, True, "8"):
+            with pytest.raises(ProtocolError, match="out_bits"):
+                OracleTable(0, width)
         with pytest.raises(ProtocolError):
             OracleTable(0, 8).query("not bytes")
 
@@ -221,8 +222,9 @@ class TestToyProtocol:
                     p.public_test_verify("yes", k, y, a)
 
     def test_width_guards(self):
-        with pytest.raises(ProtocolError):
-            toy_protocol(0)
+        for n in (0, 4.0, True, "4"):
+            with pytest.raises(ProtocolError, match="num_qubits"):
+                toy_protocol(n)
         with pytest.raises(CapExceeded):
             toy_protocol(19)
 
@@ -288,8 +290,11 @@ class TestParallelRepeat:
         assert sb.per_round_counts == sr.per_round_counts
 
     def test_m_must_be_positive(self):
-        with pytest.raises(ProtocolError):
-            parallel_repeat(toy_protocol(4), 0)
+        for m in (0, 2.0, True, "2"):
+            with pytest.raises(ProtocolError, match="m="):
+                parallel_repeat(toy_protocol(4), m)
+        with pytest.raises(ProtocolError, match="m="):
+            parallel_repeat(parallel_repeat(toy_protocol(4), 2), 2.0)
 
 
 class TestMalformedMessages:
@@ -459,21 +464,14 @@ class TestArrayStreams:
     @pytest.mark.parametrize("k", [3, 24, 60])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_raw_words_match_pcg64(self, seed, k):
-        got = protocol._trial_raw(seed, 0, 9, k)
+        got = protocol._TrialStreams(seed, 0, 9).take(k)
         assert np.array_equal(got, self._numpy_raw(np.random.SeedSequence(seed).spawn(9), k))
 
     def test_second_chunk_starts_at_chunk_size(self):
         k, trials = 6, protocol._TRIAL_CHUNK + 3
-        chunks = list(protocol._trial_streams(44, trials, k))
-        assert [len(c) for c in chunks] == [protocol._TRIAL_CHUNK, 3]
+        chunks = [protocol._TrialStreams(44, 0, protocol._TRIAL_CHUNK).take(k),
+                  protocol._TrialStreams(44, protocol._TRIAL_CHUNK, 3).take(k)]
         want = self._numpy_raw(np.random.SeedSequence(44).spawn(trials), k)
-        assert np.array_equal(np.concatenate(chunks), want)
-
-    def test_partial_last_chunk(self, monkeypatch):
-        monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 7)
-        chunks = list(protocol._trial_streams(45, 17, 12))
-        assert [len(c) for c in chunks] == [7, 7, 3]
-        want = self._numpy_raw(np.random.SeedSequence(45).spawn(17), 12)
         assert np.array_equal(np.concatenate(chunks), want)
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
@@ -482,7 +480,7 @@ class TestArrayStreams:
         for start in (2**32 - 2, 2**33 + 5, 2**40):
             children = [np.random.SeedSequence(seed, spawn_key=(start + i,))
                         for i in range(4)]
-            got = protocol._trial_raw(seed, start, 4, 5)
+            got = protocol._TrialStreams(seed, start, 4).take(5)
             assert np.array_equal(got, self._numpy_raw(children, 5))
 
     def test_negative_seed_fails_like_per_trial_route(self):
@@ -571,25 +569,14 @@ class TestFsBulkReplay:
             st = self._same(fs, adv, x, 150, 61 + m)
             assert st.queries >= 150
 
-    def test_grinder_accepting_on_its_last_attempt(self, monkeypatch):
+    def test_grinder_accepting_on_its_last_attempt(self):
         # on one seed a trial's attempts are the same whatever the budget,
         # so each budget's extra accepts are trials whose only accepted
-        # attempt is their last; odd budgets end on half a raw output
-        monkeypatch.setattr(protocol, "_FS_WINDOW_RAW", 1)
+        # attempt is their last; odd budgets end on the first attempt of a pair
         base, fs = self._fs(5, (2,))
         accepts = [self._same(fs, FsGrinder(q, protocol.TestOnly(base)), "yes", 120, 62).accepts
                    for q in (1, 2, 3, 4)]
         assert accepts == sorted(accepts) and len(set(accepts)) == 4
-
-    @pytest.mark.parametrize("window", [1, 40, 500, 10**6])
-    def test_window_boundaries_change_nothing(self, monkeypatch, window):
-        base, fs = self._fs(4, (3,))
-        adv = FsGrinder(11, protocol.TestOnly(base))
-        want = run_protocol(fs, adv, "yes", trials=300, seed=63)
-        monkeypatch.setattr(protocol, "_FS_WINDOW_RAW", window)
-        assert run_protocol(fs, adv, "yes", trials=300, seed=63) == want
-        if window == 1:
-            assert protocol._run_per_trial(fs, adv, "yes", trials=300, seed=63) == want
 
     @pytest.mark.parametrize("shape", [(), (2, 2), (3, 2), (2, 1, 2)])
     def test_bare_and_nested_shapes(self, shape):
@@ -607,7 +594,7 @@ class TestFsBulkReplay:
 
     def test_oracle_seed_is_first_output_shifted(self):
         children = np.random.SeedSequence(66).spawn(40)
-        raw = protocol._trial_raw(66, 0, 40, 1)
+        raw = protocol._TrialStreams(66, 0, 40).take(1)
         want = [np.random.Generator(np.random.PCG64(c)).integers(1 << 62) for c in children]
         assert np.array_equal(raw[:, 0] >> 2, want)
 
@@ -873,7 +860,7 @@ class TestWideSeeds:
     def test_raw_words_match_pcg64(self, seed):
         children = np.random.SeedSequence(seed).spawn(6)
         want = np.array([np.random.PCG64(c).random_raw(9) for c in children])
-        assert np.array_equal(protocol._trial_raw(seed, 0, 6, 9), want)
+        assert np.array_equal(protocol._TrialStreams(seed, 0, 6).take(9), want)
 
     def test_bulk_stats_equal_per_trial(self):
         seed = 2**200 + 12345
