@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,10 +51,6 @@ class BackendFailure(Exception):
 
 
 class InnerProtocolError(Exception):
-    pass
-
-
-class IncompleteSession(Exception):
     pass
 
 
@@ -212,18 +208,17 @@ def derive_keys(stream: bytes, n: int, m: int):
 
 
 class Counters:
-    """Per-party work units, switched by the driver between phases."""
+    """Per-party work units; the session sets `active` between phases."""
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.verifier = 0
-        self.prover = 0
+        self.ops = {"verifier": 0, "prover": 0}
         self.active = "verifier"
 
     def charge(self, units: int):
-        setattr(self, self.active, getattr(self, self.active) + int(units))
+        self.ops[self.active] += int(units)
 
 
 def _prg_bytes(seed: bytes) -> bytes:
@@ -319,9 +314,8 @@ class StubRe:
     inner time bound is ever paid.
     """
 
-    def __init__(self, counters: Counters, prg: Callable):
+    def __init__(self, counters: Counters):
         self._counters = counters
-        self._prg = prg
 
     def setup(self, security: int, ell: int, crs: bytes) -> ReEncodingKey:
         if security < 1 or ell < 1:
@@ -339,7 +333,7 @@ class StubRe:
     def dec(self, crs: bytes, encoding: ReEncoding):
         if _crs_digest(crs) != encoding.crs_digest:
             raise BackendFailure("encoding bound to a different crs")
-        out, steps = run_machine(encoding.program, encoding.inp, self._prg,
+        out, steps = run_machine(encoding.program, encoding.inp, _prg_bytes,
                                  budget=encoding.bound)
         self._counters.charge(steps)
         return out
@@ -393,7 +387,6 @@ class StubSnark:
 class BackendSuite:
     """Bundle of the pluggable primitives plus shared work counters."""
 
-    prg: Callable
     fhe: StubFhe
     re: StubRe
     snark: StubSnark
@@ -401,18 +394,12 @@ class BackendSuite:
     salt_oracle: OracleTable
     counters: Counters
 
-    def begin_phase(self, party: str):
-        if party not in ("verifier", "prover"):
-            raise BackendFailure(f"party {party!r}")
-        self.counters.active = party
-
 
 def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
     counters = Counters()
     return BackendSuite(
-        prg=_prg_bytes,
         fhe=StubFhe(counters),
-        re=StubRe(counters, _prg_bytes),
+        re=StubRe(counters),
         snark=StubSnark(counters),
         snark_oracle=OracleTable(oracle_seed ^ 0x5A17ED, 256),
         salt_oracle=OracleTable(oracle_seed ^ 0xC0FFEE, 256),
@@ -485,7 +472,6 @@ class VerificationCircuit:
     x: object
     e: object
     inner: TwoRoundInner
-    prg: Callable
     time_bound: int
 
     @property
@@ -495,7 +481,7 @@ class VerificationCircuit:
         return self.time_bound
 
     def __call__(self, s: bytes) -> int:
-        k, td = self.inner.v1_from_stream(self.prg(s))
+        k, td = self.inner.v1_from_stream(_prg_bytes(s))
         return 1 if self.inner.v_out(self.x, k, td, self.e) else 0
 
 
@@ -503,27 +489,33 @@ class VerificationCircuit:
 # Sessions
 
 
-@dataclass
+@dataclass(frozen=True)
+class CostReport:
+    verifier_ops: int
+    prover_ops: int
+    message_bytes: int
+
+
+@dataclass(frozen=True)
 class EffSession:
+    """One finished session: the messages, the verifier's secrets, the costs."""
+
     x: object
     time_bound: int
-    s: bytes | None = None
-    pk_fhe: FheKey | None = None
-    sk_fhe: FheKey | None = None
-    ct: FheCiphertext | None = None
-    encoding: ReEncoding | None = None
-    e: object = None
-    ct_prime: FheCiphertext | None = None
-    z: bytes | None = None
-    proof: SnarkProof | None = None
-    statement: bytes | None = None
-    counters: dict = field(default_factory=dict)
-    message_bytes: int = 0
-    complete: bool = False
+    s: bytes
+    pk_fhe: FheKey
+    sk_fhe: FheKey
+    ct: FheCiphertext
+    encoding: ReEncoding
+    e: object
+    ct_prime: FheCiphertext
+    z: bytes
+    proof: SnarkProof
+    statement: bytes
+    cost: CostReport
 
     def dump(self) -> dict:
         """JSON-ready view: every message hex-encoded, plus the costs."""
-        report = cost_report(self)
         return {
             "x": repr(self.x),
             "time_bound": self.time_bound,
@@ -535,29 +527,12 @@ class EffSession:
             "salt": self.z.hex(),
             "proof": self.proof.serialize().hex(),
             "statement": self.statement.hex(),
-            "cost": {
-                "verifier_ops": report.verifier_ops,
-                "prover_ops": report.prover_ops,
-                "message_bytes": report.message_bytes,
-            },
+            "cost": asdict(self.cost),
         }
 
 
-@dataclass(frozen=True)
-class CostReport:
-    verifier_ops: int
-    prover_ops: int
-    message_bytes: int
-
-
 def cost_report(session: EffSession) -> CostReport:
-    if not session.complete:
-        raise IncompleteSession("session did not finish the message flow")
-    return CostReport(
-        verifier_ops=session.counters["verifier"],
-        prover_ops=session.counters["prover"],
-        message_bytes=session.message_bytes,
-    )
+    return session.cost
 
 
 def setup_eff(security: int, ell: int, rng, suite: BackendSuite):
@@ -584,69 +559,63 @@ def _statement(x, pk: FheKey, ct: FheCiphertext,
 
 def _run_session(suite: BackendSuite, inner: TwoRoundInner, x, prover,
                  seed: int, time_bound: int, derive_salt: bool):
+    if isinstance(time_bound, bool) or not isinstance(time_bound, (int, np.integer)):
+        raise BackendFailure(f"time_bound={time_bound!r} is not an integer")
+    time_bound = int(time_bound)
     if prover not in _PROVER_MODES:
         raise InnerProtocolError(f"unknown prover mode {prover!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ses = EffSession(x=x, time_bound=time_bound)
-    suite.counters.reset()
+    counters = suite.counters
+    counters.reset()
 
     # V_eff,1: seed, keys, encrypted seed, delegated key machine
-    suite.begin_phase("verifier")
-    ses.s = rng.bytes(ELL_S)
+    s = rng.bytes(ELL_S)
     crs_prover, ek = setup_eff(SECURITY, inner.key_length, rng, suite)
-    ses.pk_fhe, ses.sk_fhe = suite.fhe.keygen(rng)
-    ses.ct = suite.fhe.enc(ses.pk_fhe, ses.s)
-    ses.encoding = suite.re.enc(ek, inner.machine(time_bound), ses.s,
-                                time_bound)
-    ses.message_bytes += (len(ses.encoding.serialize())
-                          + len(ses.pk_fhe.serialize())
-                          + len(ses.ct.serialize()))
+    pk_fhe, sk_fhe = suite.fhe.keygen(rng)
+    ct = suite.fhe.enc(pk_fhe, s)
+    encoding = suite.re.enc(ek, inner.machine(time_bound), s, time_bound)
 
     # P_eff,2: decode keys, answer the inner protocol, evaluate C[x, e]
-    suite.begin_phase("prover")
-    k = inner.parse_key(suite.re.dec(crs_prover, ses.encoding))
-    if prover == "rejecting-e":
-        ses.e = inner.rejecting_response(x, k, rng)
-    else:
-        ses.e = inner.p2(x, k, rng)
-    circuit = VerificationCircuit(x=x, e=ses.e, inner=inner, prg=suite.prg,
-                                  time_bound=time_bound)
-    honest_ct_prime = suite.fhe.eval(ses.pk_fhe, circuit, ses.ct)
+    counters.active = "prover"
+    k = inner.parse_key(suite.re.dec(crs_prover, encoding))
+    respond = inner.rejecting_response if prover == "rejecting-e" else inner.p2
+    e = respond(x, k, rng)
+    circuit = VerificationCircuit(x=x, e=e, inner=inner, time_bound=time_bound)
+    honest_ct_prime = suite.fhe.eval(pk_fhe, circuit, ct)
     # the proof binds the honest statement; a mismatched prover ships another ct'
-    proof_statement = _statement(x, ses.pk_fhe, ses.ct, honest_ct_prime)
+    proof_statement = _statement(x, pk_fhe, ct, honest_ct_prime)
     if prover == "mismatched-statement":
-        ses.ct_prime = suite.fhe.enc(ses.pk_fhe, 0)
+        ct_prime = suite.fhe.enc(pk_fhe, 0)
     else:
-        ses.ct_prime = honest_ct_prime
-    ses.message_bytes += len(ses.ct_prime.serialize())
+        ct_prime = honest_ct_prime
 
     # V_eff,3: the salt, fresh or derived from the received ct'
-    suite.begin_phase("verifier")
+    counters.active = "verifier"
     if derive_salt:
-        ses.z = suite.salt_oracle.query(ses.ct_prime.serialize())
+        z = suite.salt_oracle.query(ct_prime.serialize())
     else:
-        ses.z = rng.bytes(SALT_LEN)
-    suite.counters.charge(SALT_LEN)
-    ses.message_bytes += SALT_LEN
+        z = rng.bytes(SALT_LEN)
+    counters.charge(SALT_LEN)
 
     # P_eff,4: proof under the salted oracle
-    suite.begin_phase("prover")
-    ses.proof = suite.snark.prove(suite.snark_oracle.salted(ses.z),
-                                  proof_statement, encode(ses.e))
-    ses.message_bytes += len(ses.proof.serialize())
+    counters.active = "prover"
+    proof = suite.snark.prove(suite.snark_oracle.salted(z), proof_statement,
+                              encode(e))
 
-    # V_eff,out: proof check and one decryption
-    suite.begin_phase("verifier")
-    ses.statement = _statement(x, ses.pk_fhe, ses.ct, ses.ct_prime)
-    ok_proof = suite.snark.verify(suite.snark_oracle.salted(ses.z),
-                                  ses.statement, ses.proof)
-    ok_dec = suite.fhe.dec(ses.sk_fhe, ses.ct_prime) == 1
-    verdict = ok_proof and ok_dec
+    # V_eff,out: proof check and one decryption, both run (dec is charged)
+    counters.active = "verifier"
+    statement = _statement(x, pk_fhe, ct, ct_prime)
+    ok_proof = suite.snark.verify(suite.snark_oracle.salted(z), statement, proof)
+    ok_dec = suite.fhe.dec(sk_fhe, ct_prime) == 1
 
-    ses.counters = {"verifier": suite.counters.verifier,
-                    "prover": suite.counters.prover}
-    ses.complete = True
-    return verdict, ses
+    message_bytes = SALT_LEN + sum(len(msg.serialize()) for msg in
+                                   (encoding, pk_fhe, ct, ct_prime, proof))
+    cost = CostReport(counters.ops["verifier"], counters.ops["prover"],
+                      message_bytes)
+    return ok_proof and ok_dec, EffSession(
+        x=x, time_bound=time_bound, s=s, pk_fhe=pk_fhe, sk_fhe=sk_fhe, ct=ct,
+        encoding=encoding, e=e, ct_prime=ct_prime, z=z, proof=proof,
+        statement=statement, cost=cost)
 
 
 def run_four_round(suite: BackendSuite, inner: TwoRoundInner, x,

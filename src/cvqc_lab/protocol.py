@@ -353,11 +353,6 @@ class FourRoundProtocol:
         _, m0, d = a
         return x == "yes" and _uint(d, self.n) and d != 0 and m0 == _parity(d & (td[0] ^ td[1]))
 
-    def public_test_verify(self, x, k, y, a) -> bool:
-        """Whether every coordinate passes its test round, from public data alone."""
-        coords = self._coords(k, y, a)
-        return coords is not None and all(self._test_ok(*parts) for parts in coords)
-
     def v_out_coords(self, x, k, td, y, c, a) -> list[bool]:
         """The per-coordinate verdicts, in flat order; v_out is their conjunction."""
         coords = self._coords(k, td, y, a)

@@ -492,11 +492,14 @@ class TestReproducibility:
         (["fs-attack", "--seed", "21", "--set", "m=9", "--set", "n=3",
           "--set", "budgets=1,3", "--set", "trials=300"], "fs.csv",
          "368e26008879905400904d615ff289132c9717d02309cecf74928fcc890327c1"),
+        (["effverify-demo", "--seed", "31", "--trials", "2", "--time-bound", "512",
+          "--set", "flow=four-round", "--format", "json"], "eff4.json",
+         "531e7f5726f4a75464014707490f327a17e83a9c12efaed7c658dd5862a031f2"),
     ]
 
     @pytest.mark.parametrize("args,name,digest", GOLDEN,
                              ids=["testonly", "honest", "fs-attack", "effverify-json", "cheat",
-                                  "fs-attack-wide"])
+                                  "fs-attack-wide", "effverify-four-round-json"])
     def test_golden_digest(self, tmp_path, args, name, digest):
         code, out = run_cli(args, tmp_path, name)
         assert code == 0

@@ -11,7 +11,6 @@ from cvqc_lab.effverify import (
     BackendFailure,
     EffSession,
     FheCiphertext,
-    IncompleteSession,
     InnerProtocolError,
     VerificationCircuit,
     cost_report,
@@ -328,8 +327,7 @@ class TestStubFhe:
                 e = inner.p2(x, k, rng)
             else:
                 e = inner.rejecting_response(x, k, rng)
-            circuit = VerificationCircuit(x=x, e=e, inner=inner,
-                                          prg=_prg_bytes, time_bound=256)
+            circuit = VerificationCircuit(x=x, e=e, inner=inner, time_bound=256)
             ct = suite.fhe.enc(pk, s)
             assert suite.fhe.dec(sk, suite.fhe.eval(pk, circuit, ct)) == circuit(s)
 
@@ -341,7 +339,7 @@ class TestStubFhe:
         y, a = inner.p2("yes", k, rng)
 
         def circuit(e):
-            return VerificationCircuit(x="yes", e=e, inner=inner, prg=_prg_bytes, time_bound=256)
+            return VerificationCircuit(x="yes", e=e, inner=inner, time_bound=256)
 
         assert circuit((y, a))(s) == 1
         for e in [(y, ()), (y, a[:-1]), (y, a + a[:1]), (y[:-1], a), (y,), (), None]:
@@ -475,7 +473,6 @@ class TestComposition:
         for seed in range(30):
             verdict, ses = run_four_round(suite, inner, "yes", "honest", seed)
             assert verdict
-            assert ses.complete
 
     def test_verdict_matches_inner_protocol(self):
         # the composed verdict equals the inner verdict computed from the
@@ -525,6 +522,17 @@ class TestComposition:
         with pytest.raises(InnerProtocolError):
             run_four_round(suite, inner, "yes", "clever", 0)
 
+    def test_time_bound_must_be_an_integer(self):
+        suite, inner = _suite_and_inner()
+        _, want = run_four_round(suite, inner, "yes", "honest", 5, time_bound=4096)
+        _, got = run_four_round(suite, inner, "yes", "honest", 5,
+                                time_bound=np.int64(4096))
+        assert cost_report(got) == cost_report(want)
+        assert json.dumps(got.dump()) == json.dumps(want.dump())
+        for bad in (4096.0, "4096", None, True):
+            with pytest.raises(BackendFailure, match="time_bound"):
+                run_four_round(suite, inner, "yes", "honest", 5, time_bound=bad)
+
     def test_inner_guards(self):
         with pytest.raises(InnerProtocolError):
             toy_inner(0, 2)
@@ -570,9 +578,26 @@ class TestTwoRoundFlow:
 
 class TestCostReport:
     def test_incomplete_session_rejected(self):
-        ses = EffSession(x="yes", time_bound=256)
-        with pytest.raises(IncompleteSession):
-            cost_report(ses)
+        # a session is built only once every message exists
+        with pytest.raises(TypeError):
+            EffSession(x="yes", time_bound=256)
+
+    # verifier_ops - T.bit_length(), summed over the verifier's charge sites
+    @pytest.mark.parametrize("m,offset", [(1, 335), (2, 368), (3, 400), (4, 433),
+                                          (5, 465), (6, 497), (7, 530)])
+    def test_verifier_cost_is_exact(self, m, offset):
+        # the same for every flow, prover mode and seed: a charge sent to
+        # the wrong party, or a verdict that skips dec, moves it
+        suite, inner = _suite_and_inner(m=m)
+        seed = 0
+        for flow in (run_four_round, run_two_round_fs):
+            for mode in ("honest", "mismatched-statement", "rejecting-e"):
+                for t in (1 << 8, 1 << 12, 1 << 40):
+                    _, ses = flow(suite, inner, "yes", mode, seed, time_bound=t)
+                    rep = cost_report(ses)
+                    assert rep.verifier_ops - t.bit_length() == offset
+                    assert rep.prover_ops > 2 * t
+                    seed += 1
 
     def test_identical_sessions_identical_reports(self):
         suite, inner = _suite_and_inner()

@@ -185,8 +185,10 @@ class TestToyProtocol:
             k, td = p.v1(None, "yes", rng)
             y, st = p.p2("yes", k, rng)
             a = p.p4(st, "0")
-            assert p.public_test_verify("yes", k, y, a)
             assert p.v_out("yes", k, td, y, "0", a)
+            # a test round reads public data only: any other td passes it too
+            other_td = (k[1], k[0])
+            assert other_td != k and p.v_out("yes", k, other_td, y, "0", a)
 
     def test_honest_hadamard_accepts_unless_d_zero(self):
         p = toy_protocol(6)
@@ -208,8 +210,8 @@ class TestToyProtocol:
             assert p.v_out("no", k, td, y, "0", p.p4(st, "0"))
 
     def test_challenge_zero_matches_public_verifier(self):
-        # on the test round v_out must agree with the public check, even
-        # on malformed answers
+        # on the test round v_out reads public data only, so a td unrelated
+        # to k gives the same verdict, even on malformed answers
         p = toy_protocol(5)
         rng = np.random.default_rng(4)
         answers = [("test", 0, 3), ("test", 1, 31), ("test", 2, 0),
@@ -217,9 +219,11 @@ class TestToyProtocol:
         for _ in range(50):
             k, td = p.v1(None, "yes", rng)
             y, st = p.p2("yes", k, rng)
+            other_td = (k[0] ^ 1, k[1])
             for a in answers + [p.p4(st, "0")]:
                 assert p.v_out("yes", k, td, y, "0", a) == \
-                    p.public_test_verify("yes", k, y, a)
+                    p.v_out("yes", k, other_td, y, "0", a)
+            assert p.v_out("yes", k, other_td, y, "0", p.p4(st, "0"))
 
     def test_width_guards(self):
         for n in (0, 4.0, True, "4"):
@@ -324,7 +328,10 @@ class TestMalformedMessages:
         m = math.prod(shape)
         c = "0" * m  # test rounds only, which an honest answer always passes
         a = p.p4(st, c)
-        assert p.v_out("yes", k, td, y, c, a) and p.public_test_verify("yes", k, y, a)
+        # a td unrelated to k: test rounds read public data only
+        _, other_td = p.v1(None, "yes", np.random.default_rng(91))
+        assert other_td != k
+        assert p.v_out("yes", k, td, y, c, a) and p.v_out("yes", k, other_td, y, c, a)
         cases = ([(y, c, bad) for bad in self._misnested(a, shape)]
                  + [(bad, c, a) for bad in self._misnested(y, shape)]
                  + [(y, bad, a) for bad in ("", c[:-1], c + "0", None)])
@@ -332,7 +339,7 @@ class TestMalformedMessages:
             assert p.v_out_coords("yes", k, td, y_, c_, a_) == [False] * m
             assert not p.v_out("yes", k, td, y_, c_, a_)
             if c_ == c:
-                assert not p.public_test_verify("yes", k, y_, a_)
+                assert not p.v_out("yes", k, other_td, y_, c_, a_)
         # a coordinate whose answer fields have the wrong type fails on its own
         had = "1" + c[1:]
         for c_, leaf in [(c, ("test", 0, "x")), (c, ("test", 1.0, 0)), (had, ("had", 0, "x"))]:
