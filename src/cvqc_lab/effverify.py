@@ -54,6 +54,15 @@ class InnerProtocolError(Exception):
     pass
 
 
+def _int_arg(name: str, value, low: int) -> int:
+    """value as a plain int; BackendFailure unless it is an int >= low (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BackendFailure(f"{name}={value!r} is not an integer")
+    if value < low:
+        raise BackendFailure(f"{name}={value} below {low}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Register machine
 #
@@ -325,8 +334,7 @@ class StubRe:
 
     def enc(self, ek: ReEncodingKey, machine: tuple, inp: bytes,
             time_bound: int) -> ReEncoding:
-        if time_bound < 1:
-            raise BackendFailure(f"time_bound={time_bound}")
+        time_bound = _int_arg("time_bound", time_bound, 1)
         self._counters.charge(len(machine) + len(inp) + time_bound.bit_length())
         return ReEncoding(machine, inp, time_bound, ek.crs_digest)
 
@@ -559,9 +567,8 @@ def _statement(x, pk: FheKey, ct: FheCiphertext,
 
 def _run_session(suite: BackendSuite, inner: TwoRoundInner, x, prover,
                  seed: int, time_bound: int, derive_salt: bool):
-    if isinstance(time_bound, bool) or not isinstance(time_bound, (int, np.integer)):
-        raise BackendFailure(f"time_bound={time_bound!r} is not an integer")
-    time_bound = int(time_bound)
+    time_bound = _int_arg("time_bound", time_bound, 1)
+    seed = _int_arg("seed", seed, 0)
     if prover not in _PROVER_MODES:
         raise InnerProtocolError(f"unknown prover mode {prover!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

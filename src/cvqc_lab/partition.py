@@ -31,6 +31,7 @@ against each other; do not collapse them into one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -597,10 +598,109 @@ class ExtractOutcome:
         return self.a_i is not None
 
 
-def _extract_frame(strategy: ProverStrategy, i: int):
-    """(W, W^dagger, X_i accept mask, X_i value per index) for extract."""
-    w = _rotated_frame(strategy, i)
-    return w, w.conj().T, _accept_mask(strategy, i), strategy.layout().values(f"X{i}")
+class _ExtractNode:
+    """One normalized extractor state and the numbers a round reads from it.
+
+    p_hit is read when the node is made, the X_i CDF on its first hit,
+    the miss vector W^dag (rotated - hit) and p_in on its first miss, and
+    each child on its first visit; so a node evaluates nothing that the
+    alternating loop would not (no 0/0 at p_hit = 1).
+    """
+
+    __slots__ = ("p_hit", "cdf", "p_in", "kids", "rotated", "back")
+
+    def __init__(self, rotated: np.ndarray, p_hit: float):
+        self.p_hit = p_hit
+        self.cdf = None
+        self.p_in = None
+        self.kids = [None, None]  # collapsed out of Pi_in, into Pi_in
+        self.rotated = rotated  # W amps, until the CDF and p_in are read
+        self.back = None  # the miss vector, until both children exist
+
+
+class _ExtractGraph:
+    """W, W^dagger and the X_i data of one coordinate, and the states reached.
+
+    Every number a round of the alternating loop reads depends only on
+    the exact bytes of the current normalized state, so each is computed
+    once per distinct state, by that loop's own arithmetic.  The draws,
+    the comparisons and so the outcomes are the loop's, bit for bit.
+    Nodes are keyed on their amplitude bytes and roots on the input's;
+    the table starts over once it holds EXTRACT_TABLE_AMPS amplitudes.
+    """
+
+    def __init__(self, strategy: ProverStrategy, i: int):
+        self.w = _rotated_frame(strategy, i)
+        self.wd = self.w.conj().T
+        self.acc = _accept_mask(strategy, i)
+        self.xi_vals = strategy.layout().values(f"X{i}")
+        self.labels = [format(v, f"0{strategy.x_width}b") for v in range(1 << strategy.x_width)]
+        self.xz = strategy.xz_dim
+        self.capacity = max(2, config.EXTRACT_TABLE_AMPS // strategy.dim)
+        self.roots: dict[bytes, _ExtractNode] = {}
+        self.nodes: dict[bytes, _ExtractNode] = {}
+
+    def _make_room(self):
+        if len(self.roots) + len(self.nodes) >= self.capacity:
+            self.roots.clear()
+            self.nodes.clear()
+
+    def root(self, state: StateVector) -> _ExtractNode:
+        key = state.amps.tobytes()
+        node = self.roots.get(key)
+        if node is None:
+            amps = state.amps.astype(np.complex128, copy=True)
+            nrm = np.linalg.norm(amps)
+            if nrm**2 <= config.ZERO_STATE_TOL:
+                raise ZeroState("extractor input has zero norm")
+            amps /= nrm
+            self._make_room()
+            node = self.roots[key] = self._node(amps)
+        return node
+
+    def _node(self, amps: np.ndarray) -> _ExtractNode:
+        key = amps.tobytes()
+        node = self.nodes.get(key)
+        if node is None:
+            self._make_room()
+            rotated = self.w @ amps
+            hit = rotated * self.acc
+            node = self.nodes[key] = _ExtractNode(rotated, float(np.vdot(hit, hit).real))
+        return node
+
+    def cdf(self, node: _ExtractNode) -> list[float]:
+        """The X_i CDF of the accepted part, built as Generator.choice builds it."""
+        hit = node.rotated * self.acc
+        masses = np.bincount(self.xi_vals, weights=(hit.conj() * hit).real,
+                             minlength=len(self.labels))
+        cdf = (masses / masses.sum()).cumsum()
+        cdf /= cdf[-1]
+        node.cdf = cdf.tolist()
+        if node.p_in is not None:
+            node.rotated = None
+        return node.cdf
+
+    def miss(self, node: _ExtractNode):
+        """Undo W on the rejected part; read the chance of landing in Pi_in."""
+        back = self.wd @ (node.rotated - node.rotated * self.acc)
+        xz = self.xz
+        node.p_in = float(np.vdot(back[:xz], back[:xz]).real / np.vdot(back, back).real)
+        node.back = back
+        if node.cdf is not None:
+            node.rotated = None
+
+    def kid(self, node: _ExtractNode, into: bool) -> _ExtractNode:
+        """The state node's miss collapses to, into Pi_in or out of it."""
+        amps = node.back.copy()
+        if into:
+            amps[self.xz:] = 0.0
+        else:
+            amps[:self.xz] = 0.0
+        amps /= np.linalg.norm(amps)
+        kid = node.kids[into] = self._node(amps)
+        if all(node.kids):
+            node.back = None
+        return kid
 
 
 def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVector,
@@ -611,36 +711,23 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     frame: apply W = U H_{C-i}, binary-measure the X_i acceptance
     projector, and on success measure X_i right there, which guarantees
     the returned a_i is accepted.  On failure W is undone before the
-    Pi_in measurement.
+    Pi_in measurement.  The walk runs over the strategy's cached graph
+    of extractor states (see _ExtractGraph): one draw per measurement,
+    exactly as the alternating loop draws them.
     """
     if n_rounds < 1:
         raise DomainError(f"n_rounds={n_rounds}")
-    w, wd, acc, xi_vals = strategy.derived(("extract", params.i), _extract_frame,
-                                           strategy, params.i)
-    xz = strategy.xz_dim
-    amps = state.amps.astype(np.complex128, copy=True)
-    nrm = np.linalg.norm(amps)
-    if nrm**2 <= config.ZERO_STATE_TOL:
-        raise ZeroState("extractor input has zero norm")
-    amps /= nrm
-
+    graph = strategy.derived(("extract", params.i), _ExtractGraph, strategy, params.i)
+    node = graph.root(state)
     for rnd in range(1, n_rounds + 1):
-        rotated = w @ amps
-        hit = rotated * acc
-        p_hit = float(np.vdot(hit, hit).real)
-        if rng.random() < p_hit:
-            # the X_i outcome masses of the accepted part, read in place
-            masses = np.bincount(xi_vals, weights=(hit.conj() * hit).real,
-                                 minlength=1 << strategy.x_width)
-            outcome = int(rng.choice(len(masses), p=masses / masses.sum()))
-            return ExtractOutcome(a_i=format(outcome, f"0{strategy.x_width}b"), rounds_used=rnd)
-        amps = wd @ (rotated - hit)
-        p_in = float(np.vdot(amps[:xz], amps[:xz]).real / np.vdot(amps, amps).real)
-        if rng.random() < p_in:
-            amps[xz:] = 0.0
-        else:
-            amps[:xz] = 0.0
-        amps /= np.linalg.norm(amps)
+        if rng.random() < node.p_hit:
+            cdf = node.cdf or graph.cdf(node)
+            return ExtractOutcome(a_i=graph.labels[bisect_right(cdf, rng.random())],
+                                  rounds_used=rnd)
+        if node.p_in is None:
+            graph.miss(node)
+        into = rng.random() < node.p_in
+        node = node.kids[into] or graph.kid(node, into)
     return ExtractOutcome(a_i=None, rounds_used=n_rounds)
 
 

@@ -72,11 +72,11 @@ def _frame(tag: bytes, payload: bytes) -> bytes:
 
 
 def encode(value) -> bytes:
-    """Canonical length-prefixed big-endian encoding; decode inverts it."""
+    """Canonical length-prefixed big-endian encoding: tag, 4-byte length, payload."""
     if value is None:
         return _frame(_TAG_NONE, b"")
     if isinstance(value, bool):
-        # bools would silently encode as ints; forbid to keep decode exact
+        # bools would silently encode as ints; forbid to keep the encoding injective
         raise ProtocolError("bool is not an encodable transcript value")
     if isinstance(value, (int, np.integer)):
         value = int(value)
@@ -91,40 +91,6 @@ def encode(value) -> bytes:
     if isinstance(value, tuple):
         return _frame(_TAG_TUPLE, b"".join(encode(v) for v in value))
     raise ProtocolError(f"unencodable type {type(value).__name__}")
-
-
-def _decode_one(buf: bytes, pos: int):
-    if pos + 5 > len(buf):
-        raise ProtocolError("truncated frame header")
-    tag = buf[pos:pos + 1]
-    length = int.from_bytes(buf[pos + 1:pos + 5], "big")
-    start, end = pos + 5, pos + 5 + length
-    if end > len(buf):
-        raise ProtocolError("truncated frame payload")
-    payload = buf[start:end]
-    if tag == _TAG_NONE:
-        return None, end
-    if tag == _TAG_INT:
-        return int.from_bytes(payload, "big"), end
-    if tag == _TAG_BYTES:
-        return payload, end
-    if tag == _TAG_STR:
-        return payload.decode("utf-8"), end
-    if tag == _TAG_TUPLE:
-        items = []
-        inner = start
-        while inner < end:
-            item, inner = _decode_one(buf, inner)
-            items.append(item)
-        return tuple(items), end
-    raise ProtocolError(f"unknown tag {tag!r}")
-
-
-def decode(buf: bytes):
-    value, end = _decode_one(buf, 0)
-    if end != len(buf):
-        raise ProtocolError("trailing bytes after frame")
-    return value
 
 
 # Entry v is encode(v).  Filled on first use up to the widest toy served,

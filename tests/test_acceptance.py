@@ -3,9 +3,14 @@
 Each criterion is one test with fixed seeds and a wall-clock budget.
 A single summary line per criterion is printed (visible under
 `pytest -s` or in failure output); the asserts carry the details.
+When CVQC_LAB_ACCEPTANCE_JSON names a file, each criterion also appends
+one JSON line to it: number, label, elapsed_s, budget_s, headroom
+(budget over elapsed) and passed.
 """
 
 import gc
+import json
+import os
 import time
 
 import numpy as np
@@ -24,8 +29,16 @@ def _fresh_heap():
 
 
 def _report(num, label, failures, elapsed, budget):
+    passed = not failures and elapsed < budget
     status = "PASS" if not failures else "FAIL"
     print(f"criterion {num:>2} [{status}] {label}: {elapsed:.2f}s (budget {budget:.0f}s)")
+    path = os.environ.get("CVQC_LAB_ACCEPTANCE_JSON")
+    if path:
+        row = {"criterion": num, "label": label, "elapsed_s": round(elapsed, 4),
+               "budget_s": budget, "headroom": round(budget / elapsed, 2),
+               "passed": passed}
+        with open(path, "a") as fh:
+            fh.write(json.dumps(row) + "\n")
     assert not failures, failures[:5]
     assert elapsed < budget, f"criterion {num} took {elapsed:.2f}s, budget {budget}s"
 

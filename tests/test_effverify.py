@@ -417,6 +417,16 @@ class TestStubRe:
         with pytest.raises(BackendFailure):
             suite.re.enc(ek, (("HALT",),), b"", 0)
 
+    def test_time_bound_must_be_an_integer(self):
+        suite = make_stub_suite(0)
+        ek = suite.re.setup(16, 4, b"\x01" * 16)
+        prog = key_machine(8, 1, 4096)
+        want = suite.re.enc(ek, prog, b"\x00" * 16, 4096)
+        assert suite.re.enc(ek, prog, b"\x00" * 16, np.int64(4096)) == want
+        for bad in (4096.0, True):
+            with pytest.raises(BackendFailure, match="time_bound"):
+                suite.re.enc(ek, prog, b"\x00" * 16, bad)
+
 
 class TestStubSnark:
     def test_completeness(self):
@@ -532,6 +542,17 @@ class TestComposition:
         for bad in (4096.0, "4096", None, True):
             with pytest.raises(BackendFailure, match="time_bound"):
                 run_four_round(suite, inner, "yes", "honest", 5, time_bound=bad)
+
+    def test_seed_must_be_a_nonnegative_integer(self):
+        suite, inner = _suite_and_inner()
+        _, want = run_four_round(suite, inner, "yes", "honest", 5)
+        _, got = run_four_round(suite, inner, "yes", "honest", np.uint32(5))
+        assert json.dumps(got.dump()) == json.dumps(want.dump())
+        for bad in (-1, 1.5, None, True, "5"):
+            with pytest.raises(BackendFailure, match="seed"):
+                run_four_round(suite, inner, "yes", "honest", bad)
+            with pytest.raises(BackendFailure, match="seed"):
+                run_two_round_fs(suite, inner, "yes", "honest", bad)
 
     def test_inner_guards(self):
         with pytest.raises(InnerProtocolError):

@@ -1,6 +1,7 @@
 """Partition-procedure tests: projectors, phase estimation, G/H/Ext."""
 
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from cvqc_lab import config
 from cvqc_lab.jordan import jordan_decompose, unitary_eig
 from cvqc_lab.partition import (
+    _accept_mask,
     _apply_est,
+    _rotated_frame,
     ChainResult,
     DomainError,
     ExtractOutcome,
@@ -774,6 +777,118 @@ class TestSpectralRoutes:
             for ours, theirs, w_ours, w_theirs in pairs:
                 diff = _outer(embed(ours), w_ours) - _outer(theirs, w_theirs)
                 assert np.max(np.abs(diff)) <= 1e-12
+
+
+def _reference_frame(strategy, i):
+    w = _rotated_frame(strategy, i)
+    return w, w.conj().T, _accept_mask(strategy, i), strategy.layout().values(f"X{i}")
+
+
+def _extract_reference(frame, strategy, state, n_rounds, rng):
+    # the plain alternating loop, one numpy pass per measurement; extract
+    # must reproduce its outcomes and its RNG use exactly
+    w, wd, acc, xi_vals = frame
+    xz = strategy.xz_dim
+    amps = state.amps.astype(np.complex128, copy=True)
+    nrm = np.linalg.norm(amps)
+    if nrm**2 <= config.ZERO_STATE_TOL:
+        raise ZeroState("extractor input has zero norm")
+    amps /= nrm
+
+    for rnd in range(1, n_rounds + 1):
+        rotated = w @ amps
+        hit = rotated * acc
+        p_hit = float(np.vdot(hit, hit).real)
+        if rng.random() < p_hit:
+            # the X_i outcome masses of the accepted part, read in place
+            masses = np.bincount(xi_vals, weights=(hit.conj() * hit).real,
+                                 minlength=1 << strategy.x_width)
+            outcome = int(rng.choice(len(masses), p=masses / masses.sum()))
+            return ExtractOutcome(a_i=format(outcome, f"0{strategy.x_width}b"), rounds_used=rnd)
+        amps = wd @ (rotated - hit)
+        p_in = float(np.vdot(amps[:xz], amps[:xz]).real / np.vdot(amps, amps).real)
+        if rng.random() < p_in:
+            amps[xz:] = 0.0
+        else:
+            amps[:xz] = 0.0
+        amps /= np.linalg.norm(amps)
+    return ExtractOutcome(a_i=None, rounds_used=n_rounds)
+
+
+def _assert_routes_agree(s, i, states, n, seed, calls):
+    pp = PartitionParams(s.m, i, 1.0, 4, 0.25)
+    frame = _reference_frame(s, i)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(calls):
+        st = states[k % len(states)]
+        assert extract(s, pp, st, n, fast) == _extract_reference(frame, s, st, n, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestExtractorGraph:
+    @pytest.mark.parametrize("controlled", [False, True])
+    @pytest.mark.parametrize("x_width", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_reference_loop(self, m, x_width, controlled):
+        rng = np.random.default_rng(100 * m + 10 * x_width + controlled)
+        s = random_strategy(rng, m, x_width=x_width, z_width=1 if m < 3 else 0,
+                            controlled=controlled)
+        # one input inside Pi_in, one spread over every challenge block
+        inside = np.zeros(s.dim, dtype=np.complex128)
+        inside[:s.xz_dim] = random_xz_state(rng, s).amps
+        spread = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
+        states = [StateVector(s.layout(), inside), StateVector(s.layout(), spread)]
+        for i in range(1, m + 1):
+            for n in (1, 2, 10):
+                _assert_routes_agree(s, i, states, n, seed=7 * i + n, calls=40)
+
+    def test_state_mutated_in_place_between_calls(self):
+        s = random_strategy(np.random.default_rng(71), 2, x_width=1, z_width=1)
+        amps = np.zeros(s.dim, dtype=np.complex128)
+        amps[0] = 1.0
+        st = StateVector(s.layout(), amps)
+        for k in range(6):
+            _assert_routes_agree(s, 1, [st], 10, seed=k, calls=30)
+            st.amps[k % s.xz_dim] += 0.5 - 0.25j
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_blocks_raise_no_warning(self, p):
+        s = single_block_strategy(p)
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[0] = 1.0
+        st = StateVector(s.layout(), amps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 10):
+                _assert_routes_agree(s, 1, [st], n, seed=n, calls=50)
+
+    def test_single_block_holds_few_states(self):
+        s = single_block_strategy(0.3)
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[0] = 1.0
+        _assert_routes_agree(s, 1, [StateVector(s.layout(), amps)], 50, seed=3, calls=500)
+        assert 2 <= len(s._cache[("extract", 1)].nodes) <= 4
+
+    def test_full_table_starts_over(self, monkeypatch):
+        # room for 4 states of dim 16: the walk keeps clearing its table
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 64)
+        rng = np.random.default_rng(73)
+        s = random_strategy(rng, 1, x_width=2, z_width=1)
+        states = [StateVector(s.layout(), rng.normal(size=s.dim) + 0j) for _ in range(5)]
+        _assert_routes_agree(s, 1, states, 10, seed=5, calls=200)
+        graph = s._cache[("extract", 1)]
+        assert len(graph.roots) + len(graph.nodes) <= 4
+
+    def test_replaced_strategy_gets_fresh_table(self):
+        rng = np.random.default_rng(72)
+        s = random_strategy(rng, 1, x_width=1, z_width=1)
+        st = StateVector(s.layout(), np.eye(s.dim, dtype=np.complex128)[0])
+        _assert_routes_agree(s, 1, [st], 10, seed=1, calls=50)
+        assert s._cache[("extract", 1)].nodes
+        r = replace(s, u=Operator.unitary(haar_unitary(rng, s.dim)))
+        assert ("extract", 1) not in r._cache
+        _assert_routes_agree(r, 1, [st], 10, seed=1, calls=50)
+        assert r._cache[("extract", 1)] is not s._cache[("extract", 1)]
 
 
 class TestExtractorStream:

@@ -19,7 +19,6 @@ from cvqc_lab.protocol import (
     Stats,
     UnitaryCheat,
     WidthMismatch,
-    decode,
     encode,
     fiat_shamir,
     grinder_rate_oracle,
@@ -29,6 +28,41 @@ from cvqc_lab.protocol import (
     toy_protocol,
 )
 from cvqc_lab.qsim import CapExceeded, Operator
+
+
+def _decode_one(buf: bytes, pos: int):
+    # the inverse of encode, kept here to check that encode is injective
+    if pos + 5 > len(buf):
+        raise ProtocolError("truncated frame header")
+    tag = buf[pos:pos + 1]
+    length = int.from_bytes(buf[pos + 1:pos + 5], "big")
+    start, end = pos + 5, pos + 5 + length
+    if end > len(buf):
+        raise ProtocolError("truncated frame payload")
+    payload = buf[start:end]
+    if tag == protocol._TAG_NONE:
+        return None, end
+    if tag == protocol._TAG_INT:
+        return int.from_bytes(payload, "big"), end
+    if tag == protocol._TAG_BYTES:
+        return payload, end
+    if tag == protocol._TAG_STR:
+        return payload.decode("utf-8"), end
+    if tag == protocol._TAG_TUPLE:
+        items = []
+        inner = start
+        while inner < end:
+            item, inner = _decode_one(buf, inner)
+            items.append(item)
+        return tuple(items), end
+    raise ProtocolError(f"unknown tag {tag!r}")
+
+
+def decode(buf: bytes):
+    value, end = _decode_one(buf, 0)
+    if end != len(buf):
+        raise ProtocolError("trailing bytes after frame")
+    return value
 
 
 class TestEncoding:
