@@ -106,8 +106,9 @@ _PARAMS: dict[str, dict[str, Param]] = {
 }
 
 # A grinding attempt (one commitment, one oracle query, one verification)
-# costs 4-12 us on the bulk route on a 2-core machine (m = 1..16), so this
-# many take 5-16 minutes.
+# costs 1.3-4 us on the bulk route over thousands of trials on a 2-core
+# machine (m = 1..16), so this many take 2-5 minutes; a few trials with a
+# huge budget cost about 15 us per attempt, about 20 minutes.
 _FS_MAX_ATTEMPTS = 8 * 10**7
 # A trial coordinate of repetition-sweep costs 0.08-0.12 us on the bulk
 # route for honest and testonly and 0.31 us for the cheat (m = 24, 2-core
@@ -164,7 +165,7 @@ _CROSS_RULES: dict[str, tuple] = {
         (lambda p: _fs_attempts(p) <= _FS_MAX_ATTEMPTS,
          lambda p: f"fs-attack would make about {_fs_attempts(p):,} commitment "
                    f"attempts (trials x (1 + sum of budgets)), over the "
-                   f"{_FS_MAX_ATTEMPTS:,} that take up to 16 minutes"),
+                   f"{_FS_MAX_ATTEMPTS:,} that take up to 20 minutes"),
     ),
 }
 

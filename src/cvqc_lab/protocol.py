@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -65,59 +65,39 @@ _TAG_STR = b"S"
 _TAG_TUPLE = b"T"
 
 
-def _frame(tag: bytes, payload: bytes) -> bytes:
+def encode(value) -> bytes:
+    """Canonical length-prefixed big-endian encoding: tag, 4-byte length, payload."""
+    # Exact types first: programs and transcripts are built from these.
+    # None, bool, numpy integers and subclasses take the ladder after them.
+    kind = type(value)
+    if kind is tuple:
+        tag, payload = _TAG_TUPLE, b"".join([encode(v) for v in value])
+    elif kind is int and value >= 0:
+        tag, payload = _TAG_INT, value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
+    elif kind is str:
+        tag, payload = _TAG_STR, value.encode("utf-8")
+    elif kind is bytes:
+        tag, payload = _TAG_BYTES, value
+    elif value is None:
+        tag, payload = _TAG_NONE, b""
+    elif isinstance(value, bool):
+        # bools would silently encode as ints; forbid to keep the encoding injective
+        raise ProtocolError("bool is not an encodable transcript value")
+    elif isinstance(value, (int, np.integer)):
+        if value < 0:
+            raise ProtocolError("negative ints not used in transcripts")
+        return encode(int(value))
+    elif isinstance(value, bytes):
+        tag, payload = _TAG_BYTES, value
+    elif isinstance(value, str):
+        tag, payload = _TAG_STR, value.encode("utf-8")
+    elif isinstance(value, tuple):
+        tag, payload = _TAG_TUPLE, b"".join([encode(v) for v in value])
+    else:
+        raise ProtocolError(f"unencodable type {type(value).__name__}")
     if len(payload) > 0xFFFFFFFF:
         raise ProtocolError("payload too large to frame")
     return tag + len(payload).to_bytes(4, "big") + payload
-
-
-def encode(value) -> bytes:
-    """Canonical length-prefixed big-endian encoding: tag, 4-byte length, payload."""
-    if value is None:
-        return _frame(_TAG_NONE, b"")
-    if isinstance(value, bool):
-        # bools would silently encode as ints; forbid to keep the encoding injective
-        raise ProtocolError("bool is not an encodable transcript value")
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        if value < 0:
-            raise ProtocolError("negative ints not used in transcripts")
-        width = max(1, (value.bit_length() + 7) // 8)
-        return _frame(_TAG_INT, value.to_bytes(width, "big"))
-    if isinstance(value, bytes):
-        return _frame(_TAG_BYTES, value)
-    if isinstance(value, str):
-        return _frame(_TAG_STR, value.encode("utf-8"))
-    if isinstance(value, tuple):
-        return _frame(_TAG_TUPLE, b"".join(encode(v) for v in value))
-    raise ProtocolError(f"unencodable type {type(value).__name__}")
-
-
-# Entry v is encode(v).  Filled on first use up to the widest toy served,
-# not at import; the Fiat-Shamir bulk route builds its keys from it.
-_INT_FRAMES: list[bytes] = []
-
-
-def _int_frames(n: int) -> list[bytes]:
-    """encode(v) for every v < 2^n, indexed by v."""
-    _INT_FRAMES.extend(encode(v) for v in range(len(_INT_FRAMES), 1 << n))
-    return _INT_FRAMES
-
-
-def _encode_coords(frames: list[bytes], values: list[int], shape: tuple) -> bytes:
-    """encode(y) of a toy commitment from its flat coordinate values.
-
-    shape lists the repetition factors innermost first, as
-    FourRoundProtocol.shape does: () is a bare int, (m,) an m-tuple,
-    (a, b) a b-tuple of a-tuples.
-    """
-    parts = [frames[v] for v in values]
-    if not shape:
-        return parts[0]
-    for size in shape[:-1]:
-        parts = [_frame(_TAG_TUPLE, b"".join(parts[i:i + size]))
-                 for i in range(0, len(parts), size)]
-    return _frame(_TAG_TUPLE, b"".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -858,10 +838,77 @@ def _run_toy_batch(p: FourRoundProtocol, verdicts: Callable, trials: int,
     return _stats(trials, accepts, counts, 0)
 
 
-# The Fiat-Shamir bulk route keeps failmasks in uint64; wider challenges
-# run trial by trial.  Its key frames need no such limit: the qubit cap
-# keeps toys at n <= 18, a table of 2^18 frames (about 14 MB).
+# The Fiat-Shamir bulk route keeps failmasks and challenges in uint64;
+# wider challenges run trial by trial.
 _FS_MAX_M = 64
+
+
+@cache
+def _fs_slot_order(shape: tuple) -> tuple[int, ...]:
+    """The order in which a commitment's slots are hashed.
+
+    Slots are numbered as `_fs_oracle_inputs` builds them: the seed 0,
+    the coordinates' int frames 1..m, then the tuple headers level by
+    level from the innermost, and the counter last.  The hashed order is
+    the seed, encode(y) (each header before its children) and the counter.
+    """
+    first = [1]  # the first slot of each level, coordinates first
+    count = math.prod(shape)
+    for size in shape:
+        first.append(first[-1] + count)
+        count //= size
+
+    def walk(level: int, index: int) -> list[int]:
+        if level == 0:
+            return [first[0] + index]
+        size = shape[level - 1]
+        return [first[level] + index] + [slot for j in range(size)
+                                         for slot in walk(level - 1, index * size + j)]
+
+    return (0, *walk(len(shape), 0), first[-1] + 1)
+
+
+def _fs_oracle_inputs(seeds: np.ndarray, y: np.ndarray, shape: tuple) -> tuple[bytes, list]:
+    """seed || encode(y) || counter 0 of each row, as one blob and its end offsets.
+
+    seeds is (rows,) and y (rows, m) holds each commitment's coordinates
+    in flat order.  Each piece is an 8-byte big-endian slot with a
+    length: the seed (8 bytes), a coordinate's int frame (tag, 4-byte
+    width, 1-3 value bytes, so coordinates must stay below 2^24), a tuple
+    header (tag and the 4-byte length of its children's frames) and the
+    counter (4 zero bytes).  The blob keeps each slot's leading bytes.
+    """
+    rows = y.shape[0]
+    width = (y >= 1 << 8).astype(np.uint64) + (y >= 1 << 16) + 1
+    words = [seeds[:, None], (ord(_TAG_INT) << 56) | (width << 24) | (y << 8 * (3 - width))]
+    frame = 5 + width
+    lens = [np.full((rows, 1), 8, dtype=np.uint8), frame.astype(np.uint8)]
+    for size in shape:
+        payload = frame.reshape(rows, frame.shape[1] // size, size).sum(axis=2, dtype=np.uint64)
+        words.append((ord(_TAG_TUPLE) << 56) | (payload << 24))
+        lens.append(np.full(payload.shape, 5, dtype=np.uint8))
+        frame = 5 + payload
+    words.append(np.zeros((rows, 1), dtype=np.uint64))
+    lens.append(np.full((rows, 1), 4, dtype=np.uint8))
+    order = _fs_slot_order(shape)
+    slots = np.concatenate(words, axis=1)[:, order].astype(">u8", order="C").view(np.uint8)
+    keep = np.arange(8, dtype=np.uint8) < np.concatenate(lens, axis=1)[:, order, None]
+    blob = slots.reshape(-1)[keep.reshape(-1)].tobytes()
+    # a row is its seed, its top frame and its counter
+    return blob, np.cumsum(frame[:, 0] + 12).tolist()
+
+
+def _fs_challenges(seeds: np.ndarray, y: np.ndarray, shape: tuple, m: int) -> np.ndarray:
+    """Each row's m-bit oracle output for y under its seed, as `_oracle_value` gives it.
+
+    m <= 64, so the output is the leading bytes of one sha256 digest.
+    """
+    blob, ends = _fs_oracle_inputs(seeds, y, shape)
+    view = memoryview(blob)
+    digests = b"".join([hashlib.sha256(view[a:b]).digest()
+                        for a, b in zip([0] + ends[:-1], ends)])
+    lead = np.frombuffer(digests, dtype=">u8")[::4].astype(np.uint64)
+    return (lead >> (64 - 8 * ((m + 7) // 8))) & ((1 << m) - 1)
 
 
 def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
@@ -875,30 +922,26 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
     memory stays flat whatever the query budget.
     """
     m, shape = p.m, p.shape
-    frames = _int_frames(p.n)
+    # coordinates below 2^24 keep each int frame in an 8-byte slot; the
+    # qubit cap keeps toys at n <= 18
+    assert p.n <= 24
     accepts = queries = 0
     for start in range(0, trials, _TRIAL_CHUNK):
         streams = _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))
         seeds, x0, x1 = p.fs_head(streams.take(1 + m))
-        seed_bytes = [s.to_bytes(8, "big") for s in seeds.tolist()]
         done = 0
-        while seed_bytes and done < budget:
+        while seeds.size and done < budget:
             y, failmask = p.fs_attempts(streams.take(3 * m), x0, x1, had_ok)
-            rows = len(seed_bytes)
-            grinding = [True] * rows
+            grinding = np.ones(seeds.size, dtype=bool)
             # a budget that runs out on the first attempt hashes only that one
             for a in range(min(2, budget - done)):
-                ys, masks = y[:, a].tolist(), failmask[:, a].tolist()
-                for i in range(rows):
-                    if grinding[i]:
-                        queries += 1
-                        key = _encode_coords(frames, ys[i], shape)
-                        grinding[i] = _oracle_value(seed_bytes[i], key, m) & masks[i] != 0
-            accepts += grinding.count(False)
-            keep = np.array(grinding)
-            streams.keep(keep)
-            x0, x1 = x0[keep], x1[keep]
-            seed_bytes = [sb for sb, g in zip(seed_bytes, grinding) if g]
+                rows = np.flatnonzero(grinding)
+                queries += rows.size
+                ch = _fs_challenges(seeds[rows], y[rows, a], shape, m)
+                grinding[rows] = ch & failmask[rows, a] != 0
+            accepts += seeds.size - int(np.count_nonzero(grinding))
+            streams.keep(grinding)
+            seeds, x0, x1 = seeds[grinding], x0[grinding], x1[grinding]
             done += 2
     return _stats(trials, accepts, {"test": [0, 0], "hadamard": [0, 0]}, queries)
 

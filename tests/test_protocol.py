@@ -1,7 +1,9 @@
 """Protocol shells, oracle tables, repetition, Fiat-Shamir, adversaries."""
 
+import enum
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import scipy.stats
 
 from cvqc_lab.partition import ProverStrategy, haar_unitary, random_strategy
-from cvqc_lab import protocol
+from cvqc_lab import effverify, protocol
 from cvqc_lab.protocol import (
     FsGrinder,
     Honest,
@@ -98,12 +100,40 @@ class TestEncoding:
             seen.add(buf)
 
     def test_rejects_bool_and_negative(self):
-        with pytest.raises(ProtocolError):
-            encode(True)
-        with pytest.raises(ProtocolError):
-            encode(-1)
-        with pytest.raises(ProtocolError):
-            encode(3.14)
+        for value in (True, (1, (True,)), np.bool_(True), -1, np.int64(-1), 3.14, [1]):
+            with pytest.raises(ProtocolError):
+                encode(value)
+
+    def test_numpy_ints_and_subclasses_encode_as_their_base_values(self):
+        class Level(enum.IntEnum):
+            HIGH = 300
+
+        class Name(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+        assert encode(np.int64(5)) == encode(5)
+        assert encode(np.uint8(255)) == encode(255)
+        assert encode(Level.HIGH) == encode(300)
+        assert encode((np.uint16(7), Level.HIGH)) == encode((7, 300))
+        assert encode(Name("yes")) == encode("yes")
+        assert encode(Pair(1, b"x")) == encode((1, b"x"))
+
+    def test_program_and_statement_bytes_unchanged(self):
+        # digests recorded before encode dispatched on exact type
+        h = hashlib.sha256()
+        for m in (1, 4, 7):
+            for time_bound in (256, 4096, 65536):
+                h.update(encode(effverify.key_machine(12, m, time_bound)))
+        assert h.hexdigest() == ("c5852a487019b5884b56c6b0f7d6321b"
+                                 "1c659d5094c92c0f8244e2a1ce529424")
+        _, ses = effverify.run_two_round_fs(effverify.make_stub_suite(3),
+                                            effverify.toy_inner(12, 4), "yes",
+                                            prover="honest", seed=11, time_bound=4096)
+        assert hashlib.sha256(ses.statement).hexdigest() == (
+            "803d84cd8f012fcc07556255fe206ea65eba33dc888937d234bb6587a66baa3e")
+        assert hashlib.sha256(ses.encoding.serialize()).hexdigest() == (
+            "6bf48d08cbb8365db5131a00bcf30743ce0c2e88e04ebd20f3168cb534114ea8")
 
     def test_decode_rejects_damage(self):
         buf = encode(("yes", 12))
@@ -116,15 +146,25 @@ class TestEncoding:
 
     @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3), (1, 3), (3, 2, 2)])
     def test_coordinate_frames_encode_nested_commitments(self, shape):
-        # the Fiat-Shamir bulk route's keys: encode(y) from per-value
-        # frames, for values of one, two and three bytes
+        # the Fiat-Shamir bulk route's oracle inputs, built as arrays: row
+        # by row seed || encode(y) || counter 0, with coordinates at every
+        # width edge of one-, two- and three-byte int frames
+        edges = [0, 255, 256, 65535, 65536, (1 << 18) - 1]
+        p = protocol.FourRoundProtocol(18, shape)
         rng = np.random.default_rng(len(shape))
-        flat = [int(v) for v in rng.integers(0, 1 << 18, size=int(np.prod(shape)))]
-        flat[0], flat[-1] = 0, 255
-        y = flat
-        for size in shape:
-            y = [tuple(y[i:i + size]) for i in range(0, len(y), size)]
-        assert protocol._encode_coords(protocol._int_frames(18), flat, shape) == encode(y[0])
+        y = rng.integers(0, 1 << 18, size=(len(edges) + 3, p.m), dtype=np.uint64)
+        y[:len(edges)] = np.array(edges, dtype=np.uint64)[:, None]
+        y[-1] = np.resize(edges, p.m)
+        seeds = rng.integers(0, 1 << 62, size=len(y), dtype=np.uint64)
+        seeds[0], seeds[1] = 0, (1 << 64) - 1
+        rows = [(s.to_bytes(8, "big"), encode(p._nest(coords)))
+                for s, coords in zip(seeds.tolist(), y.tolist())]
+        blob, ends = protocol._fs_oracle_inputs(seeds, y, shape)
+        assert blob == b"".join(s + key + bytes(4) for s, key in rows)
+        assert ends == np.cumsum([12 + len(key) for _, key in rows]).tolist()
+        for bits in sorted({p.m, 13, 50, 57, 64}):
+            got = protocol._fs_challenges(seeds, y, shape, bits)
+            assert got.tolist() == [protocol._oracle_value(s, key, bits) for s, key in rows]
 
 
 class TestOracleTable:
@@ -609,6 +649,19 @@ class TestFsBulkReplay:
                     FsGrinder(5, protocol.TestOnly(base)), FsGrinder(3, Honest(base))):
             st = self._same(fs, adv, x, 150, 61 + m)
             assert st.queries >= 150
+
+    @pytest.mark.parametrize("n", [9, 17])
+    @pytest.mark.parametrize("m", [4, 50, 57, 64])
+    def test_wide_challenges_and_three_byte_frames(self, monkeypatch, n, m):
+        # m = 50 reads seven oracle bytes, 57 eight, both with masked top
+        # bits, and 64 all eight; n = 17 puts three-byte frames in the
+        # keys.  Wide challenges almost never decide a trial at n = 17,
+        # where d = 0 is rare, so m = 4 is there to let them decide
+        monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 64)
+        base, fs = self._fs(n, (m,))
+        for adv in (FsGrinder(3, Honest(base)), FsGrinder(3, protocol.TestOnly(base))):
+            for x in ("yes", "no"):
+                self._same(fs, adv, x, 100, 68 + m)
 
     def test_grinder_accepting_on_its_last_attempt(self):
         # on one seed a trial's attempts are the same whatever the budget,

@@ -16,7 +16,10 @@ end-to-end metric of BENCHMARK.json, each side's median and quartiles,
 the change of B's median against A's, and how many runs of B beat the
 run of A with the same seed.  It flags a median of B worse than A's by
 more than the metric's bound, a run of B that is not correct, and
-failed operations, and exits 1 when anything is flagged.
+failed operations, and exits 1 when anything is flagged.  Each metric
+also gets a gain verdict: GAIN when there are at least ten same-seed
+pairs, B wins at least nine in ten of them, and B's median is better
+than A's by more than A's interquartile range; otherwise "no gain".
 """
 
 from __future__ import annotations
@@ -115,10 +118,12 @@ def compare(name_a: str, name_b: str) -> int:
             change = (qb[1] - qa[1]) / qa[1]
             flag = sign * change > metric["bound"]
             flagged += flag
+            gain = (len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                    and sign * (qa[1] - qb[1]) > qa[2] - qa[0])
             print(f"  {name:13s} {qa[1]:10.4g} [{qa[0]:.4g}, {qa[2]:.4g}]"
                   f" -> {qb[1]:10.4g} [{qb[0]:.4g}, {qb[2]:.4g}] {change:+7.1%}"
                   f"  wins {wins}/{len(pairs)}  bound {metric['bound']:.0%}"
-                  f"{'  WORSE' if flag else ''}")
+                  f"  {'GAIN' if gain else 'no gain'}{'  WORSE' if flag else ''}")
     return 1 if flagged else 0
 
 
