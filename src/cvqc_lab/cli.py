@@ -91,8 +91,6 @@ _PARAMS: dict[str, dict[str, Param]] = {
         "n": Param("int", 12, (1, 18)),
     },
     "effverify-demo": {
-        "inner": Param("choice", "toy", ("toy",)),
-        "suite": Param("choice", "stub", ("stub",)),
         "n": Param("int", 12, (1, 16)),
         # the cost probe's smallest time bound (_EFF_SWEEP[0] = 256) must
         # cover key derivation, 9 + 32m machine steps

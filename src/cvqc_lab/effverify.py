@@ -205,7 +205,7 @@ def derive_keys(stream: bytes, n: int, m: int):
     for i in range(m):
         x0 = int.from_bytes(stream[4 * i:4 * i + 2], "big") & mask
         x1 = int.from_bytes(stream[4 * i + 2:4 * i + 4], "big") & mask
-        if bin(x0 ^ x1).count("1") % 2 == 0:
+        if (x0 ^ x1).bit_count() % 2 == 0:
             x1 ^= 1
         ks.append((x0, x1))
     k = tuple(ks)
@@ -214,20 +214,6 @@ def derive_keys(stream: bytes, n: int, m: int):
 
 # ---------------------------------------------------------------------------
 # Stub backends
-
-
-class Counters:
-    """Per-party work units; the session sets `active` between phases."""
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.ops = {"verifier": 0, "prover": 0}
-        self.active = "verifier"
-
-    def charge(self, units: int):
-        self.ops[self.active] += int(units)
 
 
 def _prg_bytes(seed: bytes) -> bytes:
@@ -258,25 +244,18 @@ class FheCiphertext:
 class StubFhe:
     """Transparent scheme: ciphertexts carry the plaintext with a key tag."""
 
-    def __init__(self, counters: Counters):
-        self._counters = counters
-
     def keygen(self, rng):
-        self._counters.charge(ELL_S)
         tag = rng.bytes(8)
         return FheKey(tag, False), FheKey(tag, True)
 
     def enc(self, pk: FheKey, msg) -> FheCiphertext:
         if pk.secret:
             raise BackendFailure("encrypting under a secret key")
-        size = len(msg) if isinstance(msg, bytes) else 1
-        self._counters.charge(size)
         return FheCiphertext(pk.tag, msg)
 
     def eval(self, pk: FheKey, circuit, ct: FheCiphertext) -> FheCiphertext:
         if ct.tag != pk.tag:
             raise BackendFailure("ciphertext under a different key")
-        self._counters.charge(circuit.cost_hint)
         return FheCiphertext(pk.tag, circuit(ct.payload))
 
     def dec(self, sk: FheKey, ct: FheCiphertext):
@@ -284,7 +263,6 @@ class StubFhe:
             raise BackendFailure("decrypting with a public key")
         if ct.tag != sk.tag:
             raise BackendFailure("ciphertext under a different key")
-        self._counters.charge(1)
         return ct.payload
 
 
@@ -323,28 +301,22 @@ class StubRe:
     inner time bound is ever paid.
     """
 
-    def __init__(self, counters: Counters):
-        self._counters = counters
-
     def setup(self, security: int, ell: int, crs: bytes) -> ReEncodingKey:
         if security < 1 or ell < 1:
             raise BackendFailure(f"security={security}, ell={ell}")
-        self._counters.charge(security + ell.bit_length())
         return ReEncodingKey(security, ell, _crs_digest(crs))
 
     def enc(self, ek: ReEncodingKey, machine: tuple, inp: bytes,
             time_bound: int) -> ReEncoding:
         time_bound = _int_arg("time_bound", time_bound, 1)
-        self._counters.charge(len(machine) + len(inp) + time_bound.bit_length())
         return ReEncoding(machine, inp, time_bound, ek.crs_digest)
 
     def dec(self, crs: bytes, encoding: ReEncoding):
+        """(outputs, steps) of the decoded machine, as run_machine returns."""
         if _crs_digest(crs) != encoding.crs_digest:
             raise BackendFailure("encoding bound to a different crs")
-        out, steps = run_machine(encoding.program, encoding.inp, _prg_bytes,
-                                 budget=encoding.bound)
-        self._counters.charge(steps)
-        return out
+        return run_machine(encoding.program, encoding.inp, _prg_bytes,
+                           budget=encoding.bound)
 
 
 @dataclass(frozen=True)
@@ -363,21 +335,15 @@ class StubSnark:
 
     The verifier recomputes the binding and the witness digest; it never
     re-runs the relation, so its cost stays independent of the inner
-    time bound.  Succinctness is simulated through the counters, not by
-    actual compression.
+    time bound.  Succinctness is simulated by the session's cost ledger,
+    not by actual compression.
     """
-
-    def __init__(self, counters: Counters):
-        self._counters = counters
 
     @staticmethod
     def _key(statement: bytes) -> bytes:
         return b"bind" + hashlib.sha256(statement).digest()
 
     def prove(self, oracle, statement: bytes, witness: bytes) -> SnarkProof:
-        # charged in 16-byte words so the proof step stays a small
-        # additive term next to the T-proportional work
-        self._counters.charge((len(statement) + len(witness)) // 16 + 4)
         return SnarkProof(
             binding=oracle.query(self._key(statement)),
             witness_digest=hashlib.sha256(witness).digest(),
@@ -385,7 +351,6 @@ class StubSnark:
         )
 
     def verify(self, oracle, statement: bytes, proof: SnarkProof) -> bool:
-        self._counters.charge(len(statement))
         if oracle.query(self._key(statement)) != proof.binding:
             return False
         return hashlib.sha256(proof.witness).digest() == proof.witness_digest
@@ -393,25 +358,22 @@ class StubSnark:
 
 @dataclass
 class BackendSuite:
-    """Bundle of the pluggable primitives plus shared work counters."""
+    """Bundle of the pluggable primitives and the oracles they query."""
 
     fhe: StubFhe
     re: StubRe
     snark: StubSnark
     snark_oracle: OracleTable
     salt_oracle: OracleTable
-    counters: Counters
 
 
 def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
-    counters = Counters()
     return BackendSuite(
-        fhe=StubFhe(counters),
-        re=StubRe(counters),
-        snark=StubSnark(counters),
+        fhe=StubFhe(),
+        re=StubRe(),
+        snark=StubSnark(),
         snark_oracle=OracleTable(oracle_seed ^ 0x5A17ED, 256),
         salt_oracle=OracleTable(oracle_seed ^ 0xC0FFEE, 256),
-        counters=counters,
     )
 
 
@@ -481,12 +443,6 @@ class VerificationCircuit:
     e: object
     inner: TwoRoundInner
     time_bound: int
-
-    @property
-    def cost_hint(self) -> int:
-        # evaluating C re-derives the keys, which costs the same T the
-        # delegated machine pays; the stub charges it to whoever evals
-        return self.time_bound
 
     def __call__(self, s: bytes) -> int:
         k, td = self.inner.v1_from_stream(_prg_bytes(s))
@@ -567,58 +523,66 @@ def _statement(x, pk: FheKey, ct: FheCiphertext,
 
 def _run_session(suite: BackendSuite, inner: TwoRoundInner, x, prover,
                  seed: int, time_bound: int, derive_salt: bool):
+    """One session; each cost-ledger charge follows the call it pays for."""
     time_bound = _int_arg("time_bound", time_bound, 1)
     seed = _int_arg("seed", seed, 0)
     if prover not in _PROVER_MODES:
         raise InnerProtocolError(f"unknown prover mode {prover!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counters = suite.counters
-    counters.reset()
 
     # V_eff,1: seed, keys, encrypted seed, delegated key machine
     s = rng.bytes(ELL_S)
     crs_prover, ek = setup_eff(SECURITY, inner.key_length, rng, suite)
+    verifier_ops = SECURITY + inner.key_length.bit_length()
     pk_fhe, sk_fhe = suite.fhe.keygen(rng)
+    verifier_ops += ELL_S
     ct = suite.fhe.enc(pk_fhe, s)
-    encoding = suite.re.enc(ek, inner.machine(time_bound), s, time_bound)
+    verifier_ops += len(s)
+    machine = inner.machine(time_bound)
+    encoding = suite.re.enc(ek, machine, s, time_bound)
+    verifier_ops += len(machine) + len(s) + time_bound.bit_length()
 
     # P_eff,2: decode keys, answer the inner protocol, evaluate C[x, e]
-    counters.active = "prover"
-    k = inner.parse_key(suite.re.dec(crs_prover, encoding))
+    flat_key, prover_ops = suite.re.dec(crs_prover, encoding)  # decode steps
+    k = inner.parse_key(flat_key)
     respond = inner.rejecting_response if prover == "rejecting-e" else inner.p2
     e = respond(x, k, rng)
     circuit = VerificationCircuit(x=x, e=e, inner=inner, time_bound=time_bound)
     honest_ct_prime = suite.fhe.eval(pk_fhe, circuit, ct)
+    # evaluating C re-derives the keys, the same T the machine pays
+    prover_ops += time_bound
     # the proof binds the honest statement; a mismatched prover ships another ct'
     proof_statement = _statement(x, pk_fhe, ct, honest_ct_prime)
     if prover == "mismatched-statement":
         ct_prime = suite.fhe.enc(pk_fhe, 0)
+        prover_ops += 1
     else:
         ct_prime = honest_ct_prime
 
     # V_eff,3: the salt, fresh or derived from the received ct'
-    counters.active = "verifier"
     if derive_salt:
         z = suite.salt_oracle.query(ct_prime.serialize())
     else:
         z = rng.bytes(SALT_LEN)
-    counters.charge(SALT_LEN)
+    verifier_ops += SALT_LEN
 
     # P_eff,4: proof under the salted oracle
-    counters.active = "prover"
+    witness = encode(e)
     proof = suite.snark.prove(suite.snark_oracle.salted(z), proof_statement,
-                              encode(e))
+                              witness)
+    # 16-byte words, so the proof stays a small term next to the T-linear work
+    prover_ops += (len(proof_statement) + len(witness)) // 16 + 4
 
-    # V_eff,out: proof check and one decryption, both run (dec is charged)
-    counters.active = "verifier"
+    # V_eff,out: proof check and one decryption, both run and both charged
     statement = _statement(x, pk_fhe, ct, ct_prime)
     ok_proof = suite.snark.verify(suite.snark_oracle.salted(z), statement, proof)
+    verifier_ops += len(statement)
     ok_dec = suite.fhe.dec(sk_fhe, ct_prime) == 1
+    verifier_ops += 1
 
     message_bytes = SALT_LEN + sum(len(msg.serialize()) for msg in
                                    (encoding, pk_fhe, ct, ct_prime, proof))
-    cost = CostReport(counters.ops["verifier"], counters.ops["prover"],
-                      message_bytes)
+    cost = CostReport(verifier_ops, prover_ops, message_bytes)
     return ok_proof and ok_dec, EffSession(
         x=x, time_bound=time_bound, s=s, pk_fhe=pk_fhe, sk_fhe=sk_fhe, ct=ct,
         encoding=encoding, e=e, ct_prime=ct_prime, z=z, proof=proof,

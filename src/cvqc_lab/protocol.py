@@ -259,7 +259,7 @@ class FourRoundProtocol:
         flats = [self._flat(v) for v in messages]
         return None if None in flats else list(zip(*flats))
 
-    def v1(self, security, x, rng):
+    def v1(self, x, rng):
         keys = []
         for _ in range(self.m):
             x0, x1 = int(rng.integers(1 << self.n)), int(rng.integers(1 << self.n))
@@ -947,7 +947,7 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
 
 
 def _run_interactive_trial(p, adversary, x, rng, counts) -> bool:
-    k, td = p.v1(None, x, rng)
+    k, td = p.v1(x, rng)
     y, state = adversary.commit(x, k, rng)
     c = p.v3(rng)
     a = adversary.answer(state, c, rng)
@@ -965,7 +965,7 @@ def _run_fs_trial(p: TwoRoundFS, adversary, x, rng) -> tuple[bool, int]:
     # fresh oracle per trial, seeded from the trial rng, keeps trials iid
     fs = replace(p, oracle=OracleTable(int(rng.integers(1 << 62)),
                                        p.oracle.out_bits))
-    k, td = fs.base.v1(None, x, rng)
+    k, td = fs.base.v1(x, rng)
     # a grinder retries until an attempt verifies; anything else makes one
     grinder = isinstance(adversary, FsGrinder)
     inner = adversary.inner if grinder else adversary

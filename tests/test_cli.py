@@ -483,7 +483,7 @@ class TestReproducibility:
          "59916c7fc5f265f0f0d914babdbbcca797e903523cb3458384fc7f5a0096858b"),
         (["effverify-demo", "--seed", "31", "--trials", "2", "--time-bound", "512",
           "--format", "json"], "eff.json",
-         "ff57e60756d4832bc9144348aa05c13ad33f7dd5d830bbe36eab1121b2fe8368"),
+         "cc89b2729289bcc891e1787eacbcd61e42959d73dad0aba88f0b0d119cb7d172"),
         (["repetition-sweep", "--seed", "3", "--set", "adversary=cheat", "--set", "n=4",
           "--set", "m_list=1,3", "--set", "trials=300"], "rs.csv",
          "2ace4924949edebff61cb62c5e38a068b69d2ee6deade4e54e7fcd044ce86ca6"),
@@ -494,7 +494,7 @@ class TestReproducibility:
          "368e26008879905400904d615ff289132c9717d02309cecf74928fcc890327c1"),
         (["effverify-demo", "--seed", "31", "--trials", "2", "--time-bound", "512",
           "--set", "flow=four-round", "--format", "json"], "eff4.json",
-         "531e7f5726f4a75464014707490f327a17e83a9c12efaed7c658dd5862a031f2"),
+         "e40d4cce9be9e866bfe79946589d59933bd5f8233cca8d9a9f08c1a0480b1c44"),
     ]
 
     @pytest.mark.parametrize("args,name,digest", GOLDEN,

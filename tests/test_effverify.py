@@ -373,7 +373,7 @@ class TestStubRe:
         crs, ek = setup_eff(16, 64, rng, suite)
         prog = key_machine(8, 2, 512)
         s = rng.bytes(16)
-        out = suite.re.dec(crs, suite.re.enc(ek, prog, s, 512))
+        out, _ = suite.re.dec(crs, suite.re.enc(ek, prog, s, 512))
         k, _ = derive_keys(_prg_bytes(s), 8, 2)
         assert out == tuple(v for pair in k for v in pair)
 
@@ -618,6 +618,25 @@ class TestCostReport:
                     rep = cost_report(ses)
                     assert rep.verifier_ops - t.bit_length() == offset
                     assert rep.prover_ops > 2 * t
+                    seed += 1
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_prover_cost_is_exact(self, m):
+        # decode steps + the evaluation's T + the SNARK's word count, and
+        # one more for the mismatched prover's extra encryption
+        suite, inner = _suite_and_inner(m=m)
+        seed = 0
+        for flow in (run_four_round, run_two_round_fs):
+            for mode in ("honest", "mismatched-statement", "rejecting-e"):
+                for t in (1 << 8, 1 << 12, 1 << 40):
+                    _, ses = flow(suite, inner, "yes", mode, seed, time_bound=t)
+                    enc = ses.encoding
+                    _, steps = run_machine(enc.program, enc.inp, _prg_bytes,
+                                           enc.bound)
+                    snark = (len(ses.statement) + len(ses.proof.witness)) // 16 + 4
+                    expected = (steps + t + snark
+                                + (mode == "mismatched-statement"))
+                    assert cost_report(ses).prover_ops == expected
                     seed += 1
 
     def test_identical_sessions_identical_reports(self):

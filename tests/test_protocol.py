@@ -248,7 +248,7 @@ class TestToyProtocol:
         p = toy_protocol(8)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            k, td = p.v1(None, "yes", rng)
+            k, td = p.v1("yes", rng)
             assert k == td
             assert bin(k[0] ^ k[1]).count("1") % 2 == 1
 
@@ -256,7 +256,7 @@ class TestToyProtocol:
         p = toy_protocol(8)
         rng = np.random.default_rng(1)
         for _ in range(100):
-            k, td = p.v1(None, "yes", rng)
+            k, td = p.v1("yes", rng)
             y, st = p.p2("yes", k, rng)
             a = p.p4(st, "0")
             assert p.v_out("yes", k, td, y, "0", a)
@@ -268,7 +268,7 @@ class TestToyProtocol:
         p = toy_protocol(6)
         rng = np.random.default_rng(2)
         for _ in range(300):
-            k, td = p.v1(None, "yes", rng)
+            k, td = p.v1("yes", rng)
             y, st = p.p2("yes", k, rng)
             a = p.p4(st, "1")
             assert p.v_out("yes", k, td, y, "1", a) == (a[2] != 0)
@@ -277,7 +277,7 @@ class TestToyProtocol:
         p = toy_protocol(6)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            k, td = p.v1(None, "no", rng)
+            k, td = p.v1("no", rng)
             y, st = p.p2("no", k, rng)
             assert not p.v_out("no", k, td, y, "1", p.p4(st, "1"))
             # the test round stays publicly checkable either way
@@ -291,7 +291,7 @@ class TestToyProtocol:
         answers = [("test", 0, 3), ("test", 1, 31), ("test", 2, 0),
                    ("had", 0, 3), ("bogus",), ("test", 0, 99), ("test", 0, -1)]
         for _ in range(50):
-            k, td = p.v1(None, "yes", rng)
+            k, td = p.v1("yes", rng)
             y, st = p.p2("yes", k, rng)
             other_td = (k[0] ^ 1, k[1])
             for a in answers + [p.p4(st, "0")]:
@@ -325,7 +325,7 @@ class TestParallelRepeat:
                 p = parallel_repeat(p, size)
             assert p.shape == shape
             rng = np.random.default_rng(7)
-            k, td = p.v1(None, "yes", rng)
+            k, td = p.v1("yes", rng)
             y, st = p.p2("yes", k, rng)
             c = p.v3(rng)
             a = p.p4(st, c)
@@ -345,7 +345,7 @@ class TestParallelRepeat:
         p = parallel_repeat(base, 3)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            k, td = p.v1(None, "yes", rng)
+            k, td = p.v1("yes", rng)
             y, st = p.p2("yes", k, rng)
             c = p.v3(rng)
             a = list(p.p4(st, c))
@@ -397,13 +397,13 @@ class TestMalformedMessages:
         for size in shape:
             p = parallel_repeat(p, size)
         rng = np.random.default_rng(90)
-        k, td = p.v1(None, "yes", rng)
+        k, td = p.v1("yes", rng)
         y, st = p.p2("yes", k, rng)
         m = math.prod(shape)
         c = "0" * m  # test rounds only, which an honest answer always passes
         a = p.p4(st, c)
         # a td unrelated to k: test rounds read public data only
-        _, other_td = p.v1(None, "yes", np.random.default_rng(91))
+        _, other_td = p.v1("yes", np.random.default_rng(91))
         assert other_td != k
         assert p.v_out("yes", k, td, y, c, a) and p.v_out("yes", k, other_td, y, c, a)
         cases = ([(y, c, bad) for bad in self._misnested(a, shape)]
@@ -790,7 +790,7 @@ class TestFiatShamir:
         rng = np.random.default_rng(19)
         hits = 0
         for _ in range(200):
-            k, td = p.v1(None, "yes", rng)
+            k, td = p.v1("yes", rng)
             y, a = fs.prove("yes", k, rng)
             hits += fs.verify("yes", k, td, y, a)
         assert hits >= 198  # only a Hadamard d = 0 can miss
@@ -802,9 +802,9 @@ class TestFiatShamir:
         for child in np.random.SeedSequence(20).spawn(20):
             r1 = np.random.default_rng(child)
             r2 = np.random.default_rng(child)
-            k1, _ = p.v1(None, "yes", r1)
+            k1, _ = p.v1("yes", r1)
             y1, _ = p.p2("yes", k1, r1)
-            k2, _ = p.v1(None, "yes", r2)
+            k2, _ = p.v1("yes", r2)
             fs = fiat_shamir(p, OracleTable(int(child.generate_state(1)[0]), 2))
             y2, _ = fs.prove("yes", k2, r2)
             assert k1 == k2 and y1 == y2
