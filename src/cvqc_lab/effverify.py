@@ -164,8 +164,8 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     """
     if not 1 <= n <= 16:
         raise BackendFailure(f"n={n} outside machine word loads")
-    if m < 1:
-        raise BackendFailure(f"m={m}")
+    if not 1 <= m <= ELL_R // 4:
+        raise BackendFailure(f"m={m} outside the PRG stream's {ELL_R // 4} key slots")
     mask = (1 << n) - 1
     prog: list[tuple] = [("HASH",)]
     for i in range(m):
@@ -378,61 +378,27 @@ def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
 
 
 # ---------------------------------------------------------------------------
-# Inner protocol adapter
+# Inner protocol
 #
-# The composition consumes a two-round protocol (P = P2, V = (V1, V_out))
-# whose V1 randomness comes from an explicit byte stream, so the
-# delegated machine and the verification circuit can re-derive the same
-# keys from the same seed.
+# The composition consumes the two-round Fiat-Shamir protocol itself
+# (P = prove, V = (V1, verify)), of any repetition shape.  Its V1
+# randomness comes from an explicit byte stream instead of an rng, so the
+# delegated machine and the verification circuit re-derive the same keys
+# from the same seed; n, m and the nesting are read from inner.base.
 
 
-@dataclass(frozen=True)
-class TwoRoundInner:
-    n: int
-    m: int
-    fs: TwoRoundFS
-    key_length: int  # bytes; upper bound on the encoded key size
-
-    def v1_from_stream(self, stream: bytes):
-        return derive_keys(stream, self.n, self.m)
-
-    def machine(self, time_bound: int) -> tuple:
-        return key_machine(self.n, self.m, time_bound)
-
-    def parse_key(self, flat: tuple):
-        if len(flat) != 2 * self.m:
-            raise InnerProtocolError(f"decoded {len(flat)} key words")
-        return tuple((int(flat[2 * i]), int(flat[2 * i + 1]))
-                     for i in range(self.m))
-
-    def p2(self, x, k, rng):
-        return self.fs.prove(x, k, rng)
-
-    def rejecting_response(self, x, k, rng):
-        y, _ = self.fs.prove(x, k, rng)
-        return (y, tuple(("had", 0, 0) for _ in range(self.m)))
-
-    def v_out(self, x, k, td, e) -> bool:
-        if not (isinstance(e, tuple) and len(e) == 2):
-            return False
-        y, a = e
-        return self.fs.verify(x, k, td, y, a)
-
-
-def toy_inner(num_qubits: int, m: int, fs_seed: int = 7) -> TwoRoundInner:
+def toy_inner(num_qubits: int, m: int, fs_seed: int = 7) -> TwoRoundFS:
     """Fiat-Shamir collapse of the m-fold repeated toy protocol."""
     if not 1 <= num_qubits <= 16:
         raise InnerProtocolError(f"num_qubits={num_qubits}")
-    base = toy_protocol(num_qubits)
-    rep = parallel_repeat(base, m)
-    fs = fiat_shamir(rep, OracleTable(fs_seed, m))
-    mask = (1 << num_qubits) - 1
-    key_length = len(encode(((mask, mask),) * m))
-    return TwoRoundInner(n=num_qubits, m=m, fs=fs, key_length=key_length)
+    rep = parallel_repeat(toy_protocol(num_qubits), m)
+    return fiat_shamir(rep, OracleTable(fs_seed, m))
 
 
-# ---------------------------------------------------------------------------
-# Verification circuit
+def key_length(inner: TwoRoundFS) -> int:
+    """Bytes; upper bound on the encoded key of inner's width and shape."""
+    mask = (1 << inner.base.n) - 1
+    return len(encode(inner.base.nest([(mask, mask)] * inner.base.m)))
 
 
 @dataclass(frozen=True)
@@ -441,12 +407,15 @@ class VerificationCircuit:
 
     x: object
     e: object
-    inner: TwoRoundInner
-    time_bound: int
+    inner: TwoRoundFS
 
     def __call__(self, s: bytes) -> int:
-        k, td = self.inner.v1_from_stream(_prg_bytes(s))
-        return 1 if self.inner.v_out(self.x, k, td, self.e) else 0
+        if not (isinstance(self.e, tuple) and len(self.e) == 2):
+            return 0
+        base = self.inner.base
+        k, td = derive_keys(_prg_bytes(s), base.n, base.m)
+        y, a = self.e
+        return int(self.inner.verify(self.x, base.nest(k), base.nest(td), y, a))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +434,6 @@ class EffSession:
     """One finished session: the messages, the verifier's secrets, the costs."""
 
     x: object
-    time_bound: int
     s: bytes
     pk_fhe: FheKey
     sk_fhe: FheKey
@@ -482,7 +450,7 @@ class EffSession:
         """JSON-ready view: every message hex-encoded, plus the costs."""
         return {
             "x": repr(self.x),
-            "time_bound": self.time_bound,
+            "time_bound": self.encoding.bound,
             "seed_s": self.s.hex(),
             "pk_fhe": self.pk_fhe.serialize().hex(),
             "ct": self.ct.serialize().hex(),
@@ -499,19 +467,6 @@ def cost_report(session: EffSession) -> CostReport:
     return session.cost
 
 
-def setup_eff(security: int, ell: int, rng, suite: BackendSuite):
-    """Sample a uniform crs and derive the encoder key from it.
-
-    Returns (crs_prover, crs_verifier): the prover's share is the raw
-    crs used for decoding, the verifier's is the encoding key.
-    """
-    if security < 1:
-        raise BackendFailure(f"security={security}")
-    crs = rng.bytes(security)
-    ek = suite.re.setup(security, ell, crs)
-    return crs, ek
-
-
 _PROVER_MODES = ("honest", "mismatched-statement", "rejecting-e")
 
 
@@ -521,33 +476,42 @@ def _statement(x, pk: FheKey, ct: FheCiphertext,
     return encode((x, pk.serialize(), ct.serialize(), ct_prime.serialize()))
 
 
-def _run_session(suite: BackendSuite, inner: TwoRoundInner, x, prover,
+def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
                  seed: int, time_bound: int, derive_salt: bool):
     """One session; each cost-ledger charge follows the call it pays for."""
     time_bound = _int_arg("time_bound", time_bound, 1)
     seed = _int_arg("seed", seed, 0)
     if prover not in _PROVER_MODES:
         raise InnerProtocolError(f"unknown prover mode {prover!r}")
+    if not isinstance(inner, TwoRoundFS):
+        raise InnerProtocolError(f"inner {type(inner).__name__} is not a TwoRoundFS")
+    base = inner.base
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    # V_eff,1: seed, keys, encrypted seed, delegated key machine
+    # V_eff,1: seed, crs and encoder key, encrypted seed, delegated key machine
     s = rng.bytes(ELL_S)
-    crs_prover, ek = setup_eff(SECURITY, inner.key_length, rng, suite)
-    verifier_ops = SECURITY + inner.key_length.bit_length()
+    crs = rng.bytes(SECURITY)
+    ell = key_length(inner)
+    ek = suite.re.setup(SECURITY, ell, crs)
+    verifier_ops = SECURITY + ell.bit_length()
     pk_fhe, sk_fhe = suite.fhe.keygen(rng)
     verifier_ops += ELL_S
     ct = suite.fhe.enc(pk_fhe, s)
     verifier_ops += len(s)
-    machine = inner.machine(time_bound)
+    machine = key_machine(base.n, base.m, time_bound)
     encoding = suite.re.enc(ek, machine, s, time_bound)
     verifier_ops += len(machine) + len(s) + time_bound.bit_length()
 
     # P_eff,2: decode keys, answer the inner protocol, evaluate C[x, e]
-    flat_key, prover_ops = suite.re.dec(crs_prover, encoding)  # decode steps
-    k = inner.parse_key(flat_key)
-    respond = inner.rejecting_response if prover == "rejecting-e" else inner.p2
-    e = respond(x, k, rng)
-    circuit = VerificationCircuit(x=x, e=e, inner=inner, time_bound=time_bound)
+    flat_key, prover_ops = suite.re.dec(crs, encoding)  # decode steps
+    if len(flat_key) != 2 * base.m:
+        raise InnerProtocolError(f"decoded {len(flat_key)} key words")
+    k = base.nest([(int(x0), int(x1)) for x0, x1 in zip(flat_key[::2], flat_key[1::2])])
+    e = inner.prove(x, k, rng)
+    if prover == "rejecting-e":
+        # the Hadamard sentinel rejects every coordinate it answers
+        e = (e[0], base.nest([("had", 0, 0)] * base.m))
+    circuit = VerificationCircuit(x=x, e=e, inner=inner)
     honest_ct_prime = suite.fhe.eval(pk_fhe, circuit, ct)
     # evaluating C re-derives the keys, the same T the machine pays
     prover_ops += time_bound
@@ -584,12 +548,12 @@ def _run_session(suite: BackendSuite, inner: TwoRoundInner, x, prover,
                                    (encoding, pk_fhe, ct, ct_prime, proof))
     cost = CostReport(verifier_ops, prover_ops, message_bytes)
     return ok_proof and ok_dec, EffSession(
-        x=x, time_bound=time_bound, s=s, pk_fhe=pk_fhe, sk_fhe=sk_fhe, ct=ct,
+        x=x, s=s, pk_fhe=pk_fhe, sk_fhe=sk_fhe, ct=ct,
         encoding=encoding, e=e, ct_prime=ct_prime, z=z, proof=proof,
         statement=statement, cost=cost)
 
 
-def run_four_round(suite: BackendSuite, inner: TwoRoundInner, x,
+def run_four_round(suite: BackendSuite, inner: TwoRoundFS, x,
                    prover: str = "honest", seed: int = 0,
                    time_bound: int = DEFAULT_TIME_BOUND):
     """Interactive flow: the salt is a fresh verifier coin."""
@@ -597,7 +561,7 @@ def run_four_round(suite: BackendSuite, inner: TwoRoundInner, x,
                         derive_salt=False)
 
 
-def run_two_round_fs(suite: BackendSuite, inner: TwoRoundInner, x,
+def run_two_round_fs(suite: BackendSuite, inner: TwoRoundFS, x,
                      prover: str = "honest", seed: int = 0,
                      time_bound: int = DEFAULT_TIME_BOUND):
     """Collapsed flow: the salt is the oracle's view of ct'."""

@@ -197,6 +197,21 @@ def answer_amps(strategy: ProverStrategy, c: int, psi_xz: np.ndarray) -> np.ndar
     return strategy.u.mat @ full
 
 
+def _amps_of(psi: StateVector, dim: int) -> np.ndarray:
+    """psi's amplitudes; DimensionMismatch unless they span dim."""
+    if psi.amps.shape != (dim,):
+        raise DimensionMismatch(f"state dim {psi.amps.size}, registers need {dim}")
+    return psi.amps
+
+
+def _check_challenge(strategy: ProverStrategy, c: str) -> None:
+    """DimensionMismatch unless c has m characters, DomainError unless they are bits."""
+    if not isinstance(c, str) or len(c) != strategy.m:
+        raise DimensionMismatch(f"challenge {c!r} vs m={strategy.m}")
+    if set(c) - {"0", "1"}:
+        raise DomainError(f"challenge {c!r} is not a bit string")
+
+
 def build_projectors(strategy: ProverStrategy, params: PartitionParams) -> tuple[Operator, Operator]:
     """Pi_in and Pi_i,out for coordinate params.i, as dense projectors."""
     if params.m != strategy.m:
@@ -281,12 +296,13 @@ def spectral_data(strategy: ProverStrategy, params: PartitionParams) -> Spectral
     ends where arccos(sigma_k) does not; theta = 0 gives the (1,1)
     vectors and theta = pi the (1,0) vectors.
     """
+    # checked on every call: a cached entry must not excuse other params.m
+    if params.m != strategy.m:
+        raise DimensionMismatch(f"params.m={params.m} vs strategy.m={strategy.m}")
     return strategy.derived(("spec", params.i), _principal_angles, strategy, params)
 
 
 def _principal_angles(strategy: ProverStrategy, params: PartitionParams) -> SpectralData:
-    if params.m != strategy.m:
-        raise DimensionMismatch(f"params.m={params.m} vs strategy.m={strategy.m}")
     xz = strategy.xz_dim
     # W[:, :xz] = U (H_{C-i}|0^m> (x) I_xz), without forming W
     c_col = _hadamard_c_minus_i(strategy.m, params.i, 1)[:, 0]
@@ -380,7 +396,7 @@ def run_G(strategy: ProverStrategy, params: PartitionParams, psi: StateVector) -
     fresh ancillas (ph, th, in); the returned components are the
     (ph, th, in) = (0^t, b, 1) branches mapped back to (X, Z).
     """
-    psi_xz = psi.amps
+    psi_xz = _amps_of(psi, strategy.xz_dim)
     b0, b1, (c2, c11, c10, w1, data) = _branches(strategy, params, psi_xz)
     # reference states of the lemma: clean low and high components
     ref0 = data.alphas_xz @ (c2 * (data.pvals <= params.gamma - 2 * params.delta)) \
@@ -467,7 +483,7 @@ def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVec
     dim, xz = strategy.dim, strategy.xz_dim
     amps = np.zeros(lay.dim, dtype=np.complex128)
     # input slots: C = 0^m, ph = 0^t, th = in = 0
-    amps.reshape(dim, 1 << t, 2, 2)[:xz, 0, 0, 0] = psi.amps
+    amps.reshape(dim, 1 << t, 2, 2)[:xz, 0, 0, 0] = _amps_of(psi, xz)
 
     amps = _apply_est(amps.reshape(dim, -1), eig_full, eig_phases, t,
                       params.mode, dagger=False).reshape(-1)
@@ -530,9 +546,10 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
     continues; anything else aborts.  Sampling order per step: the c_i
     branch, then the continue branch, then abort.
     """
-    if len(gammas) != strategy.m or len(c) != strategy.m:
-        raise DimensionMismatch(f"need m={strategy.m} gammas and challenge bits")
-    current = psi.amps.copy()
+    if len(gammas) != strategy.m:
+        raise DimensionMismatch(f"need m={strategy.m} gammas")
+    _check_challenge(strategy, c)
+    current = _amps_of(psi, strategy.xz_dim).copy()
     lay = strategy.xz_layout()
     for idx in range(1, strategy.m + 1):
         norm2 = float(np.vdot(current, current).real)
@@ -555,30 +572,26 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
 
 @dataclass(frozen=True)
 class ChainResult:
-    kept: tuple[np.ndarray, ...]  # psi_{!c_1..!c_{i-1}, c_i} per i, unnormalized
-    remainder: np.ndarray  # psi_{!c_1..!c_m}
-    kept_norms2: tuple[float, ...]
-    remainder_norm2: float
+    kept_norms2: tuple[float, ...]  # |psi_{!c_1..!c_{i-1}, c_i}|^2 per i
+    remainder_norm2: float  # |psi_{!c_1..!c_m}|^2
     err_norms2: tuple[float, ...]  # per-step psi_err mass
 
 
 def partition_chain(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
                     *, gamma0: float, T: int, mode: str = "ideal") -> ChainResult:
     """Exact (probability-free) branch chain underlying run_H."""
-    if len(gammas) != strategy.m or len(c) != strategy.m:
-        raise DimensionMismatch(f"need m={strategy.m} gammas and challenge bits")
-    current = psi.amps.copy()
+    if len(gammas) != strategy.m:
+        raise DimensionMismatch(f"need m={strategy.m} gammas")
+    _check_challenge(strategy, c)
+    current = _amps_of(psi, strategy.xz_dim)
     kept, errs = [], []
     for idx in range(1, strategy.m + 1):
         b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
         errs.append(float(np.linalg.norm(current - b0 - b1) ** 2))
-        want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
-        kept.append(want)
-        current = other
+        want, current = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
+        kept.append(float(np.vdot(want, want).real))
     return ChainResult(
-        kept=tuple(kept),
-        remainder=current,
-        kept_norms2=tuple(float(np.vdot(v, v).real) for v in kept),
+        kept_norms2=tuple(kept),
         remainder_norm2=float(np.vdot(current, current).real),
         err_norms2=tuple(errs),
     )
@@ -630,6 +643,8 @@ class _ExtractGraph:
     """
 
     def __init__(self, strategy: ProverStrategy, i: int):
+        if not 1 <= i <= strategy.m:
+            raise DomainError(f"coordinate i={i} outside 1..{strategy.m}")
         self.w = _rotated_frame(strategy, i)
         self.wd = self.w.conj().T
         self.acc = _accept_mask(strategy, i)
@@ -649,7 +664,8 @@ class _ExtractGraph:
         key = state.amps.tobytes()
         node = self.roots.get(key)
         if node is None:
-            amps = state.amps.astype(np.complex128, copy=True)
+            # a hit has the bytes, and so the dimension, of a checked state
+            amps = _amps_of(state, len(self.w)).astype(np.complex128, copy=True)
             nrm = np.linalg.norm(amps)
             if nrm**2 <= config.ZERO_STATE_TOL:
                 raise ZeroState("extractor input has zero norm")
@@ -746,12 +762,14 @@ def ext_success_formula(p: float, n_rounds: int) -> float:
 
 def test_round_accept_prob(strategy: ProverStrategy, i: int, c: str, psi_xz: StateVector) -> float:
     """Pr of an accepted X_i outcome when U hits |c>_C (x) psi directly."""
-    if len(c) != strategy.m:
-        raise DimensionMismatch(f"challenge length {len(c)} vs m={strategy.m}")
+    if not 1 <= i <= strategy.m:
+        raise DomainError(f"coordinate i={i} outside 1..{strategy.m}")
+    _check_challenge(strategy, c)
+    amps = _amps_of(psi_xz, strategy.xz_dim)
     nrm2 = psi_xz.norm2
     if nrm2 <= config.ZERO_STATE_TOL:
         raise ZeroState("zero input state")
-    hit = answer_amps(strategy, int(c, 2), psi_xz.amps) * _accept_mask(strategy, i)
+    hit = answer_amps(strategy, int(c, 2), amps) * _accept_mask(strategy, i)
     return float(np.vdot(hit, hit).real) / nrm2
 
 

@@ -248,7 +248,7 @@ class FourRoundProtocol:
             coords = [v for level in coords for v in level]
         return coords
 
-    def _nest(self, coords: list):
+    def nest(self, coords: list):
         """The message nested to the shape whose coordinates are coords."""
         for size in self.shape:
             coords = [tuple(coords[i:i + size]) for i in range(0, len(coords), size)]
@@ -265,7 +265,7 @@ class FourRoundProtocol:
             x0, x1 = int(rng.integers(1 << self.n)), int(rng.integers(1 << self.n))
             # force odd parity of the claw difference
             keys.append((x0, x1 ^ _parity(x0 ^ x1) ^ 1))
-        k = self._nest(keys)
+        k = self.nest(keys)
         return k, k
 
     def p2(self, x, k, rng):
@@ -275,15 +275,15 @@ class FourRoundProtocol:
             d = int(rng.integers(1 << self.n))  # Hadamard answer, drawn up front
             ys.append(r ^ key[b])
             states.append((key, b, r, d))
-        return self._nest(ys), self._nest(states)
+        return self.nest(ys), self.nest(states)
 
     def v3(self, rng) -> str:
         return "".join("01"[rng.integers(2)] for _ in range(self.m))
 
     def p4(self, state, c):
-        return self._nest([("test", b, r) if ci == "0"
-                           else ("had", _parity(d & (key[0] ^ key[1])), d)
-                           for (key, b, r, d), ci in zip(self._flat(state), c)])
+        return self.nest([("test", b, r) if ci == "0"
+                          else ("had", _parity(d & (key[0] ^ key[1])), d)
+                          for (key, b, r, d), ci in zip(self._flat(state), c)])
 
     def _test_ok(self, key, y, a) -> bool:
         """One coordinate's test round: a = ("test", b, r) opens y as r ^ x_b."""
@@ -491,8 +491,8 @@ class TestOnly(Honest):
     """
 
     def answer(self, state, c, rng):
-        return self.p._nest([("test", b, r) if ci == "0" else ("had", 0, 0)
-                             for (_, b, r, _), ci in zip(self.p._flat(state), c)])
+        return self.p.nest([("test", b, r) if ci == "0" else ("had", 0, 0)
+                            for (_, b, r, _), ci in zip(self.p._flat(state), c)])
 
 
 class UnitaryCheat:

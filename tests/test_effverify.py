@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 
 import numpy as np
@@ -15,20 +16,39 @@ from cvqc_lab.effverify import (
     VerificationCircuit,
     cost_report,
     derive_keys,
+    key_length,
     key_machine,
     make_stub_suite,
     run_four_round,
     run_machine,
     run_two_round_fs,
-    setup_eff,
     toy_inner,
     _prg_bytes,
 )
-from cvqc_lab.protocol import ProtocolError, encode
+from cvqc_lab.protocol import (
+    FourRoundProtocol,
+    OracleTable,
+    ProtocolError,
+    encode,
+    fiat_shamir,
+)
 
 
 def _suite_and_inner(seed=3, n=12, m=4, fs_seed=11):
     return make_stub_suite(seed), toy_inner(n, m, fs_seed=fs_seed)
+
+
+def _keys_from_seed(inner, s):
+    """(k, td) of inner, derived from seed s as the delegated machine derives them."""
+    base = inner.base
+    k, td = derive_keys(_prg_bytes(s), base.n, base.m)
+    return base.nest(k), base.nest(td)
+
+
+def _rejecting_e(inner, x, k, rng):
+    """An honest commitment answered by the Hadamard sentinel in every coordinate."""
+    y, _ = inner.prove(x, k, rng)
+    return y, inner.base.nest([("had", 0, 0)] * inner.base.m)
 
 
 class TestMachine:
@@ -322,12 +342,12 @@ class TestStubFhe:
         for i in range(100):
             s = rng.bytes(16)
             x = "yes" if i % 3 else "no"
-            k, _ = derive_keys(_prg_bytes(s), inner.n, inner.m)
+            k, _ = _keys_from_seed(inner, s)
             if i % 2:
-                e = inner.p2(x, k, rng)
+                e = inner.prove(x, k, rng)
             else:
-                e = inner.rejecting_response(x, k, rng)
-            circuit = VerificationCircuit(x=x, e=e, inner=inner, time_bound=256)
+                e = _rejecting_e(inner, x, k, rng)
+            circuit = VerificationCircuit(x=x, e=e, inner=inner)
             ct = suite.fhe.enc(pk, s)
             assert suite.fhe.dec(sk, suite.fhe.eval(pk, circuit, ct)) == circuit(s)
 
@@ -335,11 +355,11 @@ class TestStubFhe:
         _, inner = _suite_and_inner()
         rng = np.random.default_rng(8)
         s = rng.bytes(16)
-        k, _ = derive_keys(_prg_bytes(s), inner.n, inner.m)
-        y, a = inner.p2("yes", k, rng)
+        k, _ = _keys_from_seed(inner, s)
+        y, a = inner.prove("yes", k, rng)
 
         def circuit(e):
-            return VerificationCircuit(x="yes", e=e, inner=inner, time_bound=256)
+            return VerificationCircuit(x="yes", e=e, inner=inner)
 
         assert circuit((y, a))(s) == 1
         for e in [(y, ()), (y, a[:-1]), (y, a + a[:1]), (y[:-1], a), (y,), (), None]:
@@ -370,7 +390,8 @@ class TestStubRe:
     def test_correctness(self):
         suite = make_stub_suite(0)
         rng = np.random.default_rng(6)
-        crs, ek = setup_eff(16, 64, rng, suite)
+        crs = rng.bytes(16)
+        ek = suite.re.setup(16, 64, crs)
         prog = key_machine(8, 2, 512)
         s = rng.bytes(16)
         out, _ = suite.re.dec(crs, suite.re.enc(ek, prog, s, 512))
@@ -380,7 +401,7 @@ class TestStubRe:
     def test_wrong_crs_rejected(self):
         suite = make_stub_suite(0)
         rng = np.random.default_rng(7)
-        crs, ek = setup_eff(16, 64, rng, suite)
+        ek = suite.re.setup(16, 64, rng.bytes(16))
         enc = suite.re.enc(ek, key_machine(8, 1, 256), b"\x00" * 16, 256)
         with pytest.raises(BackendFailure):
             suite.re.dec(b"not the crs!!!!!", enc)
@@ -395,14 +416,15 @@ class TestStubRe:
         assert sizes[1 << 20] - sizes[1] <= 16
 
     def test_setup_deterministic_under_seed(self):
-        suite, inner = _suite_and_inner()
-        a = setup_eff(16, 64, np.random.default_rng(8), suite)
-        b = setup_eff(16, 64, np.random.default_rng(8), suite)
-        assert a == b
+        suite = make_stub_suite(0)
+        crs = np.random.default_rng(8).bytes(16)
+        assert suite.re.setup(16, 64, crs) == suite.re.setup(16, 64, crs)
+        other = suite.re.setup(16, 64, np.random.default_rng(9).bytes(16))
+        assert other.crs_digest != suite.re.setup(16, 64, crs).crs_digest
 
     def test_degenerate_ell(self):
         suite = make_stub_suite(0)
-        crs, ek = setup_eff(16, 1, np.random.default_rng(9), suite)
+        ek = suite.re.setup(16, 1, np.random.default_rng(9).bytes(16))
         assert ek.ell == 1
 
     def test_guards(self):
@@ -411,8 +433,6 @@ class TestStubRe:
             suite.re.setup(0, 4, b"")
         with pytest.raises(BackendFailure):
             suite.re.setup(16, 0, b"")
-        with pytest.raises(BackendFailure):
-            setup_eff(0, 4, np.random.default_rng(0), suite)
         ek = suite.re.setup(16, 4, b"\x01" * 16)
         with pytest.raises(BackendFailure):
             suite.re.enc(ek, (("HALT",),), b"", 0)
@@ -491,8 +511,8 @@ class TestComposition:
         for seed in range(50):
             for flow in (run_four_round, run_two_round_fs):
                 verdict, ses = flow(suite, inner, "yes", "honest", seed)
-                k, td = inner.v1_from_stream(_prg_bytes(ses.s))
-                assert verdict == inner.v_out("yes", k, td, ses.e)
+                k, td = _keys_from_seed(inner, ses.s)
+                assert verdict == inner.verify("yes", k, td, *ses.e)
 
     def test_statement_is_session_transcript(self):
         suite, inner = _suite_and_inner()
@@ -559,9 +579,46 @@ class TestComposition:
             toy_inner(0, 2)
         with pytest.raises(InnerProtocolError):
             toy_inner(17, 2)
-        _, inner = _suite_and_inner()
-        with pytest.raises(InnerProtocolError):
-            inner.parse_key((1, 2, 3))
+        # a decoder that returns other than 2m key words is a typed failure
+        suite, inner = _suite_and_inner()
+        decode = suite.re.dec
+        suite.re.dec = lambda crs, enc: ((1, 2, 3), decode(crs, enc)[1])
+        for flow in (run_four_round, run_two_round_fs):
+            with pytest.raises(InnerProtocolError, match="decoded 3 key words"):
+                flow(suite, inner, "yes", "honest", 0)
+
+
+class TestAnyShape:
+    """Every repetition shape of the Fiat-Shamir protocol delegates."""
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (1, 3)])
+    def test_both_flows_over_shape(self, shape):
+        suite = make_stub_suite(3)
+        m = math.prod(shape)
+        inner = fiat_shamir(FourRoundProtocol(12, shape), OracleTable(11, m))
+        honest = 0
+        for flow in (run_four_round, run_two_round_fs):
+            for seed in range(20):
+                verdict, ses = flow(suite, inner, "yes", "honest", seed)
+                k, td = _keys_from_seed(inner, ses.s)
+                assert verdict == inner.verify("yes", k, td, *ses.e)
+                assert len(encode(k)) <= key_length(inner)
+                honest += verdict
+                for mode in ("rejecting-e", "mismatched-statement"):
+                    assert not flow(suite, inner, "yes", mode, seed)[0]
+        assert honest == 40
+
+    def test_inputs_the_machine_cannot_serve_are_typed(self):
+        suite = make_stub_suite(3)
+        with pytest.raises(InnerProtocolError, match="not a TwoRoundFS"):
+            run_four_round(suite, FourRoundProtocol(12, (4,)), "yes")
+        # 17-bit keys exceed the machine's 16-bit loads; 128 coordinates its
+        # PRG stream's 64 key slots
+        for n, shape, match in [(17, (2,), "n=17"), (12, (8, 8, 2), "m=128")]:
+            base = FourRoundProtocol(n, shape)
+            inner = fiat_shamir(base, OracleTable(0, base.m))
+            with pytest.raises(BackendFailure, match=match):
+                run_two_round_fs(suite, inner, "yes", time_bound=1 << 14)
 
 
 class TestTwoRoundFlow:
@@ -601,7 +658,7 @@ class TestCostReport:
     def test_incomplete_session_rejected(self):
         # a session is built only once every message exists
         with pytest.raises(TypeError):
-            EffSession(x="yes", time_bound=256)
+            EffSession(x="yes", s=b"\x00" * 16)
 
     # verifier_ops - T.bit_length(), summed over the verifier's charge sites
     @pytest.mark.parametrize("m,offset", [(1, 335), (2, 368), (3, 400), (4, 433),

@@ -491,6 +491,63 @@ class TestRunH:
             run_H(s, [0.375, 0.375], "10", zero, rng, gamma0=0.75, T=4)
 
 
+_GAMMAS = (0.375, 0.375)
+
+
+class TestEntryPointErrors:
+    """Malformed states, params, challenges and coordinates raise typed errors at entry."""
+
+    @pytest.mark.parametrize("call,error", [
+        # a (C, X, Z) state where an (X, Z) one belongs, and the reverse
+        pytest.param(lambda s, xz, full, rng: run_G(s, _params(m=2), full),
+                     DimensionMismatch, id="run_G-state-dim"),
+        pytest.param(lambda s, xz, full, rng: run_G_state(s, _params(m=2), full),
+                     DimensionMismatch, id="run_G_state-state-dim"),
+        pytest.param(lambda s, xz, full, rng: run_H(s, _GAMMAS, "10", full, rng,
+                                                    gamma0=0.75, T=4),
+                     DimensionMismatch, id="run_H-state-dim"),
+        pytest.param(lambda s, xz, full, rng: partition_chain(s, _GAMMAS, "10", full,
+                                                              gamma0=0.75, T=4),
+                     DimensionMismatch, id="chain-state-dim"),
+        pytest.param(lambda s, xz, full, rng: accept_prob(s, 1, "00", full),
+                     DimensionMismatch, id="accept-state-dim"),
+        pytest.param(lambda s, xz, full, rng: extract(s, _params(m=2), xz, 3, rng),
+                     DimensionMismatch, id="extract-state-dim"),
+        # params for another m, after the strategy's spectral cache is warm
+        pytest.param(lambda s, xz, full, rng: (run_G(s, _params(m=2), xz),
+                                               run_G(s, _params(m=3), xz)),
+                     DimensionMismatch, id="run_G-params-m-warm"),
+        # challenges that are not one bit per coordinate
+        pytest.param(lambda s, xz, full, rng: run_H(s, _GAMMAS, "ab", xz, rng,
+                                                    gamma0=0.75, T=4),
+                     DomainError, id="run_H-challenge-chars"),
+        pytest.param(lambda s, xz, full, rng: partition_chain(s, _GAMMAS, "ab", xz,
+                                                              gamma0=0.75, T=4),
+                     DomainError, id="chain-challenge-chars"),
+        pytest.param(lambda s, xz, full, rng: partition_chain(s, _GAMMAS, "101", xz,
+                                                              gamma0=0.75, T=4),
+                     DimensionMismatch, id="chain-challenge-length"),
+        pytest.param(lambda s, xz, full, rng: accept_prob(s, 1, "0x", xz),
+                     DomainError, id="accept-challenge-chars"),
+        pytest.param(lambda s, xz, full, rng: accept_prob(s, 1, "0", xz),
+                     DimensionMismatch, id="accept-challenge-length"),
+        # a coordinate outside 1..m
+        pytest.param(lambda s, xz, full, rng: accept_prob(s, 3, "00", xz),
+                     DomainError, id="accept-coordinate-above-m"),
+        pytest.param(lambda s, xz, full, rng: accept_prob(s, 0, "00", xz),
+                     DomainError, id="accept-coordinate-zero"),
+        pytest.param(lambda s, xz, full, rng: extract(s, _params(m=3, i=3), full, 3, rng),
+                     DomainError, id="extract-coordinate-above-m"),
+    ])
+    def test_typed_error(self, call, error):
+        rng = np.random.default_rng(5)
+        s = random_strategy(rng, m=2, x_width=1, z_width=1)
+        xz = random_xz_state(rng, s)
+        full = StateVector(s.layout(), np.ones(s.dim, dtype=complex))
+        with pytest.raises(error):
+            call(s, xz, full, rng)
+
+
 class TestPartitionChain:
     @pytest.mark.parametrize("mode", ["ideal", "kernel"])
     def test_telescoping_reconstruction(self, mode):

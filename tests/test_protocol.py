@@ -157,7 +157,7 @@ class TestEncoding:
         y[-1] = np.resize(edges, p.m)
         seeds = rng.integers(0, 1 << 62, size=len(y), dtype=np.uint64)
         seeds[0], seeds[1] = 0, (1 << 64) - 1
-        rows = [(s.to_bytes(8, "big"), encode(p._nest(coords)))
+        rows = [(s.to_bytes(8, "big"), encode(p.nest(coords)))
                 for s, coords in zip(seeds.tolist(), y.tolist())]
         blob, ends = protocol._fs_oracle_inputs(seeds, y, shape)
         assert blob == b"".join(s + key + bytes(4) for s, key in rows)
