@@ -6,6 +6,7 @@ Modules:
     partition  phase-estimation partition procedures and claims
     protocol   four-round toy protocol, repetition, Fiat-Shamir
     effverify  efficient-verifier composition over stub backends
+    claims     one function per checked claim, shared by the CLI and the gate
     cli        experiment runner and table renderer (imported on demand,
                so `python -m cvqc_lab.cli` runs it exactly once)
 """
@@ -25,6 +26,7 @@ from .protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "claims",
     "cli",
     "config",
     "effverify",

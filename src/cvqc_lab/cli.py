@@ -24,8 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import config, effverify, jordan, partition, protocol
-from .qsim import StateVector
+from . import claims, effverify, jordan, partition, protocol
 
 
 class ConfigError(Exception):
@@ -332,12 +331,6 @@ _JORDAN_COLUMNS = ("pair", "dim", "rank0", "rank1", "blocks2d", "blocks1d",
                    "claim_id", "bound", "measured")
 
 
-def _dense_eigenphases(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    # folded to |angle| so the -pi/+pi branch cut cannot misalign the sort
-    w = jordan.reflect(p1).mat @ jordan.reflect(p0).mat
-    return np.sort(np.abs(np.angle(np.linalg.eigvals(w))))
-
-
 def _jordan_pair(index, task_seed, dim_min, dim_max):
     rng = np.random.default_rng(task_seed)
     dim = int(rng.integers(dim_min, dim_max + 1))
@@ -345,20 +338,10 @@ def _jordan_pair(index, task_seed, dim_min, dim_max):
     rank1 = int(rng.integers(1, dim))
     p0 = jordan.random_projector(rng, dim, rank0)
     p1 = jordan.random_projector(rng, dim, rank1)
-    dec = jordan.jordan_decompose(p0, p1)
-    res = jordan.reconstruct_check(dec, p0, p1)
-    residual = max(res.max_p0, res.max_p1, res.max_q, res.gram)
-    got = np.sort(np.abs(jordan.eigenphases(dec)))
-    want = _dense_eigenphases(p0, p1)
-    phase_err = float(np.max(np.abs(got - want))) if len(got) == len(want) else float("inf")
+    dec, pair = claims.jordan_pair(p0, p1)
     base = {"pair": index, "dim": dim, "rank0": rank0, "rank1": rank1,
             "blocks2d": len(dec.blocks2d), "blocks1d": len(dec.blocks1d)}
-    return [
-        dict(base, claim_id="jordan-reconstruct", bound=config.RESIDUAL_TOL,
-             measured=residual),
-        dict(base, claim_id="jordan-eigenphase", bound=config.EIGPHASE_TOL,
-             measured=phase_err),
-    ]
+    return [dict(base, **claim._asdict()) for claim in pair]
 
 
 def _run_jordan(cfg: ExperimentConfig):
@@ -377,138 +360,28 @@ _PARTITION_COLUMNS = ("seed", "m", "i", "gamma0", "T", "gamma", "mode",
                       "claim_id", "bound", "measured")
 
 
-def _partition_row(idx, params, out, claim_id, bound, measured):
+def _partition_row(idx, params, norms, claim):
     return {
         "seed": idx, "m": params.m, "i": params.i, "gamma0": params.gamma0,
         "T": params.T, "gamma": params.gamma, "mode": params.mode,
-        "norm_psi0": out[0], "norm_psi1": out[1], "norm_err": out[2],
-        "claim_id": claim_id, "bound": bound, "measured": measured,
+        "norm_psi0": norms[0], "norm_psi1": norms[1], "norm_err": norms[2],
+        **claim._asdict(),
     }
 
 
-def _partition_err_grid(idx, task_seed, T, mode):
-    """Single-step branch-defect mass, averaged over the whole gamma grid."""
-    rng = np.random.default_rng(task_seed)
-    s = partition.random_strategy(rng, m=1, x_width=1, z_width=1)
-    psi = partition.random_xz_state(rng, s)
-    grid = partition.gamma_grid(1.0, T)
-    outs = []
-    for gamma in grid:
-        params = partition.PartitionParams(1, 1, 1.0, T, float(gamma), mode)
-        outs.append((params, partition.run_G(s, params, psi)))
-    avg = float(np.mean([o.psi_err.norm2 for _, o in outs]))
-    bound = 6.0 / T + 0.02
-    # every grid point gets a row for its norms; measured repeats the
-    # strategy's grid average because the claim only bounds that average
-    return [
-        _partition_row(idx, params, (o.psi0.norm2, o.psi1.norm2, o.psi_err.norm2),
-                       "err-grid-avg", bound, avg)
-        for params, o in outs
-    ]
+def _norms(out):
+    return out.psi0.norm2, out.psi1.norm2, out.psi_err.norm2
 
 
-def _partition_branches(idx, task_seed, m, T, mode):
-    """Exclusivity and contraction of one split at a mid-grid gamma.
-
-    Contraction holds in both execution modes; exact branch
-    orthogonality is a property of the ideal threshold split only, so
-    that row always uses the ideal route.
-    """
+def _strategy_and_state(task_seed, m):
     rng = np.random.default_rng(task_seed)
     s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
-    psi = partition.random_xz_state(rng, s)
+    return rng, s, partition.random_xz_state(rng, s)
+
+
+def _mid_params(m, T, mode):
     grid = partition.gamma_grid(1.0, T)
-    gamma = float(grid[len(grid) // 2])
-    params = partition.PartitionParams(m, 1, 1.0, T, gamma, mode)
-    out = partition.run_G(s, params, psi)
-    norms = (out.psi0.norm2, out.psi1.norm2, out.psi_err.norm2)
-    e_b = 0.5 * (out.psi0.norm2 + out.psi1.norm2)
-    ideal_params = partition.PartitionParams(m, 1, 1.0, T, gamma, "ideal")
-    ideal_out = out if mode == "ideal" else partition.run_G(s, ideal_params, psi)
-    overlap = abs(complex(np.vdot(ideal_out.psi0.amps, ideal_out.psi1.amps)))
-    return [
-        _partition_row(idx, ideal_params,
-                       (ideal_out.psi0.norm2, ideal_out.psi1.norm2,
-                        ideal_out.psi_err.norm2),
-                       "branch-exclusivity", config.RESIDUAL_TOL, overlap),
-        _partition_row(idx, params, norms, "branch-contraction",
-                       0.5 * psi.norm2 + 1e-9, e_b),
-    ]
-
-
-def _partition_test_round(idx, task_seed, m, T):
-    """Worst fixed-rest-challenge test acceptance of the low branch.
-
-    The bound is proved for the exact split, so this row is always
-    computed on the ideal route regardless of the configured mode.
-    """
-    rng = np.random.default_rng(task_seed)
-    s = partition.random_strategy(rng, m=m, x_width=1, z_width=1, controlled=True)
-    grid = partition.gamma_grid(1.0, T)
-    gamma = float(grid[len(grid) // 2])
-    params = partition.PartitionParams(m, 1, 1.0, T, gamma, "ideal")
-    out = None
-    for _ in range(20):
-        psi = partition.random_xz_state(rng, s)
-        out = partition.run_G(s, params, psi)
-        if out.psi0.norm2 > 1e-9:
-            break
-    norms = (out.psi0.norm2, out.psi1.norm2, out.psi_err.norm2)
-    psi0 = StateVector(s.xz_layout(), out.psi0.amps / np.sqrt(out.psi0.norm2))
-    worst = 0.0
-    for rest in range(1 << (m - 1)):
-        tail = format(rest, f"0{m - 1}b") if m > 1 else ""
-        worst = max(worst, partition.test_round_accept_prob(s, 1, "0" + tail, psi0))
-    bound = 2.0 ** (m - 1) * gamma + 1e-6
-    return [_partition_row(idx, params, norms, "test-round", bound, worst)]
-
-
-def _chain_average(s, psi, runs, T, mode):
-    """Mean (kept, remainder, defect) mass of partition_chain over (gammas, c) runs."""
-    kept = rem = err = 0.0
-    count = 0
-    for gammas, c in runs:
-        chain = partition.partition_chain(s, gammas, c, psi, gamma0=1.0, T=T, mode=mode)
-        kept += sum(chain.kept_norms2)
-        rem += chain.remainder_norm2
-        err += sum(chain.err_norms2)
-        count += 1
-    return kept / count, rem / count, err / count
-
-
-def _partition_chain_remainder(idx, task_seed, m, T):
-    """Exhaustive challenge average of the surviving remainder mass.
-
-    The 2^-m average is exact for the ideal split, so this row ignores
-    the configured mode.
-    """
-    mode = "ideal"
-    rng = np.random.default_rng(task_seed)
-    s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
-    psi = partition.random_xz_state(rng, s)
-    grid = partition.gamma_grid(1.0, T)
-    gammas = tuple(float(grid[int(v)]) for v in rng.integers(0, len(grid), size=m))
-    runs = ((gammas, format(c, f"0{m}b")) for c in range(1 << m))
-    means = _chain_average(s, psi, runs, T, mode)
-    params = partition.PartitionParams(m, 1, 1.0, T, gammas[0], mode)
-    return [_partition_row(idx, params, means, "chain-remainder-avg",
-                           2.0 ** -m + 1e-9, means[1])]
-
-
-def _partition_chain_grid(idx, task_seed, m, T, mode):
-    """Accumulated defect mass averaged over the full gamma-tuple grid."""
-    rng = np.random.default_rng(task_seed)
-    s = partition.random_strategy(rng, m=m, x_width=1, z_width=1)
-    psi = partition.random_xz_state(rng, s)
-    grid = [float(g) for g in partition.gamma_grid(1.0, T)]
-    # reversed so the first coordinate varies fastest; each tuple draws
-    # its challenge just before its chain runs
-    runs = ((g[::-1], format(int(rng.integers(1 << m)), f"0{m}b"))
-            for g in itertools.product(grid, repeat=m))
-    means = _chain_average(s, psi, runs, T, mode)
-    params = partition.PartitionParams(m, 1, 1.0, T, grid[len(grid) // 2], mode)
-    bound = 6.0 * m * m / T + 0.05
-    return [_partition_row(idx, params, means, "chain-err-grid-avg", bound, means[2])]
+    return partition.PartitionParams(m, 1, 1.0, T, float(grid[len(grid) // 2]), mode)
 
 
 def _run_partition(cfg: ExperimentConfig):
@@ -518,12 +391,37 @@ def _run_partition(cfg: ExperimentConfig):
     seeds = _task_seeds(cfg.seed, 4 * n_str + n_grid)
     rows = []
     for i in range(n_str):
-        rows += _partition_err_grid(i, seeds[i], T, mode)
-        rows += _partition_branches(i, seeds[n_str + i], m, T, mode)
-        rows += _partition_test_round(i, seeds[2 * n_str + i], m, T)
-        rows += _partition_chain_remainder(i, seeds[3 * n_str + i], m, T)
+        # every grid point gets a row for its norms; measured repeats the
+        # strategy's grid average because the claim only bounds that average
+        _, s, psi = _strategy_and_state(seeds[i], 1)
+        claim, outs = claims.err_grid_avg(s, psi, T, mode)
+        rows += [_partition_row(i, params, _norms(o), claim) for params, o in outs]
+
+        _, s, psi = _strategy_and_state(seeds[n_str + i], m)
+        rows += [_partition_row(i, params, _norms(o), claim)
+                 for claim, params, o in claims.branch_split(s, psi, _mid_params(m, T, mode))]
+
+        rng = np.random.default_rng(seeds[2 * n_str + i])
+        s = partition.random_strategy(rng, m=m, x_width=1, z_width=1, controlled=True)
+        params = _mid_params(m, T, "ideal")
+        claim, out = claims.low_branch_test_round(s, params, rng)
+        rows.append(_partition_row(i, params, _norms(out), claim))
+
+        rng, s, psi = _strategy_and_state(seeds[3 * n_str + i], m)
+        grid = partition.gamma_grid(1.0, T)
+        gammas = tuple(float(grid[int(v)]) for v in rng.integers(0, len(grid), size=m))
+        claim, means = claims.chain_remainder_avg(s, psi, gammas, T)
+        params = partition.PartitionParams(m, 1, 1.0, T, gammas[0], "ideal")
+        rows.append(_partition_row(i, params, means, claim))
     for i in range(n_grid):
-        rows += _partition_chain_grid(i, seeds[4 * n_str + i], m, T, mode)
+        rng, s, psi = _strategy_and_state(seeds[4 * n_str + i], m)
+        grid = [float(g) for g in partition.gamma_grid(1.0, T)]
+        # reversed so the first coordinate varies fastest; each tuple draws
+        # its challenge just before its chain runs
+        runs = ((g[::-1], format(int(rng.integers(1 << m)), f"0{m}b"))
+                for g in itertools.product(grid, repeat=m))
+        claim, means = claims.chain_err_grid_avg(s, psi, runs, T, mode)
+        rows.append(_partition_row(i, _mid_params(m, T, mode), means, claim))
     return _PARTITION_COLUMNS, rows, {}
 
 
@@ -534,33 +432,19 @@ _PROTOCOL_COLUMNS = ("m", "adversary", "trials", "accepts", "rate", "queries",
                      "claim_id", "bound", "measured")
 
 
-def _protocol_row(m, adversary, stats, claim_id, bound, measured):
+def _protocol_row(m, adversary, stats, claim):
     return {
         "m": m, "adversary": adversary, "trials": stats.trials,
         "accepts": stats.accepts, "rate": stats.accept_rate,
-        "queries": stats.queries,
-        "claim_id": claim_id, "bound": bound, "measured": measured,
+        "queries": stats.queries, **claim._asdict(),
     }
 
 
-def _rate_row(m, adversary, stats, claim_id, expect):
-    """A rate claim: the measured rate lies within 3 sigma of expect."""
-    sigma = float(np.sqrt(expect * (1.0 - expect) / stats.trials))
-    return _protocol_row(m, adversary, stats, claim_id, 3.0 * sigma + 1e-12,
-                         abs(stats.accept_rate - expect))
-
-
-def _sweep_point(m, n, adversary, trials, task_seed):
-    base = protocol.toy_protocol(n)
-    rep = protocol.parallel_repeat(base, m)
-    if adversary == "honest":
-        adv = protocol.Honest(rep)
-    elif adversary == "testonly":
-        adv = protocol.TestOnly(rep)
-    else:
-        rng = np.random.default_rng(task_seed ^ 0xA5A5)
-        adv = protocol.UnitaryCheat(
-            partition.random_strategy(rng, m=1, x_width=n + 1, z_width=1))
+def _cheat_point(m, n, trials, task_seed):
+    rep = protocol.parallel_repeat(protocol.toy_protocol(n), m)
+    rng = np.random.default_rng(task_seed ^ 0xA5A5)
+    adv = protocol.UnitaryCheat(
+        partition.random_strategy(rng, m=1, x_width=n + 1, z_width=1))
     return protocol.run_protocol(rep, adv, "yes", trials=trials, seed=task_seed)
 
 
@@ -572,28 +456,22 @@ def _run_repetition(cfg: ExperimentConfig):
     rows = []
     prev_rate = 1.0
     for m, task_seed in zip(ms, seeds):
-        stats = _sweep_point(m, n, name, trials, task_seed)
-        if name == "testonly":
-            row = _rate_row(m, name, stats, "testonly-rate", protocol.testonly_rate_oracle(m))
-        elif name == "honest":
-            row = _rate_row(m, name, stats, "honest-rate", protocol.honest_rate_oracle(n, m))
-        else:
+        if name == "cheat":
+            stats = _cheat_point(m, n, trials, task_seed)
             # product structure: more coordinates can only hurt the cheat
-            row = _protocol_row(m, name, stats, "cheat-nonincreasing",
-                                prev_rate + 0.03, stats.accept_rate)
+            claim = claims.Claim("cheat-nonincreasing", prev_rate + 0.03, stats.accept_rate)
             prev_rate = stats.accept_rate
-        rows.append(row)
+        else:
+            rate = claims.testonly_rate if name == "testonly" else claims.honest_rate
+            claim, stats = rate(n, m, trials, task_seed)
+        rows.append(_protocol_row(m, name, stats, claim))
     return _PROTOCOL_COLUMNS, rows, {}
 
 
-def _fs_point(kind, m, n, trials, budget, task_seed):
+def _fs_game(m, n, task_seed):
+    """The m-fold toy protocol under Fiat-Shamir, over the task's own oracle."""
     base = protocol.parallel_repeat(protocol.toy_protocol(n), m)
-    fs = protocol.fiat_shamir(base, protocol.OracleTable(task_seed ^ 0x0F5, m))
-    if kind == "honest":
-        adv = protocol.Honest(base)
-    else:
-        adv = protocol.FsGrinder(budget, protocol.TestOnly(base))
-    return protocol.run_protocol(fs, adv, "yes", trials=trials, seed=task_seed)
+    return protocol.fiat_shamir(base, protocol.OracleTable(task_seed ^ 0x0F5, m))
 
 
 def _run_fs(cfg: ExperimentConfig):
@@ -601,18 +479,13 @@ def _run_fs(cfg: ExperimentConfig):
     m, n, trials = p["m"], p["n"], p["trials"]
     budgets = _parse_int_list(p["budgets"], "budgets")
     seeds = _task_seeds(cfg.seed, len(budgets) + 1)
-    honest = _fs_point("honest", m, n, trials, 0, seeds[0])
-    rows = [_protocol_row(m, "honest", honest, "fs-completeness",
-                          0.01, 1.0 - honest.accept_rate)]
+    claim, honest = claims.fs_completeness(_fs_game(m, n, seeds[0]), trials, seeds[0])
+    rows = [_protocol_row(m, "honest", honest, claim)]
     for q, task_seed in zip(budgets, seeds[1:]):
-        stats = _fs_point("grind", m, n, trials, q, task_seed)
-        rows.append(_rate_row(m, f"grinder[{q}]", stats, "grinder-rate",
-                              protocol.grinder_rate_oracle(m, q)))
-    # hashed challenges must make reruns reproducible, not just close
-    a = _fs_point("honest", m, n, trials, 0, seeds[0])
-    same = (a.accepts == honest.accepts and a.queries == honest.queries)
-    rows.append(_protocol_row(m, "honest-rerun", a, "fs-deterministic",
-                              0.0, 0.0 if same else 1.0))
+        claim, stats = claims.grinder_rate(_fs_game(m, n, task_seed), q, trials, task_seed)
+        rows.append(_protocol_row(m, f"grinder[{q}]", stats, claim))
+    claim, again = claims.fs_deterministic(_fs_game(m, n, seeds[0]), honest, seeds[0])
+    rows.append(_protocol_row(m, "honest-rerun", again, claim))
     return _PROTOCOL_COLUMNS, rows, {}
 
 
@@ -626,21 +499,17 @@ _EFF_COLUMNS = ("session", "flow", "n", "m", "time_bound", "verdict",
 _EFF_SWEEP = (256, 1024, 4096)
 
 
-def _eff_session(task_seed, n, m, time_bound, flow):
-    suite = effverify.make_stub_suite(task_seed)
-    inner = effverify.toy_inner(n, m, fs_seed=task_seed ^ 0x7E57)
-    runner = (effverify.run_two_round_fs if flow == "two-round"
-              else effverify.run_four_round)
-    return runner(suite, inner, "yes", prover="honest",
-                  seed=task_seed, time_bound=time_bound)
+def _eff_backends(task_seed, n, m):
+    return (effverify.make_stub_suite(task_seed),
+            effverify.toy_inner(n, m, fs_seed=task_seed ^ 0x7E57))
 
 
-def _eff_row(idx, flow, n, m, time_bound, verdict, report, claim_id, bound, measured):
+def _eff_row(idx, flow, n, m, time_bound, verdict, report, claim):
     return {
         "session": idx, "flow": flow, "n": n, "m": m, "time_bound": time_bound,
         "verdict": int(verdict), "verifier_ops": report.verifier_ops,
         "prover_ops": report.prover_ops, "message_bytes": report.message_bytes,
-        "claim_id": claim_id, "bound": bound, "measured": measured,
+        **claim._asdict(),
     }
 
 
@@ -650,26 +519,21 @@ def _run_effverify(cfg: ExperimentConfig):
     seeds = _task_seeds(cfg.seed, p["trials"] + len(_EFF_SWEEP))
     rows, dumps = [], []
     for idx in range(p["trials"]):
-        verdict, ses = _eff_session(seeds[idx], n, m, time_bound, flow)
-        report = effverify.cost_report(ses)
-        rows.append(_eff_row(idx, flow, n, m, time_bound, verdict, report,
-                             "eff-completeness", 0.0, 0.0 if verdict else 1.0))
+        claim, verdict, ses = claims.eff_completeness(
+            *_eff_backends(seeds[idx], n, m), flow, seeds[idx], time_bound)
+        rows.append(_eff_row(idx, flow, n, m, time_bound, verdict,
+                             effverify.cost_report(ses), claim))
         dumps.append(ses.dump())
 
-    # cost scaling probe: one session per time bound, fixed seed
-    sweep = []
-    for j, tb in enumerate(_EFF_SWEEP):
-        verdict, ses = _eff_session(seeds[p["trials"] + j], n, m, tb, flow)
-        sweep.append((tb, verdict, effverify.cost_report(ses)))
+    # cost scaling probe: one session per time bound, each with its own seed
+    probe = ((*_eff_backends(s, n, m), s, tb)
+             for s, tb in zip(seeds[p["trials"]:], _EFF_SWEEP))
+    linear, sweep = claims.eff_prover_linear(probe, flow)
     v_delta = sweep[-1][2].verifier_ops - sweep[0][2].verifier_ops
-    logs_t = np.log([float(tb) for tb, _, _ in sweep])
-    logs_p = np.log([float(r.prover_ops) for _, _, r in sweep])
-    slope = float(np.polyfit(logs_t, logs_p, 1)[0])
     tb, verdict, report = sweep[-1]
     rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report,
-                         "eff-verifier-flat", 16.0, float(v_delta)))
-    rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report,
-                         "eff-prover-linear", 0.0, max(0.0, 0.9 - slope)))
+                         claims.Claim("eff-verifier-flat", 16.0, float(v_delta))))
+    rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report, linear))
     return _EFF_COLUMNS, rows, {"sessions": dumps}
 
 

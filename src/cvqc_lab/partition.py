@@ -643,8 +643,6 @@ class _ExtractGraph:
     """
 
     def __init__(self, strategy: ProverStrategy, i: int):
-        if not 1 <= i <= strategy.m:
-            raise DomainError(f"coordinate i={i} outside 1..{strategy.m}")
         self.w = _rotated_frame(strategy, i)
         self.wd = self.w.conj().T
         self.acc = _accept_mask(strategy, i)
@@ -733,6 +731,11 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     """
     if n_rounds < 1:
         raise DomainError(f"n_rounds={n_rounds}")
+    if not 1 <= params.i <= strategy.m:
+        raise DomainError(f"coordinate i={params.i} outside 1..{strategy.m}")
+    # checked on every call: a cached graph must not excuse other params.m
+    if params.m != strategy.m:
+        raise DimensionMismatch(f"params.m={params.m} vs strategy.m={strategy.m}")
     graph = strategy.derived(("extract", params.i), _ExtractGraph, strategy, params.i)
     node = graph.root(state)
     for rnd in range(1, n_rounds + 1):

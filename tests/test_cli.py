@@ -505,6 +505,31 @@ class TestReproducibility:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # The README's jordan-demo and partition-claims runs: which claim each
+    # row checks, against which bound, in which order.  These columns
+    # involve no LAPACK call, unlike the measured cells beside them.
+    _PARTITION_STRATEGY = ([("err-grid-avg", "0.395")] * 16
+                           + [("branch-exclusivity", "1e-08"),
+                              ("branch-contraction", "0.500000001"),
+                              ("test-round", "2.250001"),
+                              ("chain-remainder-avg", "0.125000001")])
+    README_CLAIMS = [
+        (["jordan-demo", "--seed", "7"], "jordan-demo.csv",
+         [("jordan-reconstruct", "1e-08"), ("jordan-eigenphase", "1e-07")] * 20),
+        (["partition-claims", "--seed", "2", "--set", "T=16", "--set", "m=3"],
+         "partition-claims.csv",
+         _PARTITION_STRATEGY * 5 + [("chain-err-grid-avg", "3.425")]),
+    ]
+
+    @pytest.mark.parametrize("args,name,claims", README_CLAIMS,
+                             ids=["jordan-demo", "partition-claims"])
+    def test_readme_run_claims_and_bounds(self, tmp_path, args, name, claims):
+        code, out = run_cli(args, tmp_path, name)
+        assert code == 0
+        rows = read_rows(out)
+        assert len(rows) == len(claims)
+        assert [(r["claim_id"], r["bound"]) for r in rows] == claims
+
     def test_json_mirror_same_rows_as_csv(self, tmp_path):
         args = ["fs-attack", "--seed", "21", "--set", "m=2",
                 "--set", "budgets=1", "--set", "trials=500"]

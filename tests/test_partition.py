@@ -538,6 +538,10 @@ class TestEntryPointErrors:
                      DomainError, id="accept-coordinate-zero"),
         pytest.param(lambda s, xz, full, rng: extract(s, _params(m=3, i=3), full, 3, rng),
                      DomainError, id="extract-coordinate-above-m"),
+        # params for another m, after the strategy's extractor graph is warm
+        pytest.param(lambda s, xz, full, rng: (extract(s, _params(m=2), full, 3, rng),
+                                               extract(s, _params(m=1), full, 3, rng)),
+                     DimensionMismatch, id="extract-params-m"),
     ])
     def test_typed_error(self, call, error):
         rng = np.random.default_rng(5)
