@@ -17,7 +17,6 @@ import csv
 import io
 import itertools
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -701,24 +700,6 @@ def render_table(columns, rows) -> str:
     out = [line(columns), line(["-" * w for w in widths])]
     out.extend(line(r) for r in body)
     return "\n".join(out) + "\n"
-
-
-def parse_table(text: str):
-    """Inverse of render_table over its own output."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty table")
-    split = lambda ln: re.split(r" {2,}", ln.strip())
-    columns = split(lines[0])
-    rows = []
-    for ln in lines[1:]:
-        if set(ln) <= {"-", " "}:
-            continue
-        cells = split(ln)
-        if len(cells) != len(columns):
-            raise ParseError(f"table row width {len(cells)} != header width {len(columns)}")
-        rows.append(dict(zip(columns, cells)))
-    return columns, rows
 
 
 def render_summary(data_file: str) -> str:

@@ -18,6 +18,7 @@ parties.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 from dataclasses import asdict, dataclass
@@ -31,6 +32,7 @@ from .protocol import (
     _oracle_value,
     encode,
     fiat_shamir,
+    frame_tuple,
     parallel_repeat,
     toy_protocol,
 )
@@ -152,6 +154,19 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
         pc = nxt
 
 
+# Canonical bytes of each program key_machine built, keyed by the
+# program's identity: a lookup by value would also match an equal
+# hand-built program holding a bool, which encode must reject.  Like
+# key_machine's cache it keeps one entry per (n, m, time_bound) asked for.
+_PROGRAM_BYTES: dict[int, tuple[tuple, bytes]] = {}
+
+
+def _program_bytes(program: tuple) -> bytes:
+    kept = _PROGRAM_BYTES.get(id(program))
+    return kept[1] if kept is not None and kept[0] is program else encode(program)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
 def key_machine(n: int, m: int, time_bound: int) -> tuple:
     """Program computing the inner keys from the seed, then idling.
 
@@ -160,8 +175,10 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     loop at the end pads execution up to the declared time bound, which
     models an inner key derivation that genuinely costs T steps.  The
     loop is a counted loop, so run_machine charges its T steps in
-    constant wall time.
+    constant wall time.  Built and encoded once per (n, m, time_bound):
+    every call with the same arguments returns the same tuple.
     """
+    time_bound = _int_arg("time_bound", time_bound, 1)
     if not 1 <= n <= 16:
         raise BackendFailure(f"n={n} outside machine word loads")
     if not 1 <= m <= ELL_R // 4:
@@ -193,7 +210,9 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     busy = max(1, (time_bound - base_cost) // 2)
     loop_at = len(prog) + 1
     prog += [("SETI", 0, busy), ("DEC", 0), ("JNZ", 0, loop_at), ("HALT",)]
-    return tuple(prog)
+    program = tuple(prog)
+    _PROGRAM_BYTES[id(program)] = (program, encode(program))
+    return program
 
 
 def derive_keys(stream: bytes, n: int, m: int):
@@ -284,8 +303,10 @@ class ReEncoding:
     crs_digest: bytes
 
     def serialize(self) -> bytes:
-        return encode(("re-enc", self.program, self.inp, self.bound,
-                       self.crs_digest))
+        """encode(("re-enc", program, inp, bound, crs_digest)), reusing a key machine's bytes."""
+        return frame_tuple([encode("re-enc"), _program_bytes(self.program),
+                            encode(self.inp), encode(self.bound),
+                            encode(self.crs_digest)])
 
 
 def _crs_digest(crs: bytes) -> bytes:

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import config
-from .jordan import jordan_decompose, unitary_eig
+from .jordan import jordan_decompose
 from .qsim import (
     DimensionMismatch,
     NotUnitary,
@@ -264,15 +264,6 @@ def threshold_mask(params: PartitionParams) -> np.ndarray:
     return _label_pvals(params.tau) >= (params.gamma - params.delta)
 
 
-def qpe_failure_mass(theta: float, t: int, tau: int) -> float:
-    """Kernel mass on labels farther than 2^-tau from the true phase."""
-    size = 1 << t
-    labels = np.arange(size)
-    diff = (2.0 * np.pi * labels / size - theta + np.pi) % (2.0 * np.pi) - np.pi
-    outside = np.abs(diff) > 2.0 * np.pi * 2.0 ** (-tau)
-    return float(np.sum(kernel_masses(theta, t)[outside]))
-
-
 # ---------------------------------------------------------------------------
 # Spectral data per (strategy, coordinate)
 
@@ -495,19 +486,6 @@ def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVec
     view = amps.reshape(dim, 1 << t, 2, 2)
     view[:xz] = view[:xz, :, :, ::-1]  # in flips where C = 0^m
     return StateVector(lay, amps)
-
-
-def estimation_unitary(q_mat: np.ndarray, t: int, mode: str) -> np.ndarray:
-    """Dense U_est on (system (x) ph); small-t oracle for the fast paths."""
-    dim = q_mat.shape[0]
-    phases, vecs = unitary_eig(q_mat)
-    size = 1 << t
-    out = np.zeros((dim * size, dim * size), dtype=np.complex128)
-    for k in range(dim):
-        kmat = _apply_kernel_column(np.eye(size, dtype=np.complex128), float(phases[k]), t, mode, dagger=False)
-        proj = np.outer(vecs[:, k], vecs[:, k].conj())
-        out += np.kron(proj, kmat)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def encode(value) -> bytes:
     # None, bool, numpy integers and subclasses take the ladder after them.
     kind = type(value)
     if kind is tuple:
-        tag, payload = _TAG_TUPLE, b"".join([encode(v) for v in value])
+        return frame_tuple([encode(v) for v in value])
     elif kind is int and value >= 0:
         tag, payload = _TAG_INT, value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
     elif kind is str:
@@ -92,9 +92,18 @@ def encode(value) -> bytes:
     elif isinstance(value, str):
         tag, payload = _TAG_STR, value.encode("utf-8")
     elif isinstance(value, tuple):
-        tag, payload = _TAG_TUPLE, b"".join([encode(v) for v in value])
+        return frame_tuple([encode(v) for v in value])
     else:
         raise ProtocolError(f"unencodable type {type(value).__name__}")
+    return _frame(tag, payload)
+
+
+def frame_tuple(items: list[bytes]) -> bytes:
+    """Frame encoded items as one tuple: frame_tuple([encode(v) for v in t]) == encode(t)."""
+    return _frame(_TAG_TUPLE, b"".join(items))
+
+
+def _frame(tag: bytes, payload: bytes) -> bytes:
     if len(payload) > 0xFFFFFFFF:
         raise ProtocolError("payload too large to frame")
     return tag + len(payload).to_bytes(4, "big") + payload

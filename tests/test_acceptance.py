@@ -6,7 +6,8 @@ A single summary line per criterion is printed (visible under
 When CVQC_LAB_ACCEPTANCE_JSON names a file, each criterion also appends
 one JSON line to it: number, label, elapsed_s, budget_s, headroom
 (budget over elapsed), worst_slack (the least bound - measured over the
-criterion's claims) and passed.
+criterion's claims), slack_by_claim (that least slack per claim id) and
+passed.
 """
 
 import gc
@@ -38,10 +39,14 @@ def _report(num, label, results, elapsed, budget):
     print(f"criterion {num:>2} [{status}] {label}: {elapsed:.2f}s (budget {budget:.0f}s)")
     path = os.environ.get("CVQC_LAB_ACCEPTANCE_JSON")
     if path:
+        slack_by_claim = {}
+        for c in results:
+            slack = c.bound - c.measured
+            slack_by_claim[c.claim_id] = min(slack, slack_by_claim.get(c.claim_id, slack))
         row = {"criterion": num, "label": label, "elapsed_s": round(elapsed, 4),
                "budget_s": budget, "headroom": round(budget / elapsed, 2),
                "worst_slack": min(c.bound - c.measured for c in results),
-               "passed": passed}
+               "slack_by_claim": slack_by_claim, "passed": passed}
         with open(path, "a") as fh:
             fh.write(json.dumps(row) + "\n")
     assert not failures, failures[:5]

@@ -7,6 +7,7 @@ exercises the installed console script.
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -19,10 +20,27 @@ from cvqc_lab.cli import (
     ExperimentConfig,
     ParseError,
     build_config,
-    parse_table,
     render_summary,
     render_table,
 )
+
+
+def parse_table(text: str):
+    """Inverse of render_table over its own output."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty table")
+    split = lambda ln: re.split(r" {2,}", ln.strip())
+    columns = split(lines[0])
+    rows = []
+    for ln in lines[1:]:
+        if set(ln) <= {"-", " "}:
+            continue
+        cells = split(ln)
+        if len(cells) != len(columns):
+            raise ParseError(f"table row width {len(cells)} != header width {len(columns)}")
+        rows.append(dict(zip(columns, cells)))
+    return columns, rows
 
 
 def read_rows(path):

@@ -13,6 +13,8 @@ from cvqc_lab.effverify import (
     EffSession,
     FheCiphertext,
     InnerProtocolError,
+    ReEncoding,
+    SALT_LEN,
     VerificationCircuit,
     cost_report,
     derive_keys,
@@ -43,6 +45,18 @@ def _keys_from_seed(inner, s):
     base = inner.base
     k, td = derive_keys(_prg_bytes(s), base.n, base.m)
     return base.nest(k), base.nest(td)
+
+
+def _grid_sessions(m, n=12):
+    """(T, session) over both flows, all three prover modes and T = 2^8, 2^12, 2^40."""
+    suite, inner = _suite_and_inner(n=n, m=m)
+    seed = 0
+    for flow in (run_four_round, run_two_round_fs):
+        for mode in ("honest", "mismatched-statement", "rejecting-e"):
+            for t in (1 << 8, 1 << 12, 1 << 40):
+                _, ses = flow(suite, inner, "yes", mode, seed, time_bound=t)
+                yield t, ses
+                seed += 1
 
 
 def _rejecting_e(inner, x, k, rng):
@@ -676,6 +690,48 @@ class TestCostReport:
                     assert rep.verifier_ops - t.bit_length() == offset
                     assert rep.prover_ops > 2 * t
                     seed += 1
+
+    @pytest.mark.parametrize("n", [4, 12, 16])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_message_bytes_are_exact(self, n, m):
+        # 449: the salt (32) and the frames of pk (47), ct (68), ct' (53),
+        # the proof less its witness (94) and the encoding less its
+        # coordinate blocks and T-sized ints (155).  787 + |mask|: one
+        # coordinate's 32 instructions, whose jump targets fit a byte for
+        # m <= 7.  T enters as the encoded bound and the idle loop's count.
+        mask = encode((1 << n) - 1)
+        for t, ses in _grid_sessions(m, n):
+            busy = max(1, (t - (32 * m + 5)) // 2)
+            expected = 449 + m * (787 + len(mask)) + len(encode(t)) + len(encode(busy))
+            assert ses.cost.message_bytes - len(ses.proof.witness) == expected
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_encoding_fast_path_matches_reference(self, m):
+        # the kept program bytes against encode over every message field
+        for t, ses in _grid_sessions(m):
+            e, proof = ses.encoding, ses.proof
+            assert key_machine(12, m, t) is key_machine(12, m, t)
+            assert e.program is key_machine(12, m, t)
+            assert e.serialize() == encode(("re-enc", e.program, e.inp, e.bound,
+                                            e.crs_digest))
+            fields = [
+                ("re-enc", e.program, e.inp, e.bound, e.crs_digest),
+                ("fhe-pk", "INSECURE-STUB", ses.pk_fhe.tag),
+                ("fhe-ct", "INSECURE-STUB", ses.ct.tag, ses.ct.payload),
+                ("fhe-ct", "INSECURE-STUB", ses.ct_prime.tag, ses.ct_prime.payload),
+                ("snark", proof.binding, proof.witness_digest, proof.witness),
+            ]
+            assert ses.cost.message_bytes == SALT_LEN + sum(len(encode(f)) for f in fields)
+
+    def test_program_equal_to_a_key_machine_but_holding_a_bool_is_rejected(self):
+        # equal and hash-equal to the kept program, so only the program's
+        # identity may select the kept bytes
+        prog = key_machine(12, 4, 4096)
+        i = prog.index(("SETI", 3, 1))
+        forged = prog[:i] + (("SETI", 3, True),) + prog[i + 1:]
+        assert forged == prog and hash(forged) == hash(prog)
+        with pytest.raises(ProtocolError):
+            ReEncoding(forged, b"\x00" * 16, 4096, b"\x00" * 16).serialize()
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_prover_cost_is_exact(self, m):

@@ -15,7 +15,7 @@ from cvqc_lab.jordan import (
     reflect,
     unitary_eig,
 )
-from cvqc_lab.partition import estimation_unitary, haar_unitary
+from cvqc_lab.partition import haar_unitary
 from cvqc_lab.qsim import DimensionMismatch, NotAProjector
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -228,5 +228,3 @@ def test_unitary_eig_rejects_non_normal():
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(DegenerateNumerics):
         unitary_eig(shear)
-    with pytest.raises(DegenerateNumerics):
-        estimation_unitary(shear, 2, "ideal")

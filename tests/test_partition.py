@@ -9,9 +9,11 @@ import pytest
 
 from cvqc_lab import config
 from cvqc_lab.jordan import jordan_decompose, unitary_eig
+from cvqc_lab.jordan import DegenerateNumerics
 from cvqc_lab.partition import (
     _accept_mask,
     _apply_est,
+    _apply_kernel_column,
     _rotated_frame,
     ChainResult,
     DomainError,
@@ -24,7 +26,6 @@ from cvqc_lab.partition import (
     build_projectors,
     cs_bound,
     eigenbasis,
-    estimation_unitary,
     ext_success_formula,
     extract,
     gamma_grid,
@@ -33,7 +34,6 @@ from cvqc_lab.partition import (
     kernel_masses,
     partition_chain,
     phase_label,
-    qpe_failure_mass,
     random_strategy,
     random_xz_state,
     run_G,
@@ -50,6 +50,28 @@ from cvqc_lab.qsim import (
     StateVector,
     ZeroState,
 )
+
+
+def estimation_unitary(q_mat: np.ndarray, t: int, mode: str) -> np.ndarray:
+    """Dense U_est on (system (x) ph); small-t oracle for the fast paths."""
+    dim = q_mat.shape[0]
+    phases, vecs = unitary_eig(q_mat)
+    size = 1 << t
+    out = np.zeros((dim * size, dim * size), dtype=np.complex128)
+    for k in range(dim):
+        kmat = _apply_kernel_column(np.eye(size, dtype=np.complex128), float(phases[k]), t, mode, dagger=False)
+        proj = np.outer(vecs[:, k], vecs[:, k].conj())
+        out += np.kron(proj, kmat)
+    return out
+
+
+def qpe_failure_mass(theta: float, t: int, tau: int) -> float:
+    """Kernel mass on labels farther than 2^-tau from the true phase."""
+    size = 1 << t
+    labels = np.arange(size)
+    diff = (2.0 * np.pi * labels / size - theta + np.pi) % (2.0 * np.pi) - np.pi
+    outside = np.abs(diff) > 2.0 * np.pi * 2.0 ** (-tau)
+    return float(np.sum(kernel_masses(theta, t)[outside]))
 
 
 def _params(m=1, i=1, gamma0=0.75, T=4, j=2, mode="ideal"):
@@ -212,6 +234,10 @@ class TestEstimationUnitary:
             e[col] = 1.0
             got = _estimate(u, e, t, mode)
             assert np.max(np.abs(got - dense[:, col])) <= 1e-9
+
+    def test_dense_oracle_rejects_non_normal(self):
+        with pytest.raises(DegenerateNumerics):
+            estimation_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, "ideal")
 
 
 class TestKernelHelpers:

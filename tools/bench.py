@@ -8,8 +8,11 @@ A record runs `perfbench/run.py --trace 0` of a checkout (this
 repository unless --checkout names another) once per seed and workload,
 and keeps in BENCH_<label>.json at the root of this repository the
 command and, for each run, its result line and the machine line it
-printed on stderr.  Runs are added to an existing record of the same
-label and command, so two checkouts can be recorded in alternation.
+printed on stderr.  Each record call also runs the checkout's
+acceptance gate (`pytest tests/test_acceptance.py`) once, with
+CVQC_LAB_ACCEPTANCE_JSON naming a temporary file, and keeps its JSON
+lines under "acceptance".  Runs are added to an existing record of the
+same label and command, so two checkouts can be recorded in alternation.
 
 --compare A B takes two labels (or paths) and prints, per workload and
 end-to-end metric of BENCHMARK.json, each side's median and quartiles,
@@ -20,15 +23,20 @@ failed operations, and exits 1 when anything is flagged.  Each metric
 also gets a gain verdict: GAIN when there are at least ten same-seed
 pairs, B wins at least nine in ten of them, and B's median is better
 than A's by more than A's interquartile range; otherwise "no gain".
+It then prints, per acceptance criterion, each side's median elapsed_s
+and headroom over the gate runs of its record, and flags a criterion
+that did not pass in B.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +55,22 @@ def _run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "machine": machine[0] if machine else None}
 
 
+def _acceptance_once(checkout: Path) -> list:
+    """The JSON lines of one acceptance-gate run in checkout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "acceptance.jsonl"
+        src = str(checkout / "src")
+        env = dict(os.environ, CVQC_LAB_ACCEPTANCE_JSON=str(path),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "tests/test_acceptance.py"]
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"bench: {' '.join(cmd[2:])} exited {proc.returncode}:\n"
+                  f"{proc.stdout[-2000:]}", file=sys.stderr)
+        return [json.loads(ln) for ln in path.read_text().splitlines()] if path.is_file() else []
+
+
 def record(args) -> int:
     checkout = Path(args.checkout).resolve()
     out = ROOT / f"BENCH_{args.label}.json"
@@ -63,6 +87,8 @@ def record(args) -> int:
                   file=sys.stderr)
             bench["runs"].append(run)
             out.write_text(json.dumps(bench, indent=1) + "\n")
+    bench.setdefault("acceptance", []).extend(_acceptance_once(checkout))
+    out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)
     return 0
 
@@ -93,8 +119,8 @@ def _quartiles(xs: list) -> tuple:
 
 def compare(name_a: str, name_b: str) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bench_b = _load(name_b)
-    a, b = _values(_load(name_a)), _values(bench_b)
+    bench_a, bench_b = _load(name_a), _load(name_b)
+    a, b = _values(bench_a), _values(bench_b)
     flagged = 0
     for run in bench_b["runs"]:
         res = run["result"]
@@ -124,7 +150,33 @@ def compare(name_a: str, name_b: str) -> int:
                   f" -> {qb[1]:10.4g} [{qb[0]:.4g}, {qb[2]:.4g}] {change:+7.1%}"
                   f"  wins {wins}/{len(pairs)}  bound {metric['bound']:.0%}"
                   f"  {'GAIN' if gain else 'no gain'}{'  WORSE' if flag else ''}")
+    flagged += _compare_acceptance(name_a, name_b, bench_a, bench_b)
     return 1 if flagged else 0
+
+
+def _criteria(bench: dict) -> dict:
+    """{criterion: [its JSON lines in run order]}"""
+    rows: dict = {}
+    for row in bench.get("acceptance", []):
+        rows.setdefault(row["criterion"], []).append(row)
+    return rows
+
+
+def _compare_acceptance(name_a: str, name_b: str, bench_a: dict, bench_b: dict) -> int:
+    a, b = _criteria(bench_a), _criteria(bench_b)
+    if a and b:
+        print(f"acceptance: {name_a} -> {name_b}, median elapsed_s and headroom")
+    flagged = 0
+    for num in sorted(a.keys() & b.keys()):
+        (ea, ha), (eb, hb) = (
+            [statistics.median(row[key] for row in rows) for key in ("elapsed_s", "headroom")]
+            for rows in (a[num], b[num]))
+        failed = sum(not row["passed"] for row in b[num])
+        flagged += failed > 0
+        print(f"  {num:2d} {b[num][0]['label'][:44]:44s} {ea:8.4f} s x{ha:<8.4g}"
+              f" -> {eb:8.4f} s x{hb:<8.4g} {(eb - ea) / ea:+7.1%}"
+              f"  runs {len(a[num])}/{len(b[num])}{f'  FLAG {failed} failed' if failed else ''}")
+    return flagged
 
 
 def main(argv=None) -> int:
