@@ -33,6 +33,7 @@ ZERO_STATE_TOL = 1e-15
 # Smallest grid step gamma0/T allowed before float underflow risks kick in.
 GRID_STEP_MIN = 2.0 ** -40
 
-# The extractor's table of states (partition._ExtractGraph) starts over
-# once its states hold this many amplitudes in all (16 MB of keys).
+# Each of a strategy's tables of sampled states, the extractor's
+# (partition._ExtractGraph) and procedure H's (partition._HTable), starts
+# over once its states hold this many amplitudes in all (16 MB).
 EXTRACT_TABLE_AMPS = 2 ** 20

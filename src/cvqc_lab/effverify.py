@@ -559,7 +559,10 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
     prover_ops += (len(proof_statement) + len(witness)) // 16 + 4
 
     # V_eff,out: proof check and one decryption, both run and both charged
-    statement = _statement(x, pk_fhe, ct, ct_prime)
+    if ct_prime is honest_ct_prime:
+        statement = proof_statement
+    else:
+        statement = _statement(x, pk_fhe, ct, ct_prime)
     ok_proof = suite.snark.verify(suite.snark_oracle.salted(z), statement, proof)
     verifier_ops += len(statement)
     ok_dec = suite.fhe.dec(sk_fhe, ct_prime) == 1

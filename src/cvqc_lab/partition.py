@@ -26,6 +26,13 @@ Two execution routes are kept deliberately separate:
 
 Tests cross-check the two routes, and so the two spectral sources,
 against each other; do not collapse them into one.
+
+The sampled procedures, H (run_H) and the extractor (extract), each walk
+a per-strategy table of the states they reach, kept through
+ProverStrategy.derived: every step's numbers are computed once per
+distinct state, by the plain loop's own arithmetic, so the draws and
+outcomes are the loop's bit for bit, and a call costs little more than
+its draws.
 """
 
 from __future__ import annotations
@@ -515,21 +522,64 @@ def _step(strategy, gammas, idx, current, gamma0, T, mode):
     return _branches(strategy, params, current)[:2]
 
 
-def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
-          rng: np.random.Generator, *, gamma0: float, T: int,
-          mode: str = "ideal"):
-    """Iterate G_{i, gamma_i} with a three-way measurement per step.
+def _shared_state(strategy: ProverStrategy, amps: np.ndarray) -> StateVector:
+    """A read-only (X, Z) state over amps, safe to hand to every later call."""
+    state = StateVector(strategy.xz_layout(), amps)
+    state.amps.setflags(write=False)
+    return state
 
-    Outcome (0^t, c_i, 1) halts with the collapsed branch; (0^t, !c_i, 1)
-    continues; anything else aborts.  Sampling order per step: the c_i
-    branch, then the continue branch, then abort.
+
+class _HWalk:
+    """The steps of procedure H that calls have reached from one input.
+
+    steps[k] holds (p_want, p_other, the HBranch halting at step k + 1,
+    the HAbort there); `current` is the state the next step starts from,
+    and `remainder` the HRemainder once a call has continued past step m.
     """
-    if len(gammas) != strategy.m:
-        raise DimensionMismatch(f"need m={strategy.m} gammas")
-    _check_challenge(strategy, c)
-    current = _amps_of(psi, strategy.xz_dim).copy()
-    lay = strategy.xz_layout()
-    for idx in range(1, strategy.m + 1):
+
+    __slots__ = ("steps", "current", "remainder")
+
+    def __init__(self, current: np.ndarray):
+        self.steps = []
+        self.current = current
+        self.remainder = None
+
+
+class _HTable:
+    """The walks of procedure H on one strategy, and the states they hold.
+
+    Every number a step of H's loop reads depends only on the exact bytes
+    of its current state, so each step is computed once per walk, by that
+    loop's own arithmetic, when a call first reaches it.  The draws, the
+    comparisons and so the outcomes are the loop's, bit for bit.  A
+    branch is normalized only when its mass is > 0, so a walk evaluates
+    nothing the loop would not; an error is raised, never stored.  Walks
+    are keyed on (gammas, c, gamma0, T, mode, input bytes); the table
+    starts over once its states hold EXTRACT_TABLE_AMPS amplitudes.
+    """
+
+    def __init__(self, strategy: ProverStrategy):
+        self.capacity = max(2, config.EXTRACT_TABLE_AMPS // strategy.xz_dim)
+        self.walks: dict[tuple, _HWalk] = {}
+        self.held = 0
+
+    def _hold(self):
+        """Count one more state held, starting over if the table is full."""
+        if self.held >= self.capacity:
+            self.walks.clear()
+            self.held = 0
+        self.held += 1
+
+    def walk(self, key: tuple, amps: np.ndarray) -> _HWalk:
+        walk = self.walks.get(key)
+        if walk is None:
+            self._hold()
+            walk = self.walks[key] = _HWalk(amps.copy())
+        return walk
+
+    def step(self, strategy, walk: _HWalk, gammas, c: str, gamma0, T, mode):
+        idx = len(walk.steps) + 1
+        current = walk.current
         norm2 = float(np.vdot(current, current).real)
         if norm2 <= config.ZERO_STATE_TOL:
             raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
@@ -537,15 +587,54 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
         want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
         p_want = float(np.vdot(want, want).real) / norm2
         p_other = float(np.vdot(other, other).real) / norm2
+        halt = None
+        if p_want > 0:
+            self._hold()
+            halt = HBranch(branch_state=_shared_state(strategy, want / np.linalg.norm(want)),
+                           stop_index=idx)
+        if p_other > 0:
+            self._hold()
+            walk.current = other / np.linalg.norm(other)
+        walk.steps.append((p_want, p_other, halt, HAbort(stop_index=idx)))
+
+    def remainder(self, strategy, walk: _HWalk) -> HRemainder:
+        self._hold()
+        current = walk.current
+        walk.remainder = HRemainder(
+            state=_shared_state(strategy, current / np.linalg.norm(current)))
+        return walk.remainder
+
+
+def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
+          rng: np.random.Generator, *, gamma0: float, T: int,
+          mode: str = "ideal"):
+    """Iterate G_{i, gamma_i} with a three-way measurement per step.
+
+    Outcome (0^t, c_i, 1) halts with the collapsed branch; (0^t, !c_i, 1)
+    continues; anything else aborts.  Sampling order per step: the c_i
+    branch, then the continue branch, then abort.  The walk runs over
+    the strategy's cached chain of H states (see _HTable): one draw per
+    step reached, exactly as the loop draws them.  The returned outcomes
+    are shared between calls, and their states are read-only.
+    """
+    if len(gammas) != strategy.m:
+        raise DimensionMismatch(f"need m={strategy.m} gammas")
+    _check_challenge(strategy, c)
+    amps = _amps_of(psi, strategy.xz_dim)
+    table = strategy.derived("H", _HTable, strategy)
+    key = (tuple(float(g) for g in gammas), c, gamma0, T, mode, amps.tobytes())
+    walk = table.walk(key, amps)
+    for idx in range(1, strategy.m + 1):
+        if len(walk.steps) < idx:
+            table.step(strategy, walk, gammas, c, gamma0, T, mode)
+        p_want, p_other, halt, abort = walk.steps[idx - 1]
         r = rng.random()
         if r < p_want:
-            out = want / np.linalg.norm(want)
-            return HBranch(branch_state=StateVector(lay, out), stop_index=idx)
+            return halt
         if r < p_want + p_other:
-            current = other / np.linalg.norm(other)
             continue
-        return HAbort(stop_index=idx)
-    return HRemainder(state=StateVector(lay, current / np.linalg.norm(current)))
+        return abort
+    return walk.remainder or table.remainder(strategy, walk)
 
 
 @dataclass(frozen=True)

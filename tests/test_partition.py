@@ -13,8 +13,11 @@ from cvqc_lab.jordan import DegenerateNumerics
 from cvqc_lab.partition import (
     _accept_mask,
     _apply_est,
+    _amps_of,
     _apply_kernel_column,
+    _check_challenge,
     _rotated_frame,
+    _step,
     ChainResult,
     DomainError,
     ExtractOutcome,
@@ -428,6 +431,63 @@ class TestContractionAndTestRound:
 # Procedure 2: run_H and the exact chain
 
 
+def _run_H_reference(strategy, gammas, c, psi, rng, *, gamma0, T, mode="ideal"):
+    # the plain H loop, every step recomputed; run_H must reproduce its
+    # outcomes, states and RNG use exactly
+    if len(gammas) != strategy.m:
+        raise DimensionMismatch(f"need m={strategy.m} gammas")
+    _check_challenge(strategy, c)
+    current = _amps_of(psi, strategy.xz_dim).copy()
+    lay = strategy.xz_layout()
+    for idx in range(1, strategy.m + 1):
+        norm2 = float(np.vdot(current, current).real)
+        if norm2 <= config.ZERO_STATE_TOL:
+            raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
+        b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
+        want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
+        p_want = float(np.vdot(want, want).real) / norm2
+        p_other = float(np.vdot(other, other).real) / norm2
+        r = rng.random()
+        if r < p_want:
+            out = want / np.linalg.norm(want)
+            return HBranch(branch_state=StateVector(lay, out), stop_index=idx)
+        if r < p_want + p_other:
+            current = other / np.linalg.norm(other)
+            continue
+        return HAbort(stop_index=idx)
+    return HRemainder(state=StateVector(lay, current / np.linalg.norm(current)))
+
+
+def _h_state(outcome):
+    """The state an H outcome carries, or None for an abort."""
+    if isinstance(outcome, HBranch):
+        return outcome.branch_state
+    return outcome.state if isinstance(outcome, HRemainder) else None
+
+
+def _assert_walk_matches(s, gammas, c, states, seed, calls, **kw):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(calls):
+        psi = states[k % len(states)]
+        got = run_H(s, gammas, c, psi, fast, **kw)
+        want = _run_H_reference(s, gammas, c, psi, slow, **kw)
+        assert type(got) is type(want)
+        assert getattr(got, "stop_index", None) == getattr(want, "stop_index", None)
+        if _h_state(want) is not None:
+            assert _h_state(got).amps.tobytes() == _h_state(want).amps.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _low_span_m2():
+    """(strategy, psi, gamma_1): psi's coordinate-1 high branch is empty in ideal mode."""
+    s = random_strategy(np.random.default_rng(21), m=2, x_width=1, z_width=1)
+    p = _params(m=2, gamma0=0.75, T=4, j=4)
+    data = spectral_data(s, p)
+    cols = data.alphas_xz[:, data.pvals <= p.gamma - 2 * p.delta]
+    mix = cols @ np.ones(cols.shape[1])
+    return s, StateVector(s.xz_layout(), mix / np.linalg.norm(mix)), p.gamma
+
+
 class TestRunH:
     def test_low_span_m1_halts_deterministically(self):
         rng = np.random.default_rng(21)
@@ -515,6 +575,73 @@ class TestRunH:
         zero = StateVector(s.xz_layout(), np.zeros(s.xz_dim, dtype=complex))
         with pytest.raises(ZeroState):
             run_H(s, [0.375, 0.375], "10", zero, rng, gamma0=0.75, T=4)
+
+    @pytest.mark.parametrize("controlled", [False, True])
+    @pytest.mark.parametrize("x_width", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_walk_matches_reference_loop(self, m, x_width, controlled):
+        rng = np.random.default_rng(300 + 10 * m + 2 * x_width + controlled)
+        s = random_strategy(rng, m, x_width=x_width, z_width=1 if m < 3 else 0,
+                            controlled=controlled)
+        # two inputs, one of them unnormalized, so the table holds several walks
+        states = [random_xz_state(rng, s),
+                  StateVector(s.xz_layout(), 0.5 * random_xz_state(rng, s).amps)]
+        for mode in ("ideal", "kernel"):
+            for T in (4, 32):
+                grid = gamma_grid(0.75, T)
+                gammas = tuple(grid[rng.integers(T)] for _ in range(m))
+                for cbits in range(1 << m):
+                    c = format(cbits, f"0{m}b")
+                    _assert_walk_matches(s, gammas, c, states, seed=cbits + T, calls=100,
+                                         gamma0=0.75, T=T, mode=mode)
+
+    def test_errors_are_raised_on_every_call(self):
+        rng = np.random.default_rng(2)
+        s = random_strategy(rng, m=2, x_width=1, z_width=1)
+        zero = StateVector(s.xz_layout(), np.zeros(s.xz_dim, dtype=complex))
+        for _ in range(2):
+            with pytest.raises(ZeroState):
+                run_H(s, _GAMMAS, "10", zero, rng, gamma0=0.75, T=4)
+        # step 1 always continues, so every call reaches the off-grid gamma
+        s, psi, gamma1 = _low_span_m2()
+        fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                run_H(s, (gamma1, 0.3), "10", psi, fast, gamma0=0.75, T=4)
+            with pytest.raises(DomainError):
+                _run_H_reference(s, (gamma1, 0.3), "10", psi, slow, gamma0=0.75, T=4)
+            assert fast.bit_generator.state == slow.bit_generator.state
+        # the walk kept the step before the error, and nothing for the error
+        [walk] = s._cache["H"].walks.values()
+        assert len(walk.steps) == 1
+
+    def test_shared_states_are_read_only(self):
+        rng = np.random.default_rng(6)
+        s = random_strategy(rng, m=2, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        outs = [run_H(s, _GAMMAS, "01", psi, rng, gamma0=0.75, T=4) for _ in range(200)]
+        kept = [(o, _h_state(o).amps.tobytes()) for o in outs if _h_state(o) is not None]
+        assert {type(o) for o, _ in kept} == {HBranch, HRemainder}
+        for o, _ in kept:
+            assert not _h_state(o).amps.flags.writeable
+            with pytest.raises(ValueError):
+                _h_state(o).amps[0] = 1.0
+        for _ in range(200):
+            run_H(s, _GAMMAS, "01", psi, rng, gamma0=0.75, T=4)
+        assert all(_h_state(o).amps.tobytes() == b for o, b in kept)
+
+    def test_full_table_starts_over(self, monkeypatch):
+        # room for 5 states of dim 8: the table keeps clearing its walks
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 40)
+        rng = np.random.default_rng(8)
+        s = random_strategy(rng, m=2, x_width=1, z_width=1)
+        states = [random_xz_state(rng, s) for _ in range(4)]
+        for c in ("00", "01", "10", "11"):
+            _assert_walk_matches(s, _GAMMAS, c, states, seed=9, calls=100,
+                                 gamma0=0.75, T=4)
+            table = s._cache["H"]
+            assert table.held <= table.capacity == 5
+            assert len(table.walks) < 4
 
 
 _GAMMAS = (0.375, 0.375)

@@ -23,9 +23,10 @@ failed operations, and exits 1 when anything is flagged.  Each metric
 also gets a gain verdict: GAIN when there are at least ten same-seed
 pairs, B wins at least nine in ten of them, and B's median is better
 than A's by more than A's interquartile range; otherwise "no gain".
-It then prints, per acceptance criterion, each side's median elapsed_s
-and headroom over the gate runs of its record, and flags a criterion
-that did not pass in B.
+It then prints, per acceptance criterion, each side's elapsed_s median
+and quartiles and its median headroom over the gate runs of its record,
+labels `noise` a criterion whose median moved by less than A's
+interquartile range, and flags a criterion that did not pass in B.
 """
 
 from __future__ import annotations
@@ -165,17 +166,21 @@ def _criteria(bench: dict) -> dict:
 def _compare_acceptance(name_a: str, name_b: str, bench_a: dict, bench_b: dict) -> int:
     a, b = _criteria(bench_a), _criteria(bench_b)
     if a and b:
-        print(f"acceptance: {name_a} -> {name_b}, median elapsed_s and headroom")
+        print(f"acceptance: {name_a} -> {name_b}, elapsed_s median [quartiles]"
+              f" and median headroom")
     flagged = 0
     for num in sorted(a.keys() & b.keys()):
-        (ea, ha), (eb, hb) = (
-            [statistics.median(row[key] for row in rows) for key in ("elapsed_s", "headroom")]
-            for rows in (a[num], b[num]))
+        qa, qb = (_quartiles([row["elapsed_s"] for row in rows]) for rows in (a[num], b[num]))
+        ha, hb = (statistics.median(row["headroom"] for row in rows) for rows in (a[num], b[num]))
         failed = sum(not row["passed"] for row in b[num])
         flagged += failed > 0
-        print(f"  {num:2d} {b[num][0]['label'][:44]:44s} {ea:8.4f} s x{ha:<8.4g}"
-              f" -> {eb:8.4f} s x{hb:<8.4g} {(eb - ea) / ea:+7.1%}"
-              f"  runs {len(a[num])}/{len(b[num])}{f'  FLAG {failed} failed' if failed else ''}")
+        # a move inside A's own spread between gate runs tells nothing
+        noise = abs(qb[1] - qa[1]) < qa[2] - qa[0]
+        print(f"  {num:2d} {b[num][0]['label'][:36]:36s}"
+              f" {qa[1]:7.4f} [{qa[0]:.4f}, {qa[2]:.4f}] s x{ha:<7.4g}"
+              f" -> {qb[1]:7.4f} [{qb[0]:.4f}, {qb[2]:.4f}] s x{hb:<7.4g}"
+              f" {(qb[1] - qa[1]) / qa[1]:+7.1%}  runs {len(a[num])}/{len(b[num])}"
+              f"{'  noise' if noise else ''}{f'  FLAG {failed} failed' if failed else ''}")
     return flagged
 
 
