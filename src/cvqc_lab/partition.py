@@ -146,12 +146,13 @@ class ProverStrategy:
             return value
 
     def layout(self) -> RegisterLayout:
-        return RegisterLayout((("C", self.m),) + self.xz_layout().registers)
+        return self.derived("layout", lambda: RegisterLayout(
+            (("C", self.m),) + self.xz_layout().registers))
 
     def xz_layout(self) -> RegisterLayout:
-        regs = [(f"X{i}", self.x_width) for i in range(1, self.m + 1)]
-        regs += [("Z", self.z_width)]
-        return RegisterLayout(tuple(regs))
+        return self.derived("xz_layout", lambda: RegisterLayout(
+            tuple((f"X{i}", self.x_width) for i in range(1, self.m + 1))
+            + (("Z", self.z_width),)))
 
     @property
     def dim(self) -> int:
@@ -796,8 +797,8 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     of extractor states (see _ExtractGraph): one draw per measurement,
     exactly as the alternating loop draws them.
     """
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds={n_rounds}")
+    if isinstance(n_rounds, bool) or not isinstance(n_rounds, (int, np.integer)) or n_rounds < 1:
+        raise DomainError(f"n_rounds={n_rounds!r}")
     if not 1 <= params.i <= strategy.m:
         raise DomainError(f"coordinate i={params.i} outside 1..{strategy.m}")
     # checked on every call: a cached graph must not excuse other params.m

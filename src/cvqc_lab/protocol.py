@@ -11,11 +11,12 @@ instance with a real completeness/soundness gap, repeated in parallel to
 a shape; `toy_protocol` and `parallel_repeat` build it.  `run_protocol`
 plays trials through its per-trial methods, the reference, or replays
 them as arrays through its bulk methods.  The module also has a
-Fiat-Shamir combinator over a lazily sampled oracle table and the
-adversary strategies the experiments use.  Security here is
-experimental, not cryptographic: the oracle is a deterministic
-pseudorandom table, and the toy instance's Hadamard round encodes its
-soundness assumption directly (no-instances reject that round outright).
+Fiat-Shamir combinator over a lazily sampled oracle table, whose bulk
+route hashes one-level repetitions, and the adversary strategies the
+experiments use.  Security here is experimental, not cryptographic: the
+oracle is a deterministic pseudorandom table, and the toy instance's
+Hadamard round encodes its soundness assumption directly (no-instances
+reject that round outright).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -39,10 +40,6 @@ class ProtocolError(Exception):
 
 class WidthMismatch(ProtocolError):
     pass
-
-
-class OracleConflict(ProtocolError):
-    """Programming an oracle entry that was already observed."""
 
 
 def _check_count(name: str, value) -> None:
@@ -134,22 +131,21 @@ class OracleTable:
 
     Outputs are deterministic in (master_seed, key): the first query of a
     key samples a sha256 stream and caches it, so identical queries agree
-    forever.  Entries can be programmed, but only before their first
-    query; afterwards the table raises OracleConflict instead of silently
-    rewriting history.
+    forever.  master_seed must be an int (not a bool) in 0..2^64-1.
     """
 
     def __init__(self, master_seed: int, out_bits: int):
         _check_count("out_bits", out_bits)
+        # the seed enters every hash as 8 big-endian bytes, so anything an
+        # int() would coerce (a float, a str, a bool) is refused
+        if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)) \
+                or not 0 <= int(master_seed) < 1 << 64:
+            raise ProtocolError(f"master_seed={master_seed!r} is not an int in 0..2^64-1")
         self.master_seed = int(master_seed)
-        # the seed enters every hash as 8 big-endian bytes
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ProtocolError(f"master_seed={master_seed} outside 0..2^64-1")
         self.out_bits = out_bits
         self.out_bytes = (out_bits + 7) // 8
         self.query_count = 0
         self._entries: dict[bytes, bytes] = {}
-        self._queried: set[bytes] = set()
 
     def _sample(self, key: bytes) -> bytes:
         value = _oracle_value(self.master_seed.to_bytes(8, "big"), key, self.out_bits)
@@ -159,7 +155,6 @@ class OracleTable:
         if not isinstance(key, bytes):
             raise ProtocolError("oracle keys are bytes")
         self.query_count += 1
-        self._queried.add(key)
         if key not in self._entries:
             self._entries[key] = self._sample(key)
         return self._entries[key]
@@ -167,13 +162,6 @@ class OracleTable:
     def query_bits(self, key: bytes) -> str:
         """The output of `query` as an out_bits-character bit string."""
         return format(int.from_bytes(self.query(key), "big"), f"0{self.out_bits}b")
-
-    def program(self, key: bytes, value: bytes) -> None:
-        if len(value) != self.out_bytes:
-            raise WidthMismatch(f"value width {len(value)} vs {self.out_bytes}")
-        if key in self._queried:
-            raise OracleConflict("entry already observed; cannot reprogram")
-        self._entries[key] = value
 
     def salted(self, z: bytes) -> "SaltedOracle":
         return SaltedOracle(self, z)
@@ -773,12 +761,13 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     an Honest or TestOnly built for a protocol equal to this one and a
     UnitaryCheat whose strategy acts on the protocol's width n; under
     Fiat-Shamir it replays the Honest or TestOnly, alone or inside an
-    FsGrinder, up to 64 challenge bits.  Every other adversary runs on
-    the per-trial route, which calls the protocol's methods trial by
-    trial and is the bulk route's reference.  An FsGrinder outside
-    Fiat-Shamir or inside another FsGrinder, an Honest or TestOnly
-    built for anything but a FourRoundProtocol of this shape, and a
-    trial count that is not a positive int are rejected before any
+    FsGrinder, on a one-level repetition of up to 64 challenge bits.
+    Every other adversary, and under Fiat-Shamir the bare toy and nested
+    repetitions, runs on the per-trial route, which calls the protocol's
+    methods trial by trial and is the bulk route's reference.  An
+    FsGrinder outside Fiat-Shamir or inside another FsGrinder, an Honest
+    or TestOnly built for anything but a FourRoundProtocol of this shape,
+    and a trial count that is not a positive int are rejected before any
     trial runs.
     """
     _check_count("trials", trials)
@@ -798,7 +787,8 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
                             f"({inner.p.m} challenge bits), "
                             f"protocol has shape {base.shape}")
     if hashed:
-        if type(inner) in (Honest, TestOnly) and inner.p == base and base.m <= _FS_MAX_M:
+        if type(inner) in (Honest, TestOnly) and inner.p == base \
+                and len(base.shape) == 1 and base.m <= _FS_MAX_M:
             return _run_fs_batch(base, type(inner) is Honest and x == "yes",
                                  adversary.query_budget if grinder else 1, trials, seed)
         return _run_per_trial(p, adversary, x, trials, seed)
@@ -852,67 +842,37 @@ def _run_toy_batch(p: FourRoundProtocol, verdicts: Callable, trials: int,
 _FS_MAX_M = 64
 
 
-@cache
-def _fs_slot_order(shape: tuple) -> tuple[int, ...]:
-    """The order in which a commitment's slots are hashed.
+def _fs_oracle_inputs(seeds: np.ndarray, y: np.ndarray) -> tuple[bytes, list]:
+    """seed || encode(tuple(y)) || counter 0 of each row, as one blob and its end offsets.
 
-    Slots are numbered as `_fs_oracle_inputs` builds them: the seed 0,
-    the coordinates' int frames 1..m, then the tuple headers level by
-    level from the innermost, and the counter last.  The hashed order is
-    the seed, encode(y) (each header before its children) and the counter.
+    seeds is (rows,) and y (rows, m) holds each commitment's coordinates.
+    Each piece is an 8-byte big-endian slot with a length: the seed (8
+    bytes), the tuple header (tag and the 4-byte length of the
+    coordinates' frames), a coordinate's int frame (tag, 4-byte width,
+    1-3 value bytes, so coordinates must stay below 2^24) and the counter
+    (4 zero bytes).  The blob keeps each slot's leading bytes.
     """
-    first = [1]  # the first slot of each level, coordinates first
-    count = math.prod(shape)
-    for size in shape:
-        first.append(first[-1] + count)
-        count //= size
-
-    def walk(level: int, index: int) -> list[int]:
-        if level == 0:
-            return [first[0] + index]
-        size = shape[level - 1]
-        return [first[level] + index] + [slot for j in range(size)
-                                         for slot in walk(level - 1, index * size + j)]
-
-    return (0, *walk(len(shape), 0), first[-1] + 1)
-
-
-def _fs_oracle_inputs(seeds: np.ndarray, y: np.ndarray, shape: tuple) -> tuple[bytes, list]:
-    """seed || encode(y) || counter 0 of each row, as one blob and its end offsets.
-
-    seeds is (rows,) and y (rows, m) holds each commitment's coordinates
-    in flat order.  Each piece is an 8-byte big-endian slot with a
-    length: the seed (8 bytes), a coordinate's int frame (tag, 4-byte
-    width, 1-3 value bytes, so coordinates must stay below 2^24), a tuple
-    header (tag and the 4-byte length of its children's frames) and the
-    counter (4 zero bytes).  The blob keeps each slot's leading bytes.
-    """
-    rows = y.shape[0]
+    rows, m = y.shape
     width = (y >= 1 << 8).astype(np.uint64) + (y >= 1 << 16) + 1
-    words = [seeds[:, None], (ord(_TAG_INT) << 56) | (width << 24) | (y << 8 * (3 - width))]
-    frame = 5 + width
-    lens = [np.full((rows, 1), 8, dtype=np.uint8), frame.astype(np.uint8)]
-    for size in shape:
-        payload = frame.reshape(rows, frame.shape[1] // size, size).sum(axis=2, dtype=np.uint64)
-        words.append((ord(_TAG_TUPLE) << 56) | (payload << 24))
-        lens.append(np.full(payload.shape, 5, dtype=np.uint8))
-        frame = 5 + payload
-    words.append(np.zeros((rows, 1), dtype=np.uint64))
-    lens.append(np.full((rows, 1), 4, dtype=np.uint8))
-    order = _fs_slot_order(shape)
-    slots = np.concatenate(words, axis=1)[:, order].astype(">u8", order="C").view(np.uint8)
-    keep = np.arange(8, dtype=np.uint8) < np.concatenate(lens, axis=1)[:, order, None]
-    blob = slots.reshape(-1)[keep.reshape(-1)].tobytes()
-    # a row is its seed, its top frame and its counter
-    return blob, np.cumsum(frame[:, 0] + 12).tolist()
+    payload = (5 + width).sum(axis=1, dtype=np.uint64)
+    slots = np.zeros((rows, m + 3), dtype=np.uint64)
+    slots[:, 0] = seeds
+    slots[:, 1] = (ord(_TAG_TUPLE) << 56) | (payload << 24)
+    slots[:, 2:-1] = (ord(_TAG_INT) << 56) | (width << 24) | (y << 8 * (3 - width))
+    lens = np.empty((rows, m + 3), dtype=np.uint8)
+    lens[:, 0], lens[:, 1], lens[:, 2:-1], lens[:, -1] = 8, 5, 5 + width, 4
+    keep = np.arange(8, dtype=np.uint8) < lens[:, :, None]
+    blob = slots.astype(">u8").view(np.uint8).reshape(-1)[keep.reshape(-1)].tobytes()
+    # a row is its seed, its tuple header, its frames and its counter
+    return blob, np.cumsum(payload + 17).tolist()
 
 
-def _fs_challenges(seeds: np.ndarray, y: np.ndarray, shape: tuple, m: int) -> np.ndarray:
+def _fs_challenges(seeds: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     """Each row's m-bit oracle output for y under its seed, as `_oracle_value` gives it.
 
     m <= 64, so the output is the leading bytes of one sha256 digest.
     """
-    blob, ends = _fs_oracle_inputs(seeds, y, shape)
+    blob, ends = _fs_oracle_inputs(seeds, y)
     view = memoryview(blob)
     digests = b"".join([hashlib.sha256(view[a:b]).digest()
                         for a, b in zip([0] + ends[:-1], ends)])
@@ -924,13 +884,14 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
                   seed) -> Stats:
     """Stats of Honest or TestOnly under Fiat-Shamir, alone (budget 1) or grinding.
 
-    A trial makes commitment attempts in order until one's hashed
-    challenge misses its failmask, at most budget of them; each attempt
-    is one oracle query, as on the per-trial route.  Attempts run two at
-    a time, 3m raw outputs, over the trials of a chunk still grinding, so
-    memory stays flat whatever the query budget.
+    p is a one-level repetition.  A trial makes commitment attempts in
+    order until one's hashed challenge misses its failmask, at most
+    budget of them; each attempt is one oracle query, as on the per-trial
+    route.  Attempts run two at a time, 3m raw outputs, over the trials
+    of a chunk still grinding, so memory stays flat whatever the query
+    budget.
     """
-    m, shape = p.m, p.shape
+    m = p.m
     # coordinates below 2^24 keep each int frame in an 8-byte slot; the
     # qubit cap keeps toys at n <= 18
     assert p.n <= 24
@@ -946,7 +907,7 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
             for a in range(min(2, budget - done)):
                 rows = np.flatnonzero(grinding)
                 queries += rows.size
-                ch = _fs_challenges(seeds[rows], y[rows, a], shape, m)
+                ch = _fs_challenges(seeds[rows], y[rows, a], m)
                 grinding[rows] = ch & failmask[rows, a] != 0
             accepts += seeds.size - int(np.count_nonzero(grinding))
             streams.keep(grinding)

@@ -691,6 +691,11 @@ class TestEntryPointErrors:
                      DomainError, id="accept-coordinate-zero"),
         pytest.param(lambda s, xz, full, rng: extract(s, _params(m=3, i=3), full, 3, rng),
                      DomainError, id="extract-coordinate-above-m"),
+        # a round count that is not an int
+        pytest.param(lambda s, xz, full, rng: extract(s, _params(m=2), full, 2.5, rng),
+                     DomainError, id="extract-rounds-float"),
+        pytest.param(lambda s, xz, full, rng: extract(s, _params(m=2), full, True, rng),
+                     DomainError, id="extract-rounds-bool"),
         # params for another m, after the strategy's extractor graph is warm
         pytest.param(lambda s, xz, full, rng: (extract(s, _params(m=2), full, 3, rng),
                                                extract(s, _params(m=1), full, 3, rng)),

@@ -15,7 +15,6 @@ from cvqc_lab import effverify, protocol
 from cvqc_lab.protocol import (
     FsGrinder,
     Honest,
-    OracleConflict,
     OracleTable,
     ProtocolError,
     Stats,
@@ -144,11 +143,12 @@ class TestEncoding:
         with pytest.raises(ProtocolError):
             decode(b"Z" + buf[1:])
 
-    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3), (1, 3), (3, 2, 2)])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (12,), (64,)])
     def test_coordinate_frames_encode_nested_commitments(self, shape):
-        # the Fiat-Shamir bulk route's oracle inputs, built as arrays: row
-        # by row seed || encode(y) || counter 0, with coordinates at every
-        # width edge of one-, two- and three-byte int frames
+        # the Fiat-Shamir bulk route's oracle inputs for one-level
+        # repetitions, built as arrays: row by row seed || encode(y) ||
+        # counter 0, with coordinates at every width edge of one-, two-
+        # and three-byte int frames
         edges = [0, 255, 256, 65535, 65536, (1 << 18) - 1]
         p = protocol.FourRoundProtocol(18, shape)
         rng = np.random.default_rng(len(shape))
@@ -159,11 +159,11 @@ class TestEncoding:
         seeds[0], seeds[1] = 0, (1 << 64) - 1
         rows = [(s.to_bytes(8, "big"), encode(p.nest(coords)))
                 for s, coords in zip(seeds.tolist(), y.tolist())]
-        blob, ends = protocol._fs_oracle_inputs(seeds, y, shape)
+        blob, ends = protocol._fs_oracle_inputs(seeds, y)
         assert blob == b"".join(s + key + bytes(4) for s, key in rows)
         assert ends == np.cumsum([12 + len(key) for _, key in rows]).tolist()
         for bits in sorted({p.m, 13, 50, 57, 64}):
-            got = protocol._fs_challenges(seeds, y, shape, bits)
+            got = protocol._fs_challenges(seeds, y, bits)
             assert got.tolist() == [protocol._oracle_value(s, key, bits) for s, key in rows]
 
 
@@ -210,21 +210,14 @@ class TestOracleTable:
         h.query(b"b")
         assert h.query_count == 3
 
-    def test_program_before_query(self):
-        h = OracleTable(0, 8)
-        h.program(b"k", b"\xaa")
-        assert h.query(b"k") == b"\xaa"
+    @pytest.mark.parametrize("seed", [3.7, "5", True, np.bool_(True), None])
+    def test_seed_that_is_not_an_int_rejected(self, seed):
+        # int() would turn each of these into some seed, and so into a wrong oracle
+        with pytest.raises(ProtocolError, match="master_seed"):
+            OracleTable(seed, 8)
 
-    def test_program_after_query_conflicts(self):
-        h = OracleTable(0, 8)
-        h.query(b"k")
-        with pytest.raises(OracleConflict):
-            h.program(b"k", b"\xaa")
-
-    def test_program_width_checked(self):
-        h = OracleTable(0, 8)
-        with pytest.raises(WidthMismatch):
-            h.program(b"k", b"\xaa\xbb")
+    def test_numpy_int_seed_is_its_int(self):
+        assert OracleTable(np.uint64(7), 8).query(b"k") == OracleTable(7, 8).query(b"k")
 
     def test_bad_width_rejected(self):
         for width in (0, 8.0, True, "8"):
@@ -696,15 +689,24 @@ class TestFsBulkReplay:
         def refuse(*args, **kwargs):
             raise AssertionError("route not expected")
 
-        base, fs = self._fs(4, (2,))
+        # one-level repetitions up to 64 challenge bits replay in bulk
         with monkeypatch.context() as mp:
             mp.setattr(protocol, "_run_per_trial", refuse)
-            run_protocol(fs, FsGrinder(3, Honest(base)), "yes", trials=20, seed=67)
+            for shape in [(1,), (2,), (protocol._FS_MAX_M,)]:
+                base, fs = self._fs(4, shape)
+                run_protocol(fs, FsGrinder(3, Honest(base)), "yes", trials=20, seed=67)
         monkeypatch.setattr(protocol, "_run_fs_batch", refuse)
+        base, fs = self._fs(4, (2,))
         wide, wide_fs = self._fs(1, (protocol._FS_MAX_M + 1,))
-        for fs_, adv in [(fs, Honest(parallel_repeat(toy_protocol(5), 2))),  # another width
-                         (fs, FsGrinder(2, _cheat(5, False))),
-                         (wide_fs, Honest(wide))]:
+        cases = [(fs, Honest(parallel_repeat(toy_protocol(5), 2))),  # another width
+                 (fs, FsGrinder(2, _cheat(5, False))),
+                 (wide_fs, Honest(wide))]
+        # the bare toy and nested repetitions run trial by trial
+        for shape in [(), (2, 2), (2, 1, 2)]:
+            other, other_fs = self._fs(4, shape)
+            cases += [(other_fs, Honest(other)),
+                      (other_fs, FsGrinder(2, protocol.TestOnly(other)))]
+        for fs_, adv in cases:
             assert run_protocol(fs_, adv, "yes", trials=20, seed=67).trials == 20
 
 

@@ -11,13 +11,15 @@ command and, for each run, its result line and the machine line it
 printed on stderr.  Each record call also runs the checkout's
 acceptance gate (`pytest tests/test_acceptance.py`) once, with
 CVQC_LAB_ACCEPTANCE_JSON naming a temporary file, and keeps its JSON
-lines under "acceptance".  Runs are added to an existing record of the
-same label and command, so two checkouts can be recorded in alternation.
+lines under "acceptance", and "src_lines", the summed line count of the
+checkout's src/cvqc_lab/*.py.  Runs are added to an existing record of
+the same label and command, so two checkouts can be recorded in
+alternation.
 
---compare A B takes two labels (or paths) and prints, per workload and
-end-to-end metric of BENCHMARK.json, each side's median and quartiles,
-the change of B's median against A's, and how many runs of B beat the
-run of A with the same seed.  It flags a median of B worse than A's by
+--compare A B takes two labels (or paths) and prints both sides'
+src_lines and, per workload and end-to-end metric of BENCHMARK.json,
+each side's median and quartiles, the change of B's median against A's,
+and how many runs of B beat the run of A with the same seed.  It flags a median of B worse than A's by
 more than the metric's bound, a run of B that is not correct, and
 failed operations, and exits 1 when anything is flagged.  Each metric
 also gets a gain verdict: GAIN when there are at least ten same-seed
@@ -72,6 +74,12 @@ def _acceptance_once(checkout: Path) -> list:
         return [json.loads(ln) for ln in path.read_text().splitlines()] if path.is_file() else []
 
 
+def _src_lines(checkout: Path) -> int:
+    """The line count of checkout's src/cvqc_lab/*.py, as `cat ... | wc -l` gives it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "cvqc_lab").glob("*.py"))
+
+
 def record(args) -> int:
     checkout = Path(args.checkout).resolve()
     out = ROOT / f"BENCH_{args.label}.json"
@@ -89,6 +97,7 @@ def record(args) -> int:
             bench["runs"].append(run)
             out.write_text(json.dumps(bench, indent=1) + "\n")
     bench.setdefault("acceptance", []).extend(_acceptance_once(checkout))
+    bench["src_lines"] = _src_lines(checkout)
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)
     return 0
@@ -122,6 +131,8 @@ def compare(name_a: str, name_b: str) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bench_a, bench_b = _load(name_a), _load(name_b)
     a, b = _values(bench_a), _values(bench_b)
+    print(f"src_lines: {bench_a.get('src_lines', 'unrecorded')} -> "
+          f"{bench_b.get('src_lines', 'unrecorded')}")
     flagged = 0
     for run in bench_b["runs"]:
         res = run["result"]
