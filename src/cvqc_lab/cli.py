@@ -106,9 +106,9 @@ _PARAMS: dict[str, dict[str, Param]] = {
 # machine (m = 1..16), so this many take 2-5 minutes; a few trials with a
 # huge budget cost about 15 us per attempt, about 20 minutes.
 _FS_MAX_ATTEMPTS = 8 * 10**7
-# A trial coordinate of repetition-sweep costs 0.08-0.12 us on the bulk
-# route for honest and testonly and 0.31 us for the cheat (m = 24, 2-core
-# machine), so this many take under an hour for every adversary.
+# A trial coordinate of repetition-sweep costs 0.02-0.25 us on the bulk
+# route for honest and testonly (m = 1..20) and 0.31 us for the cheat
+# (m = 24) on a 2-core machine, so this many take under an hour.
 _SWEEP_MAX_COORDS = 10**10
 # A partition chain of the gamma-tuple grid costs 155-190 us in ideal mode
 # and 180-220 us in kernel mode at m = 4 (45-130 us at m = 1..3) on a

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .protocol import (
+    FourRoundProtocol,
     OracleTable,
     TwoRoundFS,
     _oracle_value,
@@ -418,8 +419,15 @@ def toy_inner(num_qubits: int, m: int, fs_seed: int = 7) -> TwoRoundFS:
 
 def key_length(inner: TwoRoundFS) -> int:
     """Bytes; upper bound on the encoded key of inner's width and shape."""
-    mask = (1 << inner.base.n) - 1
-    return len(encode(inner.base.nest([(mask, mask)] * inner.base.m)))
+    return _key_length(inner.base.n, tuple(inner.base.shape))
+
+
+@functools.cache
+def _key_length(n: int, shape: tuple) -> int:
+    """key_length of every inner protocol of width n and shape, encoded once."""
+    base = FourRoundProtocol(n, shape)
+    mask = (1 << n) - 1
+    return len(encode(base.nest([(mask, mask)] * base.m)))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -369,25 +369,33 @@ class FourRoundProtocol:
         shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
         return y, (fail.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
 
-    def plain_verdicts(self, raw: np.ndarray, had_ok: bool):
+    def plain_verdicts(self, streams: "_TrialStreams", had_ok: bool):
         """(c, ok) per trial and coordinate for Honest or TestOnly.
 
         Both pass every test round; a Hadamard round passes only for an
-        honest d != 0 on a yes-instance (had_ok).
+        honest d != 0 on a yes-instance (had_ok).  A verdict reads only
+        the m coins (words 5m on) and, under had_ok, p2's d (words 2m + 2,
+        2m + 5, ...), so the streams jump to the output holding the first
+        word read.
         """
         m = self.m
-        words = self._words(raw)
-        d = words[:, 2 * m + 2:5 * m:3] >> (32 - self.n)
-        c = words[:, 5 * m:] >> 31
-        return c, (c == 0) | (had_ok & (d != 0))
+        first = m + 1 if had_ok else 5 * m // 2
+        streams.skip(first)
+        words = self._words(streams.take(self.raw_per_trial - first))
+        c = words[:, -m:] >> 31
+        if not had_ok:
+            return c, c == 0
+        d = words[:, :3 * m - 2:3] >> (32 - self.n)
+        return c, (c == 0) | (d != 0)
 
-    def cheat_verdicts(self, raw: np.ndarray, cdfs: np.ndarray, yes: bool):
+    def cheat_verdicts(self, streams: "_TrialStreams", cdfs: np.ndarray, yes: bool):
         """(c, ok) per trial and coordinate for UnitaryCheat.
 
         cdfs[c] is the cumulative outcome table of challenge c, which
         Generator.choice searches with the measurement's double.
         """
         m, n = self.m, self.n
+        raw = streams.take(self.raw_per_trial)
         words = self._words(raw[:, :2 * m])
         top = words[:, :3 * m] >> (32 - n)
         (x0, x1), y = self._keys(top[:, :2 * m]), top[:, 2 * m:]
@@ -624,7 +632,7 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hashmix(value, hc: int):
@@ -686,13 +694,29 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
+def _mul128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of (hi:lo) * c mod 2^128 for a constant c < 2^128."""
+    c_hi, c_lo = c >> 64, c & 0xFFFFFFFFFFFFFFFF
+    return _mulhi64(lo, c_lo) + hi * c_lo + lo * c_hi, lo * c_lo
+
+
+@cache
+def _pcg_jump(k: int) -> tuple[int, int]:
+    """(A, B) with k LCG steps = state * A + inc * B (mod 2^128)."""
+    a, b = 1, 0
+    for _ in range(k):
+        a, b = a * _PCG_MULT % 2**128, (b * _PCG_MULT + 1) % 2**128
+    return a, b
+
+
 class _TrialStreams:
     """The PCG64 output streams of children start..start+count-1 of seed.
 
     Row i continues np.random.PCG64(child).random_raw for the child
     SeedSequence(seed, spawn_key=(start + i,)), which is what
     SeedSequence(seed).spawn hands out in that position: each take(k)
-    returns the next k outputs of every row still kept.
+    returns the next k outputs of every row still kept, and skip(k)
+    passes over them.
     """
 
     def __init__(self, seed, start: int, count: int):
@@ -732,13 +756,21 @@ class _TrialStreams:
         out = np.empty((lo.size, k), dtype=np.uint64)
         for j in range(k):
             # state = state * MULT + inc (mod 2^128)
-            new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
-            lo = lo * _PCG_MULT_LO + inc_lo
-            hi = new_hi + inc_hi + (lo < inc_lo)
+            hi, lo = _mul128(hi, lo, _PCG_MULT)
+            lo = lo + inc_lo
+            hi = hi + inc_hi + (lo < inc_lo)
             x, rot = hi ^ lo, hi >> 58
             out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))
         self.lo, self.hi = lo, hi
         return out
+
+    def skip(self, k: int):
+        """Advance every kept row past its next k outputs in one jump."""
+        a, b = _pcg_jump(k)
+        hi, lo = _mul128(self.hi, self.lo, a)
+        inc_hi, inc_lo = _mul128(self.inc_hi, self.inc_lo, b)
+        self.lo = lo + inc_lo
+        self.hi = hi + inc_hi + (self.lo < inc_lo)
 
     def keep(self, rows: np.ndarray):
         """Drop every row not selected by rows (a mask or index array)."""
@@ -799,7 +831,7 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
         verdicts = partial(p.cheat_verdicts, cdfs=adversary._outcome_cdfs(), yes=x == "yes")
     else:
         return _run_per_trial(p, adversary, x, trials, seed)
-    return _run_toy_batch(p, verdicts, trials, seed)
+    return _run_toy_batch(verdicts, trials, seed)
 
 
 def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
@@ -819,14 +851,13 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
     return _stats(trials, accepts, counts, queries)
 
 
-def _run_toy_batch(p: FourRoundProtocol, verdicts: Callable, trials: int,
-                   seed: int) -> Stats:
-    """Stats from verdicts(raw) -> (c, ok), per trial and coordinate."""
+def _run_toy_batch(verdicts: Callable, trials: int, seed: int) -> Stats:
+    """Stats from verdicts(streams) -> (c, ok), per trial and coordinate."""
     accepts = 0
     counts = {"test": [0, 0], "hadamard": [0, 0]}
     for start in range(0, trials, _TRIAL_CHUNK):
         streams = _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))
-        c, ok = verdicts(streams.take(p.raw_per_trial))
+        c, ok = verdicts(streams)
         had = c == 1
         accepts += int(np.count_nonzero(ok.all(axis=1)))
         n_had = int(np.count_nonzero(had))

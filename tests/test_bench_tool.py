@@ -1,4 +1,4 @@
-"""tools/bench.py: the source line count each record keeps and --compare prints."""
+"""tools/bench.py: the source line count each record keeps, --compare's verdicts and the default seeds."""
 
 import importlib.util
 import json
@@ -27,3 +27,49 @@ def test_compare_prints_both_sides_src_lines(tmp_path, capsys):
     assert "src_lines: 4031 -> 3993" in capsys.readouterr().out
     bench.compare(str(tmp_path / "old.json"), str(tmp_path / "b.json"))
     assert "src_lines: unrecorded -> 3993" in capsys.readouterr().out
+
+
+def _record(path, wall_s_by_seed):
+    runs = [{"workload": "sweep", "seed": seed,
+             "result": {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": v}}}}
+            for seed, v in wall_s_by_seed.items()]
+    path.write_text(json.dumps({"runs": runs}))
+    return str(path)
+
+
+def _wall_s_verdict(tmp_path, capsys, parent, change):
+    code = bench.compare(_record(tmp_path / "a.json", parent), _record(tmp_path / "b.json", change))
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "wall_s" in ln]
+    return code, line
+
+
+def test_ten_winning_pairs_give_a_gain(tmp_path, capsys):
+    seeds = range(1, 11)
+    code, line = _wall_s_verdict(tmp_path, capsys, {s: 0.10 + 0.001 * s for s in seeds},
+                                 {s: 0.06 + 0.001 * s for s in seeds})
+    assert code == 0
+    assert "wins 10/10" in line and line.endswith("GAIN")
+
+
+def test_three_winning_pairs_give_no_gain(tmp_path, capsys):
+    seeds = range(1, 4)
+    code, line = _wall_s_verdict(tmp_path, capsys, {s: 0.10 + 0.001 * s for s in seeds},
+                                 {s: 0.06 + 0.001 * s for s in seeds})
+    assert code == 0
+    assert "wins 3/3" in line and line.endswith("no gain")
+
+
+def test_a_median_worse_than_the_bound_is_flagged(tmp_path, capsys):
+    # wall_s's bound is 20%; these runs are 50% slower
+    seeds = range(1, 11)
+    code, line = _wall_s_verdict(tmp_path, capsys, {s: 0.10 + 0.001 * s for s in seeds},
+                                 {s: 1.5 * (0.10 + 0.001 * s) for s in seeds})
+    assert code == 1
+    assert line.endswith("no gain  WORSE")
+
+
+def test_default_seeds_are_one_to_ten(monkeypatch):
+    seen = []
+    monkeypatch.setattr(bench, "record", lambda args: seen.append(args.seeds) or 0)
+    assert bench.main(["--label", "x"]) == 0
+    assert seen == [list(range(1, 11))]

@@ -474,13 +474,16 @@ class TestBulkReplay:
     output first; a change to either breaks these equalities.
     """
 
-    @pytest.mark.parametrize("m", [1, 8, 20])
+    @pytest.mark.parametrize("m", [1, 3, 5, 8, 20])
     @pytest.mark.parametrize("strategy", [Honest, protocol.TestOnly])
     @pytest.mark.parametrize("x", ["yes", "no"])
     def test_same_stats_as_per_trial_route(self, monkeypatch, m, strategy, x):
         # a small chunk keeps the per-trial reference cheap while the
         # trial count still ends on a partial chunk; n = 3 makes the
-        # honest d = 0 rejection common enough to pin down d's position
+        # honest d = 0 rejection common enough to pin down d's position.
+        # The verdicts skip to the output holding the first word they
+        # read: at odd m the first coin (word 5m) is an output's high
+        # half and the first d (word 2m + 2) a low half
         monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 256)
         trials = 1000
         p = parallel_repeat(toy_protocol(3), m)
@@ -964,3 +967,43 @@ class TestWideSeeds:
         for adv in (Honest(p), protocol.TestOnly(p)):
             bulk = run_protocol(p, adv, "yes", trials=300, seed=seed)
             assert bulk == protocol._run_per_trial(p, adv, "yes", trials=300, seed=seed)
+
+
+class TestSkip:
+    """_TrialStreams.skip's jump against numpy's PCG64 stepped output by output."""
+
+    @staticmethod
+    def _numpy_raw(children, k):
+        return np.array([np.random.PCG64(c).random_raw(k) for c in children])
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 29, 60])
+    @pytest.mark.parametrize("seed", TestArrayStreams.SEEDS + TestWideSeeds.SEEDS)
+    def test_skip_then_take_matches_pcg64(self, seed, j):
+        # the second start's child indices enter the pool as two words
+        for start in (0, 2**33 + 5):
+            children = [np.random.SeedSequence(seed, spawn_key=(start + i,))
+                        for i in range(4)]
+            streams = protocol._TrialStreams(seed, start, 4)
+            streams.skip(j)
+            assert np.array_equal(streams.take(5), self._numpy_raw(children, j + 5)[:, j:])
+
+    @pytest.mark.parametrize("j", [1, 29])
+    def test_skip_after_keep(self, j):
+        children = np.random.SeedSequence(9).spawn(8)
+        want = self._numpy_raw(children, 3 + j + 4)[:, 3 + j:]
+        for rows in (np.array([True, False, False, True, True, False, True, False]),
+                     np.array([6, 2, 5])):
+            streams = protocol._TrialStreams(9, 0, 8)
+            streams.take(3)
+            streams.keep(rows)
+            streams.skip(j)
+            assert np.array_equal(streams.take(4), want[rows])
+
+    def test_skip_zero_is_a_no_op(self):
+        streams, ref = protocol._TrialStreams(10, 0, 6), protocol._TrialStreams(10, 0, 6)
+        streams.take(2)
+        ref.take(2)
+        streams.skip(0)
+        for name in ("lo", "hi", "inc_lo", "inc_hi"):
+            assert np.array_equal(getattr(streams, name), getattr(ref, name))
+        assert np.array_equal(streams.take(3), ref.take(3))

@@ -5,8 +5,9 @@
     python3 tools/bench.py --compare base head
 
 A record runs `perfbench/run.py --trace 0` of a checkout (this
-repository unless --checkout names another) once per seed and workload,
-and keeps in BENCH_<label>.json at the root of this repository the
+repository unless --checkout names another) once per seed (1 to 10
+unless --seeds names others) and workload, and keeps in
+BENCH_<label>.json at the root of this repository the
 command and, for each run, its result line and the machine line it
 printed on stderr.  Each record call also runs the checkout's
 acceptance gate (`pytest tests/test_acceptance.py`) once, with
@@ -201,7 +202,8 @@ def main(argv=None) -> int:
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two records, labels or paths")
     ap.add_argument("--workloads", nargs="+", default=["sweep", "hashed", "spectral"])
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    # ten seeds give one record per side the ten same-seed pairs a GAIN needs
+    ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--checkout", default=str(ROOT),
                     help="checkout whose perfbench/run.py and src/ are run")
