@@ -102,14 +102,15 @@ _PARAMS: dict[str, dict[str, Param]] = {
 }
 
 # A grinding attempt (one commitment, one oracle query, one verification)
-# costs 1.3-4 us on the bulk route over thousands of trials on a 2-core
-# machine (m = 1..16), so this many take 2-5 minutes; a few trials with a
-# huge budget cost about 15 us per attempt, about 20 minutes.
+# costs 2.1-4.1 us on the bulk route over thousands of trials on a 2-core
+# machine (m = 1..16), so this many take 3-6 minutes.  Few trials grinding
+# on cost up to 1.3 ms per attempt (one trial, m = 16) but stop at their
+# first accepted attempt: one budget of 10^6 over 79 trials took 9 minutes.
 _FS_MAX_ATTEMPTS = 8 * 10**7
-# A trial coordinate of repetition-sweep costs 0.02-0.25 us on the bulk
-# route for honest and testonly (m = 1..20) and 0.31 us for the cheat
-# (m = 24) on a 2-core machine, so this many take under an hour.
-_SWEEP_MAX_COORDS = 10**10
+# A trial coordinate of repetition-sweep costs 0.02-0.14 us on the bulk
+# route for honest and testonly (m = 1..20) and 0.46-0.57 us for the cheat
+# (m = 1 and 24) on a 2-core machine, so this many take under an hour.
+_SWEEP_MAX_COORDS = 5 * 10**9
 # A partition chain of the gamma-tuple grid costs 155-190 us in ideal mode
 # and 180-220 us in kernel mode at m = 4 (45-130 us at m = 1..3) on a
 # 2-core machine, so this many take at most 55 minutes.
@@ -161,7 +162,7 @@ _CROSS_RULES: dict[str, tuple] = {
         (lambda p: _fs_attempts(p) <= _FS_MAX_ATTEMPTS,
          lambda p: f"fs-attack would make about {_fs_attempts(p):,} commitment "
                    f"attempts (trials x (1 + sum of budgets)), over the "
-                   f"{_FS_MAX_ATTEMPTS:,} that take up to 20 minutes"),
+                   f"{_FS_MAX_ATTEMPTS:,} that take 3-6 minutes over thousands of trials"),
     ),
 }
 

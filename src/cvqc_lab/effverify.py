@@ -499,10 +499,9 @@ def cost_report(session: EffSession) -> CostReport:
 _PROVER_MODES = ("honest", "mismatched-statement", "rejecting-e")
 
 
-def _statement(x, pk: FheKey, ct: FheCiphertext,
-               ct_prime: FheCiphertext) -> bytes:
+def _statement(x, pk: FheKey, ct: FheCiphertext, ct_prime: bytes) -> bytes:
     # the proved statement is exactly the session's public transcript
-    return encode((x, pk.serialize(), ct.serialize(), ct_prime.serialize()))
+    return encode((x, pk.serialize(), ct.serialize(), ct_prime))
 
 
 def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
@@ -544,17 +543,20 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
     honest_ct_prime = suite.fhe.eval(pk_fhe, circuit, ct)
     # evaluating C re-derives the keys, the same T the machine pays
     prover_ops += time_bound
-    # the proof binds the honest statement; a mismatched prover ships another ct'
-    proof_statement = _statement(x, pk_fhe, ct, honest_ct_prime)
+    # the proof binds the honest statement; a mismatched prover ships another
+    # ct'.  Each ct' is serialized once, for the statement, salt and size
+    honest_bytes = honest_ct_prime.serialize()
+    proof_statement = _statement(x, pk_fhe, ct, honest_bytes)
     if prover == "mismatched-statement":
         ct_prime = suite.fhe.enc(pk_fhe, 0)
         prover_ops += 1
+        ct_prime_bytes = ct_prime.serialize()
     else:
-        ct_prime = honest_ct_prime
+        ct_prime, ct_prime_bytes = honest_ct_prime, honest_bytes
 
     # V_eff,3: the salt, fresh or derived from the received ct'
     if derive_salt:
-        z = suite.salt_oracle.query(ct_prime.serialize())
+        z = suite.salt_oracle.query(ct_prime_bytes)
     else:
         z = rng.bytes(SALT_LEN)
     verifier_ops += SALT_LEN
@@ -570,14 +572,14 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
     if ct_prime is honest_ct_prime:
         statement = proof_statement
     else:
-        statement = _statement(x, pk_fhe, ct, ct_prime)
+        statement = _statement(x, pk_fhe, ct, ct_prime_bytes)
     ok_proof = suite.snark.verify(suite.snark_oracle.salted(z), statement, proof)
     verifier_ops += len(statement)
     ok_dec = suite.fhe.dec(sk_fhe, ct_prime) == 1
     verifier_ops += 1
 
-    message_bytes = SALT_LEN + sum(len(msg.serialize()) for msg in
-                                   (encoding, pk_fhe, ct, ct_prime, proof))
+    message_bytes = SALT_LEN + len(ct_prime_bytes) + sum(
+        len(msg.serialize()) for msg in (encoding, pk_fhe, ct, proof))
     cost = CostReport(verifier_ops, prover_ops, message_bytes)
     return ok_proof and ok_dec, EffSession(
         x=x, s=s, pk_fhe=pk_fhe, sk_fhe=sk_fhe, ct=ct,

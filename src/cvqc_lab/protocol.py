@@ -335,11 +335,8 @@ class FourRoundProtocol:
 
     @staticmethod
     def _words(raw: np.ndarray) -> np.ndarray:
-        """The 32-bit draws of (trials, k) raw outputs, in drawing order."""
-        words = np.empty((raw.shape[0], 2 * raw.shape[1]), dtype=np.uint64)
-        words[:, 0::2] = raw & 0xFFFFFFFF
-        words[:, 1::2] = raw >> 32
-        return words
+        """The 32-bit draws of (trials, k) raw outputs, in drawing order, as a view."""
+        return raw.astype("<u8", copy=False).view("<u4")
 
     @staticmethod
     def _keys(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -624,8 +621,9 @@ def _trial_seeds(seed: int, trials: int):
 # chunk of child indices instead of building a SeedSequence and a PCG64
 # per trial.  The constants and steps are numpy's: SeedSequence's entropy
 # pool (hashmix/mix over uint32 words, pool size 4), generate_state, and
-# PCG64's seeding, 128-bit LCG step and XSL-RR output.  All 32-bit
-# arithmetic runs in uint64 arrays and is masked back to 32 bits.
+# PCG64's seeding, 128-bit LCG step and XSL-RR output.  The 32-bit
+# arithmetic runs in uint32 arrays (scalars for the root's pool), whose
+# wrap-around is SeedSequence's own mod 2^32.
 
 _MASK32 = 0xFFFFFFFF
 _POOL = 4
@@ -635,15 +633,29 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hashmix(value, hc: int):
-    value = (value ^ hc) & _MASK32
-    hc = (hc * _MULT_A) & _MASK32
-    value = (value * hc) & _MASK32
-    return value ^ (value >> 16), hc
+@cache
+def _hash_chain(hc: int, mult: int, calls: int) -> np.ndarray:
+    """hc and its next calls multiples by mult (mod 2^32), as uint32.
+
+    Hash call i of a chain xors in entry i, then multiplies by entry i + 1.
+    Every argument follows from a root seed's word count, so the cache
+    stays small.
+    """
+    chain = [hc]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    chain = np.array(chain, dtype=np.uint32)
+    chain.flags.writeable = False  # cached, so shared
+    return chain
+
+
+def _hashmix(value, xor, times):
+    value = (value ^ xor) * times
+    return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    r = _MIX_L * x - _MIX_R * y
     return r ^ (r >> 16)
 
 
@@ -660,44 +672,52 @@ def _words32(v) -> list[int]:
     return out
 
 
-def _spawn_prefix(seed) -> tuple[list[int], int]:
-    """Pool and hash constant of every child of SeedSequence(seed), before its spawn key.
+def _spawn_prefix(seed) -> tuple[np.ndarray, int]:
+    """Pool of every child of SeedSequence(seed) before its spawn key, and the next hash constant.
 
     A child's entropy is the root's words padded to the pool size, then
-    its child index; only the index differs between children.
+    its child index; only the index differs between children.  The pool
+    is a (4, 1) column, mixed in uint32 scalars.
     """
     run = _words32(np.random.SeedSequence(seed).entropy)
     run += [0] * (_POOL - len(run))
-    hc = _INIT_A
-    pool = []
-    for w in run[:_POOL]:
-        v, hc = _hashmix(w, hc)
-        pool.append(v)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                v, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], v)
-    for w in run[_POOL:]:
-        for dst in range(_POOL):
-            v, hc = _hashmix(w, hc)
-            pool[dst] = _mix(pool[dst], v)
-    return pool, hc
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * len(run))
+    consts = zip(chain[:-1], chain[1:])
+    with np.errstate(over="ignore"):
+        pool = [_hashmix(w, *next(consts)) for w in run[:_POOL]]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+        for w in run[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
+    return np.array(pool, dtype=np.uint32)[:, None], int(chain[-1])
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of a * b for uint64 a and a constant b < 2^64."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+def _mul128(hi: np.ndarray, lo: np.ndarray, c: int, scratch: np.ndarray) -> None:
+    """(hi:lo) *= c mod 2^128 in place, for uint64 rows and a constant c < 2^128.
 
-
-def _mul128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of (hi:lo) * c mod 2^128 for a constant c < 2^128."""
+    scratch holds four rows.  lo * (c mod 2^64) takes its high half from
+    32-bit halves a of lo and b of c: with t = a1 b0 + (a0 b0 >> 32) and
+    u = (t mod 2^32) + a0 b1, it is a1 b1 + (t >> 32) + (u >> 32).
+    """
+    a0, a1, t, u = scratch
     c_hi, c_lo = c >> 64, c & 0xFFFFFFFFFFFFFFFF
-    return _mulhi64(lo, c_lo) + hi * c_lo + lo * c_hi, lo * c_lo
+    b0, b1 = c_lo & _MASK32, c_lo >> 32
+    np.bitwise_and(lo, _MASK32, out=a0)
+    np.right_shift(lo, 32, out=a1)
+    hi *= c_lo
+    hi += np.multiply(lo, c_hi, out=t)
+    lo *= c_lo
+    np.multiply(a0, b0, out=t)
+    t >>= 32
+    t += np.multiply(a1, b0, out=u)
+    hi += np.multiply(a1, b1, out=a1)
+    hi += np.right_shift(t, 32, out=u)
+    t &= _MASK32
+    t += np.multiply(a0, b1, out=a0)
+    hi += np.right_shift(t, 32, out=t)
 
 
 @cache
@@ -716,61 +736,68 @@ class _TrialStreams:
     SeedSequence(seed, spawn_key=(start + i,)), which is what
     SeedSequence(seed).spawn hands out in that position: each take(k)
     returns the next k outputs of every row still kept, and skip(k)
-    passes over them.
+    passes over them.  Seeding's own step and every skip wait in one
+    pending advance, which the next take folds into its first step.
     """
 
     def __init__(self, seed, start: int, count: int):
-        pool0, hc0 = _spawn_prefix(seed)
+        pool, hc = _spawn_prefix(seed)
         idx = np.arange(start, start + count, dtype=np.uint64)
-        pool = [np.full(count, v, dtype=np.uint64) for v in pool0]
-        # the child index enters as one word, or two from 2^32 on
-        lo, hi = idx & _MASK32, idx >> 32
-        hc = hc0
-        for dst in range(_POOL):
-            v, hc = _hashmix(lo, hc)
-            pool[dst] = _mix(pool[dst], v)
-        if hi.any():
-            two = hi != 0
-            for dst in range(_POOL):
-                v, hc = _hashmix(hi, hc)
-                pool[dst] = np.where(two, _mix(pool[dst], v), pool[dst])
-        # generate_state(4, uint64): eight words cycled from the pool
-        hc = _INIT_B
-        state = []
-        for i in range(8):
-            v = pool[i % _POOL] ^ hc
-            hc = (hc * _MULT_B) & _MASK32
-            v = (v * hc) & _MASK32
-            state.append(v ^ (v >> 16))
-        s_hi, s_lo, q_hi, q_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
-        # PCG64 seeding: inc = 2q + 1, state = (inc + s) stepped once
+        # the pool's four words are the rows of a (4, count) array; the
+        # child index enters as one word, or two from 2^32 on
+        chain = _hash_chain(hc, _MULT_A, 2 * _POOL)[:, None]
+        pool = _mix(pool, _hashmix(idx.astype(np.uint32), chain[:_POOL], chain[1:_POOL + 1]))
+        if start + count > 1 << 32:
+            hi = (idx >> 32).astype(np.uint32)
+            wide = _mix(pool, _hashmix(hi, chain[_POOL:-1], chain[_POOL + 1:]))
+            pool = np.where(hi != 0, wide, pool)
+        # generate_state(4, uint64): eight words cycled from the pool, written
+        # as the rows' (count, 8) words and read as four little-endian uint64s
+        chain = _hash_chain(_INIT_B, _MULT_B, 8)
+        xor, times = chain[:-1].reshape(2, _POOL, 1), chain[1:].reshape(2, _POOL, 1)
+        state = np.empty((count, 8), dtype="<u4")
+        state.T[...] = _hashmix(pool, xor, times).reshape(8, count)
+        s_hi, s_lo, q_hi, q_lo = state.view("<u8").astype(np.uint64, copy=False).T
+        # PCG64 seeding: inc = 2q + 1, state = (inc + s) stepped once, left pending
         self.inc_hi = (q_hi << 1) | (q_lo >> 63)
         self.inc_lo = (q_lo << 1) | 1
         self.lo = self.inc_lo + s_lo
         self.hi = self.inc_hi + s_hi + (self.lo < s_lo)
-        self.take(1)
+        self.pending = 1
+
+    def _jump(self, k: int, scratch: np.ndarray) -> None:
+        """Advance every kept row k LCG steps in place."""
+        a, b = _pcg_jump(k)
+        _mul128(self.hi, self.lo, a, scratch)
+        inc_hi, inc_lo = self.inc_hi, self.inc_lo
+        if b != 1:
+            inc_hi, inc_lo = inc_hi.copy(), inc_lo.copy()
+            _mul128(inc_hi, inc_lo, b, scratch)
+        self.lo += inc_lo
+        self.hi += inc_hi
+        self.hi += np.less(self.lo, inc_lo, out=scratch[0])
 
     def take(self, k: int) -> np.ndarray:
         """The next k outputs of every kept row, as a (rows, k) array."""
-        lo, hi, inc_lo, inc_hi = self.lo, self.hi, self.inc_lo, self.inc_hi
-        out = np.empty((lo.size, k), dtype=np.uint64)
+        out = np.empty((self.lo.size, k), dtype=np.uint64)
+        scratch = np.empty((4, self.lo.size), dtype=np.uint64)
+        x, rot = scratch[:2]
         for j in range(k):
-            # state = state * MULT + inc (mod 2^128)
-            hi, lo = _mul128(hi, lo, _PCG_MULT)
-            lo = lo + inc_lo
-            hi = hi + inc_hi + (lo < inc_lo)
-            x, rot = hi ^ lo, hi >> 58
-            out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))
-        self.lo, self.hi = lo, hi
+            self._jump(self.pending + 1, scratch)
+            self.pending = 0
+            # XSL-RR: hi ^ lo rotated right by the top six bits of hi
+            np.bitwise_xor(self.hi, self.lo, out=x)
+            np.right_shift(self.hi, 58, out=rot)
+            np.right_shift(x, rot, out=out[:, j])
+            np.negative(rot, out=rot)
+            rot &= 63
+            x <<= rot
+            out[:, j] |= x
         return out
 
     def skip(self, k: int):
-        """Advance every kept row past its next k outputs in one jump."""
-        a, b = _pcg_jump(k)
-        hi, lo = _mul128(self.hi, self.lo, a)
-        inc_hi, inc_lo = _mul128(self.inc_hi, self.inc_lo, b)
-        self.lo = lo + inc_lo
-        self.hi = hi + inc_hi + (self.lo < inc_lo)
+        """Pass over the next k outputs of every kept row."""
+        self.pending += k
 
     def keep(self, rows: np.ndarray):
         """Drop every row not selected by rows (a mask or index array)."""
@@ -799,10 +826,13 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     methods trial by trial and is the bulk route's reference.  An
     FsGrinder outside Fiat-Shamir or inside another FsGrinder, an Honest
     or TestOnly built for anything but a FourRoundProtocol of this shape,
-    and a trial count that is not a positive int are rejected before any
-    trial runs.
+    a trial count that is not a positive int, and a seed that is None or
+    a bool are rejected before any trial runs.
     """
     _check_count("trials", trials)
+    # None would draw fresh OS entropy for every chunk; a bool is no seed
+    if seed is None or isinstance(seed, (bool, np.bool_)):
+        raise ProtocolError(f"seed={seed!r}")
     hashed = isinstance(p, TwoRoundFS)
     base = p.base if hashed else p
     grinder = isinstance(adversary, FsGrinder)
@@ -934,10 +964,13 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
         while seeds.size and done < budget:
             y, failmask = p.fs_attempts(streams.take(3 * m), x0, x1, had_ok)
             grinding = np.ones(seeds.size, dtype=bool)
-            # a budget that runs out on the first attempt hashes only that one
+            # a budget that runs out on the first attempt makes only that
+            # one; an attempt with failmask 0 accepts whatever its challenge,
+            # so it is counted but not hashed
             for a in range(min(2, budget - done)):
+                queries += int(np.count_nonzero(grinding))
+                grinding &= failmask[:, a] != 0
                 rows = np.flatnonzero(grinding)
-                queries += rows.size
                 ch = _fs_challenges(seeds[rows], y[rows, a], m)
                 grinding[rows] = ch & failmask[rows, a] != 0
             accepts += seeds.size - int(np.count_nonzero(grinding))

@@ -1,4 +1,5 @@
-"""tools/bench.py: the source line count each record keeps, --compare's verdicts and the default seeds."""
+"""tools/bench.py: the source line count and results digests each record keeps,
+--compare's verdicts and the default seeds."""
 
 import importlib.util
 import json
@@ -73,3 +74,44 @@ def test_default_seeds_are_one_to_ten(monkeypatch):
     monkeypatch.setattr(bench, "record", lambda args: seen.append(args.seeds) or 0)
     assert bench.main(["--label", "x"]) == 0
     assert seen == [list(range(1, 11))]
+
+
+def _digest_record(path, digests):
+    runs = [{"workload": workload, "seed": seed, "digest": digest,
+             "result": {"correct": True, "failed": 0, "metrics": {}}}
+            for workload, seed, digest in digests]
+    path.write_text(json.dumps({"runs": runs}))
+    return str(path)
+
+
+def test_same_seed_digests_must_match(tmp_path, capsys):
+    parent = _digest_record(tmp_path / "a.json", [("sweep", 1, "aa"), ("sweep", 2, "bb"),
+                                                  ("hashed", 1, "cc"), ("sweep", 1, "aa")])
+    same = _digest_record(tmp_path / "b.json", [("sweep", 1, "aa"), ("hashed", 1, "cc"),
+                                                ("sweep", 2, "bb"), ("sweep", 1, "aa"),
+                                                ("sweep", 3, "dd")])
+    assert bench.compare(parent, same) == 0
+    assert "results identical at 4 pairs" in capsys.readouterr().out
+    moved = _digest_record(tmp_path / "c.json", [("sweep", 1, "aa"), ("hashed", 1, "ee")])
+    assert bench.compare(parent, moved) == 1
+    out = capsys.readouterr().out
+    assert "FLAG hashed seed 1: results sha256 cc -> ee" in out
+    assert "results identical" not in out
+
+
+def test_runs_recorded_without_a_digest_are_not_paired(tmp_path, capsys):
+    old = _digest_record(tmp_path / "a.json", [("sweep", 1, None), ("sweep", 2, "bb")])
+    new = _digest_record(tmp_path / "b.json", [("sweep", 1, "aa"), ("sweep", 2, "bb")])
+    assert bench.compare(old, new) == 0
+    assert "results identical at 1 pairs" in capsys.readouterr().out
+
+
+def test_each_run_keeps_its_results_digest(tmp_path, monkeypatch):
+    class Done:
+        returncode = 0
+        stdout = '{"metrics": {}}\n'
+        stderr = "machine: nproc 2\nresults sha256: 0123abcd\n"
+
+    monkeypatch.setattr(bench.subprocess, "run", lambda *args, **kwargs: Done())
+    run = bench._run_once(tmp_path, "sweep", 4, 1.0)
+    assert (run["machine"], run["digest"]) == ("machine: nproc 2", "0123abcd")

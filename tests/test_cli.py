@@ -218,15 +218,15 @@ class TestParamTable:
             build_config("fs-attack", seed=1, sets=["budgets=15", "trials=5000001"])
 
     def test_repetition_sweep_work_ceiling(self, tmp_path, capsys):
-        # 50 entries of m = 20 at the top trial count reach the ceiling
+        # 25 entries of m = 20 at the top trial count reach the ceiling
         # exactly; one coordinate more exits 2 and writes nothing
-        at_limit = "m_list=" + ",".join(["20"] * 50)
+        at_limit = "m_list=" + ",".join(["20"] * 25)
         build_config("repetition-sweep", seed=1, sets=[at_limit, "trials=10000000"])
         code, out = run_cli(["repetition-sweep", "--seed", "1", "--set", at_limit + ",1",
                              "--set", "trials=10000000"], tmp_path, "x.csv")
         assert code == 2
         assert not out.exists()
-        assert "10,010,000,000 trial coordinates" in capsys.readouterr().err
+        assert "5,010,000,000 trial coordinates" in capsys.readouterr().err
 
     def test_partition_claims_work_ceiling(self, tmp_path, capsys):
         # 14 strategies over the 32^4 kernel grid stay under the ceiling,

@@ -682,6 +682,28 @@ class TestFsBulkReplay:
         assert a == run_protocol(fs, FsGrinder(6, protocol.TestOnly(base)), "yes",
                                  trials=500, seed=65)
 
+    @pytest.mark.parametrize("x", ["yes", "no"])
+    def test_attempts_with_failmask_zero_are_counted_not_hashed(self, monkeypatch, x):
+        # at n = 3 an honest coordinate draws d = 0 with probability 1/8, so
+        # at m = 9 about 70% of honest yes-instance attempts can fail on
+        # their challenge and the rest accept whatever it is, both kinds in
+        # one step.  A no-instance or TestOnly attempt always reads it
+        monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 64)
+        hashed = []
+        real = protocol._fs_challenges
+        monkeypatch.setattr(protocol, "_fs_challenges",
+                            lambda seeds, y, m: hashed.append(seeds.size) or real(seeds, y, m))
+        base, fs = self._fs(3, (9,))
+        for adv in (Honest(base), FsGrinder(3, protocol.TestOnly(base)),
+                    FsGrinder(3, Honest(base))):
+            hashed.clear()
+            st = self._same(fs, adv, x, 300, 70)
+            inner = adv.inner if isinstance(adv, FsGrinder) else adv
+            if x == "yes" and type(inner) is Honest:
+                assert 0 < sum(hashed) < st.queries
+            else:
+                assert sum(hashed) == st.queries
+
     def test_oracle_seed_is_first_output_shifted(self):
         children = np.random.SeedSequence(66).spawn(40)
         raw = protocol._TrialStreams(66, 0, 40).take(1)
@@ -1007,3 +1029,100 @@ class TestSkip:
         for name in ("lo", "hi", "inc_lo", "inc_hi"):
             assert np.array_equal(getattr(streams, name), getattr(ref, name))
         assert np.array_equal(streams.take(3), ref.take(3))
+
+
+class TestFoldedAdvance:
+    """Seeding's own step and every skip wait in one pending advance, which
+    the next take applies; checked against numpy's PCG64 output by output."""
+
+    SEEDS = [3, 2**40 + 3, [7, 2**40, 0]]
+
+    @staticmethod
+    def _raw(seed, start, rows, k):
+        return np.array([np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start + i,)))
+                         .random_raw(k) for i in range(rows)])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_skip_right_after_construction(self, seed):
+        want = self._raw(seed, 0, 5, 12)
+        for j in (1, 7):
+            streams = protocol._TrialStreams(seed, 0, 5)
+            streams.skip(j)
+            assert streams.pending == 1 + j
+            assert np.array_equal(streams.take(4), want[:, j:j + 4])
+            assert streams.pending == 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_skips_in_a_row(self, seed):
+        want = self._raw(seed, 2**32 - 2, 4, 16)
+        streams = protocol._TrialStreams(seed, 2**32 - 2, 4)
+        streams.skip(3)
+        streams.skip(4)
+        assert np.array_equal(streams.take(2), want[:, 7:9])
+        streams.skip(1)
+        streams.skip(2)
+        assert np.array_equal(streams.take(4), want[:, 12:16])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_skip_then_keep_then_take(self, seed):
+        want = self._raw(seed, 0, 6, 9)
+        for rows in (np.array([True, False, True, True, False, True]), np.array([4, 0, 5])):
+            streams = protocol._TrialStreams(seed, 0, 6)
+            streams.skip(6)
+            streams.keep(rows)
+            assert np.array_equal(streams.take(3), want[rows, 6:9])
+
+    def test_keep_down_to_zero_rows(self):
+        streams = protocol._TrialStreams(12, 0, 5)
+        streams.skip(4)
+        streams.keep(np.zeros(5, dtype=bool))
+        got = streams.take(3)
+        assert got.shape == (0, 3) and got.dtype == np.uint64
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_row_stream(self, seed):
+        want = self._raw(seed, 17, 1, 10)
+        streams = protocol._TrialStreams(seed, 17, 1)
+        first = streams.take(2)
+        streams.skip(4)
+        assert np.array_equal(np.hstack([first, streams.take(4)]), want[:, [0, 1, 6, 7, 8, 9]])
+
+    def test_full_chunk_at_sixty_outputs(self):
+        rows = protocol._TRIAL_CHUNK
+        want = self._raw(13, 0, rows, 60)
+        assert np.array_equal(protocol._TrialStreams(13, 0, rows).take(60), want)
+        streams = protocol._TrialStreams(13, 0, rows)
+        streams.skip(59)
+        assert np.array_equal(streams.take(1), want[:, 59:])
+
+
+class TestSeedArgument:
+    """run_protocol's seed: an int >= 0 or a sequence, never None or a bool."""
+
+    @staticmethod
+    def _cases():
+        p = parallel_repeat(toy_protocol(4), 2)
+        nested = parallel_repeat(p, 2)
+        # bulk: plain toy, cheat and Fiat-Shamir; per trial: a cheat of
+        # another width and a nested Fiat-Shamir repetition
+        return [(p, Honest(p)), (p, _cheat(5, False)),
+                (fiat_shamir(p, OracleTable(1, p.m)), Honest(p)), (p, _cheat(4, False)),
+                (fiat_shamir(nested, OracleTable(1, nested.m)), FsGrinder(2, Honest(nested)))]
+
+    @pytest.mark.parametrize("seed", [None, True, False, np.bool_(True)])
+    def test_none_and_bools_are_rejected_before_any_trial(self, monkeypatch, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no trial may run")
+
+        cases = self._cases()
+        for name in ("_run_per_trial", "_run_toy_batch", "_run_fs_batch", "_TrialStreams"):
+            monkeypatch.setattr(protocol, name, refuse)
+        for p, adv in cases:
+            with pytest.raises(ProtocolError, match="seed="):
+                run_protocol(p, adv, "yes", trials=5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**70, [3, 4], np.int64(9)])
+    def test_ints_and_sequences_still_run(self, seed):
+        for p, adv in self._cases():
+            st = run_protocol(p, adv, "yes", trials=40, seed=seed)
+            assert st == protocol._run_per_trial(p, adv, "yes", trials=40, seed=seed)

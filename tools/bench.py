@@ -8,8 +8,8 @@ A record runs `perfbench/run.py --trace 0` of a checkout (this
 repository unless --checkout names another) once per seed (1 to 10
 unless --seeds names others) and workload, and keeps in
 BENCH_<label>.json at the root of this repository the
-command and, for each run, its result line and the machine line it
-printed on stderr.  Each record call also runs the checkout's
+command and, for each run, its result line and the machine and
+`results sha256:` lines it printed on stderr.  Each record call also runs the checkout's
 acceptance gate (`pytest tests/test_acceptance.py`) once, with
 CVQC_LAB_ACCEPTANCE_JSON naming a temporary file, and keeps its JSON
 lines under "acceptance", and "src_lines", the summed line count of the
@@ -21,8 +21,10 @@ alternation.
 src_lines and, per workload and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles, the change of B's median against A's,
 and how many runs of B beat the run of A with the same seed.  It flags a median of B worse than A's by
-more than the metric's bound, a run of B that is not correct, and
-failed operations, and exits 1 when anything is flagged.  Each metric
+more than the metric's bound, a run of B that is not correct, failed
+operations, and a same-workload, same-seed pair of runs whose results
+sha256 differ (otherwise it prints at how many pairs they are
+identical), and exits 1 when anything is flagged.  Each metric
 also gets a gain verdict: GAIN when there are at least ten same-seed
 pairs, B wins at least nine in ten of them, and B's median is better
 than A's by more than A's interquartile range; otherwise "no gain".
@@ -55,8 +57,10 @@ def _run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"bench: {' '.join(cmd)} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
     machine = [ln for ln in proc.stderr.splitlines() if ln.startswith("machine:")]
+    digest = [ln for ln in proc.stderr.splitlines() if ln.startswith("results sha256:")]
     return {"workload": workload, "seed": seed, "result": json.loads(lines[-1]),
-            "machine": machine[0] if machine else None}
+            "machine": machine[0] if machine else None,
+            "digest": digest[0].split()[-1] if digest else None}
 
 
 def _acceptance_once(checkout: Path) -> list:
@@ -141,6 +145,7 @@ def compare(name_a: str, name_b: str) -> int:
             print(f"FLAG {run['workload']} seed {run['seed']}: correct "
                   f"{res['correct']}, {res['failed']} failed operations")
             flagged += 1
+    flagged += _compare_digests(bench_a, bench_b)
     for workload in sorted(set(a) & set(b)):
         print(f"{workload}: {name_a} -> {name_b}, median [quartiles]")
         for metric in spec["end_to_end"]:
@@ -165,6 +170,32 @@ def compare(name_a: str, name_b: str) -> int:
                   f"  {'GAIN' if gain else 'no gain'}{'  WORSE' if flag else ''}")
     flagged += _compare_acceptance(name_a, name_b, bench_a, bench_b)
     return 1 if flagged else 0
+
+
+def _digests(bench: dict) -> dict:
+    """{(workload, seed): [results sha256 in run order, None where unrecorded]}"""
+    digests: dict = {}
+    for run in bench["runs"]:
+        digests.setdefault((run["workload"], run["seed"]), []).append(run.get("digest"))
+    return digests
+
+
+def _compare_digests(bench_a: dict, bench_b: dict) -> int:
+    """Flag each same-workload, same-seed pair of runs whose results sha256 differ."""
+    a, b = _digests(bench_a), _digests(bench_b)
+    identical = flagged = 0
+    for key in sorted(a.keys() & b.keys()):
+        for x, y in zip(a[key], b[key]):
+            if x is None or y is None:
+                continue  # a run recorded before digests were kept
+            if x == y:
+                identical += 1
+            else:
+                print(f"FLAG {key[0]} seed {key[1]}: results sha256 {x} -> {y}")
+                flagged += 1
+    if not flagged:
+        print(f"results identical at {identical} pairs")
+    return flagged
 
 
 def _criteria(bench: dict) -> dict:
