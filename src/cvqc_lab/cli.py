@@ -111,9 +111,9 @@ _FS_MAX_ATTEMPTS = 8 * 10**7
 # route for honest and testonly (m = 1..20) and 0.46-0.57 us for the cheat
 # (m = 1 and 24) on a 2-core machine, so this many take under an hour.
 _SWEEP_MAX_COORDS = 5 * 10**9
-# A partition chain of the gamma-tuple grid costs 155-190 us in ideal mode
-# and 180-220 us in kernel mode at m = 4 (45-130 us at m = 1..3) on a
-# 2-core machine, so this many take at most 55 minutes.
+# A partition chain of the gamma-tuple grid costs 105-140 us in ideal mode
+# and 90-150 us in kernel mode at m = 4 (20-100 us at m = 1..3, T = 16) on
+# a 2-core machine, so this many take at most 40 minutes.
 _PARTITION_MAX_CHAINS = 15 * 10**6
 
 

@@ -33,7 +33,7 @@ ZERO_STATE_TOL = 1e-15
 # Smallest grid step gamma0/T allowed before float underflow risks kick in.
 GRID_STEP_MIN = 2.0 ** -40
 
-# Each of a strategy's tables of sampled states, the extractor's
-# (partition._ExtractGraph) and procedure H's (partition._HTable), starts
-# over once its states hold this many amplitudes in all (16 MB).
+# Each of a strategy's tables, the extractor's (partition._ExtractGraph),
+# procedure H's (partition._HTable) and run_G's grid points
+# (partition._grid_point), starts over once it holds this many numbers.
 EXTRACT_TABLE_AMPS = 2 ** 20

@@ -32,7 +32,9 @@ a per-strategy table of the states they reach, kept through
 ProverStrategy.derived: every step's numbers are computed once per
 distinct state, by the plain loop's own arithmetic, so the draws and
 outcomes are the loop's bit for bit, and a call costs little more than
-its draws.
+its draws; the extractor shares its outcomes too.  run_G reads the
+conjugate frame kept in SpectralData and a table of the gamma-dependent
+vectors per grid point (_grid_point), both built once by its own arithmetic.
 """
 
 from __future__ import annotations
@@ -283,6 +285,9 @@ class SpectralData:
     pvals: np.ndarray
     v11_xz: np.ndarray  # (1,1) common eigenvectors, xz part
     v10_xz: np.ndarray  # (1,0) vectors, xz part
+    alphas_c: np.ndarray  # the three conjugated, for run_G's a_c.T @ psi
+    v11_c: np.ndarray
+    v10_c: np.ndarray
 
 
 def spectral_data(strategy: ProverStrategy, params: PartitionParams) -> SpectralData:
@@ -324,6 +329,9 @@ def _principal_angles(strategy: ProverStrategy, params: PartitionParams) -> Spec
         pvals=cos[rot] ** 2,
         v11_xz=v[:, is11],
         v10_xz=v[:, is10],
+        alphas_c=v[:, rot].conj(),
+        v11_c=v[:, is11].conj(),
+        v10_c=v[:, is10].conj(),
     )
 
 
@@ -350,19 +358,32 @@ def _ideal_labels(thetas: np.ndarray, t: int) -> np.ndarray:
     return np.array([phase_label(th, t) for th in thetas], dtype=int)
 
 
-def _branch_weights(strategy: ProverStrategy, params: PartitionParams, data: SpectralData) -> np.ndarray:
-    """w1 per 2-D block: amplitude weight landing in the th=1 branch.
+def _grid_point(strategy: ProverStrategy, params: PartitionParams, data: SpectralData) -> tuple:
+    """w1, 1 - w1 and the reference masks low and high of one grid point.
 
+    w1 is the amplitude weight per 2-D block landing in the th=1 branch.
     The (1,1) blocks always threshold to 1 and the (1,0) blocks to 0, in
     both modes: their phases 0 and pi sit exactly on dyadic labels, and
     gamma - delta always lies strictly between cos^2(pi/2)=0 and 1.
+    Chains, H walks and grid sweeps revisit params, so points are kept per
+    strategy, in a table that starts over at EXTRACT_TABLE_AMPS numbers.
     """
+    points = strategy.derived("grid", dict)
+    point = points.get(params)
+    if point is not None:
+        return point
+    if 4 * strategy.xz_dim * len(points) >= config.EXTRACT_TABLE_AMPS:
+        points.clear()
     mask = threshold_mask(params)
     if params.mode == "ideal":
         labels = strategy.derived(("lab", params.i, params.tau), _ideal_labels, data.thetas, params.tau)
-        return mask[labels].astype(float)
-    rows = strategy.derived(("K", params.i, params.tau), _kernel_rows, data.thetas, params.tau)
-    return rows @ mask.astype(float)
+        w1 = mask[labels].astype(float)
+    else:
+        rows = strategy.derived(("K", params.i, params.tau), _kernel_rows, data.thetas, params.tau)
+        w1 = rows @ mask.astype(float)
+    point = points[params] = (w1, 1.0 - w1, data.pvals <= params.gamma - 2 * params.delta,
+                              data.pvals >= params.gamma)
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +393,18 @@ def _branch_weights(strategy: ProverStrategy, params: PartitionParams, data: Spe
 def _branches(strategy, params, psi_xz: np.ndarray):
     """Unnormalized th=0/th=1 branch vectors on (X, Z), plus coefficients."""
     data = spectral_data(strategy, params)
-    c2 = data.alphas_xz.conj().T @ psi_xz
-    c11 = data.v11_xz.conj().T @ psi_xz
-    c10 = data.v10_xz.conj().T @ psi_xz
-    w1 = _branch_weights(strategy, params, data)
+    w1, w0, low, high = _grid_point(strategy, params, data)
+    c2 = data.alphas_c.T @ psi_xz
+    c11 = data.v11_c.T @ psi_xz
+    c10 = data.v10_c.T @ psi_xz
     b1 = data.alphas_xz @ (c2 * w1) + data.v11_xz @ c11
-    b0 = data.alphas_xz @ (c2 * (1.0 - w1)) + data.v10_xz @ c10
-    return b0, b1, (c2, c11, c10, w1, data)
+    b0 = data.alphas_xz @ (c2 * w0) + data.v10_xz @ c10
+    return b0, b1, (c2, c11, c10, low, high, data)
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D complex array, by its own arithmetic."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _phase_of(overlap: complex, ref_norm: float, branch_norm: float) -> complex:
@@ -396,27 +422,29 @@ def run_G(strategy: ProverStrategy, params: PartitionParams, psi: StateVector) -
     (ph, th, in) = (0^t, b, 1) branches mapped back to (X, Z).
     """
     psi_xz = _amps_of(psi, strategy.xz_dim)
-    b0, b1, (c2, c11, c10, w1, data) = _branches(strategy, params, psi_xz)
+    b0, b1, (c2, c11, c10, low, high, data) = _branches(strategy, params, psi_xz)
     # reference states of the lemma: clean low and high components
-    ref0 = data.alphas_xz @ (c2 * (data.pvals <= params.gamma - 2 * params.delta)) \
-        + data.v10_xz @ c10
-    ref1 = data.alphas_xz @ (c2 * (data.pvals >= params.gamma)) + data.v11_xz @ c11
-    z0 = _phase_of(np.vdot(ref0, b0), float(np.linalg.norm(ref0)), float(np.linalg.norm(b0)))
-    z1 = _phase_of(np.vdot(ref1, b1), float(np.linalg.norm(ref1)), float(np.linalg.norm(b1)))
+    ref0 = data.alphas_xz @ (c2 * low) + data.v10_xz @ c10
+    ref1 = data.alphas_xz @ (c2 * high) + data.v11_xz @ c11
+    z0 = _phase_of(np.vdot(ref0, b0), _norm(ref0), _norm(b0))
+    z1 = _phase_of(np.vdot(ref1, b1), _norm(ref1), _norm(b1))
     psi0 = np.conj(z0) * b0
     psi1 = np.conj(z1) * b1
     err = psi_xz - psi0 - psi1
     n0 = float(np.vdot(psi0, psi0).real)
     n1 = float(np.vdot(psi1, psi1).real)
-    residual = float(np.vdot(psi_xz, psi_xz).real) - n0 - n1
+    norm2 = float(np.vdot(psi_xz, psi_xz).real)
+    # finite squared norms put every amplitude below sqrt(max float), so
+    # err is finite too; otherwise the checking constructor decides
+    state = StateVector._finite if math.isfinite(n0 + n1 + norm2) else StateVector
     lay = strategy.xz_layout()
     return PartitionOutcome(
-        psi0=StateVector(lay, psi0),
-        psi1=StateVector(lay, psi1),
-        psi_err=StateVector(lay, err),
+        psi0=state(lay, psi0),
+        psi1=state(lay, psi1),
+        psi_err=state(lay, err),
         z0=complex(z0),
         z1=complex(z1),
-        branch_probs=(n0, n1, residual),
+        branch_probs=(n0, n1, norm2 - n0 - n1),
     )
 
 
@@ -655,7 +683,7 @@ def partition_chain(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
     kept, errs = [], []
     for idx in range(1, strategy.m + 1):
         b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
-        errs.append(float(np.linalg.norm(current - b0 - b1) ** 2))
+        errs.append(_norm(current - b0 - b1) ** 2)
         want, current = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
         kept.append(float(np.vdot(want, want).real))
     return ChainResult(
@@ -720,11 +748,20 @@ class _ExtractGraph:
         self.capacity = max(2, config.EXTRACT_TABLE_AMPS // strategy.dim)
         self.roots: dict[bytes, _ExtractNode] = {}
         self.nodes: dict[bytes, _ExtractNode] = {}
+        self.outcomes: dict[tuple, ExtractOutcome] = {}
 
     def _make_room(self):
         if len(self.roots) + len(self.nodes) >= self.capacity:
             self.roots.clear()
             self.nodes.clear()
+            self.outcomes.clear()
+
+    def outcome(self, a_i: str | None, rounds_used: int) -> ExtractOutcome:
+        """The shared, frozen outcome (a_i, rounds_used)."""
+        out = self.outcomes.get((a_i, rounds_used))
+        if out is None:
+            out = self.outcomes[a_i, rounds_used] = ExtractOutcome(a_i, rounds_used)
+        return out
 
     def root(self, state: StateVector) -> _ExtractNode:
         key = state.amps.tobytes()
@@ -795,7 +832,8 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     the returned a_i is accepted.  On failure W is undone before the
     Pi_in measurement.  The walk runs over the strategy's cached graph
     of extractor states (see _ExtractGraph): one draw per measurement,
-    exactly as the alternating loop draws them.
+    exactly as the alternating loop draws them.  Equal outcomes are one
+    shared frozen object.
     """
     if isinstance(n_rounds, bool) or not isinstance(n_rounds, (int, np.integer)) or n_rounds < 1:
         raise DomainError(f"n_rounds={n_rounds!r}")
@@ -809,13 +847,12 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     for rnd in range(1, n_rounds + 1):
         if rng.random() < node.p_hit:
             cdf = node.cdf or graph.cdf(node)
-            return ExtractOutcome(a_i=graph.labels[bisect_right(cdf, rng.random())],
-                                  rounds_used=rnd)
+            return graph.outcome(graph.labels[bisect_right(cdf, rng.random())], rnd)
         if node.p_in is None:
             graph.miss(node)
         into = rng.random() < node.p_in
         node = node.kids[into] or graph.kid(node, into)
-    return ExtractOutcome(a_i=None, rounds_used=n_rounds)
+    return graph.outcome(None, rnd)
 
 
 def ext_success_formula(p: float, n_rounds: int) -> float:
@@ -862,7 +899,8 @@ def cs_bound(pieces, projector: np.ndarray) -> tuple[float, float]:
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = np.empty((dim, dim), dtype=np.complex128)  # real parts drawn first, then imaginary
+    m.real, m.imag = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     d = np.diag(r)
     return q * (d / np.abs(d))

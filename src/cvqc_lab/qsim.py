@@ -52,16 +52,12 @@ class RegisterLayout:
             raise ValueError(f"duplicate register names in {names}")
         if any(w < 0 for _, w in self.registers):
             raise ValueError("negative register width")
-        if self.total_qubits > config.QUBIT_CAP:
-            raise CapExceeded(f"{self.total_qubits} qubits exceeds cap {config.QUBIT_CAP}")
-
-    @property
-    def total_qubits(self) -> int:
-        return sum(w for _, w in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.total_qubits
+        total = sum(w for _, w in self.registers)
+        if total > config.QUBIT_CAP:
+            raise CapExceeded(f"{total} qubits exceeds cap {config.QUBIT_CAP}")
+        # derived once; plain attributes, so eq, hash and repr stay the registers'
+        object.__setattr__(self, "total_qubits", total)
+        object.__setattr__(self, "dim", 1 << total)
 
     def width(self, name: str) -> int:
         for n, w in self.registers:
@@ -91,9 +87,18 @@ class StateVector:
         if amps.shape != (self.layout.dim,):
             raise DimensionMismatch(
                 f"amps length {amps.shape} vs layout dim {self.layout.dim}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
         object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def _finite(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
+        """A state built without checks: amps must be a fresh, C-contiguous
+        complex128 array of layout.dim entries that the caller proved finite."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "amps", amps)
+        return state
 
     @property
     def norm2(self) -> float:
@@ -115,7 +120,9 @@ class Operator:
         if self.dim < 1:
             raise DimensionMismatch(f"dim {self.dim}")
         if self.kind == "unitary":
-            res = np.max(np.abs(mat.conj().T @ mat - np.eye(self.dim)))
+            gram = mat.conj().T @ mat
+            gram.reshape(-1)[::self.dim + 1] -= 1.0  # U^dag U - I, in place
+            res = np.max(np.abs(gram))
             if res > config.ATOL:
                 raise NotUnitary(f"U^dag U - I residual {res:.3e}")
         elif self.kind == "projector":

@@ -24,6 +24,7 @@ from cvqc_lab.partition import (
     HAbort,
     HBranch,
     HRemainder,
+    PartitionOutcome,
     PartitionParams,
     ProverStrategy,
     build_projectors,
@@ -361,6 +362,192 @@ class TestRunG:
         a *= 0.5 / np.linalg.norm(a)
         out = run_G(s, _params(), StateVector(s.xz_layout(), a))
         assert out.psi0.norm2 + out.psi1.norm2 <= 0.25 + 1e-9
+
+
+def _branches_reference(strategy, params, psi_xz):
+    # run_G's branch arithmetic as it reads without the frame and
+    # grid-point tables: conjugates, weights and masks built per call
+    data = spectral_data(strategy, params)
+    c2 = data.alphas_xz.conj().T @ psi_xz
+    c11 = data.v11_xz.conj().T @ psi_xz
+    c10 = data.v10_xz.conj().T @ psi_xz
+    mask = threshold_mask(params)
+    if params.mode == "ideal":
+        labels = np.array([phase_label(th, params.tau) for th in data.thetas], dtype=int)
+        w1 = mask[labels].astype(float)
+    else:
+        rows = (np.stack([kernel_masses(th, params.tau) for th in data.thetas])
+                if len(data.thetas) else np.zeros((0, 1 << params.tau)))
+        w1 = rows @ mask.astype(float)
+    b1 = data.alphas_xz @ (c2 * w1) + data.v11_xz @ c11
+    b0 = data.alphas_xz @ (c2 * (1.0 - w1)) + data.v10_xz @ c10
+    return b0, b1, (c2, c11, c10, data)
+
+
+def _phase_reference(overlap, ref_norm, branch_norm):
+    small = config.ZERO_BRANCH_TOL
+    if ref_norm < small or branch_norm < small or abs(overlap) < small:
+        return 1.0 + 0.0j
+    return overlap / abs(overlap)
+
+
+def _run_G_reference(strategy, params, psi):
+    # the plain run_G: np.linalg.norm and a checked StateVector per branch
+    psi_xz = _amps_of(psi, strategy.xz_dim)
+    b0, b1, (c2, c11, c10, data) = _branches_reference(strategy, params, psi_xz)
+    ref0 = data.alphas_xz @ (c2 * (data.pvals <= params.gamma - 2 * params.delta)) \
+        + data.v10_xz @ c10
+    ref1 = data.alphas_xz @ (c2 * (data.pvals >= params.gamma)) + data.v11_xz @ c11
+    z0 = _phase_reference(np.vdot(ref0, b0), float(np.linalg.norm(ref0)),
+                          float(np.linalg.norm(b0)))
+    z1 = _phase_reference(np.vdot(ref1, b1), float(np.linalg.norm(ref1)),
+                          float(np.linalg.norm(b1)))
+    psi0 = np.conj(z0) * b0
+    psi1 = np.conj(z1) * b1
+    err = psi_xz - psi0 - psi1
+    n0 = float(np.vdot(psi0, psi0).real)
+    n1 = float(np.vdot(psi1, psi1).real)
+    residual = float(np.vdot(psi_xz, psi_xz).real) - n0 - n1
+    lay = strategy.xz_layout()
+    return PartitionOutcome(
+        psi0=StateVector(lay, psi0), psi1=StateVector(lay, psi1),
+        psi_err=StateVector(lay, err), z0=complex(z0), z1=complex(z1),
+        branch_probs=(n0, n1, residual))
+
+
+def _partition_chain_reference(strategy, gammas, c, psi, *, gamma0, T, mode):
+    current = _amps_of(psi, strategy.xz_dim)
+    kept, errs = [], []
+    for idx in range(1, strategy.m + 1):
+        params = PartitionParams(m=strategy.m, i=idx, gamma0=gamma0, T=T,
+                                 gamma=float(gammas[idx - 1]), mode=mode)
+        b0, b1, _ = _branches_reference(strategy, params, current)
+        errs.append(float(np.linalg.norm(current - b0 - b1) ** 2))
+        want, current = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
+        kept.append(float(np.vdot(want, want).real))
+    return ChainResult(kept_norms2=tuple(kept),
+                       remainder_norm2=float(np.vdot(current, current).real),
+                       err_norms2=tuple(errs))
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+def _assert_same_outcome(got, want):
+    for name in ("psi0", "psi1", "psi_err"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.layout == w.layout
+        assert g.amps.dtype == np.complex128 and g.amps.flags.c_contiguous
+        assert g.amps.tobytes() == w.amps.tobytes()
+    assert _bits([got.z0, got.z1]) == _bits([want.z0, want.z1])
+    assert _bits(got.branch_probs) == _bits(want.branch_probs)
+
+
+def _grid_strategies():
+    for m in (1, 2, 3):
+        for x_width in (1, 2):
+            for controlled in (False, True):
+                rng = np.random.default_rng(500 + 10 * m + 2 * x_width + controlled)
+                s = random_strategy(rng, m, x_width=x_width, z_width=1 if m < 3 else 0,
+                                    controlled=controlled)
+                yield rng, s
+
+
+class TestLeanRunG:
+    """run_G and partition_chain against their plain arithmetic, bit for bit."""
+
+    def test_grid_matches_reference(self):
+        for rng, s in _grid_strategies():
+            psi = random_xz_state(rng, s)
+            for mode in ("ideal", "kernel"):
+                for i in range(1, s.m + 1):
+                    for j in range(1, 17):
+                        p = PartitionParams(s.m, i, 0.75, 16, 0.75 * j / 16, mode)
+                        # twice: the grid-point table is built, then read
+                        for _ in range(2):
+                            _assert_same_outcome(run_G(s, p, psi), _run_G_reference(s, p, psi))
+
+    def test_chain_matches_reference(self):
+        for rng, s in _grid_strategies():
+            psi = random_xz_state(rng, s)
+            grid = gamma_grid(0.75, 16)
+            for mode in ("ideal", "kernel"):
+                for _ in range(3):
+                    gammas = tuple(float(grid[j]) for j in rng.integers(0, 16, size=s.m))
+                    for cbits in range(1 << s.m):
+                        c = format(cbits, f"0{s.m}b")
+                        kw = dict(gamma0=0.75, T=16, mode=mode)
+                        got = partition_chain(s, gammas, c, psi, **kw)
+                        want = _partition_chain_reference(s, gammas, c, psi, **kw)
+                        assert _bits(got.err_norms2) == _bits(want.err_norms2)
+                        assert _bits(got.kept_norms2) == _bits(want.kept_norms2)
+                        assert _bits([got.remainder_norm2]) == _bits([want.remainder_norm2])
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-13, 1e150, 1.2e154, 1e200])
+    def test_extreme_scales_match_reference(self, scale):
+        rng = np.random.default_rng(41)
+        s = random_strategy(rng, 2, x_width=1, z_width=1)
+        psi = StateVector(s.xz_layout(), scale * random_xz_state(rng, s).amps)
+        raised = checked = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mode in ("ideal", "kernel"):
+                for j in (1, 8, 16):
+                    p = PartitionParams(2, 1, 0.75, 16, 0.75 * j / 16, mode)
+                    try:
+                        want = _run_G_reference(s, p, psi)
+                    except ValueError:
+                        # at 1e200 the amplitudes are finite but their squares
+                        # are not: the checking constructor decides, as before
+                        raised += 1
+                        with pytest.raises(ValueError, match="non-finite amplitude"):
+                            run_G(s, p, psi)
+                        continue
+                    got = run_G(s, p, psi)
+                    _assert_same_outcome(got, want)
+                    n0, n1, _ = got.branch_probs
+                    checked += not np.isfinite(n0 + n1 + psi.norm2)
+        assert raised == (6 if scale > 1.3e154 else 0)
+        # near sqrt(max float) every norm is finite but their sum is not,
+        # so the checking constructor builds the returned states
+        assert checked == (6 if 1e154 < scale < 1.3e154 else 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_input_raises_as_before(self, bad):
+        rng = np.random.default_rng(42)
+        s = random_strategy(rng, 2, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        psi.amps[3] = bad  # the state was checked when built, not since
+        p = PartitionParams(2, 2, 0.75, 16, 0.375, "kernel")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite amplitude"):
+                _run_G_reference(s, p, psi)
+            with pytest.raises(ValueError, match="non-finite amplitude"):
+                run_G(s, p, psi)
+
+    def test_grid_table_starts_over(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        s = random_strategy(rng, 2, x_width=1, z_width=1)
+        # room for 3 grid points of (X, Z) dim 8: a 16-point sweep keeps clearing it
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 3 * 4 * s.xz_dim)
+        psi = random_xz_state(rng, s)
+        for _ in range(2):
+            for j in range(1, 17):
+                p = PartitionParams(2, 1 + j % 2, 0.75, 16, 0.75 * j / 16, "kernel")
+                _assert_same_outcome(run_G(s, p, psi), _run_G_reference(s, p, psi))
+                assert 1 <= len(s._cache["grid"]) <= 3
+
+    def test_replaced_strategy_gets_fresh_tables(self):
+        rng = np.random.default_rng(44)
+        s = random_strategy(rng, 1, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        p = _params(T=16, j=5)
+        run_G(s, p, psi)
+        r = replace(s)
+        assert "grid" not in r._cache and ("spec", 1) not in r._cache
+        _assert_same_outcome(run_G(r, p, psi), _run_G_reference(s, p, psi))
+        assert r._cache["grid"] is not s._cache["grid"]
+        assert r._cache["grid"][p] is not s._cache["grid"][p]
 
 
 # ---------------------------------------------------------------------------
@@ -1098,6 +1285,37 @@ class TestExtractorGraph:
         graph = s._cache[("extract", 1)]
         assert len(graph.roots) + len(graph.nodes) <= 4
 
+    def test_equal_outcomes_are_one_shared_object(self):
+        rng = np.random.default_rng(74)
+        s = random_strategy(rng, 2, x_width=2, z_width=1)
+        st = StateVector(s.layout(), rng.normal(size=s.dim) + 0j)
+        pp = PartitionParams(2, 2, 1.0, 4, 0.25)
+        shared = {}
+        for n in (1, 3, 10):
+            for _ in range(200):
+                o = extract(s, pp, st, n, rng)
+                assert shared.setdefault((o.a_i, o.rounds_used), o) is o
+        assert any(a is None for a, _ in shared) and len(shared) > 4
+        assert s._cache[("extract", 2)].outcomes == shared
+
+    def test_outcome_table_empties_when_graph_starts_over(self, monkeypatch):
+        # room for 2 states of dim 4: a second root starts the graph over
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 8)
+        s = single_block_strategy(1.0)
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[0] = 1.0
+        pp = PartitionParams(1, 1, 1.0, 4, 0.25)
+        rng = np.random.default_rng(75)
+        first = extract(s, pp, StateVector(s.layout(), amps), 5, rng)
+        assert (first.a_i, first.rounds_used) == ("0", 1)
+        assert extract(s, pp, StateVector(s.layout(), amps), 5, rng) is first
+        graph = s._cache[("extract", 1)]
+        assert graph.outcomes == {("0", 1): first}
+        again = extract(s, pp, StateVector(s.layout(), 2 * amps), 5, rng)
+        assert again == first and again is not first
+        assert list(graph.outcomes.values()) == [again]
+        assert [o is again for o in graph.outcomes.values()] == [True]
+
     def test_replaced_strategy_gets_fresh_table(self):
         rng = np.random.default_rng(72)
         s = random_strategy(rng, 1, x_width=1, z_width=1)
@@ -1131,6 +1349,20 @@ class TestExtractorStream:
                     h.update(repr((o.a_i, o.rounds_used)).encode())
                 h.update(rng.bit_generator.state["state"]["state"].to_bytes(16, "big"))
         assert h.hexdigest() == self.DIGEST
+
+
+class TestHaarUnitary:
+    def test_same_bytes_as_summed_draws(self):
+        # the Ginibre matrix is built in place, from the draws a + 1j b made
+        for k in range(30):
+            dim = (2, 8, 64)[k % 3]
+            ref = np.random.default_rng(k)
+            g = ref.standard_normal((dim, dim)) + 1j * ref.standard_normal((dim, dim))
+            q, r = np.linalg.qr(g)
+            d = np.diag(r)
+            rng = np.random.default_rng(k)
+            assert haar_unitary(rng, dim).tobytes() == (q * (d / np.abs(d))).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestDerivedData:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cvqc_lab import config
 from cvqc_lab.qsim import (
     outcome_probs,
     CapExceeded,
@@ -44,6 +45,10 @@ def test_statevector_validation():
         StateVector(lay, np.zeros(3, dtype=np.complex128))
     sub = StateVector(lay, np.array([0.5, 0.0]))
     assert sub.norm2 == pytest.approx(0.25)
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [0.0, complex(0.0, -np.inf)],
+                [complex(np.nan, 1.0), 0.0]):
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            StateVector(lay, np.array(bad, dtype=np.complex128))
 
 
 def test_operator_validation():
@@ -55,6 +60,29 @@ def test_operator_validation():
     Operator.projector(P0)
     with pytest.raises(DimensionMismatch):
         Operator(4, np.eye(2), "unitary")
+
+
+def test_unitarity_residual_is_the_dense_one():
+    # the residual, and so the verdict and its message, is max|U^dag U - I|
+    # exactly as computed against a dense identity
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 8):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        for scale in (0.0, 1e-11, 3e-10, 1e-9, 1e-8):
+            mat = q + scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            res = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+            if res > config.ATOL:
+                with pytest.raises(NotUnitary, match=f"residual {res:.3e}$"):
+                    Operator.unitary(mat)
+            else:
+                assert np.array_equal(Operator.unitary(mat).mat, mat)
+    for eps, ok in ((0.4e-9, True), (0.6e-9, False)):
+        mat = (1.0 + eps) * np.eye(4)
+        if ok:
+            Operator.unitary(mat)
+        else:
+            with pytest.raises(NotUnitary):
+                Operator.unitary(mat)
 
 
 def test_measure_deterministic():
