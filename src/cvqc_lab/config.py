@@ -33,7 +33,7 @@ ZERO_STATE_TOL = 1e-15
 # Smallest grid step gamma0/T allowed before float underflow risks kick in.
 GRID_STEP_MIN = 2.0 ** -40
 
-# Each of a strategy's tables, the extractor's (partition._ExtractGraph),
-# procedure H's (partition._HTable) and run_G's grid points
-# (partition._grid_point), starts over once it holds this many numbers.
+# Every table of reached states in partition (a _Table) starts over before
+# the numbers its entries may hold would pass this: 4 xz_dim per grid point,
+# (2m + 2) xz_dim per H walk; dim per extractor root, 2 dim per node, 1 per outcome.
 EXTRACT_TABLE_AMPS = 2 ** 20

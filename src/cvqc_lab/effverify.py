@@ -46,7 +46,7 @@ DEFAULT_TIME_BOUND = 4096
 MACHINE_WORD = (1 << 64) - 1
 # opcodes whose second operand indexes a register or memory; SETI's is an
 # immediate and JNZ's a jump target
-_INDEXED_2 = frozenset({"MOV", "LOAD", "ADD", "XOR", "AND", "OR"})
+_INDEXED_2 = frozenset({"MOV", "LOAD", "XOR", "AND", "OR"})
 
 
 class BackendFailure(Exception):
@@ -114,8 +114,6 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
                 regs[ins[1]] = regs[ins[2]]
             elif name == "LOAD":
                 regs[ins[1]] = mem[ins[2]]
-            elif name == "ADD":
-                regs[ins[1]] = (regs[ins[1]] + regs[ins[2]]) & MACHINE_WORD
             elif name == "XOR":
                 regs[ins[1]] ^= regs[ins[2]]
             elif name == "AND":

@@ -27,14 +27,17 @@ Two execution routes are kept deliberately separate:
 Tests cross-check the two routes, and so the two spectral sources,
 against each other; do not collapse them into one.
 
-The sampled procedures, H (run_H) and the extractor (extract), each walk
-a per-strategy table of the states they reach, kept through
-ProverStrategy.derived: every step's numbers are computed once per
-distinct state, by the plain loop's own arithmetic, so the draws and
-outcomes are the loop's bit for bit, and a call costs little more than
-its draws; the extractor shares its outcomes too.  run_G reads the
-conjugate frame kept in SpectralData and a table of the gamma-dependent
-vectors per grid point (_grid_point), both built once by its own arithmetic.
+The sampled procedures, H (run_H) and the extractor (extract), walk the
+states they reach: every step's numbers are computed once per distinct
+state, by the plain loop's own arithmetic, so the draws and outcomes are
+the loop's bit for bit, and a call costs little more than its draws; the
+extractor shares its outcomes too.  run_G reads the conjugate frame kept
+in SpectralData and the gamma-dependent vectors of its grid point, both
+built once by its own arithmetic.  Every cache of states is a _Table,
+bounded by one rule: each entry counts the numbers it may hold, and the
+table starts over before their total would pass EXTRACT_TABLE_AMPS.  A
+strategy's table holds its grid points and H walks; each extractor graph
+has its own.
 """
 
 from __future__ import annotations
@@ -358,6 +361,31 @@ def _ideal_labels(thetas: np.ndarray, t: int) -> np.ndarray:
     return np.array([phase_label(th, t) for th in thetas], dtype=int)
 
 
+class _Table:
+    """Entries that count the numbers they may hold, in `held`.
+
+    keep starts the table over before that count would pass
+    config.EXTRACT_TABLE_AMPS; an entry larger than the whole budget is
+    kept alone.  Lookups read `entries`, a plain dict: a dict subclass's
+    get costs about 15 ns more per call.
+    """
+
+    __slots__ = ("entries", "held")
+
+    def __init__(self):
+        self.entries = {}
+        self.held = 0
+
+    def keep(self, key, value, size: int):
+        """Store value under key as size numbers, and return it."""
+        if self.held + size > config.EXTRACT_TABLE_AMPS:
+            self.entries.clear()
+            self.held = 0
+        self.held += size
+        self.entries[key] = value
+        return value
+
+
 def _grid_point(strategy: ProverStrategy, params: PartitionParams, data: SpectralData) -> tuple:
     """w1, 1 - w1 and the reference masks low and high of one grid point.
 
@@ -365,15 +393,13 @@ def _grid_point(strategy: ProverStrategy, params: PartitionParams, data: Spectra
     The (1,1) blocks always threshold to 1 and the (1,0) blocks to 0, in
     both modes: their phases 0 and pi sit exactly on dyadic labels, and
     gamma - delta always lies strictly between cos^2(pi/2)=0 and 1.
-    Chains, H walks and grid sweeps revisit params, so points are kept per
-    strategy, in a table that starts over at EXTRACT_TABLE_AMPS numbers.
+    Chains, H walks and grid sweeps revisit params, so points are kept in
+    the strategy's table, at 4 xz_dim numbers each.
     """
-    points = strategy.derived("grid", dict)
-    point = points.get(params)
+    table = strategy.derived("table", _Table)
+    point = table.entries.get(params)
     if point is not None:
         return point
-    if 4 * strategy.xz_dim * len(points) >= config.EXTRACT_TABLE_AMPS:
-        points.clear()
     mask = threshold_mask(params)
     if params.mode == "ideal":
         labels = strategy.derived(("lab", params.i, params.tau), _ideal_labels, data.thetas, params.tau)
@@ -381,9 +407,9 @@ def _grid_point(strategy: ProverStrategy, params: PartitionParams, data: Spectra
     else:
         rows = strategy.derived(("K", params.i, params.tau), _kernel_rows, data.thetas, params.tau)
         w1 = rows @ mask.astype(float)
-    point = points[params] = (w1, 1.0 - w1, data.pvals <= params.gamma - 2 * params.delta,
-                              data.pvals >= params.gamma)
-    return point
+    point = (w1, 1.0 - w1, data.pvals <= params.gamma - 2 * params.delta,
+             data.pvals >= params.gamma)
+    return table.keep(params, point, 4 * strategy.xz_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +587,12 @@ def _shared_state(strategy: ProverStrategy, amps: np.ndarray) -> StateVector:
 class _HWalk:
     """The steps of procedure H that calls have reached from one input.
 
+    Every number a step of H's loop reads depends only on the exact bytes
+    of its current state, so each step is computed once per walk, by that
+    loop's own arithmetic, when a call first reaches it.  The draws, the
+    comparisons and so the outcomes are the loop's, bit for bit.  A
+    branch is normalized only when its mass is > 0, so a walk evaluates
+    nothing the loop would not; an error is raised, never stored.
     steps[k] holds (p_want, p_other, the HBranch halting at step k + 1,
     the HAbort there); `current` is the state the next step starts from,
     and `remainder` the HRemainder once a call has continued past step m.
@@ -573,42 +605,9 @@ class _HWalk:
         self.current = current
         self.remainder = None
 
-
-class _HTable:
-    """The walks of procedure H on one strategy, and the states they hold.
-
-    Every number a step of H's loop reads depends only on the exact bytes
-    of its current state, so each step is computed once per walk, by that
-    loop's own arithmetic, when a call first reaches it.  The draws, the
-    comparisons and so the outcomes are the loop's, bit for bit.  A
-    branch is normalized only when its mass is > 0, so a walk evaluates
-    nothing the loop would not; an error is raised, never stored.  Walks
-    are keyed on (gammas, c, gamma0, T, mode, input bytes); the table
-    starts over once its states hold EXTRACT_TABLE_AMPS amplitudes.
-    """
-
-    def __init__(self, strategy: ProverStrategy):
-        self.capacity = max(2, config.EXTRACT_TABLE_AMPS // strategy.xz_dim)
-        self.walks: dict[tuple, _HWalk] = {}
-        self.held = 0
-
-    def _hold(self):
-        """Count one more state held, starting over if the table is full."""
-        if self.held >= self.capacity:
-            self.walks.clear()
-            self.held = 0
-        self.held += 1
-
-    def walk(self, key: tuple, amps: np.ndarray) -> _HWalk:
-        walk = self.walks.get(key)
-        if walk is None:
-            self._hold()
-            walk = self.walks[key] = _HWalk(amps.copy())
-        return walk
-
-    def step(self, strategy, walk: _HWalk, gammas, c: str, gamma0, T, mode):
-        idx = len(walk.steps) + 1
-        current = walk.current
+    def step(self, strategy, gammas, c: str, gamma0, T, mode):
+        idx = len(self.steps) + 1
+        current = self.current
         norm2 = float(np.vdot(current, current).real)
         if norm2 <= config.ZERO_STATE_TOL:
             raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
@@ -618,20 +617,11 @@ class _HTable:
         p_other = float(np.vdot(other, other).real) / norm2
         halt = None
         if p_want > 0:
-            self._hold()
             halt = HBranch(branch_state=_shared_state(strategy, want / np.linalg.norm(want)),
                            stop_index=idx)
         if p_other > 0:
-            self._hold()
-            walk.current = other / np.linalg.norm(other)
-        walk.steps.append((p_want, p_other, halt, HAbort(stop_index=idx)))
-
-    def remainder(self, strategy, walk: _HWalk) -> HRemainder:
-        self._hold()
-        current = walk.current
-        walk.remainder = HRemainder(
-            state=_shared_state(strategy, current / np.linalg.norm(current)))
-        return walk.remainder
+            self.current = other / np.linalg.norm(other)
+        self.steps.append((p_want, p_other, halt, HAbort(stop_index=idx)))
 
 
 def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
@@ -641,21 +631,23 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
 
     Outcome (0^t, c_i, 1) halts with the collapsed branch; (0^t, !c_i, 1)
     continues; anything else aborts.  Sampling order per step: the c_i
-    branch, then the continue branch, then abort.  The walk runs over
-    the strategy's cached chain of H states (see _HTable): one draw per
-    step reached, exactly as the loop draws them.  The returned outcomes
-    are shared between calls, and their states are read-only.
+    branch, then the continue branch, then abort.  A call follows its
+    input's walk (see _HWalk), kept in the strategy's table at (2m + 2)
+    xz_dim numbers, one per state it may make: one draw per step reached,
+    exactly as the loop draws them.  The returned outcomes are shared
+    between calls, and their states are read-only.
     """
     if len(gammas) != strategy.m:
         raise DimensionMismatch(f"need m={strategy.m} gammas")
     _check_challenge(strategy, c)
     amps = _amps_of(psi, strategy.xz_dim)
-    table = strategy.derived("H", _HTable, strategy)
+    table = strategy.derived("table", _Table)
     key = (tuple(float(g) for g in gammas), c, gamma0, T, mode, amps.tobytes())
-    walk = table.walk(key, amps)
+    walk = table.entries.get(key) or table.keep(key, _HWalk(amps.copy()),
+                                        (2 * strategy.m + 2) * strategy.xz_dim)
     for idx in range(1, strategy.m + 1):
         if len(walk.steps) < idx:
-            table.step(strategy, walk, gammas, c, gamma0, T, mode)
+            walk.step(strategy, gammas, c, gamma0, T, mode)
         p_want, p_other, halt, abort = walk.steps[idx - 1]
         r = rng.random()
         if r < p_want:
@@ -663,7 +655,9 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
         if r < p_want + p_other:
             continue
         return abort
-    return walk.remainder or table.remainder(strategy, walk)
+    if walk.remainder is None:
+        walk.remainder = HRemainder(_shared_state(strategy, walk.current / np.linalg.norm(walk.current)))
+    return walk.remainder
 
 
 @dataclass(frozen=True)
@@ -734,8 +728,9 @@ class _ExtractGraph:
     the exact bytes of the current normalized state, so each is computed
     once per distinct state, by that loop's own arithmetic.  The draws,
     the comparisons and so the outcomes are the loop's, bit for bit.
-    Nodes are keyed on their amplitude bytes and roots on the input's;
-    the table starts over once it holds EXTRACT_TABLE_AMPS amplitudes.
+    Its table holds roots keyed on the input's bytes (dim numbers each),
+    nodes keyed on (amplitude bytes,) (2 dim: W amps and miss vector) and
+    shared outcomes keyed on (a_i, rounds_used) (1 each).
     """
 
     def __init__(self, strategy: ProverStrategy, i: int):
@@ -745,27 +740,16 @@ class _ExtractGraph:
         self.xi_vals = strategy.layout().values(f"X{i}")
         self.labels = [format(v, f"0{strategy.x_width}b") for v in range(1 << strategy.x_width)]
         self.xz = strategy.xz_dim
-        self.capacity = max(2, config.EXTRACT_TABLE_AMPS // strategy.dim)
-        self.roots: dict[bytes, _ExtractNode] = {}
-        self.nodes: dict[bytes, _ExtractNode] = {}
-        self.outcomes: dict[tuple, ExtractOutcome] = {}
-
-    def _make_room(self):
-        if len(self.roots) + len(self.nodes) >= self.capacity:
-            self.roots.clear()
-            self.nodes.clear()
-            self.outcomes.clear()
+        self.table = _Table()
 
     def outcome(self, a_i: str | None, rounds_used: int) -> ExtractOutcome:
         """The shared, frozen outcome (a_i, rounds_used)."""
-        out = self.outcomes.get((a_i, rounds_used))
-        if out is None:
-            out = self.outcomes[a_i, rounds_used] = ExtractOutcome(a_i, rounds_used)
-        return out
+        key = (a_i, rounds_used)
+        return self.table.entries.get(key) or self.table.keep(key, ExtractOutcome(a_i, rounds_used), 1)
 
     def root(self, state: StateVector) -> _ExtractNode:
         key = state.amps.tobytes()
-        node = self.roots.get(key)
+        node = self.table.entries.get(key)
         if node is None:
             # a hit has the bytes, and so the dimension, of a checked state
             amps = _amps_of(state, len(self.w)).astype(np.complex128, copy=True)
@@ -773,18 +757,17 @@ class _ExtractGraph:
             if nrm**2 <= config.ZERO_STATE_TOL:
                 raise ZeroState("extractor input has zero norm")
             amps /= nrm
-            self._make_room()
-            node = self.roots[key] = self._node(amps)
+            node = self.table.keep(key, self._node(amps), len(amps))
         return node
 
     def _node(self, amps: np.ndarray) -> _ExtractNode:
-        key = amps.tobytes()
-        node = self.nodes.get(key)
+        key = (amps.tobytes(),)
+        node = self.table.entries.get(key)
         if node is None:
-            self._make_room()
             rotated = self.w @ amps
             hit = rotated * self.acc
-            node = self.nodes[key] = _ExtractNode(rotated, float(np.vdot(hit, hit).real))
+            node = self.table.keep(key, _ExtractNode(rotated, float(np.vdot(hit, hit).real)),
+                                   2 * len(amps))
         return node
 
     def cdf(self, node: _ExtractNode) -> list[float]:

@@ -622,8 +622,8 @@ def _trial_seeds(seed: int, trials: int):
 # per trial.  The constants and steps are numpy's: SeedSequence's entropy
 # pool (hashmix/mix over uint32 words, pool size 4), generate_state, and
 # PCG64's seeding, 128-bit LCG step and XSL-RR output.  The 32-bit
-# arithmetic runs in uint32 arrays (scalars for the root's pool), whose
-# wrap-around is SeedSequence's own mod 2^32.
+# arithmetic runs in uint32 arrays, whose wrap-around is SeedSequence's
+# own mod 2^32.
 
 _MASK32 = 0xFFFFFFFF
 _POOL = 4
@@ -659,40 +659,12 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _words32(v) -> list[int]:
-    """SeedSequence entropy as uint32 words: an int little-endian (0 is
-    one word), a sequence entry by entry."""
-    if not isinstance(v, (int, np.integer)):
-        return [w for item in v for w in _words32(item)]
-    v = int(v)
-    out = [v & _MASK32]
-    while v > _MASK32:
-        v >>= 32
-        out.append(v & _MASK32)
-    return out
-
-
-def _spawn_prefix(seed) -> tuple[np.ndarray, int]:
-    """Pool of every child of SeedSequence(seed) before its spawn key, and the next hash constant.
-
-    A child's entropy is the root's words padded to the pool size, then
-    its child index; only the index differs between children.  The pool
-    is a (4, 1) column, mixed in uint32 scalars.
-    """
-    run = _words32(np.random.SeedSequence(seed).entropy)
-    run += [0] * (_POOL - len(run))
-    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * len(run))
-    consts = zip(chain[:-1], chain[1:])
-    with np.errstate(over="ignore"):
-        pool = [_hashmix(w, *next(consts)) for w in run[:_POOL]]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-        for w in run[_POOL:]:
-            for dst in range(_POOL):
-                pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
-    return np.array(pool, dtype=np.uint32)[:, None], int(chain[-1])
+def _word_count(v) -> int:
+    """uint32 words of SeedSequence entropy: an int's little-endian words
+    (0 is one word), a sequence's entries' words summed."""
+    if isinstance(v, (int, np.integer)):
+        return max(1, (int(v).bit_length() + 31) // 32)
+    return sum(_word_count(item) for item in v)
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, c: int, scratch: np.ndarray) -> None:
@@ -741,10 +713,15 @@ class _TrialStreams:
     """
 
     def __init__(self, seed, start: int, count: int):
-        pool, hc = _spawn_prefix(seed)
+        # a child's entropy is the root's words padded to the pool size,
+        # then its index, so every child's pool before the index is the
+        # root's own, mixed by 4 hash calls per padded word
+        root = np.random.SeedSequence(seed)
+        hc = int(_hash_chain(_INIT_A, _MULT_A, _POOL * max(_POOL, _word_count(root.entropy)))[-1])
         idx = np.arange(start, start + count, dtype=np.uint64)
         # the pool's four words are the rows of a (4, count) array; the
         # child index enters as one word, or two from 2^32 on
+        pool = root.pool[:, None]
         chain = _hash_chain(hc, _MULT_A, 2 * _POOL)[:, None]
         pool = _mix(pool, _hashmix(idx.astype(np.uint32), chain[:_POOL], chain[1:_POOL + 1]))
         if start + count > 1 << 32:
@@ -826,13 +803,17 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     methods trial by trial and is the bulk route's reference.  An
     FsGrinder outside Fiat-Shamir or inside another FsGrinder, an Honest
     or TestOnly built for anything but a FourRoundProtocol of this shape,
-    a trial count that is not a positive int, and a seed that is None or
-    a bool are rejected before any trial runs.
+    a trial count that is not a positive int, and a seed that is None, a
+    bool or no SeedSequence entropy are rejected before any trial runs.
     """
     _check_count("trials", trials)
     # None would draw fresh OS entropy for every chunk; a bool is no seed
     if seed is None or isinstance(seed, (bool, np.bool_)):
         raise ProtocolError(f"seed={seed!r}")
+    try:
+        np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"seed={seed!r}: {exc}") from None
     hashed = isinstance(p, TwoRoundFS)
     base = p.base if hashed else p
     grinder = isinstance(adversary, FsGrinder)

@@ -115,6 +115,8 @@ class TestMachine:
             key_machine(17, 1, 512)
         with pytest.raises(BackendFailure):
             run_machine((("NOP",),), b"", _prg_bytes, 10)
+        with pytest.raises(BackendFailure, match="unknown opcode 'ADD'"):
+            run_machine((("ADD", 0, 1), ("HALT",)), b"", _prg_bytes, 10)
         with pytest.raises(BackendFailure):
             # no HALT: falls off the end
             run_machine((("SETI", 0, 1),), b"", _prg_bytes, 10)
@@ -147,8 +149,6 @@ def _stepwise_machine(program, inp, prg, budget):
             regs[ins[1]] = regs[ins[2]]
         elif name == "LOAD":
             regs[ins[1]] = mem[ins[2]]
-        elif name == "ADD":
-            regs[ins[1]] = (regs[ins[1]] + regs[ins[2]]) & word
         elif name == "XOR":
             regs[ins[1]] ^= regs[ins[2]]
         elif name == "AND":
@@ -274,7 +274,7 @@ class TestCountedLoop:
                 elif kind == 2:
                     prog.append(("JNZ", r, int(rng.integers(0, size + 1))))
                 elif kind == 3:
-                    prog.append(("ADD", r, int(rng.integers(0, 3))))
+                    prog.append(("XOR", r, int(rng.integers(0, 3))))
                 else:
                     prog.append(("OUT", r))
                 if kind == 1 and rng.random() < 0.5:
@@ -318,7 +318,7 @@ class TestNegativeOperands:
         ("LOAD", 0, -1),    # would read memory byte 255
         ("MOV", 0, -8),     # would read r0
         ("OUT", -2),
-        ("ADD", -8, 0),
+        ("XOR", -8, 0),
         ("DEC", -1),
         ("JNZ", -1, 0),
     ])

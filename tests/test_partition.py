@@ -11,6 +11,7 @@ from cvqc_lab import config
 from cvqc_lab.jordan import jordan_decompose, unitary_eig
 from cvqc_lab.jordan import DegenerateNumerics
 from cvqc_lab.partition import (
+    _HWalk,
     _accept_mask,
     _apply_est,
     _amps_of,
@@ -535,7 +536,9 @@ class TestLeanRunG:
             for j in range(1, 17):
                 p = PartitionParams(2, 1 + j % 2, 0.75, 16, 0.75 * j / 16, "kernel")
                 _assert_same_outcome(run_G(s, p, psi), _run_G_reference(s, p, psi))
-                assert 1 <= len(s._cache["grid"]) <= 3
+                table = s._cache["table"]
+                assert 1 <= len(table.entries) <= 3
+                assert table.held == 4 * s.xz_dim * len(table.entries)
 
     def test_replaced_strategy_gets_fresh_tables(self):
         rng = np.random.default_rng(44)
@@ -544,10 +547,10 @@ class TestLeanRunG:
         p = _params(T=16, j=5)
         run_G(s, p, psi)
         r = replace(s)
-        assert "grid" not in r._cache and ("spec", 1) not in r._cache
+        assert "table" not in r._cache and ("spec", 1) not in r._cache
         _assert_same_outcome(run_G(r, p, psi), _run_G_reference(s, p, psi))
-        assert r._cache["grid"] is not s._cache["grid"]
-        assert r._cache["grid"][p] is not s._cache["grid"][p]
+        assert r._cache["table"] is not s._cache["table"]
+        assert r._cache["table"].entries[p] is not s._cache["table"].entries[p]
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +802,7 @@ class TestRunH:
                 _run_H_reference(s, (gamma1, 0.3), "10", psi, slow, gamma0=0.75, T=4)
             assert fast.bit_generator.state == slow.bit_generator.state
         # the walk kept the step before the error, and nothing for the error
-        [walk] = s._cache["H"].walks.values()
+        [walk] = _walks(s._cache["table"])
         assert len(walk.steps) == 1
 
     def test_shared_states_are_read_only(self):
@@ -818,20 +821,29 @@ class TestRunH:
         assert all(_h_state(o).amps.tobytes() == b for o, b in kept)
 
     def test_full_table_starts_over(self, monkeypatch):
-        # room for 5 states of dim 8: the table keeps clearing its walks
-        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 40)
+        # room for two walks of m = 2 over (X, Z) dim 8 (48 numbers each) and
+        # the two grid points (32 each) they step through: the table keeps
+        # starting over
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 2 * 48 + 2 * 32)
         rng = np.random.default_rng(8)
         s = random_strategy(rng, m=2, x_width=1, z_width=1)
         states = [random_xz_state(rng, s) for _ in range(4)]
         for c in ("00", "01", "10", "11"):
             _assert_walk_matches(s, _GAMMAS, c, states, seed=9, calls=100,
                                  gamma0=0.75, T=4)
-            table = s._cache["H"]
-            assert table.held <= table.capacity == 5
-            assert len(table.walks) < 4
+            table = s._cache["table"]
+            walks = _walks(table)
+            assert table.held == 48 * len(walks) + 32 * (len(table.entries) - len(walks))
+            assert table.held <= config.EXTRACT_TABLE_AMPS
+            assert len(walks) < 4
 
 
 _GAMMAS = (0.375, 0.375)
+
+
+def _walks(table) -> list:
+    """The H walks in a strategy's table (its other entries are grid points)."""
+    return [v for v in table.entries.values() if isinstance(v, _HWalk)]
 
 
 class TestEntryPointErrors:
@@ -1231,6 +1243,26 @@ def _assert_routes_agree(s, i, states, n, seed, calls):
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def _graph_kind(key) -> str:
+    """What an extractor table's key holds: a root is keyed on the input's
+    bytes, a node on (its amplitude bytes,), an outcome on (a_i, rounds_used)."""
+    if isinstance(key, bytes):
+        return "root"
+    return "node" if len(key) == 1 else "outcome"
+
+
+def _graph_entries(graph, kind: str) -> dict:
+    return {k: v for k, v in graph.table.entries.items() if _graph_kind(k) == kind}
+
+
+def _graph_count(graph) -> int:
+    """The numbers an extractor table's entries count: dim per root, 2 dim
+    per node (its W amps and miss vector), 1 per outcome."""
+    dim = len(graph.w)
+    sizes = {"root": dim, "node": 2 * dim, "outcome": 1}
+    return sum(sizes[_graph_kind(k)] for k in graph.table.entries)
+
+
 class TestExtractorGraph:
     @pytest.mark.parametrize("controlled", [False, True])
     @pytest.mark.parametrize("x_width", [1, 2])
@@ -1273,17 +1305,19 @@ class TestExtractorGraph:
         amps = np.zeros(4, dtype=np.complex128)
         amps[0] = 1.0
         _assert_routes_agree(s, 1, [StateVector(s.layout(), amps)], 50, seed=3, calls=500)
-        assert 2 <= len(s._cache[("extract", 1)].nodes) <= 4
+        assert 2 <= len(_graph_entries(s._cache[("extract", 1)], "node")) <= 4
 
     def test_full_table_starts_over(self, monkeypatch):
-        # room for 4 states of dim 16: the walk keeps clearing its table
-        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 64)
+        # room for 4 nodes of dim 16 (32 numbers each): the walk keeps
+        # clearing its table
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 4 * 32)
         rng = np.random.default_rng(73)
         s = random_strategy(rng, 1, x_width=2, z_width=1)
         states = [StateVector(s.layout(), rng.normal(size=s.dim) + 0j) for _ in range(5)]
         _assert_routes_agree(s, 1, states, 10, seed=5, calls=200)
         graph = s._cache[("extract", 1)]
-        assert len(graph.roots) + len(graph.nodes) <= 4
+        assert len(_graph_entries(graph, "node")) <= 4
+        assert graph.table.held == _graph_count(graph) <= config.EXTRACT_TABLE_AMPS
 
     def test_equal_outcomes_are_one_shared_object(self):
         rng = np.random.default_rng(74)
@@ -1296,11 +1330,12 @@ class TestExtractorGraph:
                 o = extract(s, pp, st, n, rng)
                 assert shared.setdefault((o.a_i, o.rounds_used), o) is o
         assert any(a is None for a, _ in shared) and len(shared) > 4
-        assert s._cache[("extract", 2)].outcomes == shared
+        assert _graph_entries(s._cache[("extract", 2)], "outcome") == shared
 
     def test_outcome_table_empties_when_graph_starts_over(self, monkeypatch):
-        # room for 2 states of dim 4: a second root starts the graph over
-        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 8)
+        # room for one root of dim 4 (4 numbers), its node (8) and one
+        # outcome (1): a second root starts the graph over
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 13)
         s = single_block_strategy(1.0)
         amps = np.zeros(4, dtype=np.complex128)
         amps[0] = 1.0
@@ -1310,22 +1345,73 @@ class TestExtractorGraph:
         assert (first.a_i, first.rounds_used) == ("0", 1)
         assert extract(s, pp, StateVector(s.layout(), amps), 5, rng) is first
         graph = s._cache[("extract", 1)]
-        assert graph.outcomes == {("0", 1): first}
+        assert _graph_entries(graph, "outcome") == {("0", 1): first}
         again = extract(s, pp, StateVector(s.layout(), 2 * amps), 5, rng)
         assert again == first and again is not first
-        assert list(graph.outcomes.values()) == [again]
-        assert [o is again for o in graph.outcomes.values()] == [True]
+        outcomes = _graph_entries(graph, "outcome")
+        assert list(outcomes.values()) == [again]
+        assert [o is again for o in outcomes.values()] == [True]
 
     def test_replaced_strategy_gets_fresh_table(self):
         rng = np.random.default_rng(72)
         s = random_strategy(rng, 1, x_width=1, z_width=1)
         st = StateVector(s.layout(), np.eye(s.dim, dtype=np.complex128)[0])
         _assert_routes_agree(s, 1, [st], 10, seed=1, calls=50)
-        assert s._cache[("extract", 1)].nodes
+        assert _graph_entries(s._cache[("extract", 1)], "node")
         r = replace(s, u=Operator.unitary(haar_unitary(rng, s.dim)))
         assert ("extract", 1) not in r._cache
         _assert_routes_agree(r, 1, [st], 10, seed=1, calls=50)
         assert r._cache[("extract", 1)] is not s._cache[("extract", 1)]
+
+
+class TestBoundedTables:
+    def test_mixed_traffic_matches_references_within_budget(self, monkeypatch):
+        # m = 2 over dim 32, (X, Z) dim 8: grid points count 32 numbers, H
+        # walks 48, extractor roots 32 and nodes 64, so a budget of 320
+        # keeps every table starting over while the calls interleave
+        monkeypatch.setattr(config, "EXTRACT_TABLE_AMPS", 320)
+        rng = np.random.default_rng(45)
+        s = random_strategy(rng, 2, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        h_states = [psi, StateVector(s.xz_layout(), 0.5 * random_xz_state(rng, s).amps)]
+        wide = [StateVector(s.layout(), rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim))
+                for _ in range(2)]
+        frames = {i: _reference_frame(s, i) for i in (1, 2)}
+        grid = gamma_grid(0.75, 16)
+        gamma_pairs = [(float(grid[3]), float(grid[11])), (float(grid[8]), float(grid[8]))]
+        fast, slow = np.random.default_rng(46), np.random.default_rng(46)
+        held, starts = {}, {}
+
+        def check_budgets():
+            for name in ("table", ("extract", 1), ("extract", 2)):
+                if name not in s._cache:
+                    continue
+                table = s._cache[name] if name == "table" else s._cache[name].table
+                assert table.held <= config.EXTRACT_TABLE_AMPS
+                starts[name] = starts.get(name, 0) + (table.held < held.get(name, 0))
+                held[name] = table.held
+
+        for k in range(96):
+            i, mode = 1 + k % 2, ("ideal", "kernel")[k // 16 % 2]
+            p = PartitionParams(2, i, 0.75, 16, 0.75 * (k % 16 + 1) / 16, mode)
+            _assert_same_outcome(run_G(s, p, psi), _run_G_reference(s, p, psi))
+            check_budgets()
+            gammas, c, h_psi = gamma_pairs[k % 2], format(k % 4, "02b"), h_states[k // 4 % 2]
+            kw = dict(gamma0=0.75, T=16, mode=mode)
+            got = run_H(s, gammas, c, h_psi, fast, **kw)
+            want = _run_H_reference(s, gammas, c, h_psi, slow, **kw)
+            assert type(got) is type(want)
+            assert getattr(got, "stop_index", None) == getattr(want, "stop_index", None)
+            if _h_state(want) is not None:
+                assert _h_state(got).amps.tobytes() == _h_state(want).amps.tobytes()
+            check_budgets()
+            st = wide[k // 3 % 2]
+            ext_params = PartitionParams(2, i, 1.0, 4, 0.25)
+            assert extract(s, ext_params, st, 10, fast) == \
+                _extract_reference(frames[i], s, st, 10, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            check_budgets()
+        assert all(n > 0 for n in starts.values()), starts
 
 
 class TestExtractorStream:

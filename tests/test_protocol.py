@@ -561,12 +561,18 @@ class TestArrayStreams:
             assert np.array_equal(got, self._numpy_raw(children, 5))
 
     def test_negative_seed_fails_like_per_trial_route(self):
+        # a seed numpy refuses, negative, float or str, is a ProtocolError
+        # carrying numpy's message on both routes: Honest takes the bulk
+        # route, a cheat of another width the per-trial route
+        # (TestUnitaryCheatBulk::test_route_follows_strategy_width)
         p = parallel_repeat(toy_protocol(4), 2)
-        with pytest.raises(ValueError) as ref:
-            protocol._run_per_trial(p, Honest(p), "yes", trials=5, seed=-1)
-        with pytest.raises(ValueError) as bulk:
-            run_protocol(p, Honest(p), "yes", trials=5, seed=-1)
-        assert str(bulk.value) == str(ref.value)
+        for seed in (-1, 1.0, "a"):
+            with pytest.raises((TypeError, ValueError)) as ref:
+                np.random.SeedSequence(seed)
+            for adversary in (Honest(p), _cheat(4, False)):
+                with pytest.raises(ProtocolError) as err:
+                    run_protocol(p, adversary, "yes", trials=5, seed=seed)
+                assert str(ref.value) in str(err.value)
 
 
 class TestUnitaryCheatBulk:
