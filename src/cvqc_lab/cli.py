@@ -103,10 +103,13 @@ _PARAMS: dict[str, dict[str, Param]] = {
 
 # A grinding attempt (one commitment, one oracle query, one verification)
 # costs 2.1-4.1 us on the bulk route over thousands of trials on a 2-core
-# machine (m = 1..16), so this many take 3-6 minutes.  Few trials grinding
-# on cost up to 1.3 ms per attempt (one trial, m = 16) but stop at their
-# first accepted attempt: one budget of 10^6 over 79 trials took 9 minutes.
+# machine (m = 1..16), so this many take 3-6 minutes.
 _FS_MAX_ATTEMPTS = 8 * 10**7
+# Few trials grinding on pay per two-attempt step, 3m stream columns whatever
+# the row count, at 33-76 us per column at one row (m = 1..16), so this many
+# columns take an hour at 80 us; one budget of 10^6 over 79 trials at m = 16
+# (2.4 * 10^7 columns at most) took 9 minutes.
+_FS_MAX_GRIND_COLUMNS = 45 * 10**6
 # A trial coordinate of repetition-sweep costs 0.02-0.14 us on the bulk
 # route for honest and testonly (m = 1..20) and 0.46-0.57 us for the cheat
 # (m = 1 and 24) on a 2-core machine, so this many take under an hour.
@@ -121,6 +124,12 @@ def _fs_attempts(p: dict) -> int:
     """Estimated commitment attempts of fs-attack: per trial one honest
     pass plus up to q grinding attempts for each budget q."""
     return p["trials"] * (1 + sum(_parse_int_list(p["budgets"], "budgets")))
+
+
+def _fs_grind_columns(p: dict) -> int:
+    """Most stream columns fs-attack grinds: 3m per step, ceil(q/2) steps per budget q per chunk."""
+    steps = sum(-(-q // 2) for q in _parse_int_list(p["budgets"], "budgets"))
+    return -(-p["trials"] // protocol._TRIAL_CHUNK) * steps * 3 * p["m"]
 
 
 def _sweep_coords(p: dict) -> int:
@@ -163,6 +172,11 @@ _CROSS_RULES: dict[str, tuple] = {
          lambda p: f"fs-attack would make about {_fs_attempts(p):,} commitment "
                    f"attempts (trials x (1 + sum of budgets)), over the "
                    f"{_FS_MAX_ATTEMPTS:,} that take 3-6 minutes over thousands of trials"),
+        (lambda p: _fs_grind_columns(p) <= _FS_MAX_GRIND_COLUMNS,
+         lambda p: f"fs-attack would grind up to {_fs_grind_columns(p):,} stream columns "
+                   f"(3m per two-attempt step, ceil(q/2) steps per budget q and chunk of "
+                   f"trials), about {_fs_grind_columns(p) / _FS_MAX_GRIND_COLUMNS:.1f} hours "
+                   f"against the one allowed"),
     ),
 }
 

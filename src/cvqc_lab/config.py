@@ -4,6 +4,17 @@ Every fixed tolerance in the package lives here so experiments and tests
 agree on what "equal" means.
 """
 
+import numpy as np
+
+
+def check_int(name: str, value, low: int, error: type) -> int:
+    """value as a plain int; error unless it is an int or numpy integer (never a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name}={value!r} is not an integer")
+    if value < low:
+        raise error(f"{name}={value} below {low}")
+    return int(value)
+
 # Default absolute tolerance for operator well-formedness checks
 # (unitarity, projector idempotence/hermiticity).
 ATOL = 1e-9
@@ -35,5 +46,6 @@ GRID_STEP_MIN = 2.0 ** -40
 
 # Every table of reached states in partition (a _Table) starts over before
 # the numbers its entries may hold would pass this: 4 xz_dim per grid point,
-# (2m + 2) xz_dim per H walk; dim per extractor root, 2 dim per node, 1 per outcome.
+# (2m + 2) xz_dim per H walk; dim per extractor root, 2 dim per node (its miss
+# vector and X_i CDF, held from the node's making on), 1 per outcome.
 EXTRACT_TABLE_AMPS = 2 ** 20

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import config
 from .protocol import (
     FourRoundProtocol,
     OracleTable,
@@ -55,15 +56,6 @@ class BackendFailure(Exception):
 
 class InnerProtocolError(Exception):
     pass
-
-
-def _int_arg(name: str, value, low: int) -> int:
-    """value as a plain int; BackendFailure unless it is an int >= low (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BackendFailure(f"{name}={value!r} is not an integer")
-    if value < low:
-        raise BackendFailure(f"{name}={value} below {low}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +167,16 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     models an inner key derivation that genuinely costs T steps.  The
     loop is a counted loop, so run_machine charges its T steps in
     constant wall time.  Built and encoded once per (n, m, time_bound):
-    every call with the same arguments returns the same tuple.
+    every call with the same arguments returns the same tuple.  Its idle
+    passes (T - 32m - 5) // 2 must fit a machine word: BackendFailure
+    refuses T >= 2^65 + 32m + 5, and any n, m or T that is not an integer.
     """
-    time_bound = _int_arg("time_bound", time_bound, 1)
-    if not 1 <= n <= 16:
+    n = config.check_int("n", n, 1, BackendFailure)
+    m = config.check_int("m", m, 1, BackendFailure)
+    time_bound = config.check_int("time_bound", time_bound, 1, BackendFailure)
+    if n > 16:
         raise BackendFailure(f"n={n} outside machine word loads")
-    if not 1 <= m <= ELL_R // 4:
+    if m > ELL_R // 4:
         raise BackendFailure(f"m={m} outside the PRG stream's {ELL_R // 4} key slots")
     mask = (1 << n) - 1
     prog: list[tuple] = [("HASH",)]
@@ -207,6 +203,8 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
         raise BackendFailure(
             f"time bound {time_bound} below key-derivation cost {base_cost + 4}")
     busy = max(1, (time_bound - base_cost) // 2)
+    if busy > MACHINE_WORD:
+        raise BackendFailure(f"time bound {time_bound}: {busy} idle passes overflow a machine word")
     loop_at = len(prog) + 1
     prog += [("SETI", 0, busy), ("DEC", 0), ("JNZ", 0, loop_at), ("HALT",)]
     program = tuple(prog)
@@ -328,7 +326,7 @@ class StubRe:
 
     def enc(self, ek: ReEncodingKey, machine: tuple, inp: bytes,
             time_bound: int) -> ReEncoding:
-        time_bound = _int_arg("time_bound", time_bound, 1)
+        time_bound = config.check_int("time_bound", time_bound, 1, BackendFailure)
         return ReEncoding(machine, inp, time_bound, ek.crs_digest)
 
     def dec(self, crs: bytes, encoding: ReEncoding):
@@ -505,8 +503,8 @@ def _statement(x, pk: FheKey, ct: FheCiphertext, ct_prime: bytes) -> bytes:
 def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
                  seed: int, time_bound: int, derive_salt: bool):
     """One session; each cost-ledger charge follows the call it pays for."""
-    time_bound = _int_arg("time_bound", time_bound, 1)
-    seed = _int_arg("seed", seed, 0)
+    time_bound = config.check_int("time_bound", time_bound, 1, BackendFailure)
+    seed = config.check_int("seed", seed, 0, BackendFailure)
     if prover not in _PROVER_MODES:
         raise InnerProtocolError(f"unknown prover mode {prover!r}")
     if not isinstance(inner, TwoRoundFS):

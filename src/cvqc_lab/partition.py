@@ -30,14 +30,15 @@ against each other; do not collapse them into one.
 The sampled procedures, H (run_H) and the extractor (extract), walk the
 states they reach: every step's numbers are computed once per distinct
 state, by the plain loop's own arithmetic, so the draws and outcomes are
-the loop's bit for bit, and a call costs little more than its draws; the
-extractor shares its outcomes too.  run_G reads the conjugate frame kept
-in SpectralData and the gamma-dependent vectors of its grid point, both
-built once by its own arithmetic.  Every cache of states is a _Table,
-bounded by one rule: each entry counts the numbers it may hold, and the
-table starts over before their total would pass EXTRACT_TABLE_AMPS.  A
-strategy's table holds its grid points and H walks; each extractor graph
-has its own.
+the loop's bit for bit, and a call costs little more than its draws.  An
+extractor node is made whole, with every number a round reads from it,
+when its graph first reaches its state; the extractor shares its outcomes
+too.  run_G reads the conjugate frame kept in SpectralData and the
+gamma-dependent vectors of its grid point, both built once by its own
+arithmetic.  Every cache of states is a _Table, bounded by one rule: each
+entry counts the numbers it may hold, and the table starts over before
+their total would pass EXTRACT_TABLE_AMPS.  A strategy's table holds its
+grid points and H walks; each extractor graph has its own.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ class PartitionParams:
     mode: str = "ideal"
 
     def __post_init__(self):
-        if self.m < 1 or not 1 <= self.i <= self.m:
+        for name in ("m", "i", "T"):
+            config.check_int(name, getattr(self, name), 1, DomainError)
+        if self.i > self.m:
             raise DomainError(f"coordinate i={self.i} outside 1..{self.m}")
         if not 0.0 < self.gamma0 <= 1.0:
             raise DomainError(f"gamma0={self.gamma0} outside (0, 1]")
-        if self.T < 1:
-            raise DomainError(f"T={self.T}")
         if self.gamma0 / self.T < config.GRID_STEP_MIN:
             raise DomainError(f"grid step {self.gamma0 / self.T} underflows")
         j = round(self.gamma * self.T / self.gamma0)
@@ -502,7 +503,7 @@ def _apply_kernel_column(block: np.ndarray, theta: float, t: int, mode: str, dag
     phase = mu / abs(mu) if abs(mu) > 1e-14 else 1.0 + 0.0j
     bprime = np.conj(phase) * w
     bprime[0] -= 1.0
-    nrm = np.linalg.norm(bprime)
+    nrm = _norm(bprime)
     if nrm < 1e-14:
         return (np.conj(phase) if dagger else phase) * block
     u = (bprime / nrm)[:, None]
@@ -617,10 +618,10 @@ class _HWalk:
         p_other = float(np.vdot(other, other).real) / norm2
         halt = None
         if p_want > 0:
-            halt = HBranch(branch_state=_shared_state(strategy, want / np.linalg.norm(want)),
+            halt = HBranch(branch_state=_shared_state(strategy, want / _norm(want)),
                            stop_index=idx)
         if p_other > 0:
-            self.current = other / np.linalg.norm(other)
+            self.current = other / _norm(other)
         self.steps.append((p_want, p_other, halt, HAbort(stop_index=idx)))
 
 
@@ -656,7 +657,7 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
             continue
         return abort
     if walk.remainder is None:
-        walk.remainder = HRemainder(_shared_state(strategy, walk.current / np.linalg.norm(walk.current)))
+        walk.remainder = HRemainder(_shared_state(strategy, walk.current / _norm(walk.current)))
     return walk.remainder
 
 
@@ -702,23 +703,36 @@ class ExtractOutcome:
 
 
 class _ExtractNode:
-    """One normalized extractor state and the numbers a round reads from it.
+    """One normalized extractor state and every number a round reads from it.
 
-    p_hit is read when the node is made, the X_i CDF on its first hit,
-    the miss vector W^dag (rotated - hit) and p_in on its first miss, and
-    each child on its first visit; so a node evaluates nothing that the
-    alternating loop would not (no 0/0 at p_hit = 1).
+    A node is made whole when its graph first reaches its state, by the
+    alternating loop's own arithmetic: p_hit; the X_i CDF of the accepted
+    part when p_hit > 0; the miss vector W^dag (rotated - hit) and p_in
+    when p_hit < 1.  No draw can read a value those guards skip, so a node
+    evaluates nothing the loop would not (no 0/0 at p_hit = 0 or 1).  Each
+    child is made on its first visit.
     """
 
-    __slots__ = ("p_hit", "cdf", "p_in", "kids", "rotated", "back")
+    __slots__ = ("p_hit", "cdf", "p_in", "back", "kids")
 
-    def __init__(self, rotated: np.ndarray, p_hit: float):
-        self.p_hit = p_hit
-        self.cdf = None
-        self.p_in = None
+    def __init__(self, graph: _ExtractGraph, amps: np.ndarray):
+        rotated = graph.w @ amps
+        hit = rotated * graph.acc
+        self.p_hit = float(np.vdot(hit, hit).real)
+        self.cdf = self.p_in = self.back = None
         self.kids = [None, None]  # collapsed out of Pi_in, into Pi_in
-        self.rotated = rotated  # W amps, until the CDF and p_in are read
-        self.back = None  # the miss vector, until both children exist
+        if self.p_hit > 0:
+            # the X_i CDF of the accepted part, built as Generator.choice builds it
+            masses = np.bincount(graph.xi_vals, weights=(hit.conj() * hit).real,
+                                 minlength=len(graph.labels))
+            cdf = (masses / masses.sum()).cumsum()
+            cdf /= cdf[-1]
+            self.cdf = cdf.tolist()
+        if self.p_hit < 1:
+            # undo W on the rejected part; read the chance of landing in Pi_in
+            back = self.back = graph.wd @ (rotated - hit)
+            xz = graph.xz
+            self.p_in = float(np.vdot(back[:xz], back[:xz]).real / np.vdot(back, back).real)
 
 
 class _ExtractGraph:
@@ -729,8 +743,8 @@ class _ExtractGraph:
     once per distinct state, by that loop's own arithmetic.  The draws,
     the comparisons and so the outcomes are the loop's, bit for bit.
     Its table holds roots keyed on the input's bytes (dim numbers each),
-    nodes keyed on (amplitude bytes,) (2 dim: W amps and miss vector) and
-    shared outcomes keyed on (a_i, rounds_used) (1 each).
+    nodes keyed on (amplitude bytes,) (2 dim: the miss vector and the
+    CDF) and shared outcomes keyed on (a_i, rounds_used) (1 each).
     """
 
     def __init__(self, strategy: ProverStrategy, i: int):
@@ -753,7 +767,7 @@ class _ExtractGraph:
         if node is None:
             # a hit has the bytes, and so the dimension, of a checked state
             amps = _amps_of(state, len(self.w)).astype(np.complex128, copy=True)
-            nrm = np.linalg.norm(amps)
+            nrm = _norm(amps)
             if nrm**2 <= config.ZERO_STATE_TOL:
                 raise ZeroState("extractor input has zero norm")
             amps /= nrm
@@ -762,34 +776,7 @@ class _ExtractGraph:
 
     def _node(self, amps: np.ndarray) -> _ExtractNode:
         key = (amps.tobytes(),)
-        node = self.table.entries.get(key)
-        if node is None:
-            rotated = self.w @ amps
-            hit = rotated * self.acc
-            node = self.table.keep(key, _ExtractNode(rotated, float(np.vdot(hit, hit).real)),
-                                   2 * len(amps))
-        return node
-
-    def cdf(self, node: _ExtractNode) -> list[float]:
-        """The X_i CDF of the accepted part, built as Generator.choice builds it."""
-        hit = node.rotated * self.acc
-        masses = np.bincount(self.xi_vals, weights=(hit.conj() * hit).real,
-                             minlength=len(self.labels))
-        cdf = (masses / masses.sum()).cumsum()
-        cdf /= cdf[-1]
-        node.cdf = cdf.tolist()
-        if node.p_in is not None:
-            node.rotated = None
-        return node.cdf
-
-    def miss(self, node: _ExtractNode):
-        """Undo W on the rejected part; read the chance of landing in Pi_in."""
-        back = self.wd @ (node.rotated - node.rotated * self.acc)
-        xz = self.xz
-        node.p_in = float(np.vdot(back[:xz], back[:xz]).real / np.vdot(back, back).real)
-        node.back = back
-        if node.cdf is not None:
-            node.rotated = None
+        return self.table.entries.get(key) or self.table.keep(key, _ExtractNode(self, amps), 2 * len(amps))
 
     def kid(self, node: _ExtractNode, into: bool) -> _ExtractNode:
         """The state node's miss collapses to, into Pi_in or out of it."""
@@ -798,10 +785,8 @@ class _ExtractGraph:
             amps[self.xz:] = 0.0
         else:
             amps[:self.xz] = 0.0
-        amps /= np.linalg.norm(amps)
+        amps /= _norm(amps)
         kid = node.kids[into] = self._node(amps)
-        if all(node.kids):
-            node.back = None
         return kid
 
 
@@ -818,8 +803,7 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     exactly as the alternating loop draws them.  Equal outcomes are one
     shared frozen object.
     """
-    if isinstance(n_rounds, bool) or not isinstance(n_rounds, (int, np.integer)) or n_rounds < 1:
-        raise DomainError(f"n_rounds={n_rounds!r}")
+    config.check_int("n_rounds", n_rounds, 1, DomainError)
     if not 1 <= params.i <= strategy.m:
         raise DomainError(f"coordinate i={params.i} outside 1..{strategy.m}")
     # checked on every call: a cached graph must not excuse other params.m
@@ -829,10 +813,7 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     node = graph.root(state)
     for rnd in range(1, n_rounds + 1):
         if rng.random() < node.p_hit:
-            cdf = node.cdf or graph.cdf(node)
-            return graph.outcome(graph.labels[bisect_right(cdf, rng.random())], rnd)
-        if node.p_in is None:
-            graph.miss(node)
+            return graph.outcome(graph.labels[bisect_right(node.cdf, rng.random())], rnd)
         into = rng.random() < node.p_in
         node = node.kids[into] or graph.kid(node, into)
     return graph.outcome(None, rnd)
@@ -872,8 +853,8 @@ def cs_bound(pieces, projector: np.ndarray) -> tuple[float, float]:
     """
     pieces = [np.asarray(v, dtype=np.complex128) for v in pieces]
     total = np.sum(pieces, axis=0)
-    lhs = float(np.linalg.norm(projector @ total) ** 2)
-    rhs = len(pieces) * float(sum(np.linalg.norm(projector @ v) ** 2 for v in pieces))
+    lhs = _norm(projector @ total) ** 2
+    rhs = len(pieces) * sum(_norm(projector @ v) ** 2 for v in pieces)
     return lhs, rhs
 
 
@@ -903,7 +884,7 @@ def random_accept_sets(rng: np.random.Generator, m: int, x_width: int) -> tuple[
 def random_xz_state(rng: np.random.Generator, strategy: ProverStrategy) -> StateVector:
     """Haar-random normalized state on the strategy's (X, Z) registers."""
     amps = rng.normal(size=strategy.xz_dim) + 1j * rng.normal(size=strategy.xz_dim)
-    amps /= np.linalg.norm(amps)
+    amps /= _norm(amps)
     return StateVector(strategy.xz_layout(), amps)
 
 
@@ -943,8 +924,9 @@ def single_block_strategy(p: float) -> ProverStrategy:
     basis = list(cols)
     for e in np.eye(4, dtype=np.complex128):
         v = e - sum(np.vdot(b, e) * b for b in basis)
-        if np.linalg.norm(v) > 1e-9:
-            basis.append(v / np.linalg.norm(v))
+        nrm = _norm(v)
+        if nrm > 1e-6:
+            basis.append(v / nrm)
     b_from = np.column_stack(basis[:4])
     b_to = np.eye(4, dtype=np.complex128)[:, [0, 2, 1, 3]]  # X=0 strings first
     u = b_to @ b_from.conj().T

@@ -42,12 +42,6 @@ class WidthMismatch(ProtocolError):
     pass
 
 
-def _check_count(name: str, value) -> None:
-    """Reject anything but a positive int (a bool is not one) as a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ProtocolError(f"{name}={value!r}")
-
-
 # ---------------------------------------------------------------------------
 # Canonical serialization
 #
@@ -135,13 +129,12 @@ class OracleTable:
     """
 
     def __init__(self, master_seed: int, out_bits: int):
-        _check_count("out_bits", out_bits)
+        config.check_int("out_bits", out_bits, 1, ProtocolError)
         # the seed enters every hash as 8 big-endian bytes, so anything an
         # int() would coerce (a float, a str, a bool) is refused
-        if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)) \
-                or not 0 <= int(master_seed) < 1 << 64:
+        self.master_seed = config.check_int("master_seed", master_seed, 0, ProtocolError)
+        if self.master_seed >= 1 << 64:
             raise ProtocolError(f"master_seed={master_seed!r} is not an int in 0..2^64-1")
-        self.master_seed = int(master_seed)
         self.out_bits = out_bits
         self.out_bytes = (out_bits + 7) // 8
         self.query_count = 0
@@ -224,12 +217,12 @@ class FourRoundProtocol:
     shape: tuple = ()
 
     def __post_init__(self):
-        _check_count("num_qubits", self.n)
+        config.check_int("num_qubits", self.n, 1, ProtocolError)
         # a cheating unitary acts on 1 (C) + 1 (b) + n (r) qubits
         if self.n + 2 > config.QUBIT_CAP:
             raise CapExceeded(f"{self.n + 2} qubits exceed cap {config.QUBIT_CAP}")
         for m in self.shape:
-            _check_count("m", m)
+            config.check_int("m", m, 1, ProtocolError)
 
     @property
     def m(self) -> int:
@@ -581,7 +574,7 @@ class FsGrinder:
     inner: object
 
     def __post_init__(self):
-        _check_count("query_budget", self.query_budget)
+        config.check_int("query_budget", self.query_budget, 1, ProtocolError)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +799,7 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     a trial count that is not a positive int, and a seed that is None, a
     bool or no SeedSequence entropy are rejected before any trial runs.
     """
-    _check_count("trials", trials)
+    config.check_int("trials", trials, 1, ProtocolError)
     # None would draw fresh OS entropy for every chunk; a bool is no seed
     if seed is None or isinstance(seed, (bool, np.bool_)):
         raise ProtocolError(f"seed={seed!r}")

@@ -1,6 +1,7 @@
-"""tools/bench.py: the source line count and results digests each record keeps,
---compare's verdicts and the default seeds."""
+"""tools/bench.py: the source line count, results digests and README data file
+digests each record keeps, --compare's verdicts and the default seeds."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -115,3 +116,53 @@ def test_each_run_keeps_its_results_digest(tmp_path, monkeypatch):
     monkeypatch.setattr(bench.subprocess, "run", lambda *args, **kwargs: Done())
     run = bench._run_once(tmp_path, "sweep", 4, 1.0)
     assert (run["machine"], run["digest"]) == ("machine: nproc 2", "0123abcd")
+
+
+_README = """# demo
+
+```sh
+pytest            # not a cvqc-lab command
+```
+
+```sh
+cvqc-lab jordan-demo --seed 7 --set pairs=2   # residuals
+cvqc-lab render jordan-demo.csv
+```
+"""
+
+
+def test_each_record_keeps_the_readme_data_file_digests(tmp_path, monkeypatch):
+    (tmp_path / "README.md").write_text(_README)
+    calls = []
+
+    class Done:
+        returncode = 0
+        stderr = ""
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, env["PYTHONPATH"].split(bench.os.pathsep)[0]))
+        (Path(cwd) / "jordan-demo.csv").write_bytes(b"a,b\n1,2\n")
+        return Done()
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    digests = bench._readme_digests(tmp_path)
+    assert calls == [([bench.sys.executable, "-m", "cvqc_lab.cli", "jordan-demo", "--seed", "7",
+                       "--set", "pairs=2"], str(tmp_path / "src"))]
+    assert digests == {"jordan-demo --seed 7 --set pairs=2":
+                       {"jordan-demo.csv": hashlib.sha256(b"a,b\n1,2\n").hexdigest()}}
+
+
+def test_compare_flags_a_readme_command_whose_files_differ(tmp_path, capsys):
+    def record(name, digest):
+        path = tmp_path / f"{name}.json"
+        readme = {"jordan-demo --seed 7": {"jordan-demo.csv": digest}}
+        path.write_text(json.dumps({"runs": [], "readme": readme}))
+        return str(path)
+
+    parent, same, moved = record("a", "aa"), record("b", "aa"), record("c", "bb")
+    assert bench.compare(parent, same) == 0
+    assert "README data files identical at 1 commands" in capsys.readouterr().out
+    assert bench.compare(parent, moved) == 1
+    out = capsys.readouterr().out
+    assert "FLAG README `cvqc-lab jordan-demo --seed 7`" in out
+    assert "README data files identical" not in out

@@ -217,6 +217,22 @@ class TestParamTable:
         with pytest.raises(ConfigError, match="80,000,016 commitment attempts"):
             build_config("fs-attack", seed=1, sets=["budgets=15", "trials=5000001"])
 
+    def test_fs_attack_grind_ceiling(self, tmp_path, capsys):
+        # one trial grinding 79 budgets of 10^6 at m = 16 passes the attempt
+        # ceiling (79,000,001) but pays a one-row step per two attempts
+        budgets = "budgets=" + ",".join(["1000000"] * 79)
+        code, out = run_cli(["fs-attack", "--seed", "1", "--set", "m=16", "--set", "trials=1",
+                             "--set", budgets], tmp_path, "x.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "1,896,000,000 stream columns" in capsys.readouterr().err
+        # README's one budget of 10^6 over 79 trials at m = 16 stays accepted;
+        # the ceiling itself (10^6 steps of 45 columns) is allowed, one step more is not
+        build_config("fs-attack", seed=1, sets=["m=16", "trials=79", "budgets=1000000"])
+        build_config("fs-attack", seed=1, sets=["m=15", "trials=1", "budgets=1000000,1000000"])
+        with pytest.raises(ConfigError, match="45,000,045 stream columns"):
+            build_config("fs-attack", seed=1, sets=["m=15", "trials=1", "budgets=1000000,1000000,1"])
+
     def test_repetition_sweep_work_ceiling(self, tmp_path, capsys):
         # 25 entries of m = 20 at the top trial count reach the ceiling
         # exactly; one coordinate more exits 2 and writes nothing

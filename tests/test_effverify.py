@@ -108,6 +108,21 @@ class TestMachine:
         with pytest.raises(BackendFailure):
             key_machine(8, 4, 20)
 
+    def test_idle_count_fits_a_machine_word(self):
+        # SETI masks its operand to 64 bits, so (T - 32m - 5) // 2 idle
+        # passes must fit one word: the largest T still decodes in T steps
+        top = (1 << 65) + 32 * 4 + 5 - 1
+        _, steps = run_machine(key_machine(12, 4, top), b"\x07" * 16, _prg_bytes, budget=top)
+        assert top - 90 <= steps <= top
+        with pytest.raises(BackendFailure, match="machine word"):
+            key_machine(12, 4, top + 1)
+
+    @pytest.mark.parametrize("args", [(12, 4.0, 4096), (12.5, 4, 4096), ("12", 4, 4096),
+                                      (True, 4, 4096)])
+    def test_sizes_follow_the_integer_rule(self, args):
+        with pytest.raises(BackendFailure, match="not an integer"):
+            key_machine(*args)
+
     def test_guards(self):
         with pytest.raises(BackendFailure):
             key_machine(0, 1, 512)

@@ -128,6 +128,14 @@ class TestParams:
         with pytest.raises(DomainError):
             _params(mode="exact")
 
+    @pytest.mark.parametrize("name,value", [("m", "1"), ("T", "4"), ("T", True),
+                                            ("T", 4.0), ("i", 1.0)])
+    def test_counts_follow_the_integer_rule(self, name, value):
+        kw = dict(m=1, i=1, gamma0=0.75, T=4, gamma=0.375)
+        with pytest.raises(DomainError, match="not an integer"):
+            PartitionParams(**{**kw, name: value})
+        assert PartitionParams(**{**kw, name: np.int64(kw[name])}) == PartitionParams(**kw)
+
 
 # ---------------------------------------------------------------------------
 # Projectors
@@ -1037,6 +1045,27 @@ class TestExtractor:
                     np.random.default_rng(0))
 
 
+class TestSingleBlockStrategy:
+    # sha256 over U's bytes at p = 0, 0.1, 0.3, 0.5, 0.9 and 1, the values
+    # criterion 04 and the benchmark use
+    DIGEST = "80e826b28a3217c22e77e13c97ad99ddde754bb86e79f8d9698614788f01ceaf"
+
+    def test_pinned_unitaries(self):
+        h = hashlib.sha256()
+        for p in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
+            h.update(single_block_strategy(p).u.mat.tobytes())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_unitary_for_every_p(self):
+        # near p = 1 the Gram-Schmidt residual sqrt(1 - p) is tiny; it must
+        # not be taken as a basis vector
+        ps = list(np.linspace(0.0, 1.0, 4001)) + [1 - 10.0**-k for k in range(1, 17)] \
+            + [1 - 2.0**-k for k in range(1, 54)]
+        for p in ps:
+            s = single_block_strategy(float(p))
+            assert s.u.kind == "unitary"
+
+
 class TestExtractFormula:
     def test_pins(self):
         assert ext_success_formula(1.0, 7) == 1.0
@@ -1257,7 +1286,7 @@ def _graph_entries(graph, kind: str) -> dict:
 
 def _graph_count(graph) -> int:
     """The numbers an extractor table's entries count: dim per root, 2 dim
-    per node (its W amps and miss vector), 1 per outcome."""
+    per node (its miss vector and CDF), 1 per outcome."""
     dim = len(graph.w)
     sizes = {"root": dim, "node": 2 * dim, "outcome": 1}
     return sum(sizes[_graph_kind(k)] for k in graph.table.entries)
@@ -1289,7 +1318,7 @@ class TestExtractorGraph:
             _assert_routes_agree(s, 1, [st], 10, seed=k, calls=30)
             st.amps[k % s.xz_dim] += 0.5 - 0.25j
 
-    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 1 - 1e-16, 1.0])
     def test_degenerate_blocks_raise_no_warning(self, p):
         s = single_block_strategy(p)
         amps = np.zeros(4, dtype=np.complex128)

@@ -13,9 +13,12 @@ command and, for each run, its result line and the machine and
 acceptance gate (`pytest tests/test_acceptance.py`) once, with
 CVQC_LAB_ACCEPTANCE_JSON naming a temporary file, and keeps its JSON
 lines under "acceptance", and "src_lines", the summed line count of the
-checkout's src/cvqc_lab/*.py.  Runs are added to an existing record of
-the same label and command, so two checkouts can be recorded in
-alternation.
+checkout's src/cvqc_lab/*.py.  It also runs every `cvqc-lab` command of
+the checkout's README `sh` blocks but `render`, as `python -m
+cvqc_lab.cli` in a temporary directory against the checkout's src, and
+keeps each data file's sha256 under "readme", by command.  Runs are
+added to an existing record of the same label and command, so two
+checkouts can be recorded in alternation.
 
 --compare A B takes two labels (or paths) and prints both sides'
 src_lines and, per workload and end-to-end metric of BENCHMARK.json,
@@ -24,7 +27,8 @@ and how many runs of B beat the run of A with the same seed.  It flags a median 
 more than the metric's bound, a run of B that is not correct, failed
 operations, and a same-workload, same-seed pair of runs whose results
 sha256 differ (otherwise it prints at how many pairs they are
-identical), and exits 1 when anything is flagged.  Each metric
+identical), and the same for a README command whose data files differ,
+and exits 1 when anything is flagged.  Each metric
 also gets a gain verdict: GAIN when there are at least ten same-seed
 pairs, B wins at least nine in ten of them, and B's median is better
 than A's by more than A's interquartile range; otherwise "no gain".
@@ -37,8 +41,10 @@ interquartile range, and flags a criterion that did not pass in B.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -63,13 +69,17 @@ def _run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "digest": digest[0].split()[-1] if digest else None}
 
 
+def _checkout_env(checkout: Path, **extra) -> dict:
+    """This process's environment plus extra, importing checkout's src first."""
+    path = [str(checkout / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def _acceptance_once(checkout: Path) -> list:
     """The JSON lines of one acceptance-gate run in checkout."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "acceptance.jsonl"
-        src = str(checkout / "src")
-        env = dict(os.environ, CVQC_LAB_ACCEPTANCE_JSON=str(path),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _checkout_env(checkout, CVQC_LAB_ACCEPTANCE_JSON=str(path))
         cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                "tests/test_acceptance.py"]
         proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -77,6 +87,33 @@ def _acceptance_once(checkout: Path) -> list:
             print(f"bench: {' '.join(cmd[2:])} exited {proc.returncode}:\n"
                   f"{proc.stdout[-2000:]}", file=sys.stderr)
         return [json.loads(ln) for ln in path.read_text().splitlines()] if path.is_file() else []
+
+
+def _readme_commands(checkout: Path) -> list:
+    """The argv after `cvqc-lab` of each command in the README's sh blocks, but render."""
+    commands, in_sh = [], False
+    for line in (checkout / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("cvqc-lab "):
+            argv = shlex.split(line, comments=True)[1:]
+            if argv[0] != "render":
+                commands.append(argv)
+    return commands
+
+
+def _readme_digests(checkout: Path) -> dict:
+    """{command: {data file: sha256}} of the README commands, each run in a fresh directory."""
+    env, digests = _checkout_env(checkout), {}
+    for argv in _readme_commands(checkout):
+        with tempfile.TemporaryDirectory() as tmp:
+            cmd = [sys.executable, "-m", "cvqc_lab.cli", *argv]
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                sys.exit(f"bench: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+            digests[" ".join(argv)] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                                       for path in sorted(Path(tmp).iterdir())}
+    return digests
 
 
 def _src_lines(checkout: Path) -> int:
@@ -102,6 +139,7 @@ def record(args) -> int:
             bench["runs"].append(run)
             out.write_text(json.dumps(bench, indent=1) + "\n")
     bench.setdefault("acceptance", []).extend(_acceptance_once(checkout))
+    bench.setdefault("readme", {}).update(_readme_digests(checkout))
     bench["src_lines"] = _src_lines(checkout)
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)
@@ -146,6 +184,7 @@ def compare(name_a: str, name_b: str) -> int:
                   f"{res['correct']}, {res['failed']} failed operations")
             flagged += 1
     flagged += _compare_digests(bench_a, bench_b)
+    flagged += _compare_readme(bench_a.get("readme", {}), bench_b.get("readme", {}))
     for workload in sorted(set(a) & set(b)):
         print(f"{workload}: {name_a} -> {name_b}, median [quartiles]")
         for metric in spec["end_to_end"]:
@@ -195,6 +234,18 @@ def _compare_digests(bench_a: dict, bench_b: dict) -> int:
                 flagged += 1
     if not flagged:
         print(f"results identical at {identical} pairs")
+    return flagged
+
+
+def _compare_readme(a: dict, b: dict) -> int:
+    """Flag each README command recorded on both sides whose data files differ."""
+    flagged = 0
+    for command in sorted(a.keys() & b.keys()):
+        if a[command] != b[command]:
+            print(f"FLAG README `cvqc-lab {command}`: data files {a[command]} -> {b[command]}")
+            flagged += 1
+    if a and b and not flagged:
+        print(f"README data files identical at {len(a.keys() & b.keys())} commands")
     return flagged
 
 
