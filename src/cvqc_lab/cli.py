@@ -102,15 +102,15 @@ _PARAMS: dict[str, dict[str, Param]] = {
 }
 
 # A grinding attempt (one commitment, one oracle query, one verification)
-# costs 2.1-4.1 us on the bulk route over thousands of trials on a 2-core
-# machine (m = 1..16), so this many take 3-6 minutes.
+# costs 1.0-2.0 us on the bulk route over thousands of trials on a 2-core
+# machine (m = 1..16), so this many take 1.3-2.7 minutes.
 _FS_MAX_ATTEMPTS = 8 * 10**7
 # Few trials grinding on pay per two-attempt step, 3m stream columns whatever
-# the row count, at 33-76 us per column at one row (m = 1..16), so this many
+# the row count, at 28-46 us per column at one row (m = 1..16), so this many
 # columns take an hour at 80 us; one budget of 10^6 over 79 trials at m = 16
 # (2.4 * 10^7 columns at most) took 9 minutes.
 _FS_MAX_GRIND_COLUMNS = 45 * 10**6
-# A trial coordinate of repetition-sweep costs 0.02-0.14 us on the bulk
+# A trial coordinate of repetition-sweep costs 0.01-0.11 us on the bulk
 # route for honest and testonly (m = 1..20) and 0.46-0.57 us for the cheat
 # (m = 1 and 24) on a 2-core machine, so this many take under an hour.
 _SWEEP_MAX_COORDS = 5 * 10**9
@@ -171,7 +171,7 @@ _CROSS_RULES: dict[str, tuple] = {
         (lambda p: _fs_attempts(p) <= _FS_MAX_ATTEMPTS,
          lambda p: f"fs-attack would make about {_fs_attempts(p):,} commitment "
                    f"attempts (trials x (1 + sum of budgets)), over the "
-                   f"{_FS_MAX_ATTEMPTS:,} that take 3-6 minutes over thousands of trials"),
+                   f"{_FS_MAX_ATTEMPTS:,} that take 1.3-2.7 minutes over thousands of trials"),
         (lambda p: _fs_grind_columns(p) <= _FS_MAX_GRIND_COLUMNS,
          lambda p: f"fs-attack would grind up to {_fs_grind_columns(p):,} stream columns "
                    f"(3m per two-attempt step, ceil(q/2) steps per budget q and chunk of "

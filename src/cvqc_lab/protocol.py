@@ -190,8 +190,8 @@ def _parity(v: int) -> int:
 
 
 def _uint(v, bits: int) -> bool:
-    """Whether v is an integer in 0..2^bits - 1."""
-    return isinstance(v, (int, np.integer)) and 0 <= v < 1 << bits
+    """Whether v is an int or numpy integer (never a bool, as config.check_int) below 2^bits."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 1 << bits
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,8 @@ class FourRoundProtocol:
         if not (isinstance(a, tuple) and len(a) == 3 and a[0] == "had"):
             return False
         _, m0, d = a
-        return x == "yes" and _uint(d, self.n) and d != 0 and m0 == _parity(d & (td[0] ^ td[1]))
+        return (x == "yes" and _uint(m0, 1) and _uint(d, self.n) and d != 0
+                and m0 == _parity(d & (td[0] ^ td[1])))
 
     def v_out_coords(self, x, k, td, y, c, a) -> list[bool]:
         """The per-coordinate verdicts, in flat order; v_out is their conjunction."""
@@ -311,7 +312,8 @@ class FourRoundProtocol:
     # Every scalar range is a power of two no wider than 2^32, for which
     # numpy's Lemire sampler never rejects: each draw is the top bits of one
     # next_uint32.  PCG64 hands out the low half of each 64-bit output
-    # before the high half, and a double is the top 53 bits of one whole
+    # before the high half, so scalar draw 2j is output j's low half and
+    # draw 2j + 1 its high half; a double is the top 53 bits of one whole
     # output, so either layout is 3m raw outputs.
     #
     # Under Fiat-Shamir, a trial first draws its oracle seed with
@@ -321,76 +323,89 @@ class FourRoundProtocol:
     # d per coordinate); there is no coin.  So the seed and v1 take 1 + m
     # raw outputs, and every two attempts another 3m, which keeps each pair
     # of attempts on whole outputs.
+    #
+    # The arrays run coordinates first, as the streams do: the outputs are
+    # (k, rows), each draw or verdict array (draws or coordinates, rows),
+    # so every step and every reduction over a trial's coordinates runs
+    # along contiguous rows of trials.
 
     @property
     def raw_per_trial(self) -> int:
         return 3 * self.m
 
     @staticmethod
-    def _words(raw: np.ndarray) -> np.ndarray:
-        """The 32-bit draws of (trials, k) raw outputs, in drawing order, as a view."""
-        return raw.astype("<u8", copy=False).view("<u4")
+    def _words(raw: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The 32-bit draws idx (in drawing order) of (k, rows) raw outputs, as (len(idx), rows)."""
+        k, rows = raw.shape
+        halves = raw.astype("<u8", copy=False).view("<u4").reshape(k, rows, 2)
+        return halves[idx // 2, :, idx % 2]
 
     @staticmethod
     def _keys(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """v1's (x0, x1) per coordinate from its 2m draws, odd parity fixed."""
-        x0, x1 = top[:, 0::2], top[:, 1::2]
+        x0, x1 = top[0::2], top[1::2]
         return x0, x1 ^ ((np.bitwise_count(x0 ^ x1) & 1) ^ 1)
 
     def fs_head(self, raw: np.ndarray):
         """(oracle seeds, x0, x1) of Fiat-Shamir trials from their first 1 + m outputs."""
-        x0, x1 = self._keys(self._words(raw[:, 1:]) >> (32 - self.n))
-        return raw[:, 0] >> 2, x0, x1
+        top = self._words(raw[1:], np.arange(2 * self.m))
+        top >>= 32 - self.n
+        return (raw[0] >> 2, *self._keys(top))
 
     def fs_attempts(self, raw: np.ndarray, x0, x1, had_ok: bool):
         """(y, failmask) of each trial's next two commitment attempts.
 
-        raw holds the attempts' 3m outputs; y is (trials, 2, m) and
-        failmask (trials, 2) has bit m-1-i set when coordinate i
+        raw holds the attempts' 3m outputs; y is (2, m, rows) and
+        failmask (2, rows) has bit m-1-i set when coordinate i
         rejects a Hadamard round, the bit where the oracle's output
         carries coordinate i's challenge.  Honest or TestOnly pass every
         test round, so an attempt accepts iff challenge & failmask == 0.
         """
         m, n = self.m, self.n
-        words = self._words(raw).reshape(-1, 2, 3 * m)
-        b, r, d = words[..., 0::3] >> 31, words[..., 1::3], words[..., 2::3]
-        y = (r >> (32 - n)) ^ np.where(b == 1, x1[:, None], x0[:, None])
-        fail = ((d >> (32 - n)) == 0) | (not had_ok)
-        shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
-        return y, (fail.astype(np.uint64) << shifts).sum(axis=-1, dtype=np.uint64)
+        words = self._words(raw, np.arange(6 * m)).reshape(2, m, 3, -1)
+        b, rd = words[:, :, 0], words[:, :, 1:]
+        b >>= 31
+        rd >>= 32 - n
+        y = rd[:, :, 0] ^ np.where(b == 1, x1, x0)
+        fail = (rd[:, :, 1] == 0) | (not had_ok)
+        shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None]
+        return y, (fail.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
 
     def plain_verdicts(self, streams: "_TrialStreams", had_ok: bool):
-        """(c, ok) per trial and coordinate for Honest or TestOnly.
+        """(c, ok) per coordinate and trial, as (m, rows), for Honest or TestOnly.
 
         Both pass every test round; a Hadamard round passes only for an
         honest d != 0 on a yes-instance (had_ok).  A verdict reads only
         the m coins (words 5m on) and, under had_ok, p2's d (words 2m + 2,
         2m + 5, ...), so the streams jump to the output holding the first
-        word read.
+        word read, and only those words are gathered.
         """
         m = self.m
         first = m + 1 if had_ok else 5 * m // 2
         streams.skip(first)
-        words = self._words(streams.take(self.raw_per_trial - first))
-        c = words[:, -m:] >> 31
+        raw = streams.take(self.raw_per_trial - first)
+        c = self._words(raw, np.arange(5 * m, 6 * m) - 2 * first)
+        c >>= 31
         if not had_ok:
             return c, c == 0
-        d = words[:, :3 * m - 2:3] >> (32 - self.n)
+        d = self._words(raw, np.arange(2 * m + 2, 5 * m, 3) - 2 * first)
+        d >>= 32 - self.n
         return c, (c == 0) | (d != 0)
 
     def cheat_verdicts(self, streams: "_TrialStreams", cdfs: np.ndarray, yes: bool):
-        """(c, ok) per trial and coordinate for UnitaryCheat.
+        """(c, ok) per coordinate and trial, as (m, rows), for UnitaryCheat.
 
         cdfs[c] is the cumulative outcome table of challenge c, which
         Generator.choice searches with the measurement's double.
         """
         m, n = self.m, self.n
         raw = streams.take(self.raw_per_trial)
-        words = self._words(raw[:, :2 * m])
-        top = words[:, :3 * m] >> (32 - n)
-        (x0, x1), y = self._keys(top[:, :2 * m]), top[:, 2 * m:]
-        c = words[:, 3 * m:] >> 31
-        u = (raw[:, 2 * m:] >> 11) * 2.0 ** -53
+        words = self._words(raw[:2 * m], np.arange(4 * m))
+        top, c = words[:3 * m], words[3 * m:]
+        top >>= 32 - n
+        c >>= 31
+        (x0, x1), y = self._keys(top[:2 * m]), top[2 * m:]
+        u = (raw[2 * m:] >> 11) * 2.0 ** -53
         outcome = np.where(c == 0, np.searchsorted(cdfs[0], u, "right"),
                            np.searchsorted(cdfs[1], u, "right")).astype(np.uint64)
         first, rest = outcome >> n, outcome & ((1 << n) - 1)
@@ -624,6 +639,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# numpy converts a Python int operand on every ufunc call, so the stepping
+# loop's operands are np.uint64 scalars made once
+_U32, _U58, _U63, _U_MASK32 = (np.uint64(v) for v in (32, 58, 63, _MASK32))
 
 
 @cache
@@ -660,38 +678,44 @@ def _word_count(v) -> int:
     return sum(_word_count(item) for item in v)
 
 
-def _mul128(hi: np.ndarray, lo: np.ndarray, c: int, scratch: np.ndarray) -> None:
-    """(hi:lo) *= c mod 2^128 in place, for uint64 rows and a constant c < 2^128.
+def _mul128(hi: np.ndarray, lo: np.ndarray, limbs: tuple, scratch: np.ndarray) -> None:
+    """(hi:lo) *= c mod 2^128 in place, for uint64 rows and c's _limbs.
 
     scratch holds four rows.  lo * (c mod 2^64) takes its high half from
     32-bit halves a of lo and b of c: with t = a1 b0 + (a0 b0 >> 32) and
     u = (t mod 2^32) + a0 b1, it is a1 b1 + (t >> 32) + (u >> 32).
     """
     a0, a1, t, u = scratch
-    c_hi, c_lo = c >> 64, c & 0xFFFFFFFFFFFFFFFF
-    b0, b1 = c_lo & _MASK32, c_lo >> 32
-    np.bitwise_and(lo, _MASK32, out=a0)
-    np.right_shift(lo, 32, out=a1)
+    c_hi, c_lo, b0, b1 = limbs
+    np.bitwise_and(lo, _U_MASK32, out=a0)
+    np.right_shift(lo, _U32, out=a1)
     hi *= c_lo
     hi += np.multiply(lo, c_hi, out=t)
     lo *= c_lo
     np.multiply(a0, b0, out=t)
-    t >>= 32
+    t >>= _U32
     t += np.multiply(a1, b0, out=u)
     hi += np.multiply(a1, b1, out=a1)
-    hi += np.right_shift(t, 32, out=u)
-    t &= _MASK32
+    hi += np.right_shift(t, _U32, out=u)
+    t &= _U_MASK32
     t += np.multiply(a0, b1, out=a0)
-    hi += np.right_shift(t, 32, out=t)
+    hi += np.right_shift(t, _U32, out=t)
+
+
+def _limbs(c: int) -> tuple:
+    """c < 2^128 as np.uint64 (c_hi, c_lo, c_lo mod 2^32, c_lo >> 32), _mul128's operands."""
+    c_lo = c & 0xFFFFFFFFFFFFFFFF
+    return tuple(np.uint64(v) for v in (c >> 64, c_lo, c_lo & _MASK32, c_lo >> 32))
 
 
 @cache
-def _pcg_jump(k: int) -> tuple[int, int]:
-    """(A, B) with k LCG steps = state * A + inc * B (mod 2^128)."""
+def _pcg_jump(k: int) -> tuple[tuple, tuple | None]:
+    """The _limbs of (A, B) with k LCG steps = state * A + inc * B (mod 2^128);
+    None for B = 1."""
     a, b = 1, 0
     for _ in range(k):
         a, b = a * _PCG_MULT % 2**128, (b * _PCG_MULT + 1) % 2**128
-    return a, b
+    return _limbs(a), None if b == 1 else _limbs(b)
 
 
 class _TrialStreams:
@@ -699,10 +723,12 @@ class _TrialStreams:
 
     Row i continues np.random.PCG64(child).random_raw for the child
     SeedSequence(seed, spawn_key=(start + i,)), which is what
-    SeedSequence(seed).spawn hands out in that position: each take(k)
-    returns the next k outputs of every row still kept, and skip(k)
-    passes over them.  Seeding's own step and every skip wait in one
-    pending advance, which the next take folds into its first step.
+    SeedSequence(seed).spawn hands out in that position.  The arrays run
+    coordinates first: the state words are contiguous rows over the
+    kept children, and take(k) returns the next k outputs of every child
+    still kept as a (k, rows) array, output j in row j; skip(k) passes
+    over them.  Seeding's own step and every skip wait in one pending
+    advance, which the next take folds into its first step.
     """
 
     def __init__(self, seed, start: int, count: int):
@@ -721,13 +747,16 @@ class _TrialStreams:
             hi = (idx >> 32).astype(np.uint32)
             wide = _mix(pool, _hashmix(hi, chain[_POOL:-1], chain[_POOL + 1:]))
             pool = np.where(hi != 0, wide, pool)
-        # generate_state(4, uint64): eight words cycled from the pool, written
-        # as the rows' (count, 8) words and read as four little-endian uint64s
+        # generate_state(4, uint64): eight words cycled from the pool; words
+        # 2j and 2j + 1 are the low and high halves of uint64 j, joined as
+        # the rows of a contiguous (4, count) array
         chain = _hash_chain(_INIT_B, _MULT_B, 8)
         xor, times = chain[:-1].reshape(2, _POOL, 1), chain[1:].reshape(2, _POOL, 1)
-        state = np.empty((count, 8), dtype="<u4")
-        state.T[...] = _hashmix(pool, xor, times).reshape(8, count)
-        s_hi, s_lo, q_hi, q_lo = state.view("<u8").astype(np.uint64, copy=False).T
+        words = _hashmix(pool, xor, times).reshape(4, 2, count)
+        state = words[:, 1].astype(np.uint64)
+        state <<= _U32
+        state |= words[:, 0]
+        s_hi, s_lo, q_hi, q_lo = state
         # PCG64 seeding: inc = 2q + 1, state = (inc + s) stepped once, left pending
         self.inc_hi = (q_hi << 1) | (q_lo >> 63)
         self.inc_lo = (q_lo << 1) | 1
@@ -740,7 +769,7 @@ class _TrialStreams:
         a, b = _pcg_jump(k)
         _mul128(self.hi, self.lo, a, scratch)
         inc_hi, inc_lo = self.inc_hi, self.inc_lo
-        if b != 1:
+        if b is not None:
             inc_hi, inc_lo = inc_hi.copy(), inc_lo.copy()
             _mul128(inc_hi, inc_lo, b, scratch)
         self.lo += inc_lo
@@ -748,21 +777,21 @@ class _TrialStreams:
         self.hi += np.less(self.lo, inc_lo, out=scratch[0])
 
     def take(self, k: int) -> np.ndarray:
-        """The next k outputs of every kept row, as a (rows, k) array."""
-        out = np.empty((self.lo.size, k), dtype=np.uint64)
+        """The next k outputs of every kept row, as a C-contiguous (k, rows) array."""
+        out = np.empty((k, self.lo.size), dtype=np.uint64)
         scratch = np.empty((4, self.lo.size), dtype=np.uint64)
         x, rot = scratch[:2]
-        for j in range(k):
+        for row in out:
             self._jump(self.pending + 1, scratch)
             self.pending = 0
             # XSL-RR: hi ^ lo rotated right by the top six bits of hi
             np.bitwise_xor(self.hi, self.lo, out=x)
-            np.right_shift(self.hi, 58, out=rot)
-            np.right_shift(x, rot, out=out[:, j])
+            np.right_shift(self.hi, _U58, out=rot)
+            np.right_shift(x, rot, out=row)
             np.negative(rot, out=rot)
-            rot &= 63
+            rot &= _U63
             x <<= rot
-            out[:, j] |= x
+            row |= x
         return out
 
     def skip(self, k: int):
@@ -856,14 +885,14 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
 
 
 def _run_toy_batch(verdicts: Callable, trials: int, seed: int) -> Stats:
-    """Stats from verdicts(streams) -> (c, ok), per trial and coordinate."""
+    """Stats from verdicts(streams) -> (c, ok), per coordinate and trial."""
     accepts = 0
     counts = {"test": [0, 0], "hadamard": [0, 0]}
     for start in range(0, trials, _TRIAL_CHUNK):
         streams = _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))
         c, ok = verdicts(streams)
         had = c == 1
-        accepts += int(np.count_nonzero(ok.all(axis=1)))
+        accepts += int(np.count_nonzero(ok.all(axis=0)))
         n_had = int(np.count_nonzero(had))
         counts["test"][0] += int(np.count_nonzero(~had & ok))
         counts["test"][1] += had.size - n_had
@@ -943,13 +972,13 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
             # so it is counted but not hashed
             for a in range(min(2, budget - done)):
                 queries += int(np.count_nonzero(grinding))
-                grinding &= failmask[:, a] != 0
+                grinding &= failmask[a] != 0
                 rows = np.flatnonzero(grinding)
-                ch = _fs_challenges(seeds[rows], y[rows, a], m)
-                grinding[rows] = ch & failmask[rows, a] != 0
+                ch = _fs_challenges(seeds[rows], y[a][:, rows].T, m)
+                grinding[rows] = ch & failmask[a, rows] != 0
             accepts += seeds.size - int(np.count_nonzero(grinding))
             streams.keep(grinding)
-            seeds, x0, x1 = seeds[grinding], x0[grinding], x1[grinding]
+            seeds, x0, x1 = seeds[grinding], x0[:, grinding], x1[:, grinding]
             done += 2
     return _stats(trials, accepts, {"test": [0, 0], "hadamard": [0, 0]}, queries)
 

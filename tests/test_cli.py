@@ -392,7 +392,7 @@ class TestFsAttack:
 
         def recording(self, k):
             out = take(self, k)
-            blocks.append(out.shape[1])
+            blocks.append(out.shape[0])
             return out
 
         monkeypatch.setattr(protocol._TrialStreams, "take", recording)

@@ -5,6 +5,7 @@ import hashlib
 import math
 from collections import namedtuple
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -292,6 +293,19 @@ class TestToyProtocol:
                     p.v_out("yes", k, other_td, y, "0", a)
             assert p.v_out("yes", k, other_td, y, "0", p.p4(st, "0"))
 
+    def test_bool_answer_fields_are_rejected(self):
+        # a bool is no b, m0 or d (config.check_int's integer rule), as
+        # encode refuses it as a transcript value; key difference 7 ^ 9 = 14
+        p, key = toy_protocol(4), (7, 9)
+        assert p._test_ok(key, 3 ^ 9, ("test", 1, 3))
+        assert p._had_ok("yes", key, ("had", 1, 2)) and p._had_ok("yes", key, ("had", 0, 1))
+        for true in (True, np.bool_(True)):
+            assert not p._test_ok(key, 3 ^ 9, ("test", true, 3))
+            assert not p._had_ok("yes", key, ("had", true, 2))
+            assert not p._had_ok("yes", key, ("had", 0, true))
+        with pytest.raises(ProtocolError):
+            encode(("test", True, 3))
+
     def test_width_guards(self):
         for n in (0, 4.0, True, "4"):
             with pytest.raises(ProtocolError, match="num_qubits"):
@@ -536,7 +550,8 @@ class TestArrayStreams:
 
     @staticmethod
     def _numpy_raw(children, k):
-        return np.array([np.random.PCG64(c).random_raw(k) for c in children])
+        """numpy's first k outputs of each child, as take's (k, rows)."""
+        return np.array([np.random.PCG64(c).random_raw(k) for c in children]).T
 
     @pytest.mark.parametrize("k", [3, 24, 60])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -544,12 +559,38 @@ class TestArrayStreams:
         got = protocol._TrialStreams(seed, 0, 9).take(k)
         assert np.array_equal(got, self._numpy_raw(np.random.SeedSequence(seed).spawn(9), k))
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_take_is_contiguous_outputs_by_rows(self, rows):
+        streams = protocol._TrialStreams(3, 0, rows)
+        streams.skip(2)
+        for k in (1, 5):
+            out = streams.take(k)
+            assert out.shape == (k, rows) and out.dtype == np.uint64 and out.flags.c_contiguous
+        streams.keep(np.zeros(rows, dtype=bool))
+        out = streams.take(4)
+        assert out.shape == (4, 0) and out.dtype == np.uint64 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_words_in_drawing_order(self, k):
+        # word 2j is output j's low half and word 2j + 1 its high half, the
+        # order in which a Generator's 32-bit draws hand them out
+        children = np.random.SeedSequence(45).spawn(5)
+        raw = protocol._TrialStreams(45, 0, 5).take(k)
+        want = np.array([np.random.Generator(np.random.PCG64(c)).integers(
+            0, 1 << 32, size=2 * k, dtype=np.uint32) for c in children]).T
+        idx = np.arange(2 * k)
+        got = protocol.FourRoundProtocol._words(raw, idx)
+        assert got.shape == (2 * k, 5) and got.dtype == np.uint32
+        assert np.array_equal(got, want)
+        some = idx[::-3]
+        assert np.array_equal(protocol.FourRoundProtocol._words(raw, some), want[some])
+
     def test_second_chunk_starts_at_chunk_size(self):
         k, trials = 6, protocol._TRIAL_CHUNK + 3
         chunks = [protocol._TrialStreams(44, 0, protocol._TRIAL_CHUNK).take(k),
                   protocol._TrialStreams(44, protocol._TRIAL_CHUNK, 3).take(k)]
         want = self._numpy_raw(np.random.SeedSequence(44).spawn(trials), k)
-        assert np.array_equal(np.concatenate(chunks), want)
+        assert np.array_equal(np.concatenate(chunks, axis=1), want)
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
     def test_child_indices_beyond_32_bits(self, seed):
@@ -573,6 +614,58 @@ class TestArrayStreams:
                 with pytest.raises(ProtocolError) as err:
                     run_protocol(p, adversary, "yes", trials=5, seed=seed)
                 assert str(ref.value) in str(err.value)
+
+
+class TestOneRowFinalChunk:
+    """Every bulk path against the per-trial route on a run whose last chunk
+    holds one trial, where a squeezed or broadcast axis would show."""
+
+    TRIALS = 129  # chunks of 64, 64 and 1
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_TRIAL_CHUNK", 64)
+        sizes = []
+
+        class Recording(protocol._TrialStreams):
+            def __init__(self, seed, start, count):
+                sizes.append(count)
+                super().__init__(seed, start, count)
+
+        monkeypatch.setattr(protocol, "_TrialStreams", Recording)
+        return sizes
+
+    def _same(self, sizes, p, adv, x, seed):
+        sizes.clear()
+        bulk = run_protocol(p, adv, x, trials=self.TRIALS, seed=seed)
+        assert sizes == [64, 64, 1]
+        assert bulk == protocol._run_per_trial(p, adv, x, trials=self.TRIALS, seed=seed)
+
+    @pytest.mark.parametrize("x", ["yes", "no"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_plain_and_cheat(self, sizes, m, x):
+        p = parallel_repeat(toy_protocol(3), m)
+        for adv in (Honest(p), protocol.TestOnly(p), _cheat(4, True)):
+            self._same(sizes, p, adv, x, 72 + m)
+
+    @pytest.mark.parametrize("x", ["yes", "no"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_fiat_shamir_and_grinders(self, sizes, m, x):
+        base = parallel_repeat(toy_protocol(3), m)
+        fs = fiat_shamir(base, OracleTable(60, m))
+        for adv in (Honest(base), FsGrinder(5, protocol.TestOnly(base)),
+                    FsGrinder(4, Honest(base))):
+            self._same(sizes, fs, adv, x, 74 + m)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_verdicts_are_coordinates_by_rows(self, rows):
+        p = parallel_repeat(toy_protocol(3), 4)
+        cdfs = _cheat(4, False)._outcome_cdfs()
+        for verdicts in (partial(p.plain_verdicts, had_ok=True),
+                         partial(p.plain_verdicts, had_ok=False),
+                         partial(p.cheat_verdicts, cdfs=cdfs, yes=True)):
+            c, ok = verdicts(protocol._TrialStreams(76, 0, rows))
+            assert c.shape == ok.shape == (4, rows)
 
 
 class TestUnitaryCheatBulk:
@@ -714,7 +807,7 @@ class TestFsBulkReplay:
         children = np.random.SeedSequence(66).spawn(40)
         raw = protocol._TrialStreams(66, 0, 40).take(1)
         want = [np.random.Generator(np.random.PCG64(c)).integers(1 << 62) for c in children]
-        assert np.array_equal(raw[:, 0] >> 2, want)
+        assert np.array_equal(raw[0] >> 2, want)
 
     def test_route(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -986,7 +1079,7 @@ class TestWideSeeds:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_raw_words_match_pcg64(self, seed):
         children = np.random.SeedSequence(seed).spawn(6)
-        want = np.array([np.random.PCG64(c).random_raw(9) for c in children])
+        want = np.array([np.random.PCG64(c).random_raw(9) for c in children]).T
         assert np.array_equal(protocol._TrialStreams(seed, 0, 6).take(9), want)
 
     def test_bulk_stats_equal_per_trial(self):
@@ -1002,7 +1095,7 @@ class TestSkip:
 
     @staticmethod
     def _numpy_raw(children, k):
-        return np.array([np.random.PCG64(c).random_raw(k) for c in children])
+        return np.array([np.random.PCG64(c).random_raw(k) for c in children]).T
 
     @pytest.mark.parametrize("j", [0, 1, 2, 29, 60])
     @pytest.mark.parametrize("seed", TestArrayStreams.SEEDS + TestWideSeeds.SEEDS)
@@ -1013,19 +1106,19 @@ class TestSkip:
                         for i in range(4)]
             streams = protocol._TrialStreams(seed, start, 4)
             streams.skip(j)
-            assert np.array_equal(streams.take(5), self._numpy_raw(children, j + 5)[:, j:])
+            assert np.array_equal(streams.take(5), self._numpy_raw(children, j + 5)[j:])
 
     @pytest.mark.parametrize("j", [1, 29])
     def test_skip_after_keep(self, j):
         children = np.random.SeedSequence(9).spawn(8)
-        want = self._numpy_raw(children, 3 + j + 4)[:, 3 + j:]
+        want = self._numpy_raw(children, 3 + j + 4)[3 + j:]
         for rows in (np.array([True, False, False, True, True, False, True, False]),
                      np.array([6, 2, 5])):
             streams = protocol._TrialStreams(9, 0, 8)
             streams.take(3)
             streams.keep(rows)
             streams.skip(j)
-            assert np.array_equal(streams.take(4), want[rows])
+            assert np.array_equal(streams.take(4), want[:, rows])
 
     def test_skip_zero_is_a_no_op(self):
         streams, ref = protocol._TrialStreams(10, 0, 6), protocol._TrialStreams(10, 0, 6)
@@ -1046,7 +1139,7 @@ class TestFoldedAdvance:
     @staticmethod
     def _raw(seed, start, rows, k):
         return np.array([np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(start + i,)))
-                         .random_raw(k) for i in range(rows)])
+                         .random_raw(k) for i in range(rows)]).T
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_skip_right_after_construction(self, seed):
@@ -1055,7 +1148,7 @@ class TestFoldedAdvance:
             streams = protocol._TrialStreams(seed, 0, 5)
             streams.skip(j)
             assert streams.pending == 1 + j
-            assert np.array_equal(streams.take(4), want[:, j:j + 4])
+            assert np.array_equal(streams.take(4), want[j:j + 4])
             assert streams.pending == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -1064,10 +1157,10 @@ class TestFoldedAdvance:
         streams = protocol._TrialStreams(seed, 2**32 - 2, 4)
         streams.skip(3)
         streams.skip(4)
-        assert np.array_equal(streams.take(2), want[:, 7:9])
+        assert np.array_equal(streams.take(2), want[7:9])
         streams.skip(1)
         streams.skip(2)
-        assert np.array_equal(streams.take(4), want[:, 12:16])
+        assert np.array_equal(streams.take(4), want[12:16])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_skip_then_keep_then_take(self, seed):
@@ -1076,14 +1169,14 @@ class TestFoldedAdvance:
             streams = protocol._TrialStreams(seed, 0, 6)
             streams.skip(6)
             streams.keep(rows)
-            assert np.array_equal(streams.take(3), want[rows, 6:9])
+            assert np.array_equal(streams.take(3), want[6:9, rows])
 
     def test_keep_down_to_zero_rows(self):
         streams = protocol._TrialStreams(12, 0, 5)
         streams.skip(4)
         streams.keep(np.zeros(5, dtype=bool))
         got = streams.take(3)
-        assert got.shape == (0, 3) and got.dtype == np.uint64
+        assert got.shape == (3, 0) and got.dtype == np.uint64
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_one_row_stream(self, seed):
@@ -1091,7 +1184,7 @@ class TestFoldedAdvance:
         streams = protocol._TrialStreams(seed, 17, 1)
         first = streams.take(2)
         streams.skip(4)
-        assert np.array_equal(np.hstack([first, streams.take(4)]), want[:, [0, 1, 6, 7, 8, 9]])
+        assert np.array_equal(np.vstack([first, streams.take(4)]), want[[0, 1, 6, 7, 8, 9]])
 
     def test_full_chunk_at_sixty_outputs(self):
         rows = protocol._TRIAL_CHUNK
@@ -1099,7 +1192,7 @@ class TestFoldedAdvance:
         assert np.array_equal(protocol._TrialStreams(13, 0, rows).take(60), want)
         streams = protocol._TrialStreams(13, 0, rows)
         streams.skip(59)
-        assert np.array_equal(streams.take(1), want[:, 59:])
+        assert np.array_equal(streams.take(1), want[59:])
 
 
 class TestSeedArgument:
