@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import claims, effverify, jordan, partition, protocol
+from . import claims, config, effverify, jordan, partition, protocol
 
 
 class ConfigError(Exception):
@@ -142,17 +142,17 @@ def _grid_chains(p: dict) -> int:
     return p["grid_strategies"] * p["T"] ** p["m"]
 
 
-# Rules across parameters of one command: (holds, message), where the
-# message is a format string over params or a function of them.
+# Rules across parameters of one command: (holds, message), both
+# functions of the params.
 _CROSS_RULES: dict[str, tuple] = {
     "jordan-demo": (
         (lambda p: p["dim_min"] <= p["dim_max"],
-         "need dim_min <= dim_max, got {dim_min}..{dim_max}"),
+         lambda p: f"need dim_min <= dim_max, got {p['dim_min']}..{p['dim_max']}"),
     ),
     "partition-claims": (
         # phase-register width grows with T; keep the demo desk-sized
         (lambda p: p["mode"] != "kernel" or p["T"] <= 32,
-         "kernel mode limited to T <= 32, got T={T}"),
+         lambda p: f"kernel mode limited to T <= 32, got T={p['T']}"),
         (lambda p: _grid_chains(p) <= _PARTITION_MAX_CHAINS,
          lambda p: f"partition-claims would run about {_grid_chains(p):,} partition "
                    f"chains (grid_strategies x T^m), over the "
@@ -161,7 +161,7 @@ _CROSS_RULES: dict[str, tuple] = {
     "repetition-sweep": (
         # the cheat simulates a dense unitary on 2^(n+3) amplitudes
         (lambda p: p["adversary"] != "cheat" or p["n"] <= 6,
-         "cheat adversary limited to n <= 6, got n={n}"),
+         lambda p: f"cheat adversary limited to n <= 6, got n={p['n']}"),
         (lambda p: _sweep_coords(p) <= _SWEEP_MAX_COORDS,
          lambda p: f"repetition-sweep would replay about {_sweep_coords(p):,} trial "
                    f"coordinates (trials x sum of m_list), over the "
@@ -239,8 +239,7 @@ def _check_params(command: str, params: dict):
                  f"{key}={value} outside {lo}..{hi}")
     for holds, message in _CROSS_RULES.get(command, ()):
         if not holds(params):
-            raise ConfigError(message(params) if callable(message)
-                              else message.format(**params))
+            raise ConfigError(message(params))
 
 
 def build_config(command: str, *, seed=None, out=None, fmt=None,
@@ -268,8 +267,6 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
             if key == "seed":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"seed must be an integer, got {value!r}")
                 file_seed = value
             elif key == "format":
                 file_fmt = value
@@ -295,12 +292,12 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
         seed = file_seed
     if seed is None:
         raise ConfigError(f"{command} draws randomness; --seed is required")
-    _require(seed >= 0, f"seed must be >= 0, got {seed}")
+    seed = config.check_int("seed", seed, 0, ConfigError)
     if fmt is None:
         fmt = file_fmt if file_fmt is not None else "csv"
     _require(fmt in FORMATS, f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     _check_params(command, params)
-    return ExperimentConfig(command=command, seed=int(seed),
+    return ExperimentConfig(command=command, seed=seed,
                             out=out if out is not None else f"{command}.{fmt}",
                             fmt=fmt, params=params)
 

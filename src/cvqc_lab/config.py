@@ -4,6 +4,8 @@ Every fixed tolerance in the package lives here so experiments and tests
 agree on what "equal" means.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -14,6 +16,15 @@ def check_int(name: str, value, low: int, error: type) -> int:
     if value < low:
         raise error(f"{name}={value} below {low}")
     return int(value)
+
+
+def check_real(name: str, value, lo: float, hi: float, error: type) -> float:
+    """value as a float; error unless a real number (never a bool or NaN) in finite [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name}={value!r} is not a real number")
+    if not lo <= value <= hi:
+        raise error(f"{name}={value} outside [{lo}, {hi}]")
+    return float(value)
 
 # Default absolute tolerance for operator well-formedness checks
 # (unitarity, projector idempotence/hermiticity).

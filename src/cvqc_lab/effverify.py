@@ -145,16 +145,8 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
         pc = nxt
 
 
-# Canonical bytes of each program key_machine built, keyed by the
-# program's identity: a lookup by value would also match an equal
-# hand-built program holding a bool, which encode must reject.  Like
-# key_machine's cache it keeps one entry per (n, m, time_bound) asked for.
-_PROGRAM_BYTES: dict[int, tuple[tuple, bytes]] = {}
-
-
-def _program_bytes(program: tuple) -> bytes:
-    kept = _PROGRAM_BYTES.get(id(program))
-    return kept[1] if kept is not None and kept[0] is program else encode(program)
+class _KeyProgram(tuple):
+    """A program key_machine built, carrying its encode bytes as `encoded`."""
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -167,9 +159,10 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     models an inner key derivation that genuinely costs T steps.  The
     loop is a counted loop, so run_machine charges its T steps in
     constant wall time.  Built and encoded once per (n, m, time_bound):
-    every call with the same arguments returns the same tuple.  Its idle
-    passes (T - 32m - 5) // 2 must fit a machine word: BackendFailure
-    refuses T >= 2^65 + 32m + 5, and any n, m or T that is not an integer.
+    every call with the same arguments returns the same tuple, carrying
+    its bytes.  Its idle passes (T - 32m - 5) // 2 must fit a machine
+    word: BackendFailure refuses T >= 2^65 + 32m + 5, and any n, m or T
+    that is not an integer.
     """
     n = config.check_int("n", n, 1, BackendFailure)
     m = config.check_int("m", m, 1, BackendFailure)
@@ -207,8 +200,8 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
         raise BackendFailure(f"time bound {time_bound}: {busy} idle passes overflow a machine word")
     loop_at = len(prog) + 1
     prog += [("SETI", 0, busy), ("DEC", 0), ("JNZ", 0, loop_at), ("HALT",)]
-    program = tuple(prog)
-    _PROGRAM_BYTES[id(program)] = (program, encode(program))
+    program = _KeyProgram(prog)
+    program.encoded = encode(program)
     return program
 
 
@@ -300,9 +293,13 @@ class ReEncoding:
     crs_digest: bytes
 
     def serialize(self) -> bytes:
-        """encode(("re-enc", program, inp, bound, crs_digest)), reusing a key machine's bytes."""
-        return frame_tuple([encode("re-enc"), _program_bytes(self.program),
-                            encode(self.inp), encode(self.bound),
+        """encode(("re-enc", program, inp, bound, crs_digest)), reusing a key machine's bytes.
+
+        Any other program, even an equal one holding a bool, is encoded afresh.
+        """
+        prog = self.program
+        return frame_tuple([encode("re-enc"), prog.encoded if type(prog) is _KeyProgram
+                            else encode(prog), encode(self.inp), encode(self.bound),
                             encode(self.crs_digest)])
 
 
@@ -386,6 +383,7 @@ class BackendSuite:
 
 
 def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
+    oracle_seed = config.check_int("oracle_seed", oracle_seed, 0, BackendFailure)
     return BackendSuite(
         fhe=StubFhe(),
         re=StubRe(),
@@ -407,8 +405,8 @@ def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
 
 def toy_inner(num_qubits: int, m: int, fs_seed: int = 7) -> TwoRoundFS:
     """Fiat-Shamir collapse of the m-fold repeated toy protocol."""
-    if not 1 <= num_qubits <= 16:
-        raise InnerProtocolError(f"num_qubits={num_qubits}")
+    if config.check_int("num_qubits", num_qubits, 1, InnerProtocolError) > 16:
+        raise InnerProtocolError(f"num_qubits={num_qubits} above 16")
     rep = parallel_repeat(toy_protocol(num_qubits), m)
     return fiat_shamir(rep, OracleTable(fs_seed, m))
 

@@ -91,10 +91,11 @@ class PartitionParams:
             config.check_int(name, getattr(self, name), 1, DomainError)
         if self.i > self.m:
             raise DomainError(f"coordinate i={self.i} outside 1..{self.m}")
-        if not 0.0 < self.gamma0 <= 1.0:
+        if config.check_real("gamma0", self.gamma0, 0, 1, DomainError) == 0:
             raise DomainError(f"gamma0={self.gamma0} outside (0, 1]")
         if self.gamma0 / self.T < config.GRID_STEP_MIN:
             raise DomainError(f"grid step {self.gamma0 / self.T} underflows")
+        config.check_real("gamma", self.gamma, 0, 1, DomainError)
         j = round(self.gamma * self.T / self.gamma0)
         if not 1 <= j <= self.T or abs(self.gamma - self.gamma0 * j / self.T) > 1e-12:
             raise DomainError(f"gamma={self.gamma} not on the grid")
@@ -821,10 +822,8 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
 
 def ext_success_formula(p: float, n_rounds: int) -> float:
     """Closed-form success probability of the extractor on one 2-D block."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p={p} outside [0, 1]")
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds={n_rounds}")
+    p = config.check_real("p", p, 0, 1, DomainError)
+    n_rounds = config.check_int("n_rounds", n_rounds, 1, DomainError)
     return 1.0 - (1.0 - 2.0 * p + 2.0 * p * p) ** (n_rounds - 1) * (1.0 - p)
 
 
@@ -916,8 +915,7 @@ def single_block_strategy(p: float) -> ProverStrategy:
     Registers (C:1, X:1, Z:0); Acc = {"0"}; the block's alpha is |00>.
     Degenerate p=0 and p=1 turn the block into pure 1-D types.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p={p} outside [0, 1]")
+    p = config.check_real("p", p, 0, 1, DomainError)
     beta = np.array([np.sqrt(p), 0, np.sqrt(1 - p), 0], dtype=np.complex128)
     beta2 = np.array([0, 0, 0, 1], dtype=np.complex128)
     cols = [beta, beta2]

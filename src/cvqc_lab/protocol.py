@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
 
@@ -480,9 +480,12 @@ def fiat_shamir(p: FourRoundProtocol, oracle: OracleTable) -> TwoRoundFS:
 
 
 class Honest:
-    """Follows the protocol exactly."""
+    """Follows the protocol exactly; built only for a FourRoundProtocol."""
 
     def __init__(self, p: FourRoundProtocol):
+        if not isinstance(p, FourRoundProtocol):
+            raise ProtocolError(f"{type(self).__name__} built for a "
+                                f"{type(p).__name__}, not a FourRoundProtocol")
         self.p = p
 
     def commit(self, x, k, rng):
@@ -511,7 +514,8 @@ class UnitaryCheat:
     Each coordinate prepares the strategy's initial state, writes the
     challenge bit into C, applies U, and measures X; the measured bits
     (first, rest) are read as (b, r) on test rounds and (m0, d) on
-    Hadamard rounds.  Coordinates are independent; entangled
+    Hadamard rounds.  The answer does not depend on the committed y, so
+    commit's state is y itself.  Coordinates are independent; entangled
     cross-coordinate cheats are out of scope at desk scale.
     """
 
@@ -526,23 +530,20 @@ class UnitaryCheat:
     def commit(self, x, k, rng):
         # a toy key is the pair (x0, x1); repeated keys nest tuples of them
         if isinstance(k[0], tuple):
-            pairs = [self.commit(x, ki, rng) for ki in k]
-            return tuple(y for y, _ in pairs), tuple(s for _, s in pairs)
-        return self._commit_one(x, k, rng)
-
-    def _commit_one(self, x, k, rng):
-        # the committed y only names the accept set; the unitary's answer
-        # distribution does not depend on it
-        y = int(rng.integers(1 << self.n))
-        return y, ("cheat", y)
+            y = tuple(self.commit(x, ki, rng)[0] for ki in k)
+        else:
+            y = int(rng.integers(1 << self.n))
+        return y, y
 
     def answer(self, state, c, rng):
-        if isinstance(state, tuple) and state and state[0] == "cheat":
-            return self._answer_one(c, rng)
-        # a repeated state: answer each coordinate with its slice of c
-        w = len(c) // len(state)
-        return tuple(self.answer(state[i], c[i * w:(i + 1) * w], rng)
-                     for i in range(len(state)))
+        if isinstance(state, tuple):
+            # a repeated state: answer each coordinate with its slice of c
+            w = len(c) // len(state)
+            return tuple(self.answer(state[i], c[i * w:(i + 1) * w], rng)
+                         for i in range(len(state)))
+        states = self.strategy.derived("cheat_states", _cheat_states, self.strategy)
+        outcome = measure(states[int(c)], "X1", rng)
+        return ("test" if c == "0" else "had", int(outcome[0]), int(outcome[1:], 2))
 
     def _outcome_cdfs(self) -> np.ndarray:
         """Per-challenge cumulative tables of the X measurement's outcomes.
@@ -553,14 +554,6 @@ class UnitaryCheat:
         """
         states = self.strategy.derived("cheat_states", _cheat_states, self.strategy)
         return self.strategy.derived("cheat_cdfs", _cheat_cdfs, states)
-
-    def _answer_one(self, c, rng):
-        states = self.strategy.derived("cheat_states", _cheat_states, self.strategy)
-        outcome = measure(states[int(c)], "X1", rng)
-        first, rest = int(outcome[0]), int(outcome[1:], 2)
-        if c == "0":
-            return ("test", first, rest)
-        return ("had", first, rest)
 
 
 def _cheat_states(s: ProverStrategy) -> tuple[StateVector, StateVector]:
@@ -590,6 +583,15 @@ class FsGrinder:
 
     def __post_init__(self):
         config.check_int("query_budget", self.query_budget, 1, ProtocolError)
+        if isinstance(self.inner, FsGrinder):
+            raise ProtocolError("FsGrinder cannot wrap another FsGrinder")
+
+
+def _unwrap(adversary) -> tuple[object, int]:
+    """(strategy, commitment attempts per trial): a grinder's (inner, budget), else (adversary, 1)."""
+    if isinstance(adversary, FsGrinder):
+        return adversary.inner, adversary.query_budget
+    return adversary, 1
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +600,16 @@ class FsGrinder:
 
 @dataclass(frozen=True)
 class Stats:
+    """Counts of a run; accept_rate is derived from them, never stored."""
+
     trials: int
     accepts: int
-    accept_rate: float
     per_round_counts: dict
     queries: int
 
-
-def _stats(trials: int, accepts: int, counts: dict, queries: int) -> Stats:
-    return Stats(trials=trials, accepts=accepts, accept_rate=accepts / trials,
-                 per_round_counts=counts, queries=queries)
+    @property
+    def accept_rate(self) -> float:
+        return self.accepts / self.trials
 
 
 # Trials are seeded and replayed this many at a time, so memory stays
@@ -822,11 +824,12 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     FsGrinder, on a one-level repetition of up to 64 challenge bits.
     Every other adversary, and under Fiat-Shamir the bare toy and nested
     repetitions, runs on the per-trial route, which calls the protocol's
-    methods trial by trial and is the bulk route's reference.  An
-    FsGrinder outside Fiat-Shamir or inside another FsGrinder, an Honest
-    or TestOnly built for anything but a FourRoundProtocol of this shape,
-    a trial count that is not a positive int, and a seed that is None, a
-    bool or no SeedSequence entropy are rejected before any trial runs.
+    methods trial by trial and is the bulk route's reference.  Refused
+    when built: a grinder in a grinder, and an Honest or TestOnly for no
+    FourRoundProtocol.  Refused here, before any trial runs: an FsGrinder
+    outside Fiat-Shamir, an Honest or TestOnly for another shape, a trial
+    count that is not a positive int, and a seed that is None, a bool or
+    no SeedSequence entropy.
     """
     config.check_int("trials", trials, 1, ProtocolError)
     # None would draw fresh OS entropy for every chunk; a bool is no seed
@@ -838,33 +841,25 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
         raise ProtocolError(f"seed={seed!r}: {exc}") from None
     hashed = isinstance(p, TwoRoundFS)
     base = p.base if hashed else p
-    grinder = isinstance(adversary, FsGrinder)
-    inner = adversary.inner if grinder else adversary
-    if grinder and not hashed:
+    inner, attempts = _unwrap(adversary)
+    if inner is not adversary and not hashed:
         raise ProtocolError("FsGrinder needs a Fiat-Shamir protocol")
-    if isinstance(inner, FsGrinder):
-        raise ProtocolError("FsGrinder cannot wrap another FsGrinder")
-    if isinstance(inner, Honest) and not isinstance(inner.p, FourRoundProtocol):
-        raise ProtocolError(f"{type(inner).__name__} built for a "
-                            f"{type(inner.p).__name__}, not a FourRoundProtocol")
     if isinstance(inner, Honest) and inner.p.shape != base.shape:
         raise WidthMismatch(f"strategy built for shape {inner.p.shape} "
                             f"({inner.p.m} challenge bits), "
                             f"protocol has shape {base.shape}")
-    if hashed:
-        if type(inner) in (Honest, TestOnly) and inner.p == base \
-                and len(base.shape) == 1 and base.m <= _FS_MAX_M:
-            return _run_fs_batch(base, type(inner) is Honest and x == "yes",
-                                 adversary.query_budget if grinder else 1, trials, seed)
-        return _run_per_trial(p, adversary, x, trials, seed)
-    kind = type(adversary)
-    if kind in (Honest, TestOnly) and adversary.p == p:
-        verdicts = partial(p.plain_verdicts, had_ok=kind is Honest and x == "yes")
-    elif kind is UnitaryCheat and adversary.n == p.n:
-        verdicts = partial(p.cheat_verdicts, cdfs=adversary._outcome_cdfs(), yes=x == "yes")
-    else:
-        return _run_per_trial(p, adversary, x, trials, seed)
-    return _run_toy_batch(verdicts, trials, seed)
+    kind = type(inner)
+    plain = kind in (Honest, TestOnly) and inner.p == base
+    had_ok = kind is Honest and x == "yes"
+    width = inner.n if kind is UnitaryCheat else None
+    if hashed and plain and len(base.shape) == 1 and base.m <= _FS_MAX_M:
+        return _run_fs_batch(base, had_ok, attempts, trials, seed)
+    if not hashed and plain:
+        return _run_toy_batch(partial(p.plain_verdicts, had_ok=had_ok), trials, seed)
+    if not hashed and width == p.n:
+        cdfs = inner._outcome_cdfs()
+        return _run_toy_batch(partial(p.cheat_verdicts, cdfs=cdfs, yes=x == "yes"), trials, seed)
+    return _run_per_trial(p, adversary, x, trials, seed)
 
 
 def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
@@ -881,7 +876,7 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
             else:
                 ok = _run_interactive_trial(p, adversary, x, rng, counts)
             accepts += int(ok)
-    return _stats(trials, accepts, counts, queries)
+    return Stats(trials, accepts, counts, queries)
 
 
 def _run_toy_batch(verdicts: Callable, trials: int, seed: int) -> Stats:
@@ -898,7 +893,7 @@ def _run_toy_batch(verdicts: Callable, trials: int, seed: int) -> Stats:
         counts["test"][1] += had.size - n_had
         counts["hadamard"][0] += int(np.count_nonzero(had & ok))
         counts["hadamard"][1] += n_had
-    return _stats(trials, accepts, counts, 0)
+    return Stats(trials, accepts, counts, 0)
 
 
 # The Fiat-Shamir bulk route keeps failmasks and challenges in uint64;
@@ -980,7 +975,7 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
             streams.keep(grinding)
             seeds, x0, x1 = seeds[grinding], x0[:, grinding], x1[:, grinding]
             done += 2
-    return _stats(trials, accepts, {"test": [0, 0], "hadamard": [0, 0]}, queries)
+    return Stats(trials, accepts, {"test": [0, 0], "hadamard": [0, 0]}, queries)
 
 
 def _run_interactive_trial(p, adversary, x, rng, counts) -> bool:
@@ -1000,20 +995,18 @@ def _run_interactive_trial(p, adversary, x, rng, counts) -> bool:
 
 def _run_fs_trial(p: TwoRoundFS, adversary, x, rng) -> tuple[bool, int]:
     # fresh oracle per trial, seeded from the trial rng, keeps trials iid
-    fs = replace(p, oracle=OracleTable(int(rng.integers(1 << 62)),
-                                       p.oracle.out_bits))
-    k, td = fs.base.v1(x, rng)
+    oracle = OracleTable(int(rng.integers(1 << 62)), p.oracle.out_bits)
+    k, td = p.base.v1(x, rng)
     # a grinder retries until an attempt verifies; anything else makes one
-    grinder = isinstance(adversary, FsGrinder)
-    inner = adversary.inner if grinder else adversary
-    for _ in range(adversary.query_budget if grinder else 1):
+    inner, attempts = _unwrap(adversary)
+    for _ in range(attempts):
         y, state = inner.commit(x, k, rng)
-        c = fs.challenge_of(y)
+        c = oracle.query_bits(encode(y))
         a = inner.answer(state, c, rng)
-        ok = fs.base.v_out(x, k, td, y, c, a)
+        ok = p.base.v_out(x, k, td, y, c, a)
         if ok:
             break
-    return ok, fs.oracle.query_count
+    return ok, oracle.query_count
 
 
 def testonly_rate_oracle(m: int) -> float:

@@ -100,6 +100,27 @@ class TestConfigHandling:
         assert code == 0
         assert len(read_rows(out)) == 4
 
+    @pytest.mark.parametrize("seed", [True, 3.0, -1])
+    def test_bad_config_file_seed(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pairs": 2, "dim_max": 4, "seed": seed}))
+        code, out = run_cli(["jordan-demo", "--config", str(cfg)], tmp_path, "j.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "seed=" in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        code, out = run_cli(["jordan-demo", "--seed", "-1"], tmp_path, "j.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "seed=-1 below 0" in capsys.readouterr().err
+
+    def test_seed_follows_the_integer_rule(self):
+        for bad in (True, -1, 2.0, "3"):
+            with pytest.raises(ConfigError, match="seed="):
+                build_config("fs-attack", seed=bad)
+        assert build_config("fs-attack", seed=np.int64(5)).seed == 5
+
     def test_config_file_may_carry_seed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pairs": 2, "dim_max": 4, "seed": 9}))
@@ -204,6 +225,17 @@ class TestParamTable:
             build_config("partition-claims", seed=1, sets=["mode=kernel", "T=40"])
         build_config("partition-claims", seed=1, sets=["mode=ideal", "T=40"])
         build_config("repetition-sweep", seed=1, sets=["adversary=cheat", "n=6"])
+
+    def test_cross_rule_messages(self):
+        for command, sets, message in (
+                ("jordan-demo", ["dim_min=6", "dim_max=4"], "need dim_min <= dim_max, got 6..4"),
+                ("partition-claims", ["mode=kernel", "T=40"],
+                 "kernel mode limited to T <= 32, got T=40"),
+                ("repetition-sweep", ["adversary=cheat", "n=7"],
+                 "cheat adversary limited to n <= 6, got n=7")):
+            with pytest.raises(ConfigError) as err:
+                build_config(command, seed=1, sets=sets)
+            assert str(err.value) == message
 
     def test_fs_attack_work_ceiling(self, tmp_path, capsys):
         # hi-range budgets at the default 5000 trials: 5000 * (1 + 10^6)

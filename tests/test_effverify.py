@@ -821,6 +821,23 @@ class TestCostReport:
 class TestStubSuiteSeed:
     def test_seed_outside_oracle_range_rejected_at_build(self):
         # the suite's oracle seeds are oracle_seed ^ constant; a negative
-        # one used to build and then fail at the first query
-        with pytest.raises(ProtocolError, match="master_seed"):
+        # one used to build and then fail at the first query, and then to
+        # be refused naming the xored master_seed rather than the caller's
+        with pytest.raises(BackendFailure, match="oracle_seed=-5"):
             make_stub_suite(-5)
+
+    @pytest.mark.parametrize("bad", ["x", True, -1, 1.5, None, np.bool_(True)])
+    def test_seed_follows_the_integer_rule(self, bad):
+        with pytest.raises(BackendFailure, match="oracle_seed"):
+            make_stub_suite(bad)
+        got, want = make_stub_suite(np.int64(3)), make_stub_suite(3)
+        assert got.snark_oracle.master_seed == want.snark_oracle.master_seed
+        assert got.salt_oracle.master_seed == want.salt_oracle.master_seed
+
+
+class TestToyInnerWidth:
+    @pytest.mark.parametrize("bad", ["12", True, 12.0, None, 0, 17])
+    def test_num_qubits_follows_the_integer_rule(self, bad):
+        with pytest.raises(InnerProtocolError, match="num_qubits"):
+            toy_inner(bad, 4)
+        assert toy_inner(np.int64(16), 4).base == toy_inner(16, 4).base

@@ -136,6 +136,48 @@ class TestParams:
             PartitionParams(**{**kw, name: value})
         assert PartitionParams(**{**kw, name: np.int64(kw[name])}) == PartitionParams(**kw)
 
+    @pytest.mark.parametrize("name,value", [
+        ("gamma", float("nan")), ("gamma", float("inf")), ("gamma", -float("inf")),
+        ("gamma", "a"), ("gamma", None), ("gamma", True), ("gamma", np.bool_(True)),
+        ("gamma0", "1"), ("gamma0", None), ("gamma0", True), ("gamma0", float("nan")),
+        ("gamma0", float("inf")), ("gamma0", 0.0), ("gamma0", 1.5)])
+    def test_reals_follow_the_real_rule(self, name, value):
+        kw = dict(m=1, i=1, gamma0=1.0, T=4, gamma=0.25)
+        with pytest.raises(DomainError, match=name):
+            PartitionParams(**{**kw, name: value})
+        assert PartitionParams(**{**kw, name: np.float64(kw[name])}) == PartitionParams(**kw)
+        assert PartitionParams(**{**kw, "gamma0": 1}).gamma0 == 1
+
+
+class TestRealRule:
+    """config.check_real: a finite real number (never a bool) in [lo, hi], as a float."""
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(False), "0.5", None, 1j,
+                                       float("nan"), float("inf"), -float("inf"),
+                                       10 ** 400, -0.1, 1.5, np.float64("nan")])
+    def test_refused(self, value):
+        with pytest.raises(DomainError, match="x="):
+            config.check_real("x", value, 0, 1, DomainError)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, np.float32(0.5), np.float64(1.0),
+                                       np.int64(0)])
+    def test_accepted_as_float(self, value):
+        got = config.check_real("x", value, 0, 1, DomainError)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("value", ["a", True, float("nan"), float("inf"), -0.5, None])
+    def test_single_block_strategy(self, value):
+        with pytest.raises(DomainError, match="p="):
+            single_block_strategy(value)
+
+    @pytest.mark.parametrize("p,n_rounds", [(0.5, 2.5), (0.5, True), (0.5, "3"), (0.5, 0),
+                                            (True, 3), ("0.5", 3), (float("nan"), 3),
+                                            (None, 3), (1.5, 3)])
+    def test_ext_success_formula(self, p, n_rounds):
+        with pytest.raises(DomainError):
+            ext_success_formula(p, n_rounds)
+        assert ext_success_formula(np.float64(0.5), np.int64(3)) == ext_success_formula(0.5, 3)
+
 
 # ---------------------------------------------------------------------------
 # Projectors

@@ -4,7 +4,7 @@ import enum
 import hashlib
 import math
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -858,6 +858,16 @@ class TestNestedRepetition:
         want = run_protocol(flat, make(flat), "yes", trials=200, seed=40 + a * b)
         assert got == want
 
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_cheat_per_trial_route_matches_flat(self, a, b):
+        # the per-trial route recurses through the nested commitments the
+        # cheat keeps as its states
+        nested = parallel_repeat(parallel_repeat(toy_protocol(4), a), b)
+        flat = parallel_repeat(toy_protocol(4), a * b)
+        cheat = self._cheat(flat)
+        want = run_protocol(flat, cheat, "yes", trials=200, seed=40 + a * b)
+        assert protocol._run_per_trial(nested, cheat, "yes", 200, 40 + a * b) == want
+
     def test_fs_grinder_matches_formula(self):
         # encode(y) differs between the nested and the flat shape, so the
         # hashed challenges do too; only the closed form can be compared
@@ -1030,14 +1040,15 @@ class TestMismatchedAdversary:
 
     def test_strategy_built_for_the_fiat_shamir_protocol(self):
         # Honest(fs) instead of Honest(fs.base): rejected with a typed error
-        # at entry, under Fiat-Shamir, inside a grinder and interactively
+        # when built, for Fiat-Shamir, inside a grinder and interactively
         p = parallel_repeat(toy_protocol(3), 2)
         fs = fiat_shamir(p, OracleTable(1, 2))
         for strategy in (Honest, protocol.TestOnly):
-            for target, adv in ((fs, strategy(fs)), (fs, FsGrinder(2, strategy(fs))),
-                                (p, strategy(fs))):
+            for target, build in ((fs, lambda: strategy(fs)),
+                                  (fs, lambda: FsGrinder(2, strategy(fs))),
+                                  (p, lambda: strategy(fs))):
                 with pytest.raises(ProtocolError, match="TwoRoundFS"):
-                    run_protocol(target, adv, "yes", trials=5, seed=1)
+                    run_protocol(target, build(), "yes", trials=5, seed=1)
 
     def test_strategy_for_another_width_under_fiat_shamir(self):
         toy = toy_protocol(3)
@@ -1225,3 +1236,65 @@ class TestSeedArgument:
         for p, adv in self._cases():
             st = run_protocol(p, adv, "yes", trials=40, seed=seed)
             assert st == protocol._run_per_trial(p, adv, "yes", trials=40, seed=seed)
+
+
+class TestRefusedWhenBuilt:
+    """Adversaries that fit no protocol are refused where they are built."""
+
+    @pytest.mark.parametrize("strategy", [Honest, protocol.TestOnly])
+    def test_strategy_for_no_four_round_protocol(self, strategy):
+        fs = fiat_shamir(parallel_repeat(toy_protocol(3), 2), OracleTable(1, 2))
+        for bad, name in ((fs, "TwoRoundFS"), (None, "NoneType"), ("p", "str")):
+            with pytest.raises(ProtocolError, match=f"built for a {name}, not a FourRoundProtocol"):
+                strategy(bad)
+
+    def test_grinder_in_a_grinder(self):
+        p = parallel_repeat(toy_protocol(3), 2)
+        with pytest.raises(ProtocolError, match="another FsGrinder"):
+            FsGrinder(2, FsGrinder(2, Honest(p)))
+
+
+class TestStatsRate:
+    """accept_rate is derived from the counts, so it is never stored beside them."""
+
+    def test_rate_is_accepts_over_trials(self):
+        p = parallel_repeat(toy_protocol(4), 3)
+        st = run_protocol(p, protocol.TestOnly(p), "yes", trials=500, seed=3)
+        assert 0 < st.accepts < st.trials
+        assert st.accept_rate == st.accepts / st.trials
+        assert "accept_rate" not in {f.name for f in fields(Stats)}
+        assert replace(st, accepts=st.accepts + 1).accept_rate == (st.accepts + 1) / 500
+
+    def test_equality_reads_the_counts(self):
+        counts = {"test": [1, 2], "hadamard": [0, 1]}
+        assert Stats(4, 1, counts, 0) == Stats(4, 1, dict(counts), 0)
+        assert Stats(4, 1, counts, 0) != Stats(4, 1, counts, 1)
+        # the same rate from other counts is another Stats
+        assert Stats(4, 2, counts, 0) != Stats(8, 4, counts, 0)
+
+
+class TestCheatState:
+    def test_state_is_the_commitment(self):
+        cheat = _cheat(5, False)
+        nested = parallel_repeat(parallel_repeat(toy_protocol(4), 2), 3)
+        rng = np.random.default_rng(7)
+        k, _ = nested.v1("yes", rng)
+        y, state = cheat.commit("yes", k, rng)
+        assert state == y
+        assert [type(v) for v in nested._flat(y)] == [int] * 6
+
+
+class TestFsTrialOracle:
+    def test_per_trial_route_builds_no_protocol_per_trial(self, monkeypatch):
+        # each trial draws a bare OracleTable; no TwoRoundFS is rebuilt
+        nested = parallel_repeat(parallel_repeat(toy_protocol(4), 2), 2)
+        fs = fiat_shamir(nested, OracleTable(1, 4))
+        adv = FsGrinder(3, Honest(nested))
+        want = run_protocol(fs, adv, "yes", trials=50, seed=8)
+
+        def refuse(self):
+            raise AssertionError("a TwoRoundFS was built during the trials")
+
+        monkeypatch.setattr(protocol.TwoRoundFS, "__post_init__", refuse)
+        assert run_protocol(fs, adv, "yes", trials=50, seed=8) == want
+        assert want.queries > want.trials
