@@ -12,43 +12,5 @@ Modules:
 """
 
 from . import config, effverify, jordan, partition, protocol, qsim
-from .effverify import make_stub_suite, run_four_round, run_two_round_fs, toy_inner
-from .jordan import jordan_decompose, reconstruct_check
-from .partition import PartitionParams, ProverStrategy, partition_chain, run_G, run_H
-from .protocol import (
-    OracleTable,
-    fiat_shamir,
-    parallel_repeat,
-    run_protocol,
-    toy_protocol,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "claims",
-    "cli",
-    "config",
-    "effverify",
-    "jordan",
-    "partition",
-    "protocol",
-    "qsim",
-    "OracleTable",
-    "PartitionParams",
-    "ProverStrategy",
-    "fiat_shamir",
-    "jordan_decompose",
-    "make_stub_suite",
-    "parallel_repeat",
-    "partition_chain",
-    "reconstruct_check",
-    "run_G",
-    "run_H",
-    "run_four_round",
-    "run_protocol",
-    "run_two_round_fs",
-    "toy_inner",
-    "toy_protocol",
-    "__version__",
-]

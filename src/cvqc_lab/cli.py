@@ -120,64 +120,54 @@ _SWEEP_MAX_COORDS = 5 * 10**9
 _PARTITION_MAX_CHAINS = 15 * 10**6
 
 
-def _fs_attempts(p: dict) -> int:
-    """Estimated commitment attempts of fs-attack: per trial one honest
-    pass plus up to q grinding attempts for each budget q."""
-    return p["trials"] * (1 + sum(_parse_int_list(p["budgets"], "budgets")))
+def _jordan_rules(p: dict):
+    _require(p["dim_min"] <= p["dim_max"],
+             f"need dim_min <= dim_max, got {p['dim_min']}..{p['dim_max']}")
 
 
-def _fs_grind_columns(p: dict) -> int:
-    """Most stream columns fs-attack grinds: 3m per step, ceil(q/2) steps per budget q per chunk."""
-    steps = sum(-(-q // 2) for q in _parse_int_list(p["budgets"], "budgets"))
-    return -(-p["trials"] // protocol._TRIAL_CHUNK) * steps * 3 * p["m"]
+def _partition_rules(p: dict):
+    # phase-register width grows with T; keep the demo desk-sized
+    _require(p["mode"] != "kernel" or p["T"] <= 32,
+             f"kernel mode limited to T <= 32, got T={p['T']}")
+    # the grid rows run one partition_chain per gamma tuple per strategy
+    chains = p["grid_strategies"] * p["T"] ** p["m"]
+    _require(chains <= _PARTITION_MAX_CHAINS,
+             f"partition-claims would run about {chains:,} partition chains (grid_strategies "
+             f"x T^m), over the {_PARTITION_MAX_CHAINS:,} that take up to an hour")
 
 
-def _sweep_coords(p: dict) -> int:
-    """Trial coordinates repetition-sweep replays: trials per entry of m_list."""
-    return p["trials"] * sum(_parse_int_list(p["m_list"], "m_list"))
+def _repetition_rules(p: dict):
+    # the cheat simulates a dense unitary on 2^(n+3) amplitudes
+    _require(p["adversary"] != "cheat" or p["n"] <= 6,
+             f"cheat adversary limited to n <= 6, got n={p['n']}")
+    coords = p["trials"] * sum(_parse_int_list(p["m_list"], "m_list"))
+    _require(coords <= _SWEEP_MAX_COORDS,
+             f"repetition-sweep would replay about {coords:,} trial coordinates (trials x "
+             f"sum of m_list), over the {_SWEEP_MAX_COORDS:,} that take up to an hour")
 
 
-def _grid_chains(p: dict) -> int:
-    """partition_chain calls of the grid rows: one per gamma tuple per strategy."""
-    return p["grid_strategies"] * p["T"] ** p["m"]
+def _fs_rules(p: dict):
+    budgets = _parse_int_list(p["budgets"], "budgets")
+    # per trial one honest pass plus up to q grinding attempts for each budget q
+    attempts = p["trials"] * (1 + sum(budgets))
+    _require(attempts <= _FS_MAX_ATTEMPTS,
+             f"fs-attack would make about {attempts:,} commitment attempts (trials x (1 + sum "
+             f"of budgets)), over the {_FS_MAX_ATTEMPTS:,} that take 1.3-2.7 minutes over "
+             f"thousands of trials")
+    steps = sum(-(-q // 2) for q in budgets)
+    grind = -(-p["trials"] // protocol._TRIAL_CHUNK) * steps * 3 * p["m"]
+    _require(grind <= _FS_MAX_GRIND_COLUMNS,
+             f"fs-attack would grind up to {grind:,} stream columns (3m per two-attempt step, "
+             f"ceil(q/2) steps per budget q and chunk of trials), about "
+             f"{grind / _FS_MAX_GRIND_COLUMNS:.1f} hours against the one allowed")
 
 
-# Rules across parameters of one command: (holds, message), both
-# functions of the params.
-_CROSS_RULES: dict[str, tuple] = {
-    "jordan-demo": (
-        (lambda p: p["dim_min"] <= p["dim_max"],
-         lambda p: f"need dim_min <= dim_max, got {p['dim_min']}..{p['dim_max']}"),
-    ),
-    "partition-claims": (
-        # phase-register width grows with T; keep the demo desk-sized
-        (lambda p: p["mode"] != "kernel" or p["T"] <= 32,
-         lambda p: f"kernel mode limited to T <= 32, got T={p['T']}"),
-        (lambda p: _grid_chains(p) <= _PARTITION_MAX_CHAINS,
-         lambda p: f"partition-claims would run about {_grid_chains(p):,} partition "
-                   f"chains (grid_strategies x T^m), over the "
-                   f"{_PARTITION_MAX_CHAINS:,} that take up to an hour"),
-    ),
-    "repetition-sweep": (
-        # the cheat simulates a dense unitary on 2^(n+3) amplitudes
-        (lambda p: p["adversary"] != "cheat" or p["n"] <= 6,
-         lambda p: f"cheat adversary limited to n <= 6, got n={p['n']}"),
-        (lambda p: _sweep_coords(p) <= _SWEEP_MAX_COORDS,
-         lambda p: f"repetition-sweep would replay about {_sweep_coords(p):,} trial "
-                   f"coordinates (trials x sum of m_list), over the "
-                   f"{_SWEEP_MAX_COORDS:,} that take up to an hour"),
-    ),
-    "fs-attack": (
-        (lambda p: _fs_attempts(p) <= _FS_MAX_ATTEMPTS,
-         lambda p: f"fs-attack would make about {_fs_attempts(p):,} commitment "
-                   f"attempts (trials x (1 + sum of budgets)), over the "
-                   f"{_FS_MAX_ATTEMPTS:,} that take 1.3-2.7 minutes over thousands of trials"),
-        (lambda p: _fs_grind_columns(p) <= _FS_MAX_GRIND_COLUMNS,
-         lambda p: f"fs-attack would grind up to {_fs_grind_columns(p):,} stream columns "
-                   f"(3m per two-attempt step, ceil(q/2) steps per budget q and chunk of "
-                   f"trials), about {_fs_grind_columns(p) / _FS_MAX_GRIND_COLUMNS:.1f} hours "
-                   f"against the one allowed"),
-    ),
+# Rules across parameters of one command, checked after each parameter's own.
+_CROSS_RULES = {
+    "jordan-demo": _jordan_rules,
+    "partition-claims": _partition_rules,
+    "repetition-sweep": _repetition_rules,
+    "fs-attack": _fs_rules,
 }
 
 _COMMANDS = tuple(_PARAMS)
@@ -223,23 +213,19 @@ def _check_params(command: str, params: dict):
     """Type and range of every parameter, then the command's cross rules."""
     for key, spec in _PARAMS[command].items():
         value = params[key]
-        if spec.kind == "int":
-            _require(isinstance(value, int) and not isinstance(value, bool),
-                     f"{key} must be an integer, got {value!r}")
-            entries = (value,)
-        else:
-            _require(isinstance(value, str), f"{key} must be a string, got {value!r}")
-            if spec.kind == "choice":
-                _require(value in spec.allowed, f"{key} must be one of "
-                         f"{', '.join(spec.allowed)}, got {value!r}")
-                continue
-            entries = _parse_int_list(value, key)
+        if spec.kind == "choice":
+            _require(isinstance(value, str) and value in spec.allowed,
+                     f"{key} must be one of {', '.join(spec.allowed)}, got {value!r}")
+            continue
         lo, hi = spec.allowed
-        _require(all(lo <= v <= hi for v in entries),
-                 f"{key}={value} outside {lo}..{hi}")
-    for holds, message in _CROSS_RULES.get(command, ()):
-        if not holds(params):
-            raise ConfigError(message(params))
+        if spec.kind == "int":
+            config.check_int(key, value, lo, ConfigError, hi)
+            continue
+        _require(isinstance(value, str), f"{key} must be a string, got {value!r}")
+        for entry in _parse_int_list(value, key):
+            config.check_int(key, entry, lo, ConfigError, hi)
+    if command in _CROSS_RULES:
+        _CROSS_RULES[command](params)
 
 
 def build_config(command: str, *, seed=None, out=None, fmt=None,
@@ -325,22 +311,19 @@ def _cell(value) -> str:
     raise RuntimeFailure(f"cannot serialize cell {value!r}")
 
 
-def _stringify_rows(columns, rows):
+def _stringify_rows(rows):
+    """The header, the first row's keys, and every row's cells as strings."""
+    columns = list(rows[0])
     out = []
     for row in rows:
-        missing = [c for c in columns if c not in row]
-        if missing:
-            raise RuntimeFailure(f"row missing columns {missing}")
+        if list(row) != columns:
+            raise RuntimeFailure(f"row keys {list(row)} differ from the header {columns}")
         out.append({c: _cell(row[c]) for c in columns})
-    return out
+    return columns, out
 
 
 # ---------------------------------------------------------------------------
 # Experiment: jordan-demo
-
-_JORDAN_COLUMNS = ("pair", "dim", "rank0", "rank1", "blocks2d", "blocks1d",
-                   "claim_id", "bound", "measured")
-
 
 def _jordan_pair(index, task_seed, dim_min, dim_max):
     rng = np.random.default_rng(task_seed)
@@ -360,16 +343,11 @@ def _run_jordan(cfg: ExperimentConfig):
     seeds = _task_seeds(cfg.seed, p["pairs"])
     rows = [row for i in range(p["pairs"])
             for row in _jordan_pair(i, seeds[i], p["dim_min"], p["dim_max"])]
-    return _JORDAN_COLUMNS, rows, {}
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
 # Experiment: partition-claims
-
-_PARTITION_COLUMNS = ("seed", "m", "i", "gamma0", "T", "gamma", "mode",
-                      "norm_psi0", "norm_psi1", "norm_err",
-                      "claim_id", "bound", "measured")
-
 
 def _partition_row(idx, params, norms, claim):
     return {
@@ -433,15 +411,11 @@ def _run_partition(cfg: ExperimentConfig):
                 for g in itertools.product(grid, repeat=m))
         claim, means = claims.chain_err_grid_avg(s, psi, runs, T, mode)
         rows.append(_partition_row(i, _mid_params(m, T, mode), means, claim))
-    return _PARTITION_COLUMNS, rows, {}
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
 # Experiments: repetition-sweep and fs-attack
-
-_PROTOCOL_COLUMNS = ("m", "adversary", "trials", "accepts", "rate", "queries",
-                     "claim_id", "bound", "measured")
-
 
 def _protocol_row(m, adversary, stats, claim):
     return {
@@ -476,7 +450,7 @@ def _run_repetition(cfg: ExperimentConfig):
             rate = claims.testonly_rate if name == "testonly" else claims.honest_rate
             claim, stats = rate(n, m, trials, task_seed)
         rows.append(_protocol_row(m, name, stats, claim))
-    return _PROTOCOL_COLUMNS, rows, {}
+    return rows, {}
 
 
 def _fs_game(m, n, task_seed):
@@ -497,15 +471,11 @@ def _run_fs(cfg: ExperimentConfig):
         rows.append(_protocol_row(m, f"grinder[{q}]", stats, claim))
     claim, again = claims.fs_deterministic(_fs_game(m, n, seeds[0]), honest, seeds[0])
     rows.append(_protocol_row(m, "honest-rerun", again, claim))
-    return _PROTOCOL_COLUMNS, rows, {}
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
 # Experiment: effverify-demo
-
-_EFF_COLUMNS = ("session", "flow", "n", "m", "time_bound", "verdict",
-                "verifier_ops", "prover_ops", "message_bytes",
-                "claim_id", "bound", "measured")
 
 _EFF_SWEEP = (256, 1024, 4096)
 
@@ -545,7 +515,7 @@ def _run_effverify(cfg: ExperimentConfig):
     rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report,
                          claims.Claim("eff-verifier-flat", 16.0, float(v_delta))))
     rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report, linear))
-    return _EFF_COLUMNS, rows, {"sessions": dumps}
+    return rows, {"sessions": dumps}
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +551,16 @@ def _write_text(path: str, text: str):
         raise RuntimeFailure(f"cannot write {path}: {exc}")
 
 
-def summarize(columns, rows) -> str:
-    """One line per claim: the worst row decides the printed margin."""
-    lines = []
-    order, worst = [], {}
+def summarize(rows) -> str:
+    """One line per claim, in first-seen order: the worst row decides the printed margin."""
+    worst = {}
     for row in rows:
-        cid = row["claim_id"]
-        if cid not in worst:
-            order.append(cid)
-            worst[cid] = (row, 0)
-        ref, count = worst[cid]
+        ref, count = worst.get(row["claim_id"], (row, 0))
         margin_new = float(row["bound"]) - float(row["measured"])
         margin_old = float(ref["bound"]) - float(ref["measured"])
-        worst[cid] = (row if margin_new < margin_old else ref, count + 1)
-    for cid in order:
-        row, count = worst[cid]
+        worst[row["claim_id"]] = (row if margin_new < margin_old else ref, count + 1)
+    lines = []
+    for cid, (row, count) in worst.items():
         bound, measured = float(row["bound"]), float(row["measured"])
         verdict = "measured <= bound" if measured <= bound else "measured > bound FAIL"
         lines.append(f"{cid}: bound {_cell(bound)} measured {_cell(measured)} "
@@ -606,20 +571,19 @@ def summarize(columns, rows) -> str:
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        columns, raw_rows, extra = _RUNNERS[cfg.command](cfg)
-        rows = _stringify_rows(columns, raw_rows)
+        raw_rows, extra = _RUNNERS[cfg.command](cfg)
+        columns, rows = _stringify_rows(raw_rows)
         if cfg.fmt == "csv":
             _write_csv(cfg.out, columns, rows)
         else:
-            payload = {
+            _write_json(cfg.out, {
                 "command": cfg.command,
                 "seed": cfg.seed,
                 "params": dict(sorted(cfg.params.items())),
-                "columns": list(columns),
+                "columns": columns,
                 "rows": rows,
-            }
-            payload.update(extra)
-            _write_json(cfg.out, payload)
+                **extra,
+            })
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -627,7 +591,7 @@ def run(cfg: ExperimentConfig) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"wrote {len(rows)} rows to {cfg.out}")
-    print(summarize(columns, rows))
+    print(summarize(rows))
     return EXIT_OK
 
 

@@ -9,12 +9,14 @@ import numbers
 import numpy as np
 
 
-def check_int(name: str, value, low: int, error: type) -> int:
-    """value as a plain int; error unless it is an int or numpy integer (never a bool) >= low."""
+def check_int(name: str, value, low: int, error: type, high: int | None = None) -> int:
+    """value as a plain int; error unless an int or numpy integer (never a bool) in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name}={value!r} is not an integer")
-    if value < low:
+    if high is None and value < low:
         raise error(f"{name}={value} below {low}")
+    if high is not None and not low <= value <= high:
+        raise error(f"{name}={value} outside {low}..{high}")
     return int(value)
 
 

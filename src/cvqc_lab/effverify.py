@@ -164,13 +164,11 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     word: BackendFailure refuses T >= 2^65 + 32m + 5, and any n, m or T
     that is not an integer.
     """
-    n = config.check_int("n", n, 1, BackendFailure)
-    m = config.check_int("m", m, 1, BackendFailure)
+    # each key value is built from two stream bytes (n <= 16), and each
+    # coordinate reads four of the PRG stream's ELL_R bytes (m <= ELL_R // 4)
+    n = config.check_int("n", n, 1, BackendFailure, 16)
+    m = config.check_int("m", m, 1, BackendFailure, ELL_R // 4)
     time_bound = config.check_int("time_bound", time_bound, 1, BackendFailure)
-    if n > 16:
-        raise BackendFailure(f"n={n} outside machine word loads")
-    if m > ELL_R // 4:
-        raise BackendFailure(f"m={m} outside the PRG stream's {ELL_R // 4} key slots")
     mask = (1 << n) - 1
     prog: list[tuple] = [("HASH",)]
     for i in range(m):
@@ -383,7 +381,8 @@ class BackendSuite:
 
 
 def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
-    oracle_seed = config.check_int("oracle_seed", oracle_seed, 0, BackendFailure)
+    # the suite's oracle seeds are oracle_seed ^ constant, each in 0..2^64-1
+    oracle_seed = config.check_int("oracle_seed", oracle_seed, 0, BackendFailure, 2**64 - 1)
     return BackendSuite(
         fhe=StubFhe(),
         re=StubRe(),
@@ -405,8 +404,7 @@ def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
 
 def toy_inner(num_qubits: int, m: int, fs_seed: int = 7) -> TwoRoundFS:
     """Fiat-Shamir collapse of the m-fold repeated toy protocol."""
-    if config.check_int("num_qubits", num_qubits, 1, InnerProtocolError) > 16:
-        raise InnerProtocolError(f"num_qubits={num_qubits} above 16")
+    config.check_int("num_qubits", num_qubits, 1, InnerProtocolError, 16)
     rep = parallel_repeat(toy_protocol(num_qubits), m)
     return fiat_shamir(rep, OracleTable(fs_seed, m))
 
@@ -507,6 +505,8 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
         raise InnerProtocolError(f"unknown prover mode {prover!r}")
     if not isinstance(inner, TwoRoundFS):
         raise InnerProtocolError(f"inner {type(inner).__name__} is not a TwoRoundFS")
+    if not isinstance(suite, BackendSuite):
+        raise BackendFailure(f"suite {type(suite).__name__} is not a BackendSuite")
     base = inner.base
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 

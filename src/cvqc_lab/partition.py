@@ -87,10 +87,9 @@ class PartitionParams:
     mode: str = "ideal"
 
     def __post_init__(self):
-        for name in ("m", "i", "T"):
-            config.check_int(name, getattr(self, name), 1, DomainError)
-        if self.i > self.m:
-            raise DomainError(f"coordinate i={self.i} outside 1..{self.m}")
+        config.check_int("m", self.m, 1, DomainError)
+        config.check_int("i", self.i, 1, DomainError, self.m)
+        config.check_int("T", self.T, 1, DomainError)
         if config.check_real("gamma0", self.gamma0, 0, 1, DomainError) == 0:
             raise DomainError(f"gamma0={self.gamma0} outside (0, 1]")
         if self.gamma0 / self.T < config.GRID_STEP_MIN:
@@ -112,6 +111,7 @@ class PartitionParams:
 
 
 def gamma_grid(gamma0: float, T: int) -> np.ndarray:
+    T = config.check_int("T", T, 1, DomainError)
     return gamma0 * np.arange(1, T + 1) / T
 
 
@@ -833,8 +833,7 @@ def ext_success_formula(p: float, n_rounds: int) -> float:
 
 def test_round_accept_prob(strategy: ProverStrategy, i: int, c: str, psi_xz: StateVector) -> float:
     """Pr of an accepted X_i outcome when U hits |c>_C (x) psi directly."""
-    if not 1 <= i <= strategy.m:
-        raise DomainError(f"coordinate i={i} outside 1..{strategy.m}")
+    config.check_int("i", i, 1, DomainError, strategy.m)
     _check_challenge(strategy, c)
     amps = _amps_of(psi_xz, strategy.xz_dim)
     nrm2 = psi_xz.norm2
@@ -895,6 +894,9 @@ def random_strategy(rng: np.random.Generator, m: int, x_width: int = 1,
     acts block-diagonally on C; that structure is what makes the fixed-c
     test-round bound provable, so claim-4 experiments use it.
     """
+    m = config.check_int("m", m, 1, DomainError)
+    x_width = config.check_int("x_width", x_width, 1, DomainError)
+    z_width = config.check_int("z_width", z_width, 0, DomainError)
     xz = 1 << (m * x_width + z_width)
     if controlled:
         u = np.zeros(((1 << m) * xz,) * 2, dtype=np.complex128)

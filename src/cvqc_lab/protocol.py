@@ -132,9 +132,7 @@ class OracleTable:
         config.check_int("out_bits", out_bits, 1, ProtocolError)
         # the seed enters every hash as 8 big-endian bytes, so anything an
         # int() would coerce (a float, a str, a bool) is refused
-        self.master_seed = config.check_int("master_seed", master_seed, 0, ProtocolError)
-        if self.master_seed >= 1 << 64:
-            raise ProtocolError(f"master_seed={master_seed!r} is not an int in 0..2^64-1")
+        self.master_seed = config.check_int("master_seed", master_seed, 0, ProtocolError, 2**64 - 1)
         self.out_bits = out_bits
         self.out_bytes = (out_bits + 7) // 8
         self.query_count = 0
@@ -520,6 +518,8 @@ class UnitaryCheat:
     """
 
     def __init__(self, strategy: ProverStrategy):
+        if not isinstance(strategy, ProverStrategy):
+            raise ProtocolError(f"UnitaryCheat built for a {type(strategy).__name__}")
         if strategy.m != 1:
             raise ProtocolError("per-coordinate strategy must have m=1")
         if strategy.x_width < 2:
@@ -585,6 +585,13 @@ class FsGrinder:
         config.check_int("query_budget", self.query_budget, 1, ProtocolError)
         if isinstance(self.inner, FsGrinder):
             raise ProtocolError("FsGrinder cannot wrap another FsGrinder")
+        _check_strategy(self.inner)
+
+
+def _check_strategy(strategy):
+    """ProtocolError unless strategy has a callable commit and answer."""
+    if not all(callable(getattr(strategy, name, None)) for name in ("commit", "answer")):
+        raise ProtocolError(f"{type(strategy).__name__} has no commit and answer")
 
 
 def _unwrap(adversary) -> tuple[object, int]:
@@ -825,11 +832,12 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
     Every other adversary, and under Fiat-Shamir the bare toy and nested
     repetitions, runs on the per-trial route, which calls the protocol's
     methods trial by trial and is the bulk route's reference.  Refused
-    when built: a grinder in a grinder, and an Honest or TestOnly for no
-    FourRoundProtocol.  Refused here, before any trial runs: an FsGrinder
-    outside Fiat-Shamir, an Honest or TestOnly for another shape, a trial
-    count that is not a positive int, and a seed that is None, a bool or
-    no SeedSequence entropy.
+    when built: a grinder around a grinder or a strategy without commit
+    and answer, and an Honest, TestOnly or UnitaryCheat of the wrong
+    type.  Refused here, before any trial: a p of neither type, a
+    strategy without commit and answer, an FsGrinder outside Fiat-Shamir,
+    an Honest or TestOnly for another shape, a trial count that is not a
+    positive int, and a seed that is None, a bool or no seed entropy.
     """
     config.check_int("trials", trials, 1, ProtocolError)
     # None would draw fresh OS entropy for every chunk; a bool is no seed
@@ -839,9 +847,12 @@ def run_protocol(p, adversary, x, trials: int, seed: int) -> Stats:
         np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"seed={seed!r}: {exc}") from None
+    if not isinstance(p, (FourRoundProtocol, TwoRoundFS)):
+        raise ProtocolError(f"{type(p).__name__} is no FourRoundProtocol or TwoRoundFS")
     hashed = isinstance(p, TwoRoundFS)
     base = p.base if hashed else p
     inner, attempts = _unwrap(adversary)
+    _check_strategy(inner)
     if inner is not adversary and not hashed:
         raise ProtocolError("FsGrinder needs a Fiat-Shamir protocol")
     if isinstance(inner, Honest) and inner.p.shape != base.shape:

@@ -105,6 +105,15 @@ class StateVector:
         return float(np.vdot(self.amps, self.amps).real)
 
 
+def _as_matrix(mat, kind: str) -> np.ndarray:
+    """mat as a complex array; one that holds no numbers is refused with the kind's error."""
+    try:
+        return np.asarray(mat, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        error = {"unitary": NotUnitary, "projector": NotAProjector}.get(kind, ValueError)
+        raise error(f"{kind} matrix is not numeric: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense matrix on a power-of-2 dimension with a well-formedness tag."""
@@ -114,7 +123,7 @@ class Operator:
     kind: str  # unitary | projector
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=np.complex128)
+        mat = _as_matrix(self.mat, self.kind)
         if mat.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"matrix shape {mat.shape} vs dim {self.dim}")
         if self.dim < 1:
@@ -137,13 +146,13 @@ class Operator:
 
     @classmethod
     def unitary(cls, mat) -> "Operator":
-        mat = np.asarray(mat, dtype=np.complex128)
+        mat = _as_matrix(mat, "unitary")
         # a 0-d array claims dim 0 and fails the shape check
         return cls(mat.shape[0] if mat.ndim else 0, mat, "unitary")
 
     @classmethod
     def projector(cls, mat) -> "Operator":
-        mat = np.asarray(mat, dtype=np.complex128)
+        mat = _as_matrix(mat, "projector")
         return cls(mat.shape[0] if mat.ndim else 0, mat, "projector")
 
 

@@ -31,6 +31,33 @@ def test_compare_prints_both_sides_src_lines(tmp_path, capsys):
     assert "src_lines: unrecorded -> 3993" in capsys.readouterr().out
 
 
+def test_src_lines_by_file_counts_each_file_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "cvqc_lab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")
+    (pkg / "notes.txt").write_text("\n" * 5)
+    assert bench._src_lines_by_file(tmp_path) == {"a.py": 2, "b.py": 0}
+
+
+def test_compare_prints_each_file_whose_count_changed(tmp_path, capsys):
+    records = {"a": {"cli.py": 774, "config.py": 62, "gone.py": 9},
+               "b": {"cli.py": 738, "config.py": 62, "new.py": 4}}
+    for name, by_file in records.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"runs": [], "src_lines": sum(by_file.values()), "src_lines_by_file": by_file}))
+    (tmp_path / "old.json").write_text(json.dumps({"runs": [], "src_lines": 845}))
+    assert bench.compare(str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["src_lines: 845 -> 804", "  cli.py: 774 -> 738",
+                         "  gone.py: 9 -> 0", "  new.py: 0 -> 4"]
+    # a record without the field prints the total alone
+    bench.compare(str(tmp_path / "old.json"), str(tmp_path / "b.json"))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "src_lines: 845 -> 804"
+    assert not any(ln.startswith("  ") and ".py" in ln for ln in lines)
+
+
 def _record(path, wall_s_by_seed):
     runs = [{"workload": "sweep", "seed": seed,
              "result": {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": v}}}}

@@ -218,6 +218,18 @@ class TestParamTable:
         with pytest.raises(ConfigError, match="budgets"):
             build_config("fs-attack", seed=1, sets=["budgets=0,2"])
 
+    def test_out_of_range_entry_is_named(self):
+        with pytest.raises(ConfigError) as err:
+            build_config("repetition-sweep", seed=1, sets=["m_list=1,99,3"])
+        assert str(err.value) == "m_list=99 outside 1..24"
+
+    def test_int_params_follow_the_integer_rule(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for bad in (4.0, "4", True, None):
+            cfg.write_text(json.dumps({"pairs": bad}))
+            with pytest.raises(ConfigError, match="pairs=.* is not an integer"):
+                build_config("jordan-demo", seed=1, config_path=str(cfg))
+
     def test_cross_rules(self):
         with pytest.raises(ConfigError, match="dim_min <= dim_max"):
             build_config("jordan-demo", seed=1, sets=["dim_min=6", "dim_max=4"])
@@ -303,6 +315,41 @@ class TestParamTable:
         assert build_config("fs-attack", seed=1, config_path=str(cfg)).fmt == "json"
 
 
+_MINIMUMS = {
+    "jordan-demo": ["pairs=1", "dim_min=2", "dim_max=2"],
+    "partition-claims": ["T=2", "m=1", "strategies=1", "grid_strategies=0"],
+    "repetition-sweep": ["m_list=1", "trials=1", "n=1"],
+    "fs-attack": ["m=1", "budgets=1", "trials=1", "n=1"],
+    "effverify-demo": ["n=1", "m=1", "time_bound=256", "trials=1"],
+}
+
+
+class TestHeaderFromRows:
+    """The header of a data file is the first row's keys."""
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_every_command_writes_a_row_at_its_minimums(self, tmp_path, command):
+        # every int parameter set to its lower bound
+        assert {k for k, s in cli._PARAMS[command].items() if s.kind != "choice"} == {
+            pair.split("=")[0] for pair in _MINIMUMS[command]}
+        sets = [arg for pair in _MINIMUMS[command] for arg in ("--set", pair)]
+        code, out = run_cli([command, "--seed", "1", *sets], tmp_path, "min.csv")
+        assert code == 0
+        assert len(read_rows(out)) >= 1
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_rows_that_disagree_on_keys_exit_1_and_write_nothing(
+            self, tmp_path, capsys, monkeypatch, fmt):
+        rows = [{"claim_id": "a", "bound": 1.0, "measured": 0.5},
+                {"claim_id": "a", "measured": 0.5, "bound": 1.0}]
+        monkeypatch.setitem(cli._RUNNERS, "jordan-demo", lambda cfg: (rows, {}))
+        code, out = run_cli(["jordan-demo", "--seed", "1", "--format", fmt],
+                            tmp_path, f"x.{fmt}")
+        assert code == 1
+        assert not out.exists()
+        assert "differ from the header" in capsys.readouterr().err
+
+
 class TestJordanDemo:
     def test_small_run_passes_all_claims(self, tmp_path, capsys):
         code, out = run_cli(["jordan-demo", "--seed", "7", "--set", "pairs=6",
@@ -330,7 +377,9 @@ class TestPartitionClaims:
             "test-round", "chain-remainder-avg", "chain-err-grid-avg"}
         for r in rows:
             assert float(r["measured"]) <= float(r["bound"]), r["claim_id"]
-        assert list(rows[0]) == list(cli._PARTITION_COLUMNS)
+        assert list(rows[0]) == [
+            "seed", "m", "i", "gamma0", "T", "gamma", "mode",
+            "norm_psi0", "norm_psi1", "norm_err", "claim_id", "bound", "measured"]
 
     def test_kernel_mode_stays_sound(self, tmp_path):
         code, out = run_cli(["partition-claims", "--seed", "3", "--set", "T=8",

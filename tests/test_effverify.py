@@ -835,6 +835,27 @@ class TestStubSuiteSeed:
         assert got.salt_oracle.master_seed == want.salt_oracle.master_seed
 
 
+class TestSeedRanges:
+    def test_suite_seed_above_eight_bytes_names_the_callers_seed(self):
+        with pytest.raises(BackendFailure) as err:
+            make_stub_suite(2**64)
+        assert str(err.value) == f"oracle_seed={2**64} outside 0..{2**64 - 1}"
+        top = make_stub_suite(2**64 - 1)
+        assert top.snark_oracle.master_seed == (2**64 - 1) ^ 0x5A17ED
+
+    def test_oracle_seed_above_eight_bytes(self):
+        with pytest.raises(ProtocolError, match=f"master_seed={2**64} outside"):
+            OracleTable(2**64, 4)
+
+
+class TestSuiteType:
+    @pytest.mark.parametrize("flow", [run_four_round, run_two_round_fs])
+    def test_session_refuses_what_is_no_backend_suite(self, flow):
+        for bad in (None, "suite", toy_inner(12, 2)):
+            with pytest.raises(BackendFailure, match="is not a BackendSuite"):
+                flow(bad, toy_inner(12, 2), "yes")
+
+
 class TestToyInnerWidth:
     @pytest.mark.parametrize("bad", ["12", True, 12.0, None, 0, 17])
     def test_num_qubits_follows_the_integer_rule(self, bad):

@@ -176,6 +176,11 @@ def test_0d_projectors_are_a_dimension_mismatch():
         jordan_decompose(1.0, 1.0)
 
 
+def test_non_numeric_projectors_are_rejected():
+    with pytest.raises(NotAProjector, match="not numeric"):
+        jordan_decompose("a", "b")
+
+
 def test_raw_non_projector_is_rejected():
     with pytest.raises(NotAProjector):
         jordan_decompose(np.array([[1.0, 1.0], [0.0, 0.0]]), KET0)

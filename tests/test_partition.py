@@ -959,6 +959,43 @@ class TestEntryPointErrors:
             call(s, xz, full, rng)
 
 
+class TestBuilderIntegerRule:
+    """random_strategy, gamma_grid and the test-round probability take counts by the integer rule."""
+
+    @pytest.mark.parametrize("kw,name", [
+        (dict(m="1"), "m"), (dict(m=0), "m"), (dict(m=True), "m"), (dict(m=1.0), "m"),
+        (dict(m=1, x_width=-1), "x_width"), (dict(m=1, x_width=0), "x_width"),
+        (dict(m=1, x_width="1"), "x_width"), (dict(m=1, z_width=-1), "z_width"),
+        (dict(m=1, z_width=None), "z_width")])
+    def test_random_strategy_refuses_before_its_first_draw(self, kw, name):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError, match=f"{name}="):
+            random_strategy(rng, **kw)
+        assert rng.bit_generator.state == before
+
+    def test_random_strategy_draws_are_unchanged(self):
+        want = random_strategy(np.random.default_rng(3), m=2, x_width=1, z_width=0)
+        got = random_strategy(np.random.default_rng(3), m=np.int64(2),
+                              x_width=np.int64(1), z_width=np.int64(0))
+        assert got.u.mat.tobytes() == want.u.mat.tobytes()
+        assert got.accept_sets == want.accept_sets
+
+    @pytest.mark.parametrize("T", ["4", 0, -1, 4.0, True, None])
+    def test_gamma_grid_refuses(self, T):
+        with pytest.raises(DomainError, match="T="):
+            gamma_grid(1.0, T)
+
+    @pytest.mark.parametrize("i", ["1", 1.0, True, None, 0, 3])
+    def test_round_probability_coordinate(self, i):
+        rng = np.random.default_rng(5)
+        s = random_strategy(rng, m=2, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        with pytest.raises(DomainError, match="i="):
+            accept_prob(s, i, "01", psi)
+        assert accept_prob(s, np.int64(2), "01", psi) == accept_prob(s, 2, "01", psi)
+
+
 class TestPartitionChain:
     @pytest.mark.parametrize("mode", ["ideal", "kernel"])
     def test_telescoping_reconstruction(self, mode):

@@ -1254,6 +1254,37 @@ class TestRefusedWhenBuilt:
             FsGrinder(2, FsGrinder(2, Honest(p)))
 
 
+class TestTypedEntries:
+    """A protocol, adversary or strategy of the wrong type is refused before any trial."""
+
+    def test_protocol_of_neither_type(self):
+        p = parallel_repeat(toy_protocol(3), 2)
+        with pytest.raises(ProtocolError, match="NoneType is no FourRoundProtocol or TwoRoundFS"):
+            run_protocol(None, Honest(p), "yes", 5, 1)
+
+    @pytest.mark.parametrize("adversary", [None, "honest", namedtuple("Half", "commit")(len)])
+    def test_adversary_without_commit_and_answer(self, adversary):
+        p = parallel_repeat(toy_protocol(3), 2)
+        with pytest.raises(ProtocolError, match="has no commit and answer"):
+            run_protocol(p, adversary, "yes", 5, 1)
+
+    def test_grinder_around_no_strategy(self):
+        p = parallel_repeat(toy_protocol(3), 2)
+        with pytest.raises(ProtocolError, match="NoneType has no commit and answer"):
+            FsGrinder(2, None)
+        # an inner swapped out after the build is caught by run_protocol
+        grinder = FsGrinder(2, Honest(p))
+        grinder.inner = None
+        fs = fiat_shamir(p, OracleTable(1, 2))
+        with pytest.raises(ProtocolError, match="NoneType has no commit and answer"):
+            run_protocol(fs, grinder, "yes", 5, 1)
+
+    @pytest.mark.parametrize("bad", [None, "s", Operator.unitary(np.eye(8))])
+    def test_unitary_cheat_of_no_strategy(self, bad):
+        with pytest.raises(ProtocolError, match="UnitaryCheat built for a"):
+            UnitaryCheat(bad)
+
+
 class TestStatsRate:
     """accept_rate is derived from the counts, so it is never stored beside them."""
 

@@ -152,3 +152,13 @@ def test_measure_middle_register_against_reshaped_reference():
     # measure is one rng.choice over these probabilities
     want = np.random.default_rng(3).choice(4, p=masses / masses.sum())
     assert measure(psi, "b", np.random.default_rng(3)) == format(want, "02b")
+
+
+@pytest.mark.parametrize("bad", ["a", [["a"]], {"x": 1}, object(), [[1, 2], [3]]])
+def test_operator_refuses_a_non_numeric_matrix(bad):
+    with pytest.raises(NotUnitary, match="not numeric"):
+        Operator.unitary(bad)
+    with pytest.raises(NotAProjector, match="not numeric"):
+        Operator.projector(bad)
+    with pytest.raises(NotUnitary, match="not numeric"):
+        Operator(1, bad, "unitary")

@@ -12,8 +12,9 @@ command and, for each run, its result line and the machine and
 `results sha256:` lines it printed on stderr.  Each record call also runs the checkout's
 acceptance gate (`pytest tests/test_acceptance.py`) once, with
 CVQC_LAB_ACCEPTANCE_JSON naming a temporary file, and keeps its JSON
-lines under "acceptance", and "src_lines", the summed line count of the
-checkout's src/cvqc_lab/*.py.  It also runs every `cvqc-lab` command of
+lines under "acceptance", "src_lines", the summed line count of the
+checkout's src/cvqc_lab/*.py, and "src_lines_by_file", each file's
+count.  It also runs every `cvqc-lab` command of
 the checkout's README `sh` blocks but `render`, as `python -m
 cvqc_lab.cli` in a temporary directory against the checkout's src, and
 keeps each data file's sha256 under "readme", by command.  Runs are
@@ -21,7 +22,9 @@ added to an existing record of the same label and command, so two
 checkouts can be recorded in alternation.
 
 --compare A B takes two labels (or paths) and prints both sides'
-src_lines and, per workload and end-to-end metric of BENCHMARK.json,
+src_lines, under it each file whose count changed (when both records
+keep src_lines_by_file), and, per workload and end-to-end metric of
+BENCHMARK.json,
 each side's median and quartiles, the change of B's median against A's,
 and how many runs of B beat the run of A with the same seed.  It flags a median of B worse than A's by
 more than the metric's bound, a run of B that is not correct, failed
@@ -116,10 +119,15 @@ def _readme_digests(checkout: Path) -> dict:
     return digests
 
 
+def _src_lines_by_file(checkout: Path) -> dict:
+    """{file name: line count} of checkout's src/cvqc_lab/*.py, each as `wc -l` gives it."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((checkout / "src" / "cvqc_lab").glob("*.py"))}
+
+
 def _src_lines(checkout: Path) -> int:
     """The line count of checkout's src/cvqc_lab/*.py, as `cat ... | wc -l` gives it."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (checkout / "src" / "cvqc_lab").glob("*.py"))
+    return sum(_src_lines_by_file(checkout).values())
 
 
 def record(args) -> int:
@@ -140,6 +148,7 @@ def record(args) -> int:
             out.write_text(json.dumps(bench, indent=1) + "\n")
     bench.setdefault("acceptance", []).extend(_acceptance_once(checkout))
     bench.setdefault("readme", {}).update(_readme_digests(checkout))
+    bench["src_lines_by_file"] = _src_lines_by_file(checkout)
     bench["src_lines"] = _src_lines(checkout)
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)
@@ -176,6 +185,11 @@ def compare(name_a: str, name_b: str) -> int:
     a, b = _values(bench_a), _values(bench_b)
     print(f"src_lines: {bench_a.get('src_lines', 'unrecorded')} -> "
           f"{bench_b.get('src_lines', 'unrecorded')}")
+    by_a, by_b = bench_a.get("src_lines_by_file"), bench_b.get("src_lines_by_file")
+    if by_a and by_b:
+        for name in sorted(by_a.keys() | by_b.keys()):
+            if by_a.get(name, 0) != by_b.get(name, 0):
+                print(f"  {name}: {by_a.get(name, 0)} -> {by_b.get(name, 0)}")
     flagged = 0
     for run in bench_b["runs"]:
         res = run["result"]
