@@ -140,14 +140,14 @@ def _repetition_rules(p: dict):
     # the cheat simulates a dense unitary on 2^(n+3) amplitudes
     _require(p["adversary"] != "cheat" or p["n"] <= 6,
              f"cheat adversary limited to n <= 6, got n={p['n']}")
-    coords = p["trials"] * sum(_parse_int_list(p["m_list"], "m_list"))
+    coords = p["trials"] * sum(_parse_int_list(p["m_list"]))
     _require(coords <= _SWEEP_MAX_COORDS,
              f"repetition-sweep would replay about {coords:,} trial coordinates (trials x "
              f"sum of m_list), over the {_SWEEP_MAX_COORDS:,} that take up to an hour")
 
 
 def _fs_rules(p: dict):
-    budgets = _parse_int_list(p["budgets"], "budgets")
+    budgets = _parse_int_list(p["budgets"])
     # per trial one honest pass plus up to q grinding attempts for each budget q
     attempts = p["trials"] * (1 + sum(budgets))
     _require(attempts <= _FS_MAX_ATTEMPTS,
@@ -182,18 +182,17 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
-    items = [p.strip() for p in text.split(",")]
-    if any(not p for p in items):
-        raise ConfigError(f"{key} must be a comma-separated list of integers, "
-                          f"got {text!r}")
-    out = []
-    for p in items:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise ConfigError(f"{key} entry {p!r} is not an integer")
-    return tuple(out)
+def _int_or_text(text: str):
+    """text as an int when it reads as one, else as given, for config.check_int to refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _parse_int_list(text: str) -> tuple:
+    """The comma-separated entries of text, each through _int_or_text."""
+    return tuple(_int_or_text(p.strip()) for p in text.split(","))
 
 
 def _spec(command: str, key: str) -> Param:
@@ -222,7 +221,7 @@ def _check_params(command: str, params: dict):
             config.check_int(key, value, lo, ConfigError, hi)
             continue
         _require(isinstance(value, str), f"{key} must be a string, got {value!r}")
-        for entry in _parse_int_list(value, key):
+        for entry in _parse_int_list(value):
             config.check_int(key, entry, lo, ConfigError, hi)
     if command in _CROSS_RULES:
         _CROSS_RULES[command](params)
@@ -267,12 +266,7 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
         key = key.strip()
         if key == "seed":
             raise ConfigError("set the seed with --seed, not --set")
-        if _spec(command, key).kind == "int":
-            try:
-                value = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        params[key] = value
+        params[key] = _int_or_text(value) if _spec(command, key).kind == "int" else value
 
     if seed is None:
         seed = file_seed
@@ -435,7 +429,7 @@ def _cheat_point(m, n, trials, task_seed):
 
 def _run_repetition(cfg: ExperimentConfig):
     p = cfg.params
-    ms = _parse_int_list(p["m_list"], "m_list")
+    ms = _parse_int_list(p["m_list"])
     name, trials, n = p["adversary"], p["trials"], p["n"]
     seeds = _task_seeds(cfg.seed, len(ms))
     rows = []
@@ -462,7 +456,7 @@ def _fs_game(m, n, task_seed):
 def _run_fs(cfg: ExperimentConfig):
     p = cfg.params
     m, n, trials = p["m"], p["n"], p["trials"]
-    budgets = _parse_int_list(p["budgets"], "budgets")
+    budgets = _parse_int_list(p["budgets"])
     seeds = _task_seeds(cfg.seed, len(budgets) + 1)
     claim, honest = claims.fs_completeness(_fs_game(m, n, seeds[0]), trials, seeds[0])
     rows = [_protocol_row(m, "honest", honest, claim)]

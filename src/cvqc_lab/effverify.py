@@ -315,8 +315,8 @@ class StubRe:
     """
 
     def setup(self, security: int, ell: int, crs: bytes) -> ReEncodingKey:
-        if security < 1 or ell < 1:
-            raise BackendFailure(f"security={security}, ell={ell}")
+        security = config.check_int("security", security, 1, BackendFailure)
+        ell = config.check_int("ell", ell, 1, BackendFailure)
         return ReEncodingKey(security, ell, _crs_digest(crs))
 
     def enc(self, ek: ReEncodingKey, machine: tuple, inp: bytes,

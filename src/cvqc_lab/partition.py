@@ -12,20 +12,21 @@ The product of the associated reflections is phase estimated; a threshold
 on cos^2(theta/2) then splits a state into a low branch psi_0, a high
 branch psi_1, and a residual psi_err.
 
-Two execution routes are kept deliberately separate:
+Two execution routes are kept deliberately separate; tests cross-check
+them, and so their two spectral sources, so do not collapse them:
 
-  - run_G computes the branch components in the Jordan eigenbasis with a
-    closed-form phase-estimation kernel.  It reads the blocks as
-    principal angles (spectral_data: one SVD of the small acc x xz block
-    of U H_{C-i}), never builds a dense projector or the ancilla
-    registers, and is fast enough for exhaustive grid sweeps.
+  - run_G computes the branch components in the Jordan eigenbasis.  It
+    reads the blocks as principal angles (spectral_data: one SVD of the
+    small acc x xz block of U H_{C-i}), never builds a dense projector or
+    the ancilla registers, and is fast enough for exhaustive grid sweeps.
   - run_G_state executes the literal pipeline U_in U_est^dag U_th U_est
     on the full register space (C, X_1..X_m, Z, ph, th, in), in the Q
     eigenbasis of the dense route (eigenbasis: jordan_decompose on
     build_projectors, via jordan.unitary_eig).
 
-Tests cross-check the two routes, and so the two spectral sources,
-against each other; do not collapse them into one.
+Both modes estimate with one column per eigenphase (_label_amplitudes).
+Checks are made where values are built, never excused by a cache: see
+_coordinate, and _chain_params, which runs before a chain's first step.
 
 The sampled procedures, H (run_H) and the extractor (extract), walk the
 states they reach: every step's numbers are computed once per distinct
@@ -90,11 +91,13 @@ class PartitionParams:
         config.check_int("m", self.m, 1, DomainError)
         config.check_int("i", self.i, 1, DomainError, self.m)
         config.check_int("T", self.T, 1, DomainError)
-        if config.check_real("gamma0", self.gamma0, 0, 1, DomainError) == 0:
+        # gamma0 and gamma are kept as floats: a numpy float32 thresholds in double precision
+        object.__setattr__(self, "gamma0", config.check_real("gamma0", self.gamma0, 0, 1, DomainError))
+        if self.gamma0 == 0:
             raise DomainError(f"gamma0={self.gamma0} outside (0, 1]")
         if self.gamma0 / self.T < config.GRID_STEP_MIN:
             raise DomainError(f"grid step {self.gamma0 / self.T} underflows")
-        config.check_real("gamma", self.gamma, 0, 1, DomainError)
+        object.__setattr__(self, "gamma", config.check_real("gamma", self.gamma, 0, 1, DomainError))
         j = round(self.gamma * self.T / self.gamma0)
         if not 1 <= j <= self.T or abs(self.gamma - self.gamma0 * j / self.T) > 1e-12:
             raise DomainError(f"gamma={self.gamma} not on the grid")
@@ -133,6 +136,9 @@ class ProverStrategy:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        config.check_int("m", self.m, 1, DomainError, config.QUBIT_CAP)
+        config.check_int("x_width", self.x_width, 1, DomainError, config.QUBIT_CAP)
+        config.check_int("z_width", self.z_width, 0, DomainError, config.QUBIT_CAP)
         if self.u.dim != self.dim:
             raise DimensionMismatch(f"u dim {self.u.dim}, registers need {self.dim}")
         if self.u.kind != "unitary":
@@ -269,6 +275,15 @@ def kernel_amplitudes(theta: float, t: int) -> np.ndarray:
     return np.where(singular, 1.0 + 0.0j, amp)
 
 
+def _label_amplitudes(theta: float, t: int, mode: str) -> np.ndarray:
+    """theta's estimation column: the QPE kernel, or (ideal) one-hot at phase_label."""
+    if mode == "kernel":
+        return kernel_amplitudes(theta, t)
+    col = np.zeros(1 << t, dtype=np.complex128)
+    col[phase_label(theta, t)] = 1.0
+    return col
+
+
 def kernel_masses(theta: float, t: int) -> np.ndarray:
     amp = kernel_amplitudes(theta, t)
     return (amp.conj() * amp).real
@@ -305,10 +320,15 @@ def spectral_data(strategy: ProverStrategy, params: PartitionParams) -> Spectral
     ends where arccos(sigma_k) does not; theta = 0 gives the (1,1)
     vectors and theta = pi the (1,0) vectors.
     """
-    # checked on every call: a cached entry must not excuse other params.m
+    return _coordinate(strategy, params, "spec", _principal_angles)
+
+
+def _coordinate(strategy: ProverStrategy, params: PartitionParams, kind: str, build):
+    """The strategy's `kind` value of coordinate params.i, built as build(strategy, params);
+    params.m is checked on every call, so a warm value never excuses another m."""
     if params.m != strategy.m:
         raise DimensionMismatch(f"params.m={params.m} vs strategy.m={strategy.m}")
-    return strategy.derived(("spec", params.i), _principal_angles, strategy, params)
+    return strategy.derived((kind, params.i), build, strategy, params)
 
 
 def _principal_angles(strategy: ProverStrategy, params: PartitionParams) -> SpectralData:
@@ -346,21 +366,18 @@ def eigenbasis(strategy: ProverStrategy, params: PartitionParams) -> tuple[np.nd
     Read off jordan_decompose on build_projectors (the dense unitary_eig
     route), so that run_G_state stays independent of spectral_data.
     """
-    return strategy.derived(("eig", params.i), _jordan_eigvecs, strategy, params)
+    return _coordinate(strategy, params, "eig", _jordan_eigvecs)
 
 
 def _jordan_eigvecs(strategy: ProverStrategy, params: PartitionParams):
     return jordan_decompose(*build_projectors(strategy, params)).eigvecs()
 
 
-def _kernel_rows(thetas: np.ndarray, t: int) -> np.ndarray:
-    if not len(thetas):
-        return np.zeros((0, 1 << t))
-    return np.stack([kernel_masses(th, t) for th in thetas])
-
-
-def _ideal_labels(thetas: np.ndarray, t: int) -> np.ndarray:
-    return np.array([phase_label(th, t) for th in thetas], dtype=int)
+def _label_masses(thetas: np.ndarray, t: int, mode: str) -> np.ndarray:
+    """The masses of each block angle's estimation column, one row per angle."""
+    amps = np.array([_label_amplitudes(th, t, mode) for th in thetas]).reshape(len(thetas), 1 << t)
+    # contiguous: rows @ mask on a strided view sums in another order, moving w1's last bits
+    return np.ascontiguousarray((amps.conj() * amps).real)
 
 
 class _Table:
@@ -402,13 +419,9 @@ def _grid_point(strategy: ProverStrategy, params: PartitionParams, data: Spectra
     point = table.entries.get(params)
     if point is not None:
         return point
-    mask = threshold_mask(params)
-    if params.mode == "ideal":
-        labels = strategy.derived(("lab", params.i, params.tau), _ideal_labels, data.thetas, params.tau)
-        w1 = mask[labels].astype(float)
-    else:
-        rows = strategy.derived(("K", params.i, params.tau), _kernel_rows, data.thetas, params.tau)
-        w1 = rows @ mask.astype(float)
+    rows = strategy.derived(("masses", params.mode, params.i, params.tau), _label_masses,
+                            data.thetas, params.tau, params.mode)
+    w1 = rows @ threshold_mask(params).astype(float)
     point = (w1, 1.0 - w1, data.pvals <= params.gamma - 2 * params.delta,
              data.pvals >= params.gamma)
     return table.keep(params, point, 4 * strategy.xz_dim)
@@ -480,26 +493,14 @@ def run_G(strategy: ProverStrategy, params: PartitionParams, psi: StateVector) -
 # Literal pipeline on the full register space
 
 
-def _full_layout(strategy: ProverStrategy, t: int) -> RegisterLayout:
-    regs = list(strategy.layout().registers) + [("ph", t), ("th", 1), ("in", 1)]
-    return RegisterLayout(tuple(regs))
-
-
 def _apply_kernel_column(block: np.ndarray, theta: float, t: int, mode: str, dagger: bool) -> np.ndarray:
     """Apply the per-eigenvector estimation unitary on the ph axis.
 
-    block has shape (2^t, r).  Ideal mode is the transposition
-    (0 <-> label); kernel mode is a Householder completion sending e_0 to
-    the exact QPE amplitude column.
+    block has shape (2^t, r).  A Householder completion sends e_0 to
+    theta's estimation column (_label_amplitudes), in both modes; in
+    ideal mode it is the transposition 0 <-> label, up to rounding.
     """
-    if mode == "ideal":
-        lab = phase_label(theta, t)
-        if lab:
-            out = block.copy()
-            out[[0, lab]] = out[[lab, 0]]
-            return out
-        return block
-    w = kernel_amplitudes(theta, t)
+    w = _label_amplitudes(theta, t, mode)
     mu = w[0]
     phase = mu / abs(mu) if abs(mu) > 1e-14 else 1.0 + 0.0j
     bprime = np.conj(phase) * w
@@ -534,7 +535,7 @@ def run_G_state(strategy: ProverStrategy, params: PartitionParams, psi: StateVec
     """Literal G = U_in U_est^dag U_th U_est on (C, X, Z, ph, th, in)."""
     eig_full, eig_phases = eigenbasis(strategy, params)
     t = params.tau
-    lay = _full_layout(strategy, t)
+    lay = RegisterLayout(strategy.layout().registers + (("ph", t), ("th", 1), ("in", 1)))
     dim, xz = strategy.dim, strategy.xz_dim
     amps = np.zeros(lay.dim, dtype=np.complex128)
     # input slots: C = 0^m, ph = 0^t, th = in = 0
@@ -572,11 +573,13 @@ class HRemainder:
     state: StateVector
 
 
-def _step(strategy, gammas, idx, current, gamma0, T, mode):
-    """Branches (b0, b1) of G_{idx, gamma_idx} on current."""
-    params = PartitionParams(m=strategy.m, i=idx, gamma0=gamma0, T=T,
-                             gamma=float(gammas[idx - 1]), mode=mode)
-    return _branches(strategy, params, current)[:2]
+def _chain_params(strategy: ProverStrategy, gammas, c: str, gamma0, T, mode) -> tuple:
+    """The checked params of G_{1, gamma_1} .. G_{m, gamma_m}; each gamma goes in as given."""
+    if len(gammas) != strategy.m:
+        raise DimensionMismatch(f"need m={strategy.m} gammas")
+    _check_challenge(strategy, c)
+    return tuple(PartitionParams(m=strategy.m, i=i, gamma0=gamma0, T=T, gamma=gamma, mode=mode)
+                 for i, gamma in enumerate(gammas, 1))
 
 
 def _shared_state(strategy: ProverStrategy, amps: np.ndarray) -> StateVector:
@@ -594,26 +597,28 @@ class _HWalk:
     loop's own arithmetic, when a call first reaches it.  The draws, the
     comparisons and so the outcomes are the loop's, bit for bit.  A
     branch is normalized only when its mass is > 0, so a walk evaluates
-    nothing the loop would not; an error is raised, never stored.
-    steps[k] holds (p_want, p_other, the HBranch halting at step k + 1,
-    the HAbort there); `current` is the state the next step starts from,
-    and `remainder` the HRemainder once a call has continued past step m.
+    nothing the loop would not; an error is raised, never stored.  params
+    holds each step's checked PartitionParams; steps[k] holds (p_want,
+    p_other, the HBranch halting at step k + 1, the HAbort there);
+    `current` is the state the next step starts from, and `remainder` the
+    HRemainder once a call has continued past step m.
     """
 
-    __slots__ = ("steps", "current", "remainder")
+    __slots__ = ("params", "steps", "current", "remainder")
 
-    def __init__(self, current: np.ndarray):
+    def __init__(self, params: tuple, current: np.ndarray):
+        self.params = params
         self.steps = []
         self.current = current
         self.remainder = None
 
-    def step(self, strategy, gammas, c: str, gamma0, T, mode):
+    def step(self, strategy, c: str):
         idx = len(self.steps) + 1
         current = self.current
         norm2 = float(np.vdot(current, current).real)
         if norm2 <= config.ZERO_STATE_TOL:
             raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
-        b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
+        b0, b1 = _branches(strategy, self.params[idx - 1], current)[:2]
         want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
         p_want = float(np.vdot(want, want).real) / norm2
         p_other = float(np.vdot(other, other).real) / norm2
@@ -636,20 +641,21 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
     branch, then the continue branch, then abort.  A call follows its
     input's walk (see _HWalk), kept in the strategy's table at (2m + 2)
     xz_dim numbers, one per state it may make: one draw per step reached,
-    exactly as the loop draws them.  The returned outcomes are shared
-    between calls, and their states are read-only.
+    exactly as the loop draws them, once every argument passed.  The
+    returned outcomes are shared between calls, and their states are read-only.
     """
-    if len(gammas) != strategy.m:
-        raise DimensionMismatch(f"need m={strategy.m} gammas")
-    _check_challenge(strategy, c)
     amps = _amps_of(psi, strategy.xz_dim)
     table = strategy.derived("table", _Table)
-    key = (tuple(float(g) for g in gammas), c, gamma0, T, mode, amps.tobytes())
-    walk = table.entries.get(key) or table.keep(key, _HWalk(amps.copy()),
-                                        (2 * strategy.m + 2) * strategy.xz_dim)
+    # with the types: True, 1 and 1.0 are one dict key, but a new walk's checks tell them apart
+    key = (c, gamma0, T, mode, amps.tobytes(), *gammas, *map(type, (c, gamma0, T, mode, *gammas)))
+    try:
+        walk = table.entries[key]
+    except (KeyError, TypeError):  # a new input, or an unhashable one, which _chain_params refuses
+        walk = table.keep(key, _HWalk(_chain_params(strategy, gammas, c, gamma0, T, mode), amps.copy()),
+                          (2 * strategy.m + 2) * strategy.xz_dim)
     for idx in range(1, strategy.m + 1):
         if len(walk.steps) < idx:
-            walk.step(strategy, gammas, c, gamma0, T, mode)
+            walk.step(strategy, c)
         p_want, p_other, halt, abort = walk.steps[idx - 1]
         r = rng.random()
         if r < p_want:
@@ -672,15 +678,12 @@ class ChainResult:
 def partition_chain(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
                     *, gamma0: float, T: int, mode: str = "ideal") -> ChainResult:
     """Exact (probability-free) branch chain underlying run_H."""
-    if len(gammas) != strategy.m:
-        raise DimensionMismatch(f"need m={strategy.m} gammas")
-    _check_challenge(strategy, c)
     current = _amps_of(psi, strategy.xz_dim)
     kept, errs = [], []
-    for idx in range(1, strategy.m + 1):
-        b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
+    for params in _chain_params(strategy, gammas, c, gamma0, T, mode):
+        b0, b1 = _branches(strategy, params, current)[:2]
         errs.append(_norm(current - b0 - b1) ** 2)
-        want, current = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
+        want, current = (b1, b0) if c[params.i - 1] == "1" else (b0, b1)
         kept.append(float(np.vdot(want, want).real))
     return ChainResult(
         kept_norms2=tuple(kept),
@@ -748,11 +751,11 @@ class _ExtractGraph:
     CDF) and shared outcomes keyed on (a_i, rounds_used) (1 each).
     """
 
-    def __init__(self, strategy: ProverStrategy, i: int):
-        self.w = _rotated_frame(strategy, i)
+    def __init__(self, strategy: ProverStrategy, params: PartitionParams):
+        self.w = _rotated_frame(strategy, params.i)
         self.wd = self.w.conj().T
-        self.acc = _accept_mask(strategy, i)
-        self.xi_vals = strategy.layout().values(f"X{i}")
+        self.acc = _accept_mask(strategy, params.i)
+        self.xi_vals = strategy.layout().values(f"X{params.i}")
         self.labels = [format(v, f"0{strategy.x_width}b") for v in range(1 << strategy.x_width)]
         self.xz = strategy.xz_dim
         self.table = _Table()
@@ -805,12 +808,7 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     shared frozen object.
     """
     config.check_int("n_rounds", n_rounds, 1, DomainError)
-    if not 1 <= params.i <= strategy.m:
-        raise DomainError(f"coordinate i={params.i} outside 1..{strategy.m}")
-    # checked on every call: a cached graph must not excuse other params.m
-    if params.m != strategy.m:
-        raise DimensionMismatch(f"params.m={params.m} vs strategy.m={strategy.m}")
-    graph = strategy.derived(("extract", params.i), _ExtractGraph, strategy, params.i)
+    graph = _coordinate(strategy, params, "extract", _ExtractGraph)
     node = graph.root(state)
     for rnd in range(1, n_rounds + 1):
         if rng.random() < node.p_hit:

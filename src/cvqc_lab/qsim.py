@@ -15,6 +15,10 @@ import numpy as np
 from . import config
 
 
+class BadLayout(Exception):
+    """Register names or widths that do not make a layout."""
+
+
 class CapExceeded(Exception):
     """Total qubit count would exceed the configured dense-simulation cap."""
 
@@ -35,6 +39,10 @@ class NotUnitary(Exception):
     """Operator failed the unitarity check."""
 
 
+class UnknownKind(Exception):
+    """An operator kind other than unitary or projector."""
+
+
 class ZeroState(Exception):
     """Measurement attempted on a state with (numerically) zero norm."""
 
@@ -46,12 +54,11 @@ class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "registers", tuple((str(n), int(w)) for n, w in self.registers))
+        object.__setattr__(self, "registers", tuple(
+            (str(n), config.check_int(f"width of {n!r}", w, 0, BadLayout)) for n, w in self.registers))
         names = [n for n, _ in self.registers]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate register names in {names}")
-        if any(w < 0 for _, w in self.registers):
-            raise ValueError("negative register width")
+            raise BadLayout(f"duplicate register names in {names}")
         total = sum(w for _, w in self.registers)
         if total > config.QUBIT_CAP:
             raise CapExceeded(f"{total} qubits exceeds cap {config.QUBIT_CAP}")
@@ -110,7 +117,7 @@ def _as_matrix(mat, kind: str) -> np.ndarray:
     try:
         return np.asarray(mat, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
-        error = {"unitary": NotUnitary, "projector": NotAProjector}.get(kind, ValueError)
+        error = {"unitary": NotUnitary, "projector": NotAProjector}.get(kind, UnknownKind)
         raise error(f"{kind} matrix is not numeric: {exc}") from None
 
 
@@ -141,7 +148,7 @@ class Operator:
                 raise NotAProjector(
                     f"P^2-P residual {res_idem:.3e}, P-P^dag residual {res_herm:.3e}")
         else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+            raise UnknownKind(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "mat", mat)
 
     @classmethod

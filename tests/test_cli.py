@@ -229,6 +229,15 @@ class TestParamTable:
             cfg.write_text(json.dumps({"pairs": bad}))
             with pytest.raises(ConfigError, match="pairs=.* is not an integer"):
                 build_config("jordan-demo", seed=1, config_path=str(cfg))
+        # --set and int-list entries give the same message as the config file
+        for command, pair, message in (
+                ("jordan-demo", "pairs=three", "pairs='three' is not an integer"),
+                ("jordan-demo", "pairs=4.0", "pairs='4.0' is not an integer"),
+                ("repetition-sweep", "m_list=1,x", "m_list='x' is not an integer"),
+                ("repetition-sweep", "m_list=1,,2", "m_list='' is not an integer")):
+            with pytest.raises(ConfigError) as err:
+                build_config(command, seed=1, sets=[pair])
+            assert str(err.value) == message
 
     def test_cross_rules(self):
         with pytest.raises(ConfigError, match="dim_min <= dim_max"):

@@ -444,6 +444,14 @@ class TestStubRe:
         # growing ell a millionfold adds only a few length bytes
         assert sizes[1 << 20] - sizes[1] <= 16
 
+    @pytest.mark.parametrize("security,ell,name", [
+        (True, 2, "security"), (16, 2.5, "ell"), (0, 64, "security"), (16, "64", "ell"),
+        (None, 64, "security"), (16, 0, "ell")])
+    def test_setup_sizes_follow_the_integer_rule(self, security, ell, name):
+        # a bool or float size builds no key, and a str or None escapes as no TypeError
+        with pytest.raises(BackendFailure, match=f"{name}="):
+            make_stub_suite(0).re.setup(security, ell, b"\x00" * 16)
+
     def test_setup_deterministic_under_seed(self):
         suite = make_stub_suite(0)
         crs = np.random.default_rng(8).bytes(16)

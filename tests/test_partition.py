@@ -12,13 +12,14 @@ from cvqc_lab.jordan import jordan_decompose, unitary_eig
 from cvqc_lab.jordan import DegenerateNumerics
 from cvqc_lab.partition import (
     _HWalk,
+    _Table,
     _accept_mask,
     _apply_est,
     _amps_of,
     _apply_kernel_column,
+    _branches,
     _check_challenge,
     _rotated_frame,
-    _step,
     ChainResult,
     DomainError,
     ExtractOutcome,
@@ -107,6 +108,18 @@ class TestParams:
     def test_off_grid_gamma_rejected(self):
         with pytest.raises(DomainError):
             PartitionParams(m=1, i=1, gamma0=0.75, T=4, gamma=0.3)
+
+    def test_gammas_are_kept_as_floats(self):
+        p = PartitionParams(m=1, i=1, gamma0=np.float32(0.75), T=4, gamma=np.float32(0.375))
+        assert type(p.gamma0) is float and type(p.gamma) is float
+        assert p == _params(gamma0=0.75, T=4, j=2)
+        # a chain's gammas go in as given, and threshold in double precision
+        s = random_strategy(np.random.default_rng(9), m=2, x_width=1, z_width=1)
+        psi = random_xz_state(np.random.default_rng(10), s)
+        for mode in ("ideal", "kernel"):
+            kw = dict(gamma0=0.75, T=4, mode=mode)
+            want = partition_chain(s, (0.375, 0.75), "01", psi, **kw)
+            assert partition_chain(s, np.float32([0.375, 0.75]), "01", psi, **kw) == want
 
     def test_gamma_grid_values(self):
         g = gamma_grid(0.8, 5)
@@ -677,13 +690,15 @@ def _run_H_reference(strategy, gammas, c, psi, rng, *, gamma0, T, mode="ideal"):
     if len(gammas) != strategy.m:
         raise DimensionMismatch(f"need m={strategy.m} gammas")
     _check_challenge(strategy, c)
+    chain = [PartitionParams(m=strategy.m, i=i, gamma0=gamma0, T=T, gamma=g, mode=mode)
+             for i, g in enumerate(gammas, 1)]
     current = _amps_of(psi, strategy.xz_dim).copy()
     lay = strategy.xz_layout()
-    for idx in range(1, strategy.m + 1):
+    for idx, params in enumerate(chain, 1):
         norm2 = float(np.vdot(current, current).real)
         if norm2 <= config.ZERO_STATE_TOL:
             raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
-        b0, b1 = _step(strategy, gammas, idx, current, gamma0, T, mode)
+        b0, b1 = _branches(strategy, params, current)[:2]
         want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
         p_want = float(np.vdot(want, want).real) / norm2
         p_other = float(np.vdot(other, other).real) / norm2
@@ -842,18 +857,47 @@ class TestRunH:
         for _ in range(2):
             with pytest.raises(ZeroState):
                 run_H(s, _GAMMAS, "10", zero, rng, gamma0=0.75, T=4)
-        # step 1 always continues, so every call reaches the off-grid gamma
+        # the off-grid gamma_2 is refused before step 1 draws, on every call
         s, psi, gamma1 = _low_span_m2()
-        fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
         for _ in range(2):
             with pytest.raises(DomainError):
-                run_H(s, (gamma1, 0.3), "10", psi, fast, gamma0=0.75, T=4)
+                run_H(s, (gamma1, 0.3), "10", psi, rng, gamma0=0.75, T=4)
             with pytest.raises(DomainError):
-                _run_H_reference(s, (gamma1, 0.3), "10", psi, slow, gamma0=0.75, T=4)
-            assert fast.bit_generator.state == slow.bit_generator.state
-        # the walk kept the step before the error, and nothing for the error
-        [walk] = _walks(s._cache["table"])
-        assert len(walk.steps) == 1
+                _run_H_reference(s, (gamma1, 0.3), "10", psi, rng, gamma0=0.75, T=4)
+            assert rng.bit_generator.state == before
+        # and no walk is kept for it
+        assert _walks(s._cache.get("table", _Table())) == []
+
+    def test_off_grid_gamma_is_refused_at_every_seed(self):
+        # a draw that halts at step 1 must not skip gamma_2's check
+        rng = np.random.default_rng(1)
+        s = random_strategy(rng, m=2, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            before = rng.bit_generator.state
+            with pytest.raises(DomainError, match="gamma=0.3 not on the grid"):
+                run_H(s, (0.5, 0.3), "10", psi, rng, gamma0=1.0, T=4)
+            assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("gammas,gamma0,T", [
+        ((1.0, 1.0), True, 1), ((1.0, 1.0), 1.0, True), ((True, 1.0), 1.0, 1),
+        ((1.0, 1.0), 1.0, 1.0)], ids=["gamma0-bool", "T-bool", "gamma-bool", "T-float"])
+    def test_a_warm_walk_excuses_no_check(self, gammas, gamma0, T):
+        # each bad value equals a valid one, so it shares the valid call's dict key
+        rng = np.random.default_rng(4)
+        s = random_strategy(rng, m=2, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        for _ in range(3):
+            run_H(s, (1.0, 1.0), "10", psi, rng, gamma0=1.0, T=1)
+        before = rng.bit_generator.state
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                run_H(s, gammas, "10", psi, rng, gamma0=gamma0, T=T)
+        assert rng.bit_generator.state == before
+        assert len(_walks(s._cache["table"])) == 1
 
     def test_shared_states_are_read_only(self):
         rng = np.random.default_rng(6)
@@ -923,6 +967,9 @@ class TestEntryPointErrors:
         pytest.param(lambda s, xz, full, rng: run_H(s, _GAMMAS, "ab", xz, rng,
                                                     gamma0=0.75, T=4),
                      DomainError, id="run_H-challenge-chars"),
+        pytest.param(lambda s, xz, full, rng: run_H(s, _GAMMAS, ["1", "0"], xz, rng,
+                                                    gamma0=0.75, T=4),
+                     DimensionMismatch, id="run_H-challenge-list"),
         pytest.param(lambda s, xz, full, rng: partition_chain(s, _GAMMAS, "ab", xz,
                                                               gamma0=0.75, T=4),
                      DomainError, id="chain-challenge-chars"),
@@ -939,12 +986,29 @@ class TestEntryPointErrors:
         pytest.param(lambda s, xz, full, rng: accept_prob(s, 0, "00", xz),
                      DomainError, id="accept-coordinate-zero"),
         pytest.param(lambda s, xz, full, rng: extract(s, _params(m=3, i=3), full, 3, rng),
-                     DomainError, id="extract-coordinate-above-m"),
+                     DimensionMismatch, id="extract-coordinate-above-m"),
         # a round count that is not an int
         pytest.param(lambda s, xz, full, rng: extract(s, _params(m=2), full, 2.5, rng),
                      DomainError, id="extract-rounds-float"),
         pytest.param(lambda s, xz, full, rng: extract(s, _params(m=2), full, True, rng),
                      DomainError, id="extract-rounds-bool"),
+        # params for another m, after the strategy's eigenbasis is warm
+        pytest.param(lambda s, xz, full, rng: (run_G_state(s, _params(m=2), xz),
+                                               run_G_state(s, _params(m=3), xz)),
+                     DimensionMismatch, id="run_G_state-params-m-warm"),
+        # a gamma that is not a number, refused by the real-number rule
+        pytest.param(lambda s, xz, full, rng: run_H(s, ("a", 0.375), "10", xz, rng,
+                                                    gamma0=0.75, T=4),
+                     DomainError, id="run_H-gamma-str"),
+        pytest.param(lambda s, xz, full, rng: run_H(s, (None, 0.375), "10", xz, rng,
+                                                    gamma0=0.75, T=4),
+                     DomainError, id="run_H-gamma-None"),
+        pytest.param(lambda s, xz, full, rng: partition_chain(s, ("a", 0.375), "10", xz,
+                                                              gamma0=0.75, T=4),
+                     DomainError, id="chain-gamma-str"),
+        pytest.param(lambda s, xz, full, rng: partition_chain(s, (None, 0.375), "10", xz,
+                                                              gamma0=0.75, T=4),
+                     DomainError, id="chain-gamma-None"),
         # params for another m, after the strategy's extractor graph is warm
         pytest.param(lambda s, xz, full, rng: (extract(s, _params(m=2), full, 3, rng),
                                                extract(s, _params(m=1), full, 3, rng)),
@@ -973,6 +1037,16 @@ class TestBuilderIntegerRule:
         with pytest.raises(DomainError, match=f"{name}="):
             random_strategy(rng, **kw)
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("kw,name", [
+        (dict(m=1.0), "m"), (dict(m=True), "m"), (dict(m=0), "m"), (dict(m=10**30), "m"),
+        (dict(x_width=0), "x_width"), (dict(x_width=True), "x_width"),
+        (dict(z_width="1"), "z_width"), (dict(z_width=-1), "z_width")])
+    def test_prover_strategy_sizes(self, kw, name):
+        # each size is checked before dim is read, so none escapes as TypeError or overflow
+        sizes = {**dict(m=1, x_width=1, z_width=1), **kw}
+        with pytest.raises(DomainError, match=f"{name}="):
+            ProverStrategy(u=Operator.unitary(np.eye(8)), accept_sets=(frozenset({"0"}),), **sizes)
 
     def test_random_strategy_draws_are_unchanged(self):
         want = random_strategy(np.random.default_rng(3), m=2, x_width=1, z_width=0)

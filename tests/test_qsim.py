@@ -6,6 +6,7 @@ import pytest
 from cvqc_lab import config
 from cvqc_lab.qsim import (
     outcome_probs,
+    BadLayout,
     CapExceeded,
     DimensionMismatch,
     NotAProjector,
@@ -13,6 +14,7 @@ from cvqc_lab.qsim import (
     Operator,
     RegisterLayout,
     StateVector,
+    UnknownKind,
     UnknownRegister,
     ZeroState,
     measure,
@@ -29,7 +31,7 @@ def _random_state(rng, layout):
 
 
 def test_layout_rejects_duplicates_and_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadLayout):
         RegisterLayout((("a", 1), ("a", 2)))
     with pytest.raises(CapExceeded):
         RegisterLayout((("big", 21),))
@@ -60,6 +62,23 @@ def test_operator_validation():
     Operator.projector(P0)
     with pytest.raises(DimensionMismatch):
         Operator(4, np.eye(2), "unitary")
+    with pytest.raises(UnknownKind, match="unknown operator kind 'foo'"):
+        Operator(2, np.eye(2), "foo")
+    with pytest.raises(UnknownKind, match="not numeric"):
+        Operator(2, "ab", "foo")
+
+
+@pytest.mark.parametrize("width", [2.5, True, np.float64(3.9), "x", None, -1])
+def test_layout_widths_follow_the_integer_rule(width):
+    # no width is truncated to an int, and none escapes as a builtin error
+    with pytest.raises(BadLayout, match="width of 'a'"):
+        RegisterLayout((("a", width),))
+
+
+def test_layout_widths_take_numpy_integers_as_ints():
+    lay = RegisterLayout((("a", np.int64(2)), ("b", 0)))
+    assert lay.registers == (("a", 2), ("b", 0)) and type(lay.registers[0][1]) is int
+    assert lay.dim == 4
 
 
 def test_unitarity_residual_is_the_dense_one():

@@ -1,0 +1,147 @@
+"""Every drawn input to the partition and qsim entry points works or raises a typed error.
+
+Property: each call returns, or raises a class defined in cvqc_lab, and a
+refused run_H, partition_chain or extract call leaves its rng untouched.
+Each drawn call runs on a fresh strategy (cold), then again after a valid
+call has warmed the strategy's caches, and must get the same verdict both
+times.  Draws start from a valid call and replace its values with ones
+equal under == (True for 1, 1.0 for T = 1, numpy scalars) or with bools,
+NaN, infinities, str, None, lists, off-grid values and wrong lengths.  Sizes stay
+small: gamma0 >= 0.3 and T <= 4 keep tau <= 9.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cvqc_lab.partition import (
+    PartitionParams,
+    ProverStrategy,
+    extract,
+    partition_chain,
+    random_strategy,
+    random_xz_state,
+    run_G,
+    run_G_state,
+    run_H,
+)
+from cvqc_lab.qsim import Operator, RegisterLayout, StateVector
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+JUNK = (None, True, False, 0, -1, 2.5, 0.3, 1.5, float("nan"), float("inf"), -float("inf"),
+        "a", "", "0", "ab", "101", b"10", [1], ["1", "0"])
+
+
+def _twins(value):
+    """value and the values of other types equal to it under ==."""
+    if isinstance(value, str):
+        return [value, np.str_(value)]
+    out = [value, float(value), np.float64(value)]
+    if value == int(value):
+        out += [int(value), np.int64(value)]
+    return out + [True] * (value == 1) + [False] * (value == 0)
+
+
+def _near(value):
+    return st.one_of(st.sampled_from(_twins(value)), st.sampled_from(JUNK))
+
+
+def _verdict(call, rng=None):
+    """None when call returns, else the class it raised, which must be cvqc_lab's."""
+    before = rng.bit_generator.state if rng is not None else None
+    try:
+        call()
+    except Exception as err:  # the property is about what escapes
+        assert type(err).__module__.startswith("cvqc_lab."), repr(err)
+        if rng is not None:
+            assert rng.bit_generator.state == before, f"{err!r} after a draw"
+        return type(err)
+    return None
+
+
+def _valid_grid(draw):
+    gamma0 = draw(st.sampled_from([1.0, 0.5]))
+    T = draw(st.sampled_from([1, 2, 4]))
+    return gamma0, T, lambda: gamma0 * draw(st.integers(1, T)) / T
+
+
+@st.composite
+def h_calls(draw):
+    gamma0, T, gamma = _valid_grid(draw)
+    valid = dict(gammas=(gamma(), gamma()), c=draw(st.sampled_from(["00", "01", "10", "11"])),
+                 gamma0=gamma0, T=T, mode=draw(st.sampled_from(["ideal", "kernel"])))
+    drawn = {k: draw(_near(v)) for k, v in valid.items() if k != "gammas"}
+    gammas = [draw(_near(g)) for g in valid["gammas"]]
+    drawn["gammas"] = draw(st.sampled_from([tuple(gammas), gammas, gammas[:1], gammas + [gamma0]]))
+    return valid, drawn
+
+
+@st.composite
+def params_calls(draw):
+    gamma0, T, gamma = _valid_grid(draw)
+    valid = dict(m=2, i=draw(st.sampled_from([1, 2])), gamma0=gamma0, T=T, gamma=gamma(),
+                 mode=draw(st.sampled_from(["ideal", "kernel"])))
+    drawn = {k: draw(_near(v)) for k, v in valid.items()}
+    drawn["m"] = draw(st.one_of(st.just(drawn["m"]), st.sampled_from([1, 3])))
+    return valid, drawn, draw(st.one_of(st.integers(1, 4), st.sampled_from(JUNK)))
+
+
+def _strategy():
+    rng = np.random.default_rng(7)
+    s = random_strategy(rng, m=2, x_width=1, z_width=0)
+    return s, random_xz_state(rng, s)
+
+
+@SETTINGS
+@given(h_calls())
+def test_H_and_chain_refuse_cold_and_warm_alike(args):
+    valid, drawn = args
+    s, psi = _strategy()
+    rng = np.random.default_rng(0)
+
+    def calls(kw):
+        args = (s, kw["gammas"], kw["c"], psi)
+        opts = dict(gamma0=kw["gamma0"], T=kw["T"], mode=kw["mode"])
+        return [lambda: run_H(*args, rng, **opts), lambda: partition_chain(*args, **opts)]
+
+    cold = [_verdict(call, rng) for call in calls(drawn)]
+    assert [_verdict(call, rng) for call in calls(valid)] == [None, None]
+    assert [_verdict(call, rng) for call in calls(drawn)] == cold
+
+
+@SETTINGS
+@given(params_calls())
+def test_params_entry_points_refuse_cold_and_warm_alike(args):
+    valid, drawn, n_rounds = args
+    s, psi = _strategy()
+    full = StateVector(s.layout(), np.eye(s.dim)[0])
+    rng = np.random.default_rng(0)
+
+    def calls(kw, n):
+        return [lambda: run_G(s, PartitionParams(**kw), psi),
+                lambda: run_G_state(s, PartitionParams(**kw), psi),
+                lambda: extract(s, PartitionParams(**kw), full, n, rng)]
+
+    cold = [_verdict(call, rng) for call in calls(drawn, n_rounds)]
+    assert [_verdict(call, rng) for call in calls(valid, 3)] == [None] * 3
+    assert [_verdict(call, rng) for call in calls(drawn, n_rounds)] == cold
+
+
+SIZES = st.one_of(st.integers(-2, 25),
+                  st.sampled_from([2.5, 1.0, True, np.float64(3.9), np.int64(1), "x", None, 10**30]))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), SIZES), max_size=3))
+def test_register_layout_widths(registers):
+    _verdict(lambda: RegisterLayout(tuple(registers)))
+
+
+@SETTINGS
+@given(SIZES, SIZES, SIZES)
+def test_prover_strategy_sizes(m, x_width, z_width):
+    u = Operator.unitary(np.eye(8))
+    verdict = _verdict(lambda: ProverStrategy(m, x_width, z_width, u, (frozenset({"0"}),)))
+    fits = [isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v == 1
+            for v in (m, x_width, z_width)]
+    assert (verdict is None) == all(fits)
