@@ -4,9 +4,10 @@ Each function returns a Claim (id, bound, measured value; it holds iff
 measured <= bound) and the outcome reported beside it: norms, Stats,
 sessions.  The CLI rows and the acceptance gate both call them with
 their own sizes and seeds; the drawn strategy, state, rng or runs are
-inputs, so every caller keeps its own draws.  The library is called
-through module attributes (`partition.run_G`, `protocol.run_protocol`),
-so a tracer that wraps those names sees every call.
+inputs, or drawn from a seed the caller passes, so every caller keeps
+its own draws.  The library is called through module attributes
+(`partition.run_G`, `protocol.run_protocol`), so a tracer that wraps
+those names sees every call.
 """
 
 from __future__ import annotations
@@ -159,6 +160,18 @@ def honest_rate(n, m, trials, seed):
     return _rate_claim("honest-rate", stats, protocol.honest_rate_oracle(n, m)), stats
 
 
+def cheat_nonincreasing(n, m, trials, seed, prev_rate):
+    """A unitary cheat on the m-fold repetition, its strategy drawn from
+    seed: by the product structure more coordinates can only hurt it, so
+    its rate is at most prev_rate (the rate at fewer coordinates) + 0.03."""
+    rep = protocol.parallel_repeat(protocol.toy_protocol(n), m)
+    rng = np.random.default_rng(seed ^ 0xA5A5)
+    adv = protocol.UnitaryCheat(
+        partition.random_strategy(rng, m=1, x_width=n + 1, z_width=1))
+    stats = protocol.run_protocol(rep, adv, "yes", trials=trials, seed=seed)
+    return Claim("cheat-nonincreasing", prev_rate + 0.03, stats.accept_rate), stats
+
+
 def fs_completeness(fs, trials, seed):
     """The honest prover's rejection rate under hashed challenges, at most 1%."""
     stats = protocol.run_protocol(fs, protocol.Honest(fs.base), "yes", trials=trials, seed=seed)
@@ -210,3 +223,10 @@ def eff_prover_linear(runs, flow):
     logs_p = np.log([float(r.prover_ops) for _, _, r in sweep])
     slope = float(np.polyfit(logs_t, logs_p, 1)[0])
     return Claim("eff-prover-linear", 0.0, max(0.0, 0.9 - slope)), sweep
+
+
+def eff_verifier_flat(sweep):
+    """Verifier work stays flat in the time bound: verifier_ops grows by at
+    most 16 from the first to the last of eff_prover_linear's sweep."""
+    v_delta = sweep[-1][2].verifier_ops - sweep[0][2].verifier_ops
+    return Claim("eff-verifier-flat", 16.0, float(v_delta))

@@ -260,7 +260,7 @@ def build_config(command: str, *, seed=None, out=None, fmt=None,
                 params[key] = value
 
     for pair in sets:
-        if "=" not in pair:
+        if not isinstance(pair, str) or "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         key = key.strip()
@@ -419,14 +419,6 @@ def _protocol_row(m, adversary, stats, claim):
     }
 
 
-def _cheat_point(m, n, trials, task_seed):
-    rep = protocol.parallel_repeat(protocol.toy_protocol(n), m)
-    rng = np.random.default_rng(task_seed ^ 0xA5A5)
-    adv = protocol.UnitaryCheat(
-        partition.random_strategy(rng, m=1, x_width=n + 1, z_width=1))
-    return protocol.run_protocol(rep, adv, "yes", trials=trials, seed=task_seed)
-
-
 def _run_repetition(cfg: ExperimentConfig):
     p = cfg.params
     ms = _parse_int_list(p["m_list"])
@@ -436,9 +428,7 @@ def _run_repetition(cfg: ExperimentConfig):
     prev_rate = 1.0
     for m, task_seed in zip(ms, seeds):
         if name == "cheat":
-            stats = _cheat_point(m, n, trials, task_seed)
-            # product structure: more coordinates can only hurt the cheat
-            claim = claims.Claim("cheat-nonincreasing", prev_rate + 0.03, stats.accept_rate)
+            claim, stats = claims.cheat_nonincreasing(n, m, trials, task_seed, prev_rate)
             prev_rate = stats.accept_rate
         else:
             rate = claims.testonly_rate if name == "testonly" else claims.honest_rate
@@ -504,10 +494,8 @@ def _run_effverify(cfg: ExperimentConfig):
     probe = ((*_eff_backends(s, n, m), s, tb)
              for s, tb in zip(seeds[p["trials"]:], _EFF_SWEEP))
     linear, sweep = claims.eff_prover_linear(probe, flow)
-    v_delta = sweep[-1][2].verifier_ops - sweep[0][2].verifier_ops
     tb, verdict, report = sweep[-1]
-    rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report,
-                         claims.Claim("eff-verifier-flat", 16.0, float(v_delta))))
+    rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report, claims.eff_verifier_flat(sweep)))
     rows.append(_eff_row(-1, "sweep", n, m, tb, verdict, report, linear))
     return rows, {"sessions": dumps}
 

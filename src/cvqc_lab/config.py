@@ -44,7 +44,8 @@ DEGENERATE_LIMIT = 1e-6
 # one-dimensional invariant vectors rather than rotation blocks.
 EIGPHASE_TOL = 1e-7
 
-# Total qubits a single dense state may use: dimension <= 2**QUBIT_CAP.
+# Total qubits a single dense state, or a phase register of precision tau,
+# may use: dimension <= 2**QUBIT_CAP.
 QUBIT_CAP = 20
 
 # A branch (or overlap reference) below this norm is treated as zero when
@@ -53,9 +54,6 @@ ZERO_BRANCH_TOL = 1e-12
 
 # States with squared norm at or below this cannot be measured.
 ZERO_STATE_TOL = 1e-15
-
-# Smallest grid step gamma0/T allowed before float underflow risks kick in.
-GRID_STEP_MIN = 2.0 ** -40
 
 # Every table of reached states in partition (a _Table) starts over before
 # the numbers its entries may hold would pass this: 4 xz_dim per grid point,

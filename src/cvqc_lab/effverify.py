@@ -80,13 +80,15 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
     pass.  A malformed instruction, a negative register or memory operand
     included, raises BackendFailure naming its pc.
     """
+    index = operator.index  # immediates as ints, numpy integers included
+    size = len(program)
     regs = [0] * 8
     mem = bytearray(ELL_R)
     out: list[int] = []
     pc = 0
     steps = 0
     while True:
-        if pc < 0 or pc >= len(program):
+        if not 0 <= pc < size:
             raise BackendFailure(f"pc {pc} outside program")
         if steps >= budget:
             raise BackendFailure(f"step budget {budget} exhausted")
@@ -101,7 +103,7 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
             if name == "HALT":
                 return tuple(out), steps
             elif name == "SETI":
-                regs[ins[1]] = ins[2] & MACHINE_WORD
+                regs[ins[1]] = index(ins[2]) & MACHINE_WORD
             elif name == "MOV":
                 regs[ins[1]] = regs[ins[2]]
             elif name == "LOAD":
@@ -113,12 +115,12 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
             elif name == "OR":
                 regs[ins[1]] |= regs[ins[2]]
             elif name == "SHR":
-                regs[ins[1]] >>= ins[2]
+                regs[ins[1]] >>= index(ins[2])
             elif name == "SHL":
-                regs[ins[1]] = (regs[ins[1]] << ins[2]) & MACHINE_WORD
+                regs[ins[1]] = (regs[ins[1]] << index(ins[2])) & MACHINE_WORD
             elif name == "DEC":
                 r = ins[1]
-                if nxt < len(program) and program[nxt] == ("JNZ", r, pc):
+                if nxt < size and program[nxt] == ("JNZ", r, pc):
                     # DEC wraps, so a loop entered at 0 makes 2^64 passes
                     passes = regs[r] or MACHINE_WORD + 1
                     if steps - 1 + 2 * passes > budget:
@@ -130,7 +132,7 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
                     regs[r] = (regs[r] - 1) & MACHINE_WORD
             elif name == "JNZ":
                 if regs[ins[1]] != 0:
-                    nxt = operator.index(ins[2])
+                    nxt = index(ins[2])
             elif name == "OUT":
                 out.append(regs[ins[1]])
             elif name != "HASH":
@@ -149,6 +151,13 @@ class _KeyProgram(tuple):
     """A program key_machine built, carrying its encode bytes as `encoded`."""
 
 
+def _key_shape(n, m) -> tuple[int, int]:
+    # each key value is built from two stream bytes (n <= 16), and each
+    # coordinate reads four of the PRG stream's ELL_R bytes (m <= ELL_R // 4)
+    return (config.check_int("n", n, 1, BackendFailure, 16),
+            config.check_int("m", m, 1, BackendFailure, ELL_R // 4))
+
+
 @functools.lru_cache(maxsize=None, typed=True)
 def key_machine(n: int, m: int, time_bound: int) -> tuple:
     """Program computing the inner keys from the seed, then idling.
@@ -164,10 +173,7 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
     word: BackendFailure refuses T >= 2^65 + 32m + 5, and any n, m or T
     that is not an integer.
     """
-    # each key value is built from two stream bytes (n <= 16), and each
-    # coordinate reads four of the PRG stream's ELL_R bytes (m <= ELL_R // 4)
-    n = config.check_int("n", n, 1, BackendFailure, 16)
-    m = config.check_int("m", m, 1, BackendFailure, ELL_R // 4)
+    n, m = _key_shape(n, m)
     time_bound = config.check_int("time_bound", time_bound, 1, BackendFailure)
     mask = (1 << n) - 1
     prog: list[tuple] = [("HASH",)]
@@ -205,6 +211,7 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
 
 def derive_keys(stream: bytes, n: int, m: int):
     """Reference key derivation; must agree with key_machine's output."""
+    n, m = _key_shape(n, m)
     if len(stream) < 4 * m:
         raise BackendFailure("stream shorter than key material")
     mask = (1 << n) - 1
@@ -388,7 +395,7 @@ def make_stub_suite(oracle_seed: int = 0) -> BackendSuite:
         re=StubRe(),
         snark=StubSnark(),
         snark_oracle=OracleTable(oracle_seed ^ 0x5A17ED, 256),
-        salt_oracle=OracleTable(oracle_seed ^ 0xC0FFEE, 256),
+        salt_oracle=OracleTable(oracle_seed ^ 0xC0FFEE, 8 * SALT_LEN),
     )
 
 
@@ -411,6 +418,8 @@ def toy_inner(num_qubits: int, m: int, fs_seed: int = 7) -> TwoRoundFS:
 
 def key_length(inner: TwoRoundFS) -> int:
     """Bytes; upper bound on the encoded key of inner's width and shape."""
+    if not isinstance(inner, TwoRoundFS):
+        raise InnerProtocolError(f"inner {type(inner).__name__} is not a TwoRoundFS")
     return _key_length(inner.base.n, tuple(inner.base.shape))
 
 
@@ -452,7 +461,7 @@ class CostReport:
 
 @dataclass(frozen=True)
 class EffSession:
-    """One finished session: the messages, the verifier's secrets, the costs."""
+    """One finished session: messages, their bytes as `sent`, the verifier's secrets, costs."""
 
     x: object
     s: bytes
@@ -464,6 +473,7 @@ class EffSession:
     ct_prime: FheCiphertext
     z: bytes
     proof: SnarkProof
+    sent: tuple
     statement: bytes
     cost: CostReport
 
@@ -473,12 +483,7 @@ class EffSession:
             "x": repr(self.x),
             "time_bound": self.encoding.bound,
             "seed_s": self.s.hex(),
-            "pk_fhe": self.pk_fhe.serialize().hex(),
-            "ct": self.ct.serialize().hex(),
-            "encoding": self.encoding.serialize().hex(),
-            "ct_prime": self.ct_prime.serialize().hex(),
-            "salt": self.z.hex(),
-            "proof": self.proof.serialize().hex(),
+            **{name: data.hex() for name, data in self.sent},
             "statement": self.statement.hex(),
             "cost": asdict(self.cost),
         }
@@ -491,20 +496,19 @@ def cost_report(session: EffSession) -> CostReport:
 _PROVER_MODES = ("honest", "mismatched-statement", "rejecting-e")
 
 
-def _statement(x, pk: FheKey, ct: FheCiphertext, ct_prime: bytes) -> bytes:
+def _statement(x, sent: dict) -> bytes:
     # the proved statement is exactly the session's public transcript
-    return encode((x, pk.serialize(), ct.serialize(), ct_prime))
+    return encode((x, sent["pk_fhe"], sent["ct"], sent["ct_prime"]))
 
 
 def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
                  seed: int, time_bound: int, derive_salt: bool):
-    """One session; each cost-ledger charge follows the call it pays for."""
+    """One session: each message serialized once, into `sent`; each ledger charge after its call."""
     time_bound = config.check_int("time_bound", time_bound, 1, BackendFailure)
     seed = config.check_int("seed", seed, 0, BackendFailure)
     if prover not in _PROVER_MODES:
         raise InnerProtocolError(f"unknown prover mode {prover!r}")
-    if not isinstance(inner, TwoRoundFS):
-        raise InnerProtocolError(f"inner {type(inner).__name__} is not a TwoRoundFS")
+    ell = key_length(inner)  # refuses an inner that is no TwoRoundFS
     if not isinstance(suite, BackendSuite):
         raise BackendFailure(f"suite {type(suite).__name__} is not a BackendSuite")
     base = inner.base
@@ -513,7 +517,6 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
     # V_eff,1: seed, crs and encoder key, encrypted seed, delegated key machine
     s = rng.bytes(ELL_S)
     crs = rng.bytes(SECURITY)
-    ell = key_length(inner)
     ek = suite.re.setup(SECURITY, ell, crs)
     verifier_ops = SECURITY + ell.bit_length()
     pk_fhe, sk_fhe = suite.fhe.keygen(rng)
@@ -523,6 +526,8 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
     machine = key_machine(base.n, base.m, time_bound)
     encoding = suite.re.enc(ek, machine, s, time_bound)
     verifier_ops += len(machine) + len(s) + time_bound.bit_length()
+    sent = {"pk_fhe": pk_fhe.serialize(), "ct": ct.serialize(),
+            "encoding": encoding.serialize()}
 
     # P_eff,2: decode keys, answer the inner protocol, evaluate C[x, e]
     flat_key, prover_ops = suite.re.dec(crs, encoding)  # decode steps
@@ -534,26 +539,24 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
         # the Hadamard sentinel rejects every coordinate it answers
         e = (e[0], base.nest([("had", 0, 0)] * base.m))
     circuit = VerificationCircuit(x=x, e=e, inner=inner)
-    honest_ct_prime = suite.fhe.eval(pk_fhe, circuit, ct)
+    ct_prime = suite.fhe.eval(pk_fhe, circuit, ct)
     # evaluating C re-derives the keys, the same T the machine pays
     prover_ops += time_bound
-    # the proof binds the honest statement; a mismatched prover ships another
-    # ct'.  Each ct' is serialized once, for the statement, salt and size
-    honest_bytes = honest_ct_prime.serialize()
-    proof_statement = _statement(x, pk_fhe, ct, honest_bytes)
+    sent["ct_prime"] = ct_prime.serialize()
+    # the proof binds the evaluated ct'; a mismatched prover ships another
+    proof_statement = _statement(x, sent)
     if prover == "mismatched-statement":
         ct_prime = suite.fhe.enc(pk_fhe, 0)
         prover_ops += 1
-        ct_prime_bytes = ct_prime.serialize()
-    else:
-        ct_prime, ct_prime_bytes = honest_ct_prime, honest_bytes
+        sent["ct_prime"] = ct_prime.serialize()
 
     # V_eff,3: the salt, fresh or derived from the received ct'
     if derive_salt:
-        z = suite.salt_oracle.query(ct_prime_bytes)
+        z = suite.salt_oracle.query(sent["ct_prime"])
     else:
         z = rng.bytes(SALT_LEN)
-    verifier_ops += SALT_LEN
+    sent["salt"] = z
+    verifier_ops += len(z)
 
     # P_eff,4: proof under the salted oracle
     witness = encode(e)
@@ -561,24 +564,20 @@ def _run_session(suite: BackendSuite, inner: TwoRoundFS, x, prover,
                               witness)
     # 16-byte words, so the proof stays a small term next to the T-linear work
     prover_ops += (len(proof_statement) + len(witness)) // 16 + 4
+    sent["proof"] = proof.serialize()
 
-    # V_eff,out: proof check and one decryption, both run and both charged
-    if ct_prime is honest_ct_prime:
-        statement = proof_statement
-    else:
-        statement = _statement(x, pk_fhe, ct, ct_prime_bytes)
+    # V_eff,out: proof check of the received transcript and one decryption, both charged
+    statement = _statement(x, sent)
     ok_proof = suite.snark.verify(suite.snark_oracle.salted(z), statement, proof)
     verifier_ops += len(statement)
     ok_dec = suite.fhe.dec(sk_fhe, ct_prime) == 1
     verifier_ops += 1
 
-    message_bytes = SALT_LEN + len(ct_prime_bytes) + sum(
-        len(msg.serialize()) for msg in (encoding, pk_fhe, ct, proof))
-    cost = CostReport(verifier_ops, prover_ops, message_bytes)
     return ok_proof and ok_dec, EffSession(
         x=x, s=s, pk_fhe=pk_fhe, sk_fhe=sk_fhe, ct=ct,
         encoding=encoding, e=e, ct_prime=ct_prime, z=z, proof=proof,
-        statement=statement, cost=cost)
+        sent=tuple(sent.items()), statement=statement,
+        cost=CostReport(verifier_ops, prover_ops, sum(map(len, sent.values()))))
 
 
 def run_four_round(suite: BackendSuite, inner: TwoRoundFS, x,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .qsim import DimensionMismatch, NotAProjector, Operator
+from .qsim import DimensionMismatch, NotAProjector, Operator, _as_matrix
 
 
 class DegenerateNumerics(Exception):
@@ -123,7 +123,9 @@ def unitary_eig(q) -> tuple[np.ndarray, np.ndarray]:
     eigh of (q + q^dag)/2 gives cos(phi); each run of cosines within
     EIGPHASE_TOL (an exp(+-i phi) pair, a degenerate eigenvalue) is split by
     eigh of (q - q^dag)/2i on the run.  A non-normal q raises DegenerateNumerics."""
-    q = np.asarray(q, dtype=np.complex128)
+    q = _as_matrix(q, "unitary")
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise DimensionMismatch(f"matrix shape {q.shape} is not square")
     n = len(q)
     cos, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
     vq = np.vstack([vecs, q @ vecs])  # column j holds v_j over q v_j
@@ -141,7 +143,7 @@ def unitary_eig(q) -> tuple[np.ndarray, np.ndarray]:
     mix = np.divide(rq, gap, out=np.zeros_like(rq), where=np.abs(gap) > config.EIGPHASE_TOL)
     vq = vq + vq @ (0.5 * (mix - mix.conj().T))
     resid = np.max(np.abs(vq[n:] - vq[:n] * lam), initial=0.0)
-    if resid > config.DEGENERATE_LIMIT:
+    if not resid <= config.DEGENERATE_LIMIT:  # NaN included
         raise DegenerateNumerics(f"eigenvector residual max|qV - V Lambda| {resid:.3e}")
     return np.angle(lam), vq[:n]
 
@@ -259,6 +261,8 @@ def eigenphases(dec: JordanDecomposition) -> np.ndarray:
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     """Haar-random rank-r projector; test and demo helper."""
+    dim = config.check_int("dim", dim, 1, DimensionMismatch)
+    rank = config.check_int("rank", rank, 0, DimensionMismatch, dim)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     qmat, _ = np.linalg.qr(m)
     cols = qmat[:, :rank]

@@ -77,7 +77,8 @@ class PartitionParams:
 
     gamma must lie on the grid {gamma0 * j / T : j = 1..T}; delta is
     fixed to gamma0 / (3T); tau is the phase precision needed so that a
-    tau-bit phase error moves cos^2(theta/2) by at most delta/2.
+    tau-bit phase error moves cos^2(theta/2) by at most delta/2.  A phase
+    register is held densely, so tau is at most config.QUBIT_CAP.
     """
 
     m: int
@@ -95,8 +96,11 @@ class PartitionParams:
         object.__setattr__(self, "gamma0", config.check_real("gamma0", self.gamma0, 0, 1, DomainError))
         if self.gamma0 == 0:
             raise DomainError(f"gamma0={self.gamma0} outside (0, 1]")
-        if self.gamma0 / self.T < config.GRID_STEP_MIN:
-            raise DomainError(f"grid step {self.gamma0 / self.T} underflows")
+        # tau <= cap needs gamma0 / T >= 24 * 2^-cap, checked first without
+        # float division, so that no T, however large, overflows delta
+        if self.gamma0 * 2**config.QUBIT_CAP < 24 * self.T or self.tau > config.QUBIT_CAP:
+            raise DomainError(f"gamma0={self.gamma0}, T={self.T}: phase precision tau "
+                              f"above {config.QUBIT_CAP} qubits")
         object.__setattr__(self, "gamma", config.check_real("gamma", self.gamma, 0, 1, DomainError))
         j = round(self.gamma * self.T / self.gamma0)
         if not 1 <= j <= self.T or abs(self.gamma - self.gamma0 * j / self.T) > 1e-12:
@@ -573,8 +577,17 @@ class HRemainder:
     state: StateVector
 
 
+def _gamma_tuple(gammas) -> tuple:
+    """gammas as a tuple, its entries as given; DomainError unless it is iterable."""
+    try:
+        return tuple(gammas)
+    except TypeError:
+        raise DomainError(f"gammas={gammas!r} is not a sequence") from None
+
+
 def _chain_params(strategy: ProverStrategy, gammas, c: str, gamma0, T, mode) -> tuple:
     """The checked params of G_{1, gamma_1} .. G_{m, gamma_m}; each gamma goes in as given."""
+    gammas = _gamma_tuple(gammas)
     if len(gammas) != strategy.m:
         raise DimensionMismatch(f"need m={strategy.m} gammas")
     _check_challenge(strategy, c)
@@ -645,6 +658,7 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
     returned outcomes are shared between calls, and their states are read-only.
     """
     amps = _amps_of(psi, strategy.xz_dim)
+    gammas = _gamma_tuple(gammas)
     table = strategy.derived("table", _Table)
     # with the types: True, 1 and 1.0 are one dict key, but a new walk's checks tell them apart
     key = (c, gamma0, T, mode, amps.tobytes(), *gammas, *map(type, (c, gamma0, T, mode, *gammas)))

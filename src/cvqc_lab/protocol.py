@@ -429,6 +429,8 @@ def parallel_repeat(p: FourRoundProtocol, m: int) -> FourRoundProtocol:
     concatenation of m of p's.  m = 1 still wraps messages in 1-tuples,
     so callers can rely on one shape.
     """
+    if not isinstance(p, FourRoundProtocol):
+        raise ProtocolError(f"cannot repeat a {type(p).__name__}")
     return FourRoundProtocol(p.n, p.shape + (m,))
 
 
@@ -444,6 +446,9 @@ class TwoRoundFS:
     oracle: OracleTable
 
     def __post_init__(self):
+        if not (isinstance(self.base, FourRoundProtocol) and isinstance(self.oracle, OracleTable)):
+            raise ProtocolError(f"Fiat-Shamir of a {type(self.base).__name__} "
+                                f"over a {type(self.oracle).__name__}")
         if self.oracle.out_bits != self.base.m:
             raise WidthMismatch(
                 f"oracle width {self.oracle.out_bits} vs challenge width "
@@ -1022,14 +1027,16 @@ def _run_fs_trial(p: TwoRoundFS, adversary, x, rng) -> tuple[bool, int]:
 
 def testonly_rate_oracle(m: int) -> float:
     """Exact acceptance of the test-only strategy under m-fold repetition."""
-    return 2.0 ** -m
+    return 2.0 ** -config.check_int("m", m, 1, ProtocolError)
 
 
 def grinder_rate_oracle(m: int, budget: int) -> float:
     """Exact classical grinding success with distinct queries."""
-    return 1.0 - (1.0 - 2.0 ** -m) ** budget
+    m = config.check_int("m", m, 1, ProtocolError)
+    return 1.0 - (1.0 - 2.0 ** -m) ** config.check_int("query_budget", budget, 1, ProtocolError)
 
 
 def honest_rate_oracle(n: int, m: int) -> float:
     """Exact honest acceptance: only d = 0 on a Hadamard coin fails."""
-    return (1.0 - 2.0 ** -(n + 1)) ** m
+    n = config.check_int("num_qubits", n, 1, ProtocolError)
+    return (1.0 - 2.0 ** -(n + 1)) ** config.check_int("m", m, 1, ProtocolError)

@@ -47,6 +47,10 @@ class ZeroState(Exception):
     """Measurement attempted on a state with (numerically) zero norm."""
 
 
+class NonFiniteAmplitude(Exception):
+    """A state amplitude is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; first register = most significant qubits."""
@@ -95,7 +99,7 @@ class StateVector:
             raise DimensionMismatch(
                 f"amps length {amps.shape} vs layout dim {self.layout.dim}")
         if not np.isfinite(amps).all():
-            raise ValueError("non-finite amplitude")
+            raise NonFiniteAmplitude("non-finite amplitude")
         object.__setattr__(self, "amps", amps)
 
     @classmethod

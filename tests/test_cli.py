@@ -163,6 +163,11 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             build_config("fs-attack", seed=5, sets=["seed=3"])
 
+    @pytest.mark.parametrize("pair", [None, 3, b"m=2"])
+    def test_set_pair_that_is_no_string(self, pair):
+        with pytest.raises(ConfigError, match="expects key=value"):
+            build_config("jordan-demo", seed=1, sets=[pair])
+
     def test_validation_specifics(self):
         with pytest.raises(ConfigError):
             build_config("partition-claims", seed=1, sets=["mode=magic"])

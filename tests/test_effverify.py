@@ -10,11 +10,15 @@ import pytest
 
 from cvqc_lab.effverify import (
     BackendFailure,
+    BackendSuite,
     EffSession,
     FheCiphertext,
     InnerProtocolError,
     ReEncoding,
     SALT_LEN,
+    StubFhe,
+    StubRe,
+    StubSnark,
     VerificationCircuit,
     cost_report,
     derive_keys,
@@ -306,6 +310,8 @@ class TestMalformedProgram:
         ("SETI", 0),        # missing operand
         (),                 # no opcode
         ("SHR", 0, -1),     # negative shift
+        ("SETI", 0, 1.5),   # non-integer immediate
+        ("SHL", 0, np.float64(2.0)),
     ])
     def test_malformed_instruction_is_typed_failure(self, ins):
         prog = (("SETI", 1, 1), ins, ("HALT",))
@@ -326,6 +332,32 @@ class TestMalformedProgram:
 
         with pytest.raises(ValueError, match="prg down"):
             run_machine((("HASH",), ("HALT",)), b"", broken_prg, budget=10)
+
+class TestNumpyOperands:
+    """Numpy integer operands run as their int values, as config.check_int reads them."""
+
+    @staticmethod
+    def _as_numpy(prog):
+        def conv(v):
+            if type(v) is not int:
+                return v
+            return np.int64(v) if v < 2**63 else np.uint64(v)
+        return tuple(tuple(conv(v) for v in ins) for ins in prog)
+
+    @pytest.mark.parametrize("prog", [
+        key_machine(12, 4, 4096),
+        (("SETI", 0, 3), ("OUT", 0), ("HALT",)),
+        (("SETI", 0, 1), ("SHL", 0, 3), ("SHL", 0, 63), ("OUT", 0), ("HALT",)),
+        (("SETI", 1, 2**64 - 1), ("SHR", 1, 60), ("OUT", 1), ("SETI", 2, -1), ("OUT", 2),
+         ("HALT",)),
+    ])
+    def test_same_outputs_and_steps_as_plain_ints(self, prog):
+        want = run_machine(prog, b"\x07" * 16, _prg_bytes, 4096)
+        got = run_machine(self._as_numpy(prog), b"\x07" * 16, _prg_bytes, 4096)
+        assert got == want
+        # registers, and so outputs, stay plain ints
+        assert all(type(v) is int for v in got[0]) and type(got[1]) is int
+
 
 class TestNegativeOperands:
     @pytest.mark.parametrize("ins", [
@@ -611,6 +643,14 @@ class TestComposition:
             with pytest.raises(BackendFailure, match="seed"):
                 run_two_round_fs(suite, inner, "yes", "honest", bad)
 
+    def test_key_builders_refuse_what_the_machine_refuses(self):
+        with pytest.raises(InnerProtocolError, match="NoneType is not a TwoRoundFS"):
+            key_length(None)
+        for n, m, match in [(-1, 2, "n=-1"), (None, 2, "n=None"), (17, 2, "n=17"),
+                            (12, 0, "m=0"), (12, 65, "m=65"), (12, 2.0, "m=2.0")]:
+            with pytest.raises(BackendFailure, match=match):
+                derive_keys(b"x" * 64, n, m)
+
     def test_inner_guards(self):
         with pytest.raises(InnerProtocolError):
             toy_inner(0, 2)
@@ -825,6 +865,39 @@ class TestCostReport:
                                       time_bound=t)
             ops.append(cost_report(ses).verifier_ops)
         assert 0 <= ops[1] - ops[0] <= hi.bit_length() - lo.bit_length()
+
+class TestSentRecord:
+    """Each session keeps one record of the bytes it sent."""
+
+    SENT = ("pk_fhe", "ct", "encoding", "ct_prime", "salt", "proof")
+    SUITES = {
+        "standard": lambda: make_stub_suite(3),
+        # the salt oracle is 8 bits wide, so a derived salt is 1 byte
+        "8-bit salt": lambda: BackendSuite(StubFhe(), StubRe(), StubSnark(),
+                                           OracleTable(1, 256), OracleTable(2, 8)),
+    }
+
+    @pytest.mark.parametrize("suite_name", sorted(SUITES))
+    @pytest.mark.parametrize("flow", [run_four_round, run_two_round_fs])
+    @pytest.mark.parametrize("mode", ["honest", "mismatched-statement", "rejecting-e"])
+    def test_ledger_and_statement_read_the_sent_bytes(self, suite_name, flow, mode):
+        suite, inner = self.SUITES[suite_name](), toy_inner(12, 4)
+        for seed in range(3):
+            _, ses = flow(suite, inner, "yes", mode, seed)
+            dump = ses.dump()
+            sent = {name: bytes.fromhex(dump[name]) for name in self.SENT}
+            assert tuple(sent.items()) == ses.sent
+            assert ses.cost.message_bytes == sum(map(len, sent.values()))
+            assert sent["ct_prime"] == ses.ct_prime.serialize()
+            assert sent["salt"] == ses.z
+            # the verifier judges the ct' it received, whatever the proof binds
+            assert ses.statement == encode(("yes", sent["pk_fhe"], sent["ct"],
+                                            sent["ct_prime"]))
+            # the salt is charged by its length; the rest as test_verifier_cost_is_exact
+            assert ses.cost.verifier_ops == 433 - SALT_LEN + len(ses.z) + (4096).bit_length()
+            if flow is run_two_round_fs:
+                assert ses.z == suite.salt_oracle.query(sent["ct_prime"])
+
 
 class TestStubSuiteSeed:
     def test_seed_outside_oracle_range_rejected_at_build(self):

@@ -16,7 +16,7 @@ from cvqc_lab.jordan import (
     unitary_eig,
 )
 from cvqc_lab.partition import haar_unitary
-from cvqc_lab.qsim import DimensionMismatch, NotAProjector
+from cvqc_lab.qsim import DimensionMismatch, NotAProjector, NotUnitary
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 PLUS = np.full((2, 2), 0.5)
@@ -233,3 +233,23 @@ def test_unitary_eig_rejects_non_normal():
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(DegenerateNumerics):
         unitary_eig(shear)
+    # a NaN residual is no pass
+    with pytest.raises(DegenerateNumerics):
+        unitary_eig(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("q,error", [("a", NotUnitary), ([["a", 1]], NotUnitary), (None, DimensionMismatch),
+                                     ([1.0, 0.0], DimensionMismatch),
+                                     (np.eye(3)[:2], DimensionMismatch)])
+def test_unitary_eig_refuses_what_is_no_square_matrix(q, error):
+    with pytest.raises(error):
+        unitary_eig(q)
+
+
+@pytest.mark.parametrize("dim,rank", [(-1, 1), (0, 0), (3, 4), (3, -1), (3.0, 1), (3, None)])
+def test_random_projector_sizes_follow_the_integer_rule(dim, rank):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(DimensionMismatch):
+        random_projector(rng, dim, rank)
+    assert rng.bit_generator.state == before

@@ -52,6 +52,7 @@ from cvqc_lab.partition import (
 from cvqc_lab.partition import test_round_accept_prob as accept_prob
 from cvqc_lab.qsim import (
     DimensionMismatch,
+    NonFiniteAmplitude,
     Operator,
     StateVector,
     ZeroState,
@@ -131,6 +132,15 @@ class TestParams:
             _params(m=2, i=3)
         with pytest.raises(DomainError):
             _params(m=2, i=0)
+
+    def test_phase_precision_is_capped(self):
+        # a tau-bit phase register is held densely, so tau <= QUBIT_CAP
+        at_cap = PartitionParams(m=1, i=1, gamma0=0.75, T=2 ** 15, gamma=0.75)
+        assert at_cap.tau == config.QUBIT_CAP
+        for gamma0, T in [(0.75, 2 ** 15 + 1), (2.0 ** -39, 1), (1e-6, 1), (5e-324, 1),
+                          (1.0, 2 ** 20), (0.5, 10 ** 300), (0.5, 10 ** 400)]:
+            with pytest.raises(DomainError, match="tau"):
+                PartitionParams(m=1, i=1, gamma0=gamma0, T=T, gamma=gamma0)
 
     def test_underflow_guard(self):
         with pytest.raises(DomainError):
@@ -560,11 +570,11 @@ class TestLeanRunG:
                     p = PartitionParams(2, 1, 0.75, 16, 0.75 * j / 16, mode)
                     try:
                         want = _run_G_reference(s, p, psi)
-                    except ValueError:
+                    except NonFiniteAmplitude:
                         # at 1e200 the amplitudes are finite but their squares
                         # are not: the checking constructor decides, as before
                         raised += 1
-                        with pytest.raises(ValueError, match="non-finite amplitude"):
+                        with pytest.raises(NonFiniteAmplitude, match="non-finite amplitude"):
                             run_G(s, p, psi)
                         continue
                     got = run_G(s, p, psi)
@@ -584,9 +594,9 @@ class TestLeanRunG:
         psi.amps[3] = bad  # the state was checked when built, not since
         p = PartitionParams(2, 2, 0.75, 16, 0.375, "kernel")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite amplitude"):
+            with pytest.raises(NonFiniteAmplitude, match="non-finite amplitude"):
                 _run_G_reference(s, p, psi)
-            with pytest.raises(ValueError, match="non-finite amplitude"):
+            with pytest.raises(NonFiniteAmplitude, match="non-finite amplitude"):
                 run_G(s, p, psi)
 
     def test_grid_table_starts_over(self, monkeypatch):
@@ -778,6 +788,18 @@ class TestRunH:
         assert stops[1] / n_mc == pytest.approx(chain.kept_norms2[0], abs=0.025)
         assert stops[2] / n_mc == pytest.approx(chain.kept_norms2[1], abs=0.025)
         assert rem / n_mc == pytest.approx(chain.remainder_norm2, abs=0.025)
+
+    @pytest.mark.parametrize("gammas", [0.375, None, 2])
+    def test_gammas_that_are_not_iterable_are_refused_before_a_draw(self, gammas):
+        rng = np.random.default_rng(79)
+        s = random_strategy(rng, m=1, x_width=1, z_width=1)
+        psi = random_xz_state(rng, s)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError, match="gammas"):
+            run_H(s, gammas, "0", psi, rng, gamma0=0.75, T=4)
+        with pytest.raises(DomainError, match="gammas"):
+            partition_chain(s, gammas, "0", psi, gamma0=0.75, T=4)
+        assert rng.bit_generator.state == before
 
     def test_ideal_mode_never_aborts(self):
         rng = np.random.default_rng(78)

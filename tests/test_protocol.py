@@ -1285,6 +1285,29 @@ class TestTypedEntries:
             UnitaryCheat(bad)
 
 
+class TestBuildersRefuseWhatTheyCannotBuild:
+    """Protocol builders and closed forms raise ProtocolError for arguments of the wrong type."""
+
+    def test_fiat_shamir_and_parallel_repeat(self):
+        p = parallel_repeat(toy_protocol(3), 2)
+        with pytest.raises(ProtocolError, match="over a NoneType"):
+            fiat_shamir(p, None)
+        with pytest.raises(ProtocolError, match="Fiat-Shamir of a NoneType"):
+            fiat_shamir(None, OracleTable(1, 2))
+        with pytest.raises(ProtocolError, match="cannot repeat a NoneType"):
+            parallel_repeat(None, 2)
+
+    @pytest.mark.parametrize("call", [lambda: protocol.testonly_rate_oracle(None),
+                                      lambda: protocol.testonly_rate_oracle(0),
+                                      lambda: grinder_rate_oracle(None, 2),
+                                      lambda: grinder_rate_oracle(2, 0.5),
+                                      lambda: honest_rate_oracle(None, 2),
+                                      lambda: honest_rate_oracle(4, True)])
+    def test_rate_oracles_follow_the_integer_rule(self, call):
+        with pytest.raises(ProtocolError):
+            call()
+
+
 class TestStatsRate:
     """accept_rate is derived from the counts, so it is never stored beside them."""
 

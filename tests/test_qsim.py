@@ -9,6 +9,7 @@ from cvqc_lab.qsim import (
     BadLayout,
     CapExceeded,
     DimensionMismatch,
+    NonFiniteAmplitude,
     NotAProjector,
     NotUnitary,
     Operator,
@@ -49,7 +50,7 @@ def test_statevector_validation():
     assert sub.norm2 == pytest.approx(0.25)
     for bad in ([np.nan, 0.0], [0.0, np.inf], [0.0, complex(0.0, -np.inf)],
                 [complex(np.nan, 1.0), 0.0]):
-        with pytest.raises(ValueError, match="non-finite amplitude"):
+        with pytest.raises(NonFiniteAmplitude, match="non-finite amplitude"):
             StateVector(lay, np.array(bad, dtype=np.complex128))
 
 

@@ -1,7 +1,10 @@
-"""Every drawn input to the partition and qsim entry points works or raises a typed error.
+"""Every drawn input to the entry points works or raises a typed error.
 
 Property: each call returns, or raises a class defined in cvqc_lab, and a
 refused run_H, partition_chain or extract call leaves its rng untouched.
+The partition and qsim entry points are drawn as follows; the protocol,
+effverify, jordan and CLI builders and the effverify sessions at the end
+of the file draw each argument from valid values and junk.
 Each drawn call runs on a fresh strategy (cold), then again after a valid
 call has warmed the strategy's caches, and must get the same verdict both
 times.  Draws start from a valid call and replace its values with ones
@@ -13,6 +16,7 @@ small: gamma0 >= 0.3 and T <= 4 keep tau <= 9.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from cvqc_lab import cli, effverify, jordan, protocol
 from cvqc_lab.partition import (
     PartitionParams,
     ProverStrategy,
@@ -72,7 +76,8 @@ def h_calls(draw):
                  gamma0=gamma0, T=T, mode=draw(st.sampled_from(["ideal", "kernel"])))
     drawn = {k: draw(_near(v)) for k, v in valid.items() if k != "gammas"}
     gammas = [draw(_near(g)) for g in valid["gammas"]]
-    drawn["gammas"] = draw(st.sampled_from([tuple(gammas), gammas, gammas[:1], gammas + [gamma0]]))
+    drawn["gammas"] = draw(st.sampled_from([tuple(gammas), gammas, gammas[:1], gammas + [gamma0],
+                                            gammas[0], None]))
     return valid, drawn
 
 
@@ -145,3 +150,90 @@ def test_prover_strategy_sizes(m, x_width, z_width):
     fits = [isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v == 1
             for v in (m, x_width, z_width)]
     assert (verdict is None) == all(fits)
+
+
+# ---------------------------------------------------------------------------
+# Builders and effverify sessions
+
+_PROTO = protocol.toy_protocol(4)
+PROTOCOLS = st.sampled_from([_PROTO, protocol.parallel_repeat(_PROTO, 2), None, "p", 2,
+                             protocol.OracleTable(1, 2)])
+ORACLES = st.sampled_from([protocol.OracleTable(1, 2), protocol.OracleTable(1, 1), None, 2, _PROTO])
+
+
+@SETTINGS
+@given(PROTOCOLS, ORACLES, SIZES)
+def test_protocol_builders(p, oracle, m):
+    _verdict(lambda: protocol.fiat_shamir(p, oracle))
+    _verdict(lambda: protocol.parallel_repeat(p, m))
+
+
+@SETTINGS
+@given(SIZES, SIZES)
+def test_rate_oracles(m, other):
+    for call in (lambda: protocol.testonly_rate_oracle(m),
+                 lambda: protocol.grinder_rate_oracle(m, other),
+                 lambda: protocol.honest_rate_oracle(other, m)):
+        if _verdict(call) is None:
+            assert 0.0 <= call() <= 1.0
+
+
+@SETTINGS
+@given(st.sampled_from([b"x" * 64, b"x" * 3]), SIZES, SIZES,
+       st.sampled_from([effverify.toy_inner(4, 2), _PROTO, None, "inner"]))
+def test_key_builders(stream, n, m, inner):
+    _verdict(lambda: effverify.derive_keys(stream, n, m))
+    _verdict(lambda: effverify.key_length(inner))
+
+
+SET_PAIRS = st.one_of(st.sampled_from(["dim_max=4", "dim_max=x", "nope=1", "dim_max", "=", "seed=3",
+                                       "pairs=2,3"]),
+                      st.sampled_from(JUNK))
+
+
+@SETTINGS
+@given(st.sampled_from(["jordan-demo", "effverify-demo", "nope", None]),
+       st.sampled_from([1, None, -1, "1", True]), st.lists(SET_PAIRS, max_size=2))
+def test_build_config(command, seed, sets):
+    _verdict(lambda: cli.build_config(command, seed=seed, sets=sets))
+
+
+MATRICES = st.sampled_from([np.eye(2), [[0, 1], [1, 0]], np.eye(3)[:2], [1, 2], np.eye(2)[None],
+                            np.full((2, 2), np.nan), np.zeros((0, 0)), "a", None, [["a", 1]]])
+
+
+@SETTINGS
+@given(st.one_of(st.integers(-1, 6), st.sampled_from(JUNK)),
+       st.one_of(st.integers(-1, 6), st.sampled_from(JUNK)), MATRICES)
+def test_jordan_builders(dim, rank, q):
+    _verdict(lambda: jordan.random_projector(np.random.default_rng(0), dim, rank))
+    _verdict(lambda: jordan.unitary_eig(q))
+
+
+@st.composite
+def sessions(draw):
+    widths = [draw(st.sampled_from([256, 8, 1, 0])) for _ in range(2)]
+    shape = (draw(st.sampled_from([4, 12, 17, 0])), draw(st.sampled_from([1, 2, 3, 0])))
+    x = draw(st.sampled_from(["yes", "no", "maybe", 1, None]))
+    prover = draw(st.sampled_from(["honest", "mismatched-statement", "rejecting-e", "clever", None]))
+    seed = draw(st.one_of(st.integers(0, 3), st.sampled_from(JUNK)))
+    time_bound = draw(st.one_of(st.sampled_from([256, 4096, 1, 0]), st.sampled_from(JUNK)))
+    flow = draw(st.sampled_from([effverify.run_four_round, effverify.run_two_round_fs]))
+    return widths, shape, x, prover, seed, time_bound, flow
+
+
+@SETTINGS
+@given(sessions())
+def test_effverify_sessions(args):
+    widths, shape, x, prover, seed, time_bound, flow = args
+
+    def call():
+        suite = effverify.BackendSuite(effverify.StubFhe(), effverify.StubRe(), effverify.StubSnark(),
+                                       protocol.OracleTable(1, widths[0]),
+                                       protocol.OracleTable(2, widths[1]))
+        return flow(suite, effverify.toy_inner(*shape), x, prover, seed, time_bound)
+
+    if _verdict(call) is None:
+        _, ses = call()
+        assert ses.cost.message_bytes == sum(len(data) for _, data in ses.sent)
+
