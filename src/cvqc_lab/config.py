@@ -13,11 +13,17 @@ def check_int(name: str, value, low: int, error: type, high: int | None = None) 
     """value as a plain int; error unless an int or numpy integer (never a bool) in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name}={value!r} is not an integer")
+    value = int(value)
     if high is None and value < low:
-        raise error(f"{name}={value} below {low}")
+        raise error(f"{name}={_shown(value)} below {low}")
     if high is not None and not low <= value <= high:
-        raise error(f"{name}={value} outside {low}..{high}")
-    return int(value)
+        raise error(f"{name}={_shown(value)} outside {low}..{high}")
+    return value
+
+
+def _shown(value: int) -> str:
+    """value in decimal, or its size where Python refuses to print that many digits."""
+    return str(value) if abs(value) < 10**4000 else f"<a {value.bit_length()}-bit integer>"
 
 
 def check_real(name: str, value, lo: float, hi: float, error: type) -> float:

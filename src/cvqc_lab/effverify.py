@@ -78,8 +78,14 @@ def run_machine(program: tuple, inp: bytes, prg: Callable, budget: int):
     interpreter but is charged its 2 * passes machine steps, so outputs,
     step counts and budget failures are those of executing it pass by
     pass.  A malformed instruction, a negative register or memory operand
-    included, raises BackendFailure naming its pc.
+    included, raises BackendFailure naming its pc; so do a program that is
+    no tuple or list, an input that is no bytes and a budget that is no
+    integer >= 0, before the first step.
     """
+    budget = config.check_int("budget", budget, 0, BackendFailure)
+    if not isinstance(program, (tuple, list)) or not isinstance(inp, bytes):
+        raise BackendFailure(f"need a tuple or list program and bytes input, got "
+                             f"{type(program).__name__} and {type(inp).__name__}")
     index = operator.index  # immediates as ints, numpy integers included
     size = len(program)
     regs = [0] * 8
@@ -212,6 +218,8 @@ def key_machine(n: int, m: int, time_bound: int) -> tuple:
 def derive_keys(stream: bytes, n: int, m: int):
     """Reference key derivation; must agree with key_machine's output."""
     n, m = _key_shape(n, m)
+    if not isinstance(stream, bytes):
+        raise BackendFailure(f"stream is a {type(stream).__name__}, not bytes")
     if len(stream) < 4 * m:
         raise BackendFailure("stream shorter than key material")
     mask = (1 << n) - 1

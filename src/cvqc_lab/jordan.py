@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .qsim import DimensionMismatch, NotAProjector, Operator, _as_matrix
+from .qsim import DimensionMismatch, NotAProjector, Operator, _as_matrix, check_rng, gram_residual
 
 
 class DegenerateNumerics(Exception):
@@ -168,7 +168,7 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     u = qvecs[:, rot]
     alpha = m0 @ u
     na = np.linalg.norm(alpha, axis=0)
-    if np.any(na < config.DEGENERATE_LIMIT):
+    if not np.all(na >= config.DEGENERATE_LIMIT):
         raise DegenerateNumerics(f"P0 image collapsed at theta={th[np.argmin(na)]:.3e}")
     alpha = alpha / na
     alpha_perp = -1j * (np.sqrt(2.0) * u - alpha)
@@ -176,7 +176,7 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     half = np.exp(0.5j * th)
     w = half * (m1 @ u)
     nb = np.linalg.norm(w, axis=0)
-    if np.any(nb < config.DEGENERATE_LIMIT):
+    if not np.all(nb >= config.DEGENERATE_LIMIT):
         raise DegenerateNumerics(f"P1 image collapsed at theta={th[np.argmin(nb)]:.3e}")
     beta = w / nb
     beta_perp = -1j * (np.sqrt(2.0) * half * u - beta)
@@ -204,8 +204,8 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
         evals, evecs = np.linalg.eigh(restricted)
         vecs = vsub @ evecs
         for j, ev in enumerate(evals):
-            b = int(round(float(ev)))
-            if abs(ev - b) > config.DEGENERATE_LIMIT or b not in (0, 1):
+            b = int(ev > 0.5)
+            if not abs(ev - b) <= config.DEGENERATE_LIMIT:
                 raise DegenerateNumerics(f"1-D block eigenvalue {ev:.6e} not a bit")
             c = b if same else 1 - b
             blocks1d.append(JordanBlock1D(vector=vecs[:, j], b=b, c=c))
@@ -217,9 +217,8 @@ def jordan_decompose(p0, p1) -> JordanDecomposition:
     if 2 * len(dec.blocks2d) + len(dec.blocks1d) != dim:
         raise DegenerateNumerics(
             f"block count 2*{len(dec.blocks2d)}+{len(dec.blocks1d)} != {dim}")
-    basis = dec.basis()
-    gram = np.max(np.abs(basis.conj().T @ basis - np.eye(dim)))
-    if gram > config.DEGENERATE_LIMIT:
+    gram = gram_residual(dec.basis())
+    if not gram <= config.DEGENERATE_LIMIT:
         raise DegenerateNumerics(f"basis Gram residual {gram:.3e}")
     return dec
 
@@ -244,13 +243,11 @@ def reconstruct_check(dec: JordanDecomposition, p0, p1) -> Residuals:
         r1 += blk.c * proj
         rq += (2 * blk.b - 1) * (2 * blk.c - 1) * proj
     q = (2.0 * m1 - np.eye(dim)) @ (2.0 * m0 - np.eye(dim))
-    basis = dec.basis()
-    gram = float(np.max(np.abs(basis.conj().T @ basis - np.eye(dim)))) if dim else 0.0
     return Residuals(
         max_p0=float(np.max(np.abs(r0 - m0))),
         max_p1=float(np.max(np.abs(r1 - m1))),
         max_q=float(np.max(np.abs(rq - q))),
-        gram=gram,
+        gram=gram_residual(dec.basis()),
     )
 
 
@@ -263,6 +260,7 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarra
     """Haar-random rank-r projector; test and demo helper."""
     dim = config.check_int("dim", dim, 1, DimensionMismatch)
     rank = config.check_int("rank", rank, 0, DimensionMismatch, dim)
+    check_rng(rng)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     qmat, _ = np.linalg.qr(m)
     cols = qmat[:, :rank]

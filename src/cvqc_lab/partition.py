@@ -60,6 +60,8 @@ from .qsim import (
     RegisterLayout,
     StateVector,
     ZeroState,
+    born_table,
+    check_rng,
 )
 
 
@@ -143,10 +145,10 @@ class ProverStrategy:
         config.check_int("m", self.m, 1, DomainError, config.QUBIT_CAP)
         config.check_int("x_width", self.x_width, 1, DomainError, config.QUBIT_CAP)
         config.check_int("z_width", self.z_width, 0, DomainError, config.QUBIT_CAP)
+        if not isinstance(self.u, Operator) or self.u.kind != "unitary":
+            raise NotUnitary(f"u is {self.u!r:.60}, not a unitary Operator")
         if self.u.dim != self.dim:
             raise DimensionMismatch(f"u dim {self.u.dim}, registers need {self.dim}")
-        if self.u.kind != "unitary":
-            raise NotUnitary(f"kind {self.u.kind!r}")
         if len(self.accept_sets) != self.m:
             raise DimensionMismatch(f"{len(self.accept_sets)} acceptance sets for m={self.m}")
         for acc in self.accept_sets:
@@ -657,6 +659,7 @@ def run_H(strategy: ProverStrategy, gammas, c: str, psi: StateVector,
     exactly as the loop draws them, once every argument passed.  The
     returned outcomes are shared between calls, and their states are read-only.
     """
+    check_rng(rng)
     amps = _amps_of(psi, strategy.xz_dim)
     gammas = _gamma_tuple(gammas)
     table = strategy.derived("table", _Table)
@@ -740,12 +743,10 @@ class _ExtractNode:
         self.cdf = self.p_in = self.back = None
         self.kids = [None, None]  # collapsed out of Pi_in, into Pi_in
         if self.p_hit > 0:
-            # the X_i CDF of the accepted part, built as Generator.choice builds it
+            # the X_i CDF of the accepted part: qsim's Born table of its masses
             masses = np.bincount(graph.xi_vals, weights=(hit.conj() * hit).real,
                                  minlength=len(graph.labels))
-            cdf = (masses / masses.sum()).cumsum()
-            cdf /= cdf[-1]
-            self.cdf = cdf.tolist()
+            self.cdf = born_table(masses / masses.sum()).tolist()
         if self.p_hit < 1:
             # undo W on the rejected part; read the chance of landing in Pi_in
             back = self.back = graph.wd @ (rotated - hit)
@@ -822,6 +823,7 @@ def extract(strategy: ProverStrategy, params: PartitionParams, state: StateVecto
     shared frozen object.
     """
     config.check_int("n_rounds", n_rounds, 1, DomainError)
+    check_rng(rng)
     graph = _coordinate(strategy, params, "extract", _ExtractGraph)
     node = graph.root(state)
     for rnd in range(1, n_rounds + 1):
@@ -873,6 +875,7 @@ def cs_bound(pieces, projector: np.ndarray) -> tuple[float, float]:
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    check_rng(rng)
     m = np.empty((dim, dim), dtype=np.complex128)  # real parts drawn first, then imaginary
     m.real, m.imag = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
@@ -881,6 +884,7 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_accept_sets(rng: np.random.Generator, m: int, x_width: int) -> tuple[frozenset, ...]:
+    check_rng(rng)
     sets = []
     size = 1 << x_width
     for _ in range(m):
@@ -893,6 +897,7 @@ def random_accept_sets(rng: np.random.Generator, m: int, x_width: int) -> tuple[
 
 def random_xz_state(rng: np.random.Generator, strategy: ProverStrategy) -> StateVector:
     """Haar-random normalized state on the strategy's (X, Z) registers."""
+    check_rng(rng)
     amps = rng.normal(size=strategy.xz_dim) + 1j * rng.normal(size=strategy.xz_dim)
     amps /= _norm(amps)
     return StateVector(strategy.xz_layout(), amps)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import config
 from .partition import ProverStrategy, answer_amps
-from .qsim import CapExceeded, StateVector, measure, outcome_probs
+from .qsim import CapExceeded, StateVector, born_table, measure, outcome_probs
 
 
 class ProtocolError(Exception):
@@ -393,8 +393,8 @@ class FourRoundProtocol:
     def cheat_verdicts(self, streams: "_TrialStreams", cdfs: np.ndarray, yes: bool):
         """(c, ok) per coordinate and trial, as (m, rows), for UnitaryCheat.
 
-        cdfs[c] is the cumulative outcome table of challenge c, which
-        Generator.choice searches with the measurement's double.
+        cdfs[c] is qsim's Born table of challenge c's outcomes, which
+        `measure` searches with the measurement's double.
         """
         m, n = self.m, self.n
         raw = streams.take(self.raw_per_trial)
@@ -553,9 +553,8 @@ class UnitaryCheat:
     def _outcome_cdfs(self) -> np.ndarray:
         """Per-challenge cumulative tables of the X measurement's outcomes.
 
-        Row c is what Generator.choice searches when `measure` samples
-        the answer to challenge c: the Born probabilities' cumsum,
-        divided by its last entry.
+        Row c is the `born_table` that `measure` searches when it samples
+        the answer to challenge c.
         """
         states = self.strategy.derived("cheat_states", _cheat_states, self.strategy)
         return self.strategy.derived("cheat_cdfs", _cheat_cdfs, states)
@@ -569,8 +568,7 @@ def _cheat_states(s: ProverStrategy) -> tuple[StateVector, StateVector]:
 
 
 def _cheat_cdfs(states) -> np.ndarray:
-    cdfs = np.array([outcome_probs(st, "X1").cumsum() for st in states])
-    return cdfs / cdfs[:, -1:]
+    return np.array([born_table(outcome_probs(st, "X1")) for st in states])
 
 
 @dataclass
@@ -1025,18 +1023,24 @@ def _run_fs_trial(p: TwoRoundFS, adversary, x, rng) -> tuple[bool, int]:
     return ok, oracle.query_count
 
 
+# The rate oracles' powers read each count as a float, which holds every int
+# up to 2^53 exactly; a larger count would be rounded, or overflow past 2^1024.
+_EXACT_COUNT = 2**53
+
+
 def testonly_rate_oracle(m: int) -> float:
     """Exact acceptance of the test-only strategy under m-fold repetition."""
-    return 2.0 ** -config.check_int("m", m, 1, ProtocolError)
+    return 2.0 ** -config.check_int("m", m, 1, ProtocolError, _EXACT_COUNT)
 
 
 def grinder_rate_oracle(m: int, budget: int) -> float:
     """Exact classical grinding success with distinct queries."""
-    m = config.check_int("m", m, 1, ProtocolError)
-    return 1.0 - (1.0 - 2.0 ** -m) ** config.check_int("query_budget", budget, 1, ProtocolError)
+    m = config.check_int("m", m, 1, ProtocolError, _EXACT_COUNT)
+    budget = config.check_int("query_budget", budget, 1, ProtocolError, _EXACT_COUNT)
+    return 1.0 - (1.0 - 2.0 ** -m) ** budget
 
 
 def honest_rate_oracle(n: int, m: int) -> float:
     """Exact honest acceptance: only d = 0 on a Hadamard coin fails."""
-    n = config.check_int("num_qubits", n, 1, ProtocolError)
-    return (1.0 - 2.0 ** -(n + 1)) ** config.check_int("m", m, 1, ProtocolError)
+    n = config.check_int("num_qubits", n, 1, ProtocolError, _EXACT_COUNT)
+    return (1.0 - 2.0 ** -(n + 1)) ** config.check_int("m", m, 1, ProtocolError, _EXACT_COUNT)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator
 
 from . import config
 
@@ -48,7 +49,18 @@ class ZeroState(Exception):
 
 
 class NonFiniteAmplitude(Exception):
-    """A state amplitude is NaN or infinite."""
+    """A state amplitude is NaN or infinite, or the squared norm overflows."""
+
+
+class NotAGenerator(Exception):
+    """An rng that is not a numpy.random.Generator."""
+
+
+def check_rng(rng) -> None:
+    """NotAGenerator unless rng is a numpy.random.Generator; each sampler
+    calls it before its first draw."""
+    if not isinstance(rng, Generator):
+        raise NotAGenerator(f"rng={rng!r} is not a numpy.random.Generator")
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,14 @@ class StateVector:
         return float(np.vdot(self.amps, self.amps).real)
 
 
+def gram_residual(mat: np.ndarray) -> float:
+    """max|M^dag M - I| over the columns of mat (0.0 for none); not finite
+    when mat holds a NaN or an infinity, and every `not res <= tol` refuses it."""
+    gram = mat.conj().T @ mat
+    gram.reshape(-1)[::len(gram) + 1] -= 1.0  # M^dag M - I, in place
+    return float(np.max(np.abs(gram), initial=0.0))
+
+
 def _as_matrix(mat, kind: str) -> np.ndarray:
     """mat as a complex array; one that holds no numbers is refused with the kind's error."""
     try:
@@ -140,15 +160,13 @@ class Operator:
         if self.dim < 1:
             raise DimensionMismatch(f"dim {self.dim}")
         if self.kind == "unitary":
-            gram = mat.conj().T @ mat
-            gram.reshape(-1)[::self.dim + 1] -= 1.0  # U^dag U - I, in place
-            res = np.max(np.abs(gram))
-            if res > config.ATOL:
+            res = gram_residual(mat)
+            if not res <= config.ATOL:
                 raise NotUnitary(f"U^dag U - I residual {res:.3e}")
         elif self.kind == "projector":
             res_idem = np.max(np.abs(mat @ mat - mat))
             res_herm = np.max(np.abs(mat - mat.conj().T))
-            if res_idem > config.ATOL or res_herm > config.ATOL:
+            if not (res_idem <= config.ATOL and res_herm <= config.ATOL):
                 raise NotAProjector(
                     f"P^2-P residual {res_idem:.3e}, P-P^dag residual {res_herm:.3e}")
         else:
@@ -167,6 +185,15 @@ class Operator:
         return cls(mat.shape[0] if mat.ndim else 0, mat, "projector")
 
 
+def born_table(probs: np.ndarray) -> np.ndarray:
+    """The table Generator.choice searches for probs: their cumsum, divided in
+    place by its last entry; a draw u = rng.random() falls at
+    table.searchsorted(u, "right")."""
+    table = probs.cumsum()
+    table /= table[-1]
+    return table
+
+
 def outcome_probs(state: StateVector, register: str) -> np.ndarray:
     """Born probabilities of each computational-basis outcome of one register.
 
@@ -177,6 +204,8 @@ def outcome_probs(state: StateVector, register: str) -> np.ndarray:
     total = state.norm2
     if total <= config.ZERO_STATE_TOL:
         raise ZeroState(f"norm^2 = {total:.3e}")
+    if total == np.inf:
+        raise NonFiniteAmplitude("norm^2 overflows")
     masses = np.bincount(state.layout.values(register),
                          weights=(state.amps.conj() * state.amps).real,
                          minlength=1 << state.layout.width(register))
@@ -187,11 +216,13 @@ def outcome_probs(state: StateVector, register: str) -> np.ndarray:
 def measure(state: StateVector, register: str, rng: np.random.Generator) -> str:
     """Sample one computational-basis outcome of a register as a bitstring.
 
-    The outcome is one rng.choice draw over `outcome_probs`, made even
-    for a width-0 register (whose outcome is ""), so a caller's stream
-    advances the same way whatever the width.
+    The outcome is where one rng.random() falls in the `born_table` of
+    `outcome_probs`, the index and the stream Generator.choice would give.
+    It is drawn even for a width-0 register (whose outcome is ""), so a
+    caller's stream advances the same way whatever the width.
     """
-    probs = outcome_probs(state, register)
-    outcome = int(rng.choice(len(probs), p=probs))
+    check_rng(rng)
+    table = born_table(outcome_probs(state, register))
+    outcome = int(table.searchsorted(rng.random(), "right"))
     w = state.layout.width(register)
     return format(outcome, f"0{w}b") if w else ""

@@ -646,6 +646,9 @@ class TestComposition:
     def test_key_builders_refuse_what_the_machine_refuses(self):
         with pytest.raises(InnerProtocolError, match="NoneType is not a TwoRoundFS"):
             key_length(None)
+        for stream in (None, "x" * 64, [0] * 64):
+            with pytest.raises(BackendFailure, match="stream is a"):
+                derive_keys(stream, 2, 2)
         for n, m, match in [(-1, 2, "n=-1"), (None, 2, "n=None"), (17, 2, "n=17"),
                             (12, 0, "m=0"), (12, 65, "m=65"), (12, 2.0, "m=2.0")]:
             with pytest.raises(BackendFailure, match=match):
@@ -943,3 +946,24 @@ class TestToyInnerWidth:
         with pytest.raises(InnerProtocolError, match="num_qubits"):
             toy_inner(bad, 4)
         assert toy_inner(np.int64(16), 4).base == toy_inner(16, 4).base
+
+
+class TestMachineArguments:
+    """run_machine refuses a program, input or budget of the wrong type before its first step."""
+
+    @pytest.mark.parametrize("budget", [None, 2.5, "10", True, -1])
+    def test_budget_follows_the_integer_rule(self, budget):
+        with pytest.raises(BackendFailure, match="budget="):
+            run_machine((("HALT",),), b"", _prg_bytes, budget)
+
+    @pytest.mark.parametrize("program,inp", [(None, b""), ("HALT", b""), ({0: ("HALT",)}, b""),
+                                             ((("HASH",), ("HALT",)), None),
+                                             ((("HASH",), ("HALT",)), "s")])
+    def test_program_and_input_types(self, program, inp):
+        with pytest.raises(BackendFailure, match="need a tuple or list program and bytes input"):
+            run_machine(program, inp, _prg_bytes, 10)
+
+    def test_a_zero_budget_runs_no_step(self):
+        with pytest.raises(BackendFailure, match="step budget 0 exhausted"):
+            run_machine((("HALT",),), b"", _prg_bytes, 0)
+        assert run_machine([("HALT",)], b"", _prg_bytes, 1) == ((), 1)

@@ -16,7 +16,7 @@ from cvqc_lab.jordan import (
     unitary_eig,
 )
 from cvqc_lab.partition import haar_unitary
-from cvqc_lab.qsim import DimensionMismatch, NotAProjector, NotUnitary
+from cvqc_lab.qsim import DimensionMismatch, NotAGenerator, NotAProjector, NotUnitary
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 PLUS = np.full((2, 2), 0.5)
@@ -253,3 +253,18 @@ def test_random_projector_sizes_follow_the_integer_rule(dim, rank):
     with pytest.raises(DimensionMismatch):
         random_projector(rng, dim, rank)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("bad", [None, 3, np.random.RandomState(0)])
+def test_random_projector_refuses_what_is_no_generator(bad):
+    with pytest.raises(NotAGenerator):
+        random_projector(bad, 2, 1)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_non_finite_projectors_are_refused(fill):
+    bad = np.where(KET0 == 1, fill, 0.0)
+    with np.errstate(invalid="ignore"):
+        for pair in ((bad, PLUS), (PLUS, bad)):
+            with pytest.raises(NotAProjector):
+                jordan_decompose(*pair)

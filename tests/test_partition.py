@@ -40,6 +40,7 @@ from cvqc_lab.partition import (
     kernel_masses,
     partition_chain,
     phase_label,
+    random_accept_sets,
     random_strategy,
     random_xz_state,
     run_G,
@@ -53,6 +54,8 @@ from cvqc_lab.partition import test_round_accept_prob as accept_prob
 from cvqc_lab.qsim import (
     DimensionMismatch,
     NonFiniteAmplitude,
+    NotAGenerator,
+    NotUnitary,
     Operator,
     StateVector,
     ZeroState,
@@ -1682,3 +1685,49 @@ class TestDerivedData:
         assert s.derived("k", build, 3) == 1
         assert s.derived("j", build) == 2
         assert calls == [(1, 2), ()]
+
+
+class TestRngRule:
+    """Every sampler refuses an rng that is no numpy Generator before its first draw."""
+
+    @staticmethod
+    def _calls():
+        s = single_block_strategy(0.3)
+        full = StateVector(s.layout(), np.eye(s.dim)[0])
+        params = PartitionParams(1, 1, 1.0, 4, 0.25)
+        return [lambda rng: random_strategy(rng, m=1),
+                lambda rng: random_strategy(rng, m=1, controlled=True),
+                lambda rng: haar_unitary(rng, 2),
+                lambda rng: random_accept_sets(rng, 1, 1),
+                lambda rng: random_xz_state(rng, s),
+                lambda rng: extract(s, params, full, 3, rng),
+                lambda rng: run_H(s, (0.25,), "0", StateVector(s.xz_layout(), [1.0, 0.0]), rng,
+                                  gamma0=1.0, T=4)]
+
+    @pytest.mark.parametrize("bad", [None, 0, "rng", np.random.PCG64(0)])
+    def test_refused(self, bad):
+        for call in self._calls():
+            with pytest.raises(NotAGenerator, match="not a numpy.random.Generator"):
+                call(bad)
+
+    def test_a_legacy_random_state_is_refused_untouched(self):
+        # RandomState has random(), normal() and standard_normal(), so only
+        # the type check keeps the samplers from drawing from it
+        for call in self._calls():
+            rs = np.random.RandomState(0)
+            with pytest.raises(NotAGenerator):
+                call(rs)
+            assert rs.random_sample() == np.random.RandomState(0).random_sample()
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_a_non_finite_unitary_never_reaches_run_G(fill):
+    # refused where it is built, so run_G's SVD never sees a NaN
+    u = np.eye(8, dtype=np.complex128)
+    u[3, 3] = fill
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotUnitary):
+            ProverStrategy(m=1, x_width=1, z_width=1, u=Operator.unitary(u),
+                           accept_sets=(frozenset({"0"}),))
+    with pytest.raises(NotUnitary, match="not a unitary Operator"):
+        ProverStrategy(m=1, x_width=1, z_width=1, u=u, accept_sets=(frozenset({"0"}),))

@@ -671,9 +671,8 @@ class TestOneRowFinalChunk:
 class TestUnitaryCheatBulk:
     """UnitaryCheat's bulk route against the per-trial route.
 
-    The bulk route rests on Generator.choice taking one random() double
-    and searching the Born probabilities' normalised cumsum; a change in
-    numpy's choice or random() breaks these equalities.
+    Both routes search qsim's Born table with one random() double per
+    measurement; test_qsim pins that draw to Generator.choice's.
     """
 
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -1306,6 +1305,19 @@ class TestBuildersRefuseWhatTheyCannotBuild:
     def test_rate_oracles_follow_the_integer_rule(self, call):
         with pytest.raises(ProtocolError):
             call()
+
+    @pytest.mark.parametrize("call", [lambda h: protocol.testonly_rate_oracle(h),
+                                      lambda h: grinder_rate_oracle(h, 2),
+                                      lambda h: grinder_rate_oracle(2, h),
+                                      lambda h: honest_rate_oracle(h, 2),
+                                      lambda h: honest_rate_oracle(2, h)])
+    def test_rate_oracles_bound_each_count_by_float_exactness(self, call):
+        # a float power reads the count; past 2^53 it would be rounded, past
+        # 2^1024 it overflows
+        assert 0.0 <= call(2**53) <= 1.0
+        for huge in (2**53 + 1, 10**400, 10**5000):
+            with pytest.raises(ProtocolError, match="outside 1..9007199254740992"):
+                call(huge)
 
 
 class TestStatsRate:

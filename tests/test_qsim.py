@@ -10,6 +10,7 @@ from cvqc_lab.qsim import (
     CapExceeded,
     DimensionMismatch,
     NonFiniteAmplitude,
+    NotAGenerator,
     NotAProjector,
     NotUnitary,
     Operator,
@@ -18,6 +19,8 @@ from cvqc_lab.qsim import (
     UnknownKind,
     UnknownRegister,
     ZeroState,
+    born_table,
+    gram_residual,
     measure,
 )
 
@@ -182,3 +185,64 @@ def test_operator_refuses_a_non_numeric_matrix(bad):
         Operator.projector(bad)
     with pytest.raises(NotUnitary, match="not numeric"):
         Operator(1, bad, "unitary")
+
+
+def test_measure_draws_as_generator_choice():
+    # measure searches qsim's Born table with one rng.random(); that is
+    # Generator.choice's table and draw, so the outcome and the stream after
+    # it are choice's, zero masses and a width-0 register included
+    rng = np.random.default_rng(35)
+    for k in range(400):
+        width = int(rng.integers(0, 4))
+        lay = RegisterLayout((("r", width), ("s", 1)))
+        amps = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+        amps[rng.random(lay.dim) < 0.4] = 0.0
+        amps[0] = amps[0] or 1.0
+        psi = StateVector(lay, amps * 10.0 ** rng.integers(-6, 7))
+        probs = outcome_probs(psi, "r")
+        ref, mine = np.random.default_rng(k), np.random.default_rng(k)
+        want = int(ref.choice(len(probs), p=probs))
+        assert measure(psi, "r", mine) == (format(want, f"0{width}b") if width else "")
+        assert mine.bit_generator.state == ref.bit_generator.state
+    for k in range(2000):
+        probs = rng.random(int(rng.integers(1, 9)))
+        probs[rng.random(len(probs)) < 0.4] = 0.0
+        probs[-1] += not probs.any()
+        probs /= probs.sum()
+        ref, mine = np.random.default_rng(k), np.random.default_rng(k)
+        assert born_table(probs).searchsorted(mine.random(), "right") == ref.choice(len(probs), p=probs)
+        assert mine.random() == ref.random()
+
+
+@pytest.mark.parametrize("bad", [None, 0, "rng", np.random.RandomState(0), np.random.PCG64(0)])
+def test_measure_refuses_what_is_no_generator(bad):
+    psi = StateVector(RegisterLayout((("q", 1),)), [0.6, 0.8])
+    with pytest.raises(NotAGenerator, match="not a numpy.random.Generator"):
+        measure(psi, "q", bad)
+
+
+def test_measure_refuses_a_norm_that_overflows():
+    # the Born table of such a state would hold NaNs, so outcome_probs
+    # refuses it first
+    for amps in ([1e200, 0.0], [1e160, 1e160]):
+        psi = StateVector(RegisterLayout((("q", 1),)), amps)
+        with pytest.raises(NonFiniteAmplitude, match="overflows"):
+            measure(psi, "q", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_non_finite_operators_are_refused(fill):
+    # each tolerance test reads `not residual <= tol`, so a NaN residual fails it
+    for mat in (np.full((2, 2), fill), np.where(np.eye(2) == 1, fill, 0.0)):
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(gram_residual(np.asarray(mat, dtype=np.complex128)))
+            with pytest.raises(NotUnitary):
+                Operator.unitary(mat)
+            with pytest.raises(NotAProjector):
+                Operator.projector(mat)
+
+
+def test_gram_residual_reads_the_columns():
+    assert gram_residual(np.zeros((0, 0))) == 0.0
+    assert gram_residual(np.eye(3)[:, :2]) == 0.0
+    assert gram_residual(np.eye(3)[:, :2] * 2.0) == 3.0

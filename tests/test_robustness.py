@@ -1,10 +1,13 @@
 """Every drawn input to the entry points works or raises a typed error.
 
 Property: each call returns, or raises a class defined in cvqc_lab, and a
-refused run_H, partition_chain or extract call leaves its rng untouched.
+refused call leaves its rng untouched.
 The partition and qsim entry points are drawn as follows; the protocol,
 effverify, jordan and CLI builders and the effverify sessions at the end
-of the file draw each argument from valid values and junk.
+of the file draw each argument from valid values and junk.  Every
+sampler is also drawn with rngs that are no numpy Generator, the operator
+builders with NaN and infinite matrices, and the rate oracles with ints
+past what a float holds.
 Each drawn call runs on a fresh strategy (cold), then again after a valid
 call has warmed the strategy's caches, and must get the same verdict both
 times.  Draws start from a valid call and replace its values with ones
@@ -12,6 +15,8 @@ equal under == (True for 1, 1.0 for T = 1, numpy scalars) or with bools,
 NaN, infinities, str, None, lists, off-grid values and wrong lengths.  Sizes stay
 small: gamma0 >= 0.3 and T <= 4 keep tau <= 9.
 """
+
+import pickle
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -21,14 +26,16 @@ from cvqc_lab.partition import (
     PartitionParams,
     ProverStrategy,
     extract,
+    haar_unitary,
     partition_chain,
+    random_accept_sets,
     random_strategy,
     random_xz_state,
     run_G,
     run_G_state,
     run_H,
 )
-from cvqc_lab.qsim import Operator, RegisterLayout, StateVector
+from cvqc_lab.qsim import NotAGenerator, Operator, RegisterLayout, StateVector, measure
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
@@ -52,13 +59,12 @@ def _near(value):
 
 def _verdict(call, rng=None):
     """None when call returns, else the class it raised, which must be cvqc_lab's."""
-    before = rng.bit_generator.state if rng is not None else None
+    before = pickle.dumps(rng)  # the stream's state, whatever the rng
     try:
         call()
     except Exception as err:  # the property is about what escapes
         assert type(err).__module__.startswith("cvqc_lab."), repr(err)
-        if rng is not None:
-            assert rng.bit_generator.state == before, f"{err!r} after a draw"
+        assert pickle.dumps(rng) == before, f"{err!r} after a draw"
         return type(err)
     return None
 
@@ -168,8 +174,61 @@ def test_protocol_builders(p, oracle, m):
     _verdict(lambda: protocol.parallel_repeat(p, m))
 
 
+RNGS = st.sampled_from(["generator", None, 0, "rng", "random-state", "bit-generator"])
+
+
+def _rng(kind):
+    return {"generator": np.random.default_rng(0), "random-state": np.random.RandomState(0),
+            "bit-generator": np.random.PCG64(0)}.get(kind, kind)
+
+
 @SETTINGS
-@given(SIZES, SIZES)
+@given(RNGS, st.sampled_from([False, True]))
+def test_samplers_refuse_what_is_no_generator(kind, controlled):
+    s, psi = _strategy()
+    full = StateVector(s.layout(), np.eye(s.dim)[0])
+    params = PartitionParams(2, 1, 1.0, 4, 0.5)
+    calls = [lambda rng: random_strategy(rng, m=1, controlled=controlled),
+             lambda rng: haar_unitary(rng, 2),
+             lambda rng: random_accept_sets(rng, 2, 1),
+             lambda rng: random_xz_state(rng, s),
+             lambda rng: extract(s, params, full, 3, rng),
+             lambda rng: run_H(s, (0.5, 0.5), "01", psi, rng, gamma0=1.0, T=4),
+             lambda rng: jordan.random_projector(rng, 3, 1),
+             lambda rng: measure(full, "X1", rng)]
+    for call in calls:
+        rng = _rng(kind)
+        assert _verdict(lambda: call(rng), rng) is (None if kind == "generator" else NotAGenerator)
+
+
+_P = np.diag([1.0, 0, 0, 0])
+MATRICES_4 = st.sampled_from(
+    [np.eye(4), _P, haar_unitary(np.random.default_rng(1), 4), 1e300 * np.eye(4)]
+    + [np.full((4, 4), v) for v in (np.nan, np.inf, -np.inf)]
+    + [np.where(np.eye(4) == 1, v, 0.0) for v in (np.nan, np.inf, -np.inf)]
+    + [np.where(_P == 1, v, 0.0) for v in (np.nan, np.inf)])
+
+
+@SETTINGS
+@given(MATRICES_4)
+def test_operators_refuse_non_finite_matrices(mat):
+    acc = (frozenset({"0"}),)
+    with np.errstate(invalid="ignore", over="ignore"):
+        verdicts = [_verdict(lambda: Operator.unitary(mat)),
+                    _verdict(lambda: Operator.projector(mat)),
+                    _verdict(lambda: ProverStrategy(1, 1, 0, Operator.unitary(mat), acc)),
+                    _verdict(lambda: jordan.jordan_decompose(mat, _P)),
+                    _verdict(lambda: jordan.jordan_decompose(_P, mat))]
+    assert _verdict(lambda: ProverStrategy(1, 1, 0, mat, acc)) is not None
+    if not np.isfinite(mat).all():
+        assert None not in verdicts
+
+
+HUGE = st.one_of(SIZES, st.sampled_from([2**53, 2**53 + 1, 10**400, -10**400, 10**5000]))
+
+
+@SETTINGS
+@given(HUGE, HUGE)
 def test_rate_oracles(m, other):
     for call in (lambda: protocol.testonly_rate_oracle(m),
                  lambda: protocol.grinder_rate_oracle(m, other),
@@ -179,11 +238,20 @@ def test_rate_oracles(m, other):
 
 
 @SETTINGS
-@given(st.sampled_from([b"x" * 64, b"x" * 3]), SIZES, SIZES,
+@given(st.sampled_from([b"x" * 64, b"x" * 3, None, "x" * 64, [0] * 64]), SIZES, SIZES,
        st.sampled_from([effverify.toy_inner(4, 2), _PROTO, None, "inner"]))
 def test_key_builders(stream, n, m, inner):
     _verdict(lambda: effverify.derive_keys(stream, n, m))
     _verdict(lambda: effverify.key_length(inner))
+
+
+@SETTINGS
+@given(st.sampled_from([effverify.key_machine(4, 2, 512), (("HALT",),), [("HALT",)], (), None,
+                        "HALT", 3]),
+       st.sampled_from([b"\x07" * 16, b"", None, "s"]),
+       st.one_of(SIZES, st.sampled_from([512, 0, None])))
+def test_run_machine_arguments(program, inp, budget):
+    _verdict(lambda: effverify.run_machine(program, inp, effverify._prg_bytes, budget))
 
 
 SET_PAIRS = st.one_of(st.sampled_from(["dim_max=4", "dim_max=x", "nope=1", "dim_max", "=", "seed=3",
