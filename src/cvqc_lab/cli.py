@@ -106,7 +106,8 @@ _PARAMS: dict[str, dict[str, Param]] = {
 # machine (m = 1..16), so this many take 1.3-2.7 minutes.
 _FS_MAX_ATTEMPTS = 8 * 10**7
 # Few trials grinding on pay per two-attempt step, 3m stream columns whatever
-# the row count, at 28-46 us per column at one row (m = 1..16), so this many
+# the row count, at 24-46 us per column at one row (m = 1..16), and every
+# chunk of up to protocol._TRIAL_CHUNK trials grinds on its own; so this many
 # columns take an hour at 80 us; one budget of 10^6 over 79 trials at m = 16
 # (2.4 * 10^7 columns at most) took 9 minutes.
 _FS_MAX_GRIND_COLUMNS = 45 * 10**6

@@ -55,6 +55,7 @@ from . import config
 from .jordan import jordan_decompose
 from .qsim import (
     DimensionMismatch,
+    NonFiniteAmplitude,
     NotUnitary,
     Operator,
     RegisterLayout,
@@ -149,11 +150,14 @@ class ProverStrategy:
             raise NotUnitary(f"u is {self.u!r:.60}, not a unitary Operator")
         if self.u.dim != self.dim:
             raise DimensionMismatch(f"u dim {self.u.dim}, registers need {self.dim}")
-        if len(self.accept_sets) != self.m:
-            raise DimensionMismatch(f"{len(self.accept_sets)} acceptance sets for m={self.m}")
+        if not isinstance(self.accept_sets, (tuple, list)) or len(self.accept_sets) != self.m:
+            raise DimensionMismatch(f"accept_sets {self.accept_sets!r:.60} for m={self.m}, "
+                                    f"not a sequence of {self.m} sets")
         for acc in self.accept_sets:
+            if not isinstance(acc, (set, frozenset)):
+                raise DomainError(f"acceptance set {acc!r:.60}, not a set of strings")
             for a in acc:
-                if len(a) != self.x_width or set(a) - {"0", "1"}:
+                if not isinstance(a, str) or len(a) != self.x_width or set(a) - {"0", "1"}:
                     raise DomainError(f"acceptance string {a!r}")
 
     def derived(self, key, build, *args):
@@ -633,6 +637,9 @@ class _HWalk:
         norm2 = float(np.vdot(current, current).real)
         if norm2 <= config.ZERO_STATE_TOL:
             raise ZeroState(f"norm^2 = {norm2:.3e} entering step {idx}")
+        # an overflow reads inf, or NaN where a complex product meets inf - inf
+        if not norm2 < math.inf:
+            raise NonFiniteAmplitude(f"norm^2 overflows entering step {idx}")
         b0, b1 = _branches(strategy, self.params[idx - 1], current)[:2]
         want, other = (b1, b0) if c[idx - 1] == "1" else (b0, b1)
         p_want = float(np.vdot(want, want).real) / norm2
@@ -789,6 +796,8 @@ class _ExtractGraph:
             nrm = _norm(amps)
             if nrm**2 <= config.ZERO_STATE_TOL:
                 raise ZeroState("extractor input has zero norm")
+            if not nrm < math.inf:
+                raise NonFiniteAmplitude("extractor input's norm overflows")
             amps /= nrm
             node = self.table.keep(key, self._node(amps), len(amps))
         return node

@@ -322,21 +322,15 @@ class FourRoundProtocol:
     # raw outputs, and every two attempts another 3m, which keeps each pair
     # of attempts on whole outputs.
     #
-    # The arrays run coordinates first, as the streams do: the outputs are
-    # (k, rows), each draw or verdict array (draws or coordinates, rows),
-    # so every step and every reduction over a trial's coordinates runs
-    # along contiguous rows of trials.
+    # The arrays run coordinates first, as the streams do: a reader asks
+    # the streams for the words it reads, as (words, rows), and each draw
+    # or verdict array is (draws or coordinates, rows), so every step and
+    # every reduction over a trial's coordinates runs along contiguous rows
+    # of trials.
 
     @property
     def raw_per_trial(self) -> int:
         return 3 * self.m
-
-    @staticmethod
-    def _words(raw: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """The 32-bit draws idx (in drawing order) of (k, rows) raw outputs, as (len(idx), rows)."""
-        k, rows = raw.shape
-        halves = raw.astype("<u8", copy=False).view("<u4").reshape(k, rows, 2)
-        return halves[idx // 2, :, idx % 2]
 
     @staticmethod
     def _keys(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,30 +338,42 @@ class FourRoundProtocol:
         x0, x1 = top[0::2], top[1::2]
         return x0, x1 ^ ((np.bitwise_count(x0 ^ x1) & 1) ^ 1)
 
-    def fs_head(self, raw: np.ndarray):
-        """(oracle seeds, x0, x1) of Fiat-Shamir trials from their first 1 + m outputs."""
-        top = self._words(raw[1:], np.arange(2 * self.m))
+    def fs_head(self, streams: "_TrialStreams"):
+        """(oracle seeds, x0, x1) of Fiat-Shamir trials, from their first 1 + m outputs."""
+        words = streams.words(1 + self.m, range(2 + 2 * self.m))
+        # integers(1 << 62): the first whole output, (high:low) >> 2
+        seeds = words[1].astype(np.uint64)
+        seeds <<= np.uint64(30)
+        seeds |= words[0] >> 2
+        top = words[2:]
         top >>= 32 - self.n
-        return (raw[0] >> 2, *self._keys(top))
+        return (seeds, *self._keys(top))
 
-    def fs_attempts(self, raw: np.ndarray, x0, x1, had_ok: bool):
+    def fs_attempts(self, streams: "_TrialStreams", x0, x1, had_ok: bool):
         """(y, failmask) of each trial's next two commitment attempts.
 
-        raw holds the attempts' 3m outputs; y is (2, m, rows) and
+        The attempts read their 3m outputs whole; y is (2, m, rows) and
         failmask (2, rows) has bit m-1-i set when coordinate i
         rejects a Hadamard round, the bit where the oracle's output
         carries coordinate i's challenge.  Honest or TestOnly pass every
         test round, so an attempt accepts iff challenge & failmask == 0.
         """
         m, n = self.m, self.n
-        words = self._words(raw, np.arange(6 * m)).reshape(2, m, 3, -1)
-        b, rd = words[:, :, 0], words[:, :, 1:]
-        b >>= 31
-        rd >>= 32 - n
-        y = rd[:, :, 0] ^ np.where(b == 1, x1, x0)
-        fail = (rd[:, :, 1] == 0) | (not had_ok)
-        shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None]
-        return y, (fail.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+        words = streams.words(3 * m, range(6 * m)).reshape(2, m, 3, -1)
+        b, r, d = words[:, :, 0], words[:, :, 1], words[:, :, 2]
+        y = np.where(b >> 31 == 1, x1, x0)
+        r >>= 32 - n
+        y ^= r
+        # d = 0, a draw below 2^(32 - n), or a no-instance fails
+        fail = (d < 1 << (32 - n)) | (not had_ok)
+        # pack coordinate i's bit at m-1-i: big-endian bytes, then one shift
+        packed = np.packbits(fail, axis=1)
+        failmask = np.zeros(packed[:, 0].shape, dtype=np.uint64)
+        for byte in packed.transpose(1, 0, 2):
+            failmask <<= np.uint64(8)
+            failmask |= byte
+        failmask >>= np.uint64(8 * len(packed[0]) - m)
+        return y, failmask
 
     def plain_verdicts(self, streams: "_TrialStreams", had_ok: bool):
         """(c, ok) per coordinate and trial, as (m, rows), for Honest or TestOnly.
@@ -376,34 +382,36 @@ class FourRoundProtocol:
         honest d != 0 on a yes-instance (had_ok).  A verdict reads only
         the m coins (words 5m on) and, under had_ok, p2's d (words 2m + 2,
         2m + 5, ...), so the streams jump to the output holding the first
-        word read, and only those words are gathered.
+        word read, and only those words are kept.
         """
         m = self.m
-        first = m + 1 if had_ok else 5 * m // 2
-        streams.skip(first)
-        raw = streams.take(self.raw_per_trial - first)
-        c = self._words(raw, np.arange(5 * m, 6 * m) - 2 * first)
-        c >>= 31
+        coins = range(5 * m, 6 * m)
         if not had_ok:
+            c = streams.words(self.raw_per_trial, coins)
+            c >>= 31
             return c, c == 0
-        d = self._words(raw, np.arange(2 * m + 2, 5 * m, 3) - 2 * first)
-        d >>= 32 - self.n
-        return c, (c == 0) | (d != 0)
+        words = streams.words(self.raw_per_trial, [*range(2 * m + 2, 5 * m, 3), *coins])
+        d, c = words[:m], words[m:]
+        c >>= 31
+        # d != 0 is a draw of at least 2^(32 - n)
+        return c, (c == 0) | (d >= 1 << (32 - self.n))
 
     def cheat_verdicts(self, streams: "_TrialStreams", cdfs: np.ndarray, yes: bool):
         """(c, ok) per coordinate and trial, as (m, rows), for UnitaryCheat.
 
         cdfs[c] is qsim's Born table of challenge c's outcomes, which
-        `measure` searches with the measurement's double.
+        `measure` searches with the measurement's double, the top 53 bits
+        of one whole output.
         """
         m, n = self.m, self.n
-        raw = streams.take(self.raw_per_trial)
-        words = self._words(raw[:2 * m], np.arange(4 * m))
-        top, c = words[:3 * m], words[3 * m:]
+        words = streams.words(self.raw_per_trial, range(6 * m))
+        top, c = words[:3 * m], words[3 * m:4 * m]
         top >>= 32 - n
         c >>= 31
         (x0, x1), y = self._keys(top[:2 * m]), top[2 * m:]
-        u = (raw[2 * m:] >> 11) * 2.0 ** -53
+        # random(): the top 53 bits of (high:low), as exact halves 2^-32 high + 2^-53 (low >> 11)
+        u = words[4 * m + 1::2] * 2.0 ** -32
+        u += (words[4 * m::2] >> 11) * 2.0 ** -53
         outcome = np.where(c == 0, np.searchsorted(cdfs[0], u, "right"),
                            np.searchsorted(cdfs[1], u, "right")).astype(np.uint64)
         first, rest = outcome >> n, outcome & ((1 << n) - 1)
@@ -624,7 +632,7 @@ class Stats:
 
 # Trials are seeded and replayed this many at a time, so memory stays
 # flat however many trials a run asks for.
-_TRIAL_CHUNK = 4096
+_TRIAL_CHUNK = 16384
 
 
 def _trial_seeds(seed: int, trials: int):
@@ -673,13 +681,19 @@ def _hash_chain(hc: int, mult: int, calls: int) -> np.ndarray:
 
 
 def _hashmix(value, xor, times):
-    value = (value ^ xor) * times
-    return value ^ (value >> 16)
+    """SeedSequence's hashmix, as a new array broadcast over its operands."""
+    value = value ^ xor
+    value *= times
+    value ^= value >> 16
+    return value
 
 
 def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> 16)
+    """SeedSequence's mix of x with y, written over y."""
+    y *= _MIX_R
+    np.subtract(_MIX_L * x, y, out=y)
+    y ^= y >> 16
+    return y
 
 
 def _word_count(v) -> int:
@@ -730,6 +744,61 @@ def _pcg_jump(k: int) -> tuple[tuple, tuple | None]:
     return _limbs(a), None if b == 1 else _limbs(b)
 
 
+def _child_states(seed, start: int, count: int) -> np.ndarray:
+    """generate_state(4, uint64) of children start..start+count-1 of seed, as a (4, count) array."""
+    # a child's entropy is the root's words padded to the pool size,
+    # then its index, so every child's pool before the index is the
+    # root's own, mixed by 4 hash calls per padded word
+    root = np.random.SeedSequence(seed)
+    hc = int(_hash_chain(_INIT_A, _MULT_A, _POOL * max(_POOL, _word_count(root.entropy)))[-1])
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    # the pool's four words are the rows of a (4, count) array; the
+    # child index enters as one word, or two from 2^32 on
+    pool = root.pool[:, None]
+    chain = _hash_chain(hc, _MULT_A, 2 * _POOL)[:, None]
+    pool = _mix(pool, _hashmix(idx.astype(np.uint32), chain[:_POOL], chain[1:_POOL + 1]))
+    if start + count > 1 << 32:
+        hi = (idx >> 32).astype(np.uint32)
+        wide = _mix(pool, _hashmix(hi, chain[_POOL:-1], chain[_POOL + 1:]))
+        pool = np.where(hi != 0, wide, pool)
+    # eight words cycled from the pool; words 2j and 2j + 1 are the low
+    # and high halves of uint64 j, joined as the rows of a contiguous
+    # (4, count) array
+    chain = _hash_chain(_INIT_B, _MULT_B, 8)
+    xor, times = chain[:-1].reshape(2, _POOL, 1), chain[1:].reshape(2, _POOL, 1)
+    words = _hashmix(pool, xor, times).reshape(4, 2, count)
+    state = words[:, 1].astype(np.uint64)
+    state <<= _U32
+    state |= words[:, 0]
+    return state
+
+
+@cache
+def _read_plan(k: int, idx: tuple) -> tuple[tuple, int]:
+    """How `_TrialStreams.words` reads words idx of k outputs.
+
+    Each output read, in order, is (outputs passed over before it, its
+    writes (result rows, half: 0 low, 1 high, 2 both)); then come the
+    outputs passed over after the last one read.  An output read whole,
+    low half then high, is written as one block.  Each reader asks for
+    one layout per shape, so the cache stays small.
+    """
+    reads: dict[int, list] = {}
+    for r, w in enumerate(idx):
+        j, half = divmod(int(w), 2)
+        assert 0 <= j < k
+        here = reads.setdefault(j, [])
+        if half and here == [(r - 1, 0)]:
+            here[0] = (slice(r - 1, r + 1), 2)
+        else:
+            here.append((r, half))
+    done, plan = 0, []
+    for j in sorted(reads):
+        plan.append((j - done, tuple(reads[j])))
+        done = j + 1
+    return tuple(plan), k - done
+
+
 class _TrialStreams:
     """The PCG64 output streams of children start..start+count-1 of seed.
 
@@ -737,43 +806,24 @@ class _TrialStreams:
     SeedSequence(seed, spawn_key=(start + i,)), which is what
     SeedSequence(seed).spawn hands out in that position.  The arrays run
     coordinates first: the state words are contiguous rows over the
-    kept children, and take(k) returns the next k outputs of every child
-    still kept as a (k, rows) array, output j in row j; skip(k) passes
-    over them.  Seeding's own step and every skip wait in one pending
-    advance, which the next take folds into its first step.
+    kept children, and words(k, idx) returns the 32-bit words idx of the
+    next k outputs of every child still kept, one row per word read.
+    Seeding's own step and every output no word is read from wait in one
+    pending advance, which the next output read folds into its step.
     """
 
     def __init__(self, seed, start: int, count: int):
-        # a child's entropy is the root's words padded to the pool size,
-        # then its index, so every child's pool before the index is the
-        # root's own, mixed by 4 hash calls per padded word
-        root = np.random.SeedSequence(seed)
-        hc = int(_hash_chain(_INIT_A, _MULT_A, _POOL * max(_POOL, _word_count(root.entropy)))[-1])
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        # the pool's four words are the rows of a (4, count) array; the
-        # child index enters as one word, or two from 2^32 on
-        pool = root.pool[:, None]
-        chain = _hash_chain(hc, _MULT_A, 2 * _POOL)[:, None]
-        pool = _mix(pool, _hashmix(idx.astype(np.uint32), chain[:_POOL], chain[1:_POOL + 1]))
-        if start + count > 1 << 32:
-            hi = (idx >> 32).astype(np.uint32)
-            wide = _mix(pool, _hashmix(hi, chain[_POOL:-1], chain[_POOL + 1:]))
-            pool = np.where(hi != 0, wide, pool)
-        # generate_state(4, uint64): eight words cycled from the pool; words
-        # 2j and 2j + 1 are the low and high halves of uint64 j, joined as
-        # the rows of a contiguous (4, count) array
-        chain = _hash_chain(_INIT_B, _MULT_B, 8)
-        xor, times = chain[:-1].reshape(2, _POOL, 1), chain[1:].reshape(2, _POOL, 1)
-        words = _hashmix(pool, xor, times).reshape(4, 2, count)
-        state = words[:, 1].astype(np.uint64)
-        state <<= _U32
-        state |= words[:, 0]
-        s_hi, s_lo, q_hi, q_lo = state
-        # PCG64 seeding: inc = 2q + 1, state = (inc + s) stepped once, left pending
-        self.inc_hi = (q_hi << 1) | (q_lo >> 63)
-        self.inc_lo = (q_lo << 1) | 1
-        self.lo = self.inc_lo + s_lo
-        self.hi = self.inc_hi + s_hi + (self.lo < s_lo)
+        s_hi, s_lo, self.inc_hi, self.inc_lo = _child_states(seed, start, count)
+        # PCG64 seeding, in place: inc = 2q + 1, state = (inc + s) stepped
+        # once, left pending
+        self.inc_hi <<= 1
+        self.inc_hi |= self.inc_lo >> _U63
+        self.inc_lo <<= 1
+        self.inc_lo |= 1
+        s_lo += self.inc_lo
+        s_hi += self.inc_hi
+        s_hi += s_lo < self.inc_lo
+        self.hi, self.lo = s_hi, s_lo
         self.pending = 1
 
     def _jump(self, k: int, scratch: np.ndarray) -> None:
@@ -788,27 +838,40 @@ class _TrialStreams:
         self.hi += inc_hi
         self.hi += np.less(self.lo, inc_lo, out=scratch[0])
 
-    def take(self, k: int) -> np.ndarray:
-        """The next k outputs of every kept row, as a C-contiguous (k, rows) array."""
-        out = np.empty((k, self.lo.size), dtype=np.uint64)
-        scratch = np.empty((4, self.lo.size), dtype=np.uint64)
-        x, rot = scratch[:2]
-        for row in out:
-            self._jump(self.pending + 1, scratch)
+    def words(self, k: int, idx) -> np.ndarray:
+        """Words idx of the next k outputs of every kept row, as a (len(idx), rows) uint32 array.
+
+        Words run in drawing order: word 2j is output j's low half and
+        word 2j + 1 its high half, as a Generator's 32-bit draws hand them
+        out.  Each output read is computed as its step is taken and its
+        words written straight into the result; an output with no word
+        read is folded into the pending advance, which the next output
+        read takes in one jump.
+        """
+        idx = tuple(idx)
+        reads, tail = _read_plan(k, idx)
+        rows = self.lo.size
+        out = np.empty((len(idx), rows), dtype=np.uint32)
+        scratch = np.empty((4, rows), dtype="<u8")
+        x, rot, raw = scratch[:3]
+        # the low half, the high half and both, of each little-endian output
+        both = raw.view("<u4").reshape(rows, 2).T
+        halves = (both[0], both[1], both)
+        for gap, writes in reads:
+            self._jump(self.pending + gap + 1, scratch)
             self.pending = 0
             # XSL-RR: hi ^ lo rotated right by the top six bits of hi
             np.bitwise_xor(self.hi, self.lo, out=x)
             np.right_shift(self.hi, _U58, out=rot)
-            np.right_shift(x, rot, out=row)
+            np.right_shift(x, rot, out=raw)
             np.negative(rot, out=rot)
             rot &= _U63
             x <<= rot
-            row |= x
+            raw |= x
+            for dst, src in writes:
+                out[dst] = halves[src]
+        self.pending += tail
         return out
-
-    def skip(self, k: int):
-        """Pass over the next k outputs of every kept row."""
-        self.pending += k
 
     def keep(self, rows: np.ndarray):
         """Drop every row not selected by rows (a mask or index array)."""
@@ -895,19 +958,20 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
 
 def _run_toy_batch(verdicts: Callable, trials: int, seed: int) -> Stats:
     """Stats from verdicts(streams) -> (c, ok), per coordinate and trial."""
-    accepts = 0
-    counts = {"test": [0, 0], "hadamard": [0, 0]}
+    tally = np.zeros(5, dtype=np.int64)
+    # each chunk's streams and verdicts are released before the next is seeded
     for start in range(0, trials, _TRIAL_CHUNK):
-        streams = _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))
-        c, ok = verdicts(streams)
-        had = c == 1
-        accepts += int(np.count_nonzero(ok.all(axis=0)))
-        n_had = int(np.count_nonzero(had))
-        counts["test"][0] += int(np.count_nonzero(~had & ok))
-        counts["test"][1] += had.size - n_had
-        counts["hadamard"][0] += int(np.count_nonzero(had & ok))
-        counts["hadamard"][1] += n_had
-    return Stats(trials, accepts, counts, 0)
+        tally += _toy_tally(*verdicts(_TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))))
+    accepts, test_ok, tests, had_ok, hads = tally.tolist()
+    return Stats(trials, accepts, {"test": [test_ok, tests], "hadamard": [had_ok, hads]}, 0)
+
+
+def _toy_tally(c: np.ndarray, ok: np.ndarray) -> list[int]:
+    """(accepts, test passes, test rounds, Hadamard passes, Hadamard rounds) of one chunk."""
+    had = c == 1
+    n_had = int(np.count_nonzero(had))
+    return [int(np.count_nonzero(ok.all(axis=0))), int(np.count_nonzero(ok & ~had)),
+            had.size - n_had, int(np.count_nonzero(ok & had)), n_had]
 
 
 # The Fiat-Shamir bulk route keeps failmasks and challenges in uint64;
@@ -964,32 +1028,40 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
     of a chunk still grinding, so memory stays flat whatever the query
     budget.
     """
-    m = p.m
     # coordinates below 2^24 keep each int frame in an 8-byte slot; the
     # qubit cap keeps toys at n <= 18
     assert p.n <= 24
-    accepts = queries = 0
+    tally = np.zeros(2, dtype=np.int64)
+    # each chunk's streams and arrays are released before the next is seeded
     for start in range(0, trials, _TRIAL_CHUNK):
-        streams = _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start))
-        seeds, x0, x1 = p.fs_head(streams.take(1 + m))
-        done = 0
-        while seeds.size and done < budget:
-            y, failmask = p.fs_attempts(streams.take(3 * m), x0, x1, had_ok)
-            grinding = np.ones(seeds.size, dtype=bool)
-            # a budget that runs out on the first attempt makes only that
-            # one; an attempt with failmask 0 accepts whatever its challenge,
-            # so it is counted but not hashed
-            for a in range(min(2, budget - done)):
-                queries += int(np.count_nonzero(grinding))
-                grinding &= failmask[a] != 0
-                rows = np.flatnonzero(grinding)
-                ch = _fs_challenges(seeds[rows], y[a][:, rows].T, m)
-                grinding[rows] = ch & failmask[a, rows] != 0
-            accepts += seeds.size - int(np.count_nonzero(grinding))
-            streams.keep(grinding)
-            seeds, x0, x1 = seeds[grinding], x0[:, grinding], x1[:, grinding]
-            done += 2
+        tally += _fs_chunk(p, had_ok, budget, _TrialStreams(seed, start, min(_TRIAL_CHUNK, trials - start)))
+    accepts, queries = tally.tolist()
     return Stats(trials, accepts, {"test": [0, 0], "hadamard": [0, 0]}, queries)
+
+
+def _fs_chunk(p: FourRoundProtocol, had_ok: bool, budget: int, streams: _TrialStreams) -> list[int]:
+    """(accepts, oracle queries) of one chunk of `_run_fs_batch`'s trials."""
+    m = p.m
+    accepts = queries = 0
+    seeds, x0, x1 = p.fs_head(streams)
+    done = 0
+    while seeds.size and done < budget:
+        y, failmask = p.fs_attempts(streams, x0, x1, had_ok)
+        grinding = np.ones(seeds.size, dtype=bool)
+        # a budget that runs out on the first attempt makes only that
+        # one; an attempt with failmask 0 accepts whatever its challenge,
+        # so it is counted but not hashed
+        for a in range(min(2, budget - done)):
+            queries += int(np.count_nonzero(grinding))
+            grinding &= failmask[a] != 0
+            rows = np.flatnonzero(grinding)
+            ch = _fs_challenges(seeds[rows], y[a][:, rows].T, m)
+            grinding[rows] = ch & failmask[a, rows] != 0
+        accepts += seeds.size - int(np.count_nonzero(grinding))
+        streams.keep(grinding)
+        seeds, x0, x1 = seeds[grinding], x0[:, grinding], x1[:, grinding]
+        done += 2
+    return [accepts, queries]
 
 
 def _run_interactive_trial(p, adversary, x, rng, counts) -> bool:

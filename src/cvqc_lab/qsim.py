@@ -204,7 +204,8 @@ def outcome_probs(state: StateVector, register: str) -> np.ndarray:
     total = state.norm2
     if total <= config.ZERO_STATE_TOL:
         raise ZeroState(f"norm^2 = {total:.3e}")
-    if total == np.inf:
+    # an overflow reads inf, or NaN where a complex product meets inf - inf
+    if not total < np.inf:
         raise NonFiniteAmplitude("norm^2 overflows")
     masses = np.bincount(state.layout.values(register),
                          weights=(state.amps.conj() * state.amps).real,

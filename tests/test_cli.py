@@ -483,14 +483,13 @@ class TestFsAttack:
         # 6 * 10^6 raw outputs per trial, where two attempts at the default
         # m = 4 take 3m = 12.
         blocks = []
-        take = protocol._TrialStreams.take
+        words = protocol._TrialStreams.words
 
-        def recording(self, k):
-            out = take(self, k)
-            blocks.append(out.shape[0])
-            return out
+        def recording(self, k, idx):
+            blocks.append(k)
+            return words(self, k, idx)
 
-        monkeypatch.setattr(protocol._TrialStreams, "take", recording)
+        monkeypatch.setattr(protocol._TrialStreams, "words", recording)
         code, out = run_cli(["fs-attack", "--seed", "21", "--set", "budgets=1000000",
                              "--set", "trials=20"], tmp_path, "f.csv")
         assert code == 0

@@ -1073,6 +1073,21 @@ class TestBuilderIntegerRule:
         with pytest.raises(DomainError, match=f"{name}="):
             ProverStrategy(u=Operator.unitary(np.eye(8)), accept_sets=(frozenset({"0"}),), **sizes)
 
+    @pytest.mark.parametrize("accept_sets,error", [
+        (None, DimensionMismatch), (frozenset({"0"}), DimensionMismatch), ("0", DimensionMismatch),
+        ((None,), DomainError), (("0",), DomainError), (({0},), DomainError),
+        ((frozenset({"0", 1}),), DomainError), ((frozenset({None}),), DomainError)])
+    def test_prover_strategy_accept_sets(self, accept_sets, error):
+        # a malformed acceptance set is refused with a typed error, never a builtin TypeError
+        with pytest.raises(error, match="accept"):
+            ProverStrategy(m=1, x_width=1, z_width=1, u=Operator.unitary(np.eye(8)),
+                           accept_sets=accept_sets)
+
+    def test_prover_strategy_accepts_a_list_of_sets(self):
+        s = ProverStrategy(m=1, x_width=1, z_width=1, u=Operator.unitary(np.eye(8)),
+                           accept_sets=[{"0", "1"}])
+        assert s.accept_sets == [{"0", "1"}]
+
     def test_random_strategy_draws_are_unchanged(self):
         want = random_strategy(np.random.default_rng(3), m=2, x_width=1, z_width=0)
         got = random_strategy(np.random.default_rng(3), m=np.int64(2),
@@ -1718,6 +1733,50 @@ class TestRngRule:
             with pytest.raises(NotAGenerator):
                 call(rs)
             assert rs.random_sample() == np.random.RandomState(0).random_sample()
+
+
+class TestOverflowingNorm:
+    """A finite state whose squared norm overflows is refused by run_H and
+    extract, as qsim's outcome_probs refuses it, before any draw."""
+
+    @staticmethod
+    def _refused(call):
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteAmplitude, match="overflows"):
+                call(rng)
+        assert rng.bit_generator.state == before
+
+    # complex amplitudes overflow to NaN, not inf, in vdot's real part
+    @pytest.mark.parametrize("amps", [[1e200, 0.0], [1e160, 1e160], [1e160 + 1e160j, 0.0]])
+    def test_run_H(self, amps):
+        s = single_block_strategy(0.3)
+        psi = StateVector(s.xz_layout(), amps)
+        for _ in range(2):  # a refused input keeps being refused
+            self._refused(lambda rng: run_H(s, (0.25,), "0", psi, rng, gamma0=1.0, T=4))
+
+    @pytest.mark.parametrize("amps", [[1e200, 0, 0, 0], [0, 1e160, 0, 1e160],
+                                      [1e160 + 1e160j, 0, 0, 0]])
+    def test_extract(self, amps):
+        s = single_block_strategy(0.3)
+        p = PartitionParams(m=1, i=1, gamma0=1.0, T=4, gamma=0.25)
+        state = StateVector(s.layout(), amps)
+        for _ in range(2):
+            self._refused(lambda rng: extract(s, p, state, 3, rng))
+
+    def test_large_finite_norms_still_run(self):
+        # 1e153 squared stays finite: the input is normalized as before
+        s = single_block_strategy(0.3)
+        p = PartitionParams(m=1, i=1, gamma0=1.0, T=4, gamma=0.25)
+        big = extract(s, p, StateVector(s.layout(), [1e153, 0, 0, 0]), 3, np.random.default_rng(7))
+        unit = extract(s, p, StateVector(s.layout(), [1.0, 0, 0, 0]), 3, np.random.default_rng(7))
+        assert big == unit
+        for seed in range(8):
+            big, unit = (run_H(s, (0.25,), "0", StateVector(s.xz_layout(), [scale, 0]),
+                               np.random.default_rng(seed), gamma0=1.0, T=4)
+                         for scale in (1e153, 1.0))
+            assert type(big) is type(unit)
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf])

@@ -3,6 +3,7 @@
 import enum
 import hashlib
 import math
+import tracemalloc
 from collections import namedtuple
 from dataclasses import fields, replace
 from functools import partial
@@ -543,6 +544,12 @@ def _cheat(x_width: int, with_u0: bool) -> UnitaryCheat:
     return UnitaryCheat(strategy)
 
 
+def _outputs(streams, k):
+    """The next k whole outputs of streams, read as their two words each, as a (k, rows) uint64."""
+    words = streams.words(k, range(2 * k)).astype(np.uint64)
+    return (words[1::2] << np.uint64(32)) | words[0::2]
+
+
 class TestArrayStreams:
     """The bulk route's array-derived PCG64 outputs against numpy's own objects."""
 
@@ -550,45 +557,77 @@ class TestArrayStreams:
 
     @staticmethod
     def _numpy_raw(children, k):
-        """numpy's first k outputs of each child, as take's (k, rows)."""
+        """numpy's first k outputs of each child, as _outputs' (k, rows)."""
         return np.array([np.random.PCG64(c).random_raw(k) for c in children]).T
 
     @pytest.mark.parametrize("k", [3, 24, 60])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_raw_words_match_pcg64(self, seed, k):
-        got = protocol._TrialStreams(seed, 0, 9).take(k)
+        got = _outputs(protocol._TrialStreams(seed, 0, 9), k)
         assert np.array_equal(got, self._numpy_raw(np.random.SeedSequence(seed).spawn(9), k))
 
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_take_is_contiguous_outputs_by_rows(self, rows):
+    def test_words_are_contiguous_rows_of_uint32(self, rows):
         streams = protocol._TrialStreams(3, 0, rows)
-        streams.skip(2)
-        for k in (1, 5):
-            out = streams.take(k)
-            assert out.shape == (k, rows) and out.dtype == np.uint64 and out.flags.c_contiguous
+        streams.words(2, ())
+        for k, idx in ((1, [1]), (5, range(10)), (3, [4, 0, 5])):
+            out = streams.words(k, idx)
+            assert out.shape == (len(idx), rows) and out.dtype == np.uint32 and out.flags.c_contiguous
         streams.keep(np.zeros(rows, dtype=bool))
-        out = streams.take(4)
-        assert out.shape == (4, 0) and out.dtype == np.uint64 and out.flags.c_contiguous
+        out = streams.words(4, range(3))
+        assert out.shape == (3, 0) and out.dtype == np.uint32 and out.flags.c_contiguous
 
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_words_in_drawing_order(self, k):
         # word 2j is output j's low half and word 2j + 1 its high half, the
         # order in which a Generator's 32-bit draws hand them out
         children = np.random.SeedSequence(45).spawn(5)
-        raw = protocol._TrialStreams(45, 0, 5).take(k)
         want = np.array([np.random.Generator(np.random.PCG64(c)).integers(
             0, 1 << 32, size=2 * k, dtype=np.uint32) for c in children]).T
         idx = np.arange(2 * k)
-        got = protocol.FourRoundProtocol._words(raw, idx)
+        got = protocol._TrialStreams(45, 0, 5).words(k, idx)
         assert got.shape == (2 * k, 5) and got.dtype == np.uint32
         assert np.array_equal(got, want)
         some = idx[::-3]
-        assert np.array_equal(protocol.FourRoundProtocol._words(raw, some), want[some])
+        assert np.array_equal(protocol._TrialStreams(45, 0, 5).words(k, some), want[some])
+
+    @staticmethod
+    def _halves(children, k):
+        """numpy's first k outputs of each child as 2k words in drawing order, (2k, rows)."""
+        raw = np.array([np.random.PCG64(c).random_raw(k) for c in children], dtype="<u8")
+        return raw.view("<u4").T
+
+    @pytest.mark.parametrize("rows", [protocol._TRIAL_CHUNK, 1808])
+    def test_words_are_halves_of_random_raw(self, rows):
+        # random sorted subsets of the words, read right after construction,
+        # after outputs no word is read from, and after keep with a mask and
+        # with an index array, over one full chunk and one partial chunk
+        pick = np.random.default_rng(rows)
+        start = protocol._TRIAL_CHUNK
+        children = np.random.SeedSequence(46).spawn(start + rows)[start:]
+        want = self._halves(children, 40)
+
+        def subset(lo, hi):
+            return np.flatnonzero(pick.random(hi - lo) < 0.4) + lo
+
+        streams = protocol._TrialStreams(46, start, rows)
+        idx = subset(0, 12)
+        assert np.array_equal(streams.words(6, idx), want[idx])
+        streams.words(5, ())
+        idx = subset(22, 40)
+        assert np.array_equal(streams.words(9, idx - 22), want[idx])
+        for kept in (pick.random(rows) < 0.5, np.flatnonzero(pick.random(rows) < 0.3)[::-1]):
+            streams = protocol._TrialStreams(46, start, rows)
+            idx = subset(0, 20)
+            assert np.array_equal(streams.words(10, idx), want[idx])
+            streams.keep(kept)
+            idx = subset(20, 40)
+            assert np.array_equal(streams.words(10, idx - 20), want[idx][:, kept])
 
     def test_second_chunk_starts_at_chunk_size(self):
         k, trials = 6, protocol._TRIAL_CHUNK + 3
-        chunks = [protocol._TrialStreams(44, 0, protocol._TRIAL_CHUNK).take(k),
-                  protocol._TrialStreams(44, protocol._TRIAL_CHUNK, 3).take(k)]
+        chunks = [_outputs(protocol._TrialStreams(44, 0, protocol._TRIAL_CHUNK), k),
+                  _outputs(protocol._TrialStreams(44, protocol._TRIAL_CHUNK, 3), k)]
         want = self._numpy_raw(np.random.SeedSequence(44).spawn(trials), k)
         assert np.array_equal(np.concatenate(chunks, axis=1), want)
 
@@ -598,7 +637,7 @@ class TestArrayStreams:
         for start in (2**32 - 2, 2**33 + 5, 2**40):
             children = [np.random.SeedSequence(seed, spawn_key=(start + i,))
                         for i in range(4)]
-            got = protocol._TrialStreams(seed, start, 4).take(5)
+            got = _outputs(protocol._TrialStreams(seed, start, 4), 5)
             assert np.array_equal(got, self._numpy_raw(children, 5))
 
     def test_negative_seed_fails_like_per_trial_route(self):
@@ -614,6 +653,23 @@ class TestArrayStreams:
                 with pytest.raises(ProtocolError) as err:
                     run_protocol(p, adversary, "yes", trials=5, seed=seed)
                 assert str(ref.value) in str(err.value)
+
+
+def test_memory_is_flat_across_chunks():
+    # each chunk's streams and verdicts are released before the next is
+    # seeded, so three chunks peak where one does
+    p = parallel_repeat(toy_protocol(12), 20)
+
+    def peak(trials):
+        run_protocol(p, Honest(p), "yes", trials=trials, seed=1)  # warm every cache
+        tracemalloc.start()
+        try:
+            run_protocol(p, Honest(p), "yes", trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3 * protocol._TRIAL_CHUNK) <= 1.1 * peak(protocol._TRIAL_CHUNK)
 
 
 class TestOneRowFinalChunk:
@@ -804,9 +860,9 @@ class TestFsBulkReplay:
 
     def test_oracle_seed_is_first_output_shifted(self):
         children = np.random.SeedSequence(66).spawn(40)
-        raw = protocol._TrialStreams(66, 0, 40).take(1)
+        seeds = toy_protocol(4).fs_head(protocol._TrialStreams(66, 0, 40))[0]
         want = [np.random.Generator(np.random.PCG64(c)).integers(1 << 62) for c in children]
-        assert np.array_equal(raw[0] >> 2, want)
+        assert seeds.dtype == np.uint64 and np.array_equal(seeds, want)
 
     def test_route(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1090,7 +1146,7 @@ class TestWideSeeds:
     def test_raw_words_match_pcg64(self, seed):
         children = np.random.SeedSequence(seed).spawn(6)
         want = np.array([np.random.PCG64(c).random_raw(9) for c in children]).T
-        assert np.array_equal(protocol._TrialStreams(seed, 0, 6).take(9), want)
+        assert np.array_equal(_outputs(protocol._TrialStreams(seed, 0, 6), 9), want)
 
     def test_bulk_stats_equal_per_trial(self):
         seed = 2**200 + 12345
@@ -1101,7 +1157,8 @@ class TestWideSeeds:
 
 
 class TestSkip:
-    """_TrialStreams.skip's jump against numpy's PCG64 stepped output by output."""
+    """The jump over outputs no word is read from (words(j, ())) against numpy's
+    PCG64 stepped output by output."""
 
     @staticmethod
     def _numpy_raw(children, k):
@@ -1115,8 +1172,8 @@ class TestSkip:
             children = [np.random.SeedSequence(seed, spawn_key=(start + i,))
                         for i in range(4)]
             streams = protocol._TrialStreams(seed, start, 4)
-            streams.skip(j)
-            assert np.array_equal(streams.take(5), self._numpy_raw(children, j + 5)[j:])
+            streams.words(j, ())
+            assert np.array_equal(_outputs(streams, 5), self._numpy_raw(children, j + 5)[j:])
 
     @pytest.mark.parametrize("j", [1, 29])
     def test_skip_after_keep(self, j):
@@ -1125,24 +1182,25 @@ class TestSkip:
         for rows in (np.array([True, False, False, True, True, False, True, False]),
                      np.array([6, 2, 5])):
             streams = protocol._TrialStreams(9, 0, 8)
-            streams.take(3)
+            _outputs(streams, 3)
             streams.keep(rows)
-            streams.skip(j)
-            assert np.array_equal(streams.take(4), want[:, rows])
+            streams.words(j, ())
+            assert np.array_equal(_outputs(streams, 4), want[:, rows])
 
     def test_skip_zero_is_a_no_op(self):
         streams, ref = protocol._TrialStreams(10, 0, 6), protocol._TrialStreams(10, 0, 6)
-        streams.take(2)
-        ref.take(2)
-        streams.skip(0)
+        _outputs(streams, 2)
+        _outputs(ref, 2)
+        streams.words(0, ())
         for name in ("lo", "hi", "inc_lo", "inc_hi"):
             assert np.array_equal(getattr(streams, name), getattr(ref, name))
-        assert np.array_equal(streams.take(3), ref.take(3))
+        assert np.array_equal(_outputs(streams, 3), _outputs(ref, 3))
 
 
 class TestFoldedAdvance:
-    """Seeding's own step and every skip wait in one pending advance, which
-    the next take applies; checked against numpy's PCG64 output by output."""
+    """Seeding's own step and every output no word is read from wait in one
+    pending advance, which the next output read applies; checked against
+    numpy's PCG64 output by output."""
 
     SEEDS = [3, 2**40 + 3, [7, 2**40, 0]]
 
@@ -1156,53 +1214,53 @@ class TestFoldedAdvance:
         want = self._raw(seed, 0, 5, 12)
         for j in (1, 7):
             streams = protocol._TrialStreams(seed, 0, 5)
-            streams.skip(j)
+            streams.words(j, ())
             assert streams.pending == 1 + j
-            assert np.array_equal(streams.take(4), want[j:j + 4])
+            assert np.array_equal(_outputs(streams, 4), want[j:j + 4])
             assert streams.pending == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_two_skips_in_a_row(self, seed):
         want = self._raw(seed, 2**32 - 2, 4, 16)
         streams = protocol._TrialStreams(seed, 2**32 - 2, 4)
-        streams.skip(3)
-        streams.skip(4)
-        assert np.array_equal(streams.take(2), want[7:9])
-        streams.skip(1)
-        streams.skip(2)
-        assert np.array_equal(streams.take(4), want[12:16])
+        streams.words(3, ())
+        streams.words(4, ())
+        assert np.array_equal(_outputs(streams, 2), want[7:9])
+        streams.words(1, ())
+        streams.words(2, ())
+        assert np.array_equal(_outputs(streams, 4), want[12:16])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_skip_then_keep_then_take(self, seed):
         want = self._raw(seed, 0, 6, 9)
         for rows in (np.array([True, False, True, True, False, True]), np.array([4, 0, 5])):
             streams = protocol._TrialStreams(seed, 0, 6)
-            streams.skip(6)
+            streams.words(6, ())
             streams.keep(rows)
-            assert np.array_equal(streams.take(3), want[6:9, rows])
+            assert np.array_equal(_outputs(streams, 3), want[6:9, rows])
 
     def test_keep_down_to_zero_rows(self):
         streams = protocol._TrialStreams(12, 0, 5)
-        streams.skip(4)
+        streams.words(4, ())
         streams.keep(np.zeros(5, dtype=bool))
-        got = streams.take(3)
-        assert got.shape == (3, 0) and got.dtype == np.uint64
+        got = streams.words(3, range(6))
+        assert got.shape == (6, 0) and got.dtype == np.uint32
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_one_row_stream(self, seed):
         want = self._raw(seed, 17, 1, 10)
         streams = protocol._TrialStreams(seed, 17, 1)
-        first = streams.take(2)
-        streams.skip(4)
-        assert np.array_equal(np.vstack([first, streams.take(4)]), want[[0, 1, 6, 7, 8, 9]])
+        first = _outputs(streams, 2)
+        streams.words(4, ())
+        assert np.array_equal(np.vstack([first, _outputs(streams, 4)]), want[[0, 1, 6, 7, 8, 9]])
 
     def test_full_chunk_at_sixty_outputs(self):
         rows = protocol._TRIAL_CHUNK
         want = self._raw(13, 0, rows, 60)
-        assert np.array_equal(protocol._TrialStreams(13, 0, rows).take(60), want)
+        assert np.array_equal(_outputs(protocol._TrialStreams(13, 0, rows), 60), want)
         streams = protocol._TrialStreams(13, 0, rows)
-        streams.skip(59)
-        assert np.array_equal(streams.take(1), want[59:])
+        streams.words(59, ())
+        assert np.array_equal(_outputs(streams, 1), want[59:])
 
 
 class TestSeedArgument:

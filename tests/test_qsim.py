@@ -224,7 +224,8 @@ def test_measure_refuses_what_is_no_generator(bad):
 def test_measure_refuses_a_norm_that_overflows():
     # the Born table of such a state would hold NaNs, so outcome_probs
     # refuses it first
-    for amps in ([1e200, 0.0], [1e160, 1e160]):
+    # complex amplitudes make vdot's real part NaN, not inf
+    for amps in ([1e200, 0.0], [1e160, 1e160], [1e160 + 1e160j, 0.0], [1e160 - 3e159j, 1e150j]):
         psi = StateVector(RegisterLayout((("q", 1),)), amps)
         with pytest.raises(NonFiniteAmplitude, match="overflows"):
             measure(psi, "q", np.random.default_rng(0))

@@ -1,7 +1,9 @@
 """Every drawn input to the entry points works or raises a typed error.
 
-Property: each call returns, or raises a class defined in cvqc_lab, and a
-refused call leaves its rng untouched.
+Property 1: each call returns, or raises a class defined in cvqc_lab, and
+a refused call leaves its rng untouched.  run_protocol is also held to
+properties 2 (its Stats are the per-trial route's) and 3 (the same seed
+gives the same Stats).
 The partition and qsim entry points are drawn as follows; the protocol,
 effverify, jordan and CLI builders and the effverify sessions at the end
 of the file draw each argument from valid values and junk.  Every
@@ -16,9 +18,11 @@ NaN, infinities, str, None, lists, off-grid values and wrong lengths.  Sizes sta
 small: gamma0 >= 0.3 and T <= 4 keep tau <= 9.
 """
 
+import math
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvqc_lab import cli, effverify, jordan, protocol
@@ -35,7 +39,8 @@ from cvqc_lab.partition import (
     run_G_state,
     run_H,
 )
-from cvqc_lab.qsim import NotAGenerator, Operator, RegisterLayout, StateVector, measure
+from cvqc_lab.qsim import (NonFiniteAmplitude, NotAGenerator, Operator, RegisterLayout,
+                           StateVector, measure)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
@@ -158,6 +163,26 @@ def test_prover_strategy_sizes(m, x_width, z_width):
     assert (verdict is None) == all(fits)
 
 
+@SETTINGS
+@given(st.sampled_from([1.0, 1e-5, 1e150, 1e153, 1e154, 1e160, 1e200, 1e300]),
+       st.sampled_from(["xz", "full"]))
+def test_overflowing_norms_are_refused(scale, which):
+    # a finite state whose squared norm overflows is NonFiniteAmplitude
+    # before any draw, on the walk's and the extractor's first visit alike
+    s, psi = _strategy()
+    amps = scale * (psi.amps if which == "xz" else np.eye(s.dim)[0])
+    state = StateVector(s.xz_layout() if which == "xz" else s.layout(), amps)
+    rng = np.random.default_rng(0)
+    if which == "xz":
+        call = lambda: run_H(s, (0.5, 0.5), "01", state, rng, gamma0=1.0, T=4)
+    else:
+        call = lambda: extract(s, PartitionParams(2, 1, 1.0, 4, 0.5), state, 3, rng)
+    overflows = not math.isfinite(float(np.vdot(amps, amps).real))
+    with np.errstate(over="ignore"):
+        for _ in range(2):
+            assert _verdict(call, rng) is (NonFiniteAmplitude if overflows else None)
+
+
 # ---------------------------------------------------------------------------
 # Builders and effverify sessions
 
@@ -172,6 +197,102 @@ ORACLES = st.sampled_from([protocol.OracleTable(1, 2), protocol.OracleTable(1, 1
 def test_protocol_builders(p, oracle, m):
     _verdict(lambda: protocol.fiat_shamir(p, oracle))
     _verdict(lambda: protocol.parallel_repeat(p, m))
+
+
+# run_protocol is drawn over every shape and adversary at small sizes (n <=
+# 18, m <= 6, trials <= 64), with a trial chunk of 1..64 so that runs cross
+# chunk edges.  Property 2: wherever it takes the bulk route, its Stats are
+# the per-trial route's at the same seed.  Property 3: the same seed gives
+# the same Stats.
+
+_CHEATS = {w: protocol.UnitaryCheat(random_strategy(np.random.default_rng(w), m=1, x_width=w,
+                                                    z_width=1))
+           for w in (2, 3, 4)}
+ADVERSARIES = ["honest", "testonly", "honest-other-shape", "honest-other-width", "cheat-2",
+               "cheat-3", "cheat-4", "no-strategy", None]
+
+
+def _toy(n, shape):
+    p = protocol.toy_protocol(n)
+    for size in shape:
+        p = protocol.parallel_repeat(p, size)
+    return p
+
+
+def _adversary(kind, n, shape):
+    p = _toy(n, shape)
+    return {"honest": lambda: protocol.Honest(p), "testonly": lambda: protocol.TestOnly(p),
+            "honest-other-shape": lambda: protocol.Honest(_toy(n, shape + (2,))),
+            "honest-other-width": lambda: protocol.TestOnly(_toy(n % 18 + 1, shape)),
+            "cheat-2": lambda: _CHEATS[2], "cheat-3": lambda: _CHEATS[3],
+            "cheat-4": lambda: _CHEATS[4]}.get(kind, lambda: kind)()
+
+
+def _mostly(valid, junk):
+    """Draws from junk when a drawn digit is 5, else from valid; hypothesis
+    favours 0, so junk stays about one draw in ten."""
+    return st.integers(0, 9).flatmap(lambda i: junk if i == 5 else valid)
+
+
+@st.composite
+def protocol_runs(draw):
+    # n = 1..3 lets the cheats of X width 2..4 match the toy and replay in bulk
+    n = draw(st.sampled_from([1, 2, 3, 3, 5, 12, 18]))
+    # one level is the shape every route replays in bulk
+    depth = draw(st.sampled_from([0, 1, 1, 1, 2, 3]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth)
+                       .filter(lambda s: math.prod(s) <= 6)))
+    kind = draw(_mostly(st.sampled_from(ADVERSARIES[:-2] + ["honest", "testonly"]),
+                        st.sampled_from(ADVERSARIES[-2:])))
+    hashed = draw(st.sampled_from([False, True, True]))
+    # a grinder outside Fiat-Shamir is refused; an oracle of the wrong width
+    # too (0 is no width)
+    budget = draw(_mostly(st.sampled_from([None, 1, 2, 3, 4] if hashed else [None]),
+                          st.sampled_from([None, 2])))
+    out_bits = draw(_mostly(st.just(0), st.sampled_from([-1, 1]))) if hashed else None
+
+    def build():
+        p = _toy(n, shape)
+        adversary = _adversary(kind, n, shape)
+        if budget is not None:
+            adversary = protocol.FsGrinder(budget, adversary)
+        if out_bits is not None:
+            p = protocol.fiat_shamir(p, protocol.OracleTable(5, p.m + out_bits))
+        return p, adversary
+
+    x = draw(_mostly(st.sampled_from(["yes", "no"]), st.sampled_from(["maybe", None])))
+    trials = draw(_mostly(st.integers(1, 64), st.sampled_from([0, -1, True, 2.5, None, np.int64(7)])))
+    seed = draw(_mostly(st.integers(0, 2**70),
+                        st.sampled_from([None, True, -1, "a", 1.5, [3, 2**40], np.int64(5)])))
+    return build, x, trials, seed, draw(st.integers(1, 64))
+
+
+@SETTINGS
+@given(protocol_runs())
+def test_run_protocol_routes_agree(args):
+    build, x, trials, seed, chunk = args
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_TRIAL_CHUNK", chunk)
+
+        def call():
+            return protocol.run_protocol(*build(), x, trials, seed)
+
+        if _verdict(call) is None:
+            got = call()
+            assert got == call()
+            assert got == protocol._run_per_trial(*build(), x, trials, seed)
+
+
+@SETTINGS
+@given(st.sampled_from([None, (None,), (frozenset({0}),), (frozenset({"0", None}),), ("0",),
+                        frozenset({"0"}), [frozenset({"1"})], (frozenset({"0"}),) * 2, ({"1"},)]))
+def test_prover_strategy_accept_sets(accept_sets):
+    u = Operator.unitary(np.eye(8))
+    verdict = _verdict(lambda: ProverStrategy(1, 1, 1, u, accept_sets))
+    well_formed = (isinstance(accept_sets, (tuple, list)) and len(accept_sets) == 1
+                   and isinstance(accept_sets[0], (set, frozenset))
+                   and all(isinstance(a, str) for a in accept_sets[0]))
+    assert (verdict is None) == well_formed
 
 
 RNGS = st.sampled_from(["generator", None, 0, "rng", "random-state", "bit-generator"])
