@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -349,30 +349,44 @@ class FourRoundProtocol:
         top >>= 32 - self.n
         return (seeds, *self._keys(top))
 
-    def fs_attempts(self, streams: "_TrialStreams", x0, x1, had_ok: bool):
-        """(y, failmask) of each trial's next two commitment attempts.
+    def fs_attempts(self, streams: "_TrialStreams", x0, x1, had_ok: bool, count: int):
+        """Yield (y, failmask) of each trial's next count (1 or 2) commitment attempts.
 
-        The attempts read their 3m outputs whole; y is (2, m, rows) and
-        failmask (2, rows) has bit m-1-i set when coordinate i
-        rejects a Hadamard round, the bit where the oracle's output
-        carries coordinate i's challenge.  Honest or TestOnly pass every
-        test round, so an attempt accepts iff challenge & failmask == 0.
+        An attempt's 3m words are read when it is reached, so one
+        attempt's words are held at a time; at odd m, words 3m - 1 and 3m
+        (the halves of one output) are read with the first.  A single
+        attempt is a run's last, so the second's words are never read.
+        y is (m, rows) and failmask (rows,) has bit m-1-i set when
+        coordinate i rejects a Hadamard round, the bit where the oracle's
+        output carries coordinate i's challenge.  Honest or TestOnly pass
+        every test round, so an attempt accepts iff challenge & failmask == 0.
         """
-        m, n = self.m, self.n
-        words = streams.words(3 * m, range(6 * m)).reshape(2, m, 3, -1)
-        b, r, d = words[:, :, 0], words[:, :, 1], words[:, :, 2]
+        m, odd = self.m, self.m % 2
+        words = streams.words((3 * m + odd) // 2, range(3 * m + odd))
+        carry = words[3 * m:].copy()
+        yield self._attempt(words[:3 * m:3], words[1::3], words[2::3], x0, x1, had_ok)
+        if count == 2:
+            del words
+            # words 3m + odd on: at odd m the second attempt's first b is carry
+            words = streams.words((3 * m - odd) // 2, range(3 * m - odd))
+            b = np.concatenate([carry, words[2::3]]) if odd else words[0::3]
+            yield self._attempt(b, words[1 - odd::3], words[2 - odd::3], x0, x1, had_ok)
+
+    def _attempt(self, b, r, d, x0, x1, had_ok: bool):
+        """(y, failmask) of one commitment attempt from its (m, rows) draws b, r and d."""
+        n = self.n
         y = np.where(b >> 31 == 1, x1, x0)
         r >>= 32 - n
         y ^= r
         # d = 0, a draw below 2^(32 - n), or a no-instance fails
         fail = (d < 1 << (32 - n)) | (not had_ok)
         # pack coordinate i's bit at m-1-i: big-endian bytes, then one shift
-        packed = np.packbits(fail, axis=1)
-        failmask = np.zeros(packed[:, 0].shape, dtype=np.uint64)
-        for byte in packed.transpose(1, 0, 2):
+        packed = np.packbits(fail, axis=0)
+        failmask = np.zeros(packed.shape[1], dtype=np.uint64)
+        for byte in packed:
             failmask <<= np.uint64(8)
             failmask |= byte
-        failmask >>= np.uint64(8 * len(packed[0]) - m)
+        failmask >>= np.uint64(8 * len(packed) - self.m)
         return y, failmask
 
     def plain_verdicts(self, streams: "_TrialStreams", had_ok: bool):
@@ -630,19 +644,24 @@ class Stats:
         return self.accepts / self.trials
 
 
-# Trials are seeded and replayed this many at a time, so memory stays
-# flat however many trials a run asks for.
+# The bulk route seeds and replays trials this many at a time, so memory
+# stays flat however many trials a run asks for.
 _TRIAL_CHUNK = 16384
 
 
-def _trial_seeds(seed: int, trials: int):
-    """Per-trial seed sequences, spawned one chunk at a time.
+# The per-trial route spawns its trials' children this many at a time,
+# so memory stays flat however many trials a run asks for.
+_SEED_BATCH = 256
 
-    Spawning in chunks hands out the same children as one spawn(trials).
+
+def _trial_seeds(seed: int, trials: int):
+    """Per-trial seed sequences, spawned _SEED_BATCH at a time.
+
+    Consecutive spawns hand out the same children as one spawn(trials).
     """
     root = np.random.SeedSequence(seed)
-    for start in range(0, trials, _TRIAL_CHUNK):
-        yield root.spawn(min(_TRIAL_CHUNK, trials - start))
+    for start in range(0, trials, _SEED_BATCH):
+        yield from root.spawn(min(_SEED_BATCH, trials - start))
 
 
 # The bulk route derives each trial's PCG64 outputs as arrays over a
@@ -744,6 +763,25 @@ def _pcg_jump(k: int) -> tuple[tuple, tuple | None]:
     return _limbs(a), None if b == 1 else _limbs(b)
 
 
+# Chunk shapes whose index terms are kept: 8 of (4, 16384) uint32 are 2 MiB.
+_INDEX_TERMS = 8
+
+
+@lru_cache(maxsize=_INDEX_TERMS)
+def _index_term(hc: int, start: int, count: int) -> np.ndarray:
+    """_MIX_R times the hashmixed low word of child indices start..start+count-1, as (4, count).
+
+    It is _mix's right operand when the index word enters the pool, and
+    depends on the root seed only through hc, its word count's chain start.
+    """
+    chain = _hash_chain(hc, _MULT_A, _POOL)[:, None]
+    idx = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
+    term = _hashmix(idx, chain[:-1], chain[1:])
+    term *= _MIX_R
+    term.flags.writeable = False  # cached, so shared
+    return term
+
+
 def _child_states(seed, start: int, count: int) -> np.ndarray:
     """generate_state(4, uint64) of children start..start+count-1 of seed, as a (4, count) array."""
     # a child's entropy is the root's words padded to the pool size,
@@ -751,15 +789,15 @@ def _child_states(seed, start: int, count: int) -> np.ndarray:
     # root's own, mixed by 4 hash calls per padded word
     root = np.random.SeedSequence(seed)
     hc = int(_hash_chain(_INIT_A, _MULT_A, _POOL * max(_POOL, _word_count(root.entropy)))[-1])
-    idx = np.arange(start, start + count, dtype=np.uint64)
     # the pool's four words are the rows of a (4, count) array; the
-    # child index enters as one word, or two from 2^32 on
-    pool = root.pool[:, None]
-    chain = _hash_chain(hc, _MULT_A, 2 * _POOL)[:, None]
-    pool = _mix(pool, _hashmix(idx.astype(np.uint32), chain[:_POOL], chain[1:_POOL + 1]))
+    # child index enters as one word, or two from 2^32 on: _mix with the
+    # index's seed-free term, written out in place
+    pool = np.subtract(_MIX_L * root.pool[:, None], _index_term(hc, start, count))
+    pool ^= pool >> 16
     if start + count > 1 << 32:
-        hi = (idx >> 32).astype(np.uint32)
-        wide = _mix(pool, _hashmix(hi, chain[_POOL:-1], chain[_POOL + 1:]))
+        hi = (np.arange(start, start + count, dtype=np.uint64) >> 32).astype(np.uint32)
+        chain = _hash_chain(hc, _MULT_A, 2 * _POOL)[_POOL:, None]
+        wide = _mix(pool, _hashmix(hi, chain[:-1], chain[1:]))
         pool = np.where(hi != 0, wide, pool)
     # eight words cycled from the pool; words 2j and 2j + 1 are the low
     # and high halves of uint64 j, joined as the rows of a contiguous
@@ -826,14 +864,20 @@ class _TrialStreams:
         self.hi, self.lo = s_hi, s_lo
         self.pending = 1
 
-    def _jump(self, k: int, scratch: np.ndarray) -> None:
-        """Advance every kept row k LCG steps in place."""
+    def _jump(self, k: int, scratch: np.ndarray, terms: dict) -> None:
+        """Advance every kept row k LCG steps in place.
+
+        terms maps k to the (hi, lo) of inc * B_k, the state-free term
+        of a k-step jump; a term not in it is computed and added.
+        """
         a, b = _pcg_jump(k)
         _mul128(self.hi, self.lo, a, scratch)
         inc_hi, inc_lo = self.inc_hi, self.inc_lo
         if b is not None:
-            inc_hi, inc_lo = inc_hi.copy(), inc_lo.copy()
-            _mul128(inc_hi, inc_lo, b, scratch)
+            if k not in terms:
+                terms[k] = inc_hi.copy(), inc_lo.copy()
+                _mul128(*terms[k], b, scratch)
+            inc_hi, inc_lo = terms[k]
         self.lo += inc_lo
         self.hi += inc_hi
         self.hi += np.less(self.lo, inc_lo, out=scratch[0])
@@ -857,8 +901,11 @@ class _TrialStreams:
         # the low half, the high half and both, of each little-endian output
         both = raw.view("<u4").reshape(rows, 2).T
         halves = (both[0], both[1], both)
+        # the jump terms of this read's steps between outputs; a jump that
+        # folds a pending advance comes once, so its term is not kept
+        terms = {}
         for gap, writes in reads:
-            self._jump(self.pending + gap + 1, scratch)
+            self._jump(self.pending + gap + 1, scratch, {} if self.pending else terms)
             self.pending = 0
             # XSL-RR: hi ^ lo rotated right by the top six bits of hi
             np.bitwise_xor(self.hi, self.lo, out=x)
@@ -943,16 +990,15 @@ def _run_per_trial(p, adversary, x, trials: int, seed: int) -> Stats:
     accepts = 0
     queries = 0
     counts = {"test": [0, 0], "hadamard": [0, 0]}
-    for chunk in _trial_seeds(seed, trials):
-        for child in chunk:
-            # same stream default_rng would build, minus the dispatch
-            rng = np.random.Generator(np.random.PCG64(child))
-            if isinstance(p, TwoRoundFS):
-                ok, q = _run_fs_trial(p, adversary, x, rng)
-                queries += q
-            else:
-                ok = _run_interactive_trial(p, adversary, x, rng, counts)
-            accepts += int(ok)
+    for child in _trial_seeds(seed, trials):
+        # same stream default_rng would build, minus the dispatch
+        rng = np.random.Generator(np.random.PCG64(child))
+        if isinstance(p, TwoRoundFS):
+            ok, q = _run_fs_trial(p, adversary, x, rng)
+            queries += q
+        else:
+            ok = _run_interactive_trial(p, adversary, x, rng, counts)
+        accepts += int(ok)
     return Stats(trials, accepts, counts, queries)
 
 
@@ -1024,9 +1070,9 @@ def _run_fs_batch(p: FourRoundProtocol, had_ok: bool, budget: int, trials: int,
     p is a one-level repetition.  A trial makes commitment attempts in
     order until one's hashed challenge misses its failmask, at most
     budget of them; each attempt is one oracle query, as on the per-trial
-    route.  Attempts run two at a time, 3m raw outputs, over the trials
-    of a chunk still grinding, so memory stays flat whatever the query
-    budget.
+    route.  Attempts run in steps of two, 3m raw outputs, over the trials
+    of a chunk still grinding, each attempt's words read when it is
+    reached, so memory stays flat whatever the query budget.
     """
     # coordinates below 2^24 keep each int frame in an 8-byte slot; the
     # qubit cap keeps toys at n <= 18
@@ -1046,17 +1092,16 @@ def _fs_chunk(p: FourRoundProtocol, had_ok: bool, budget: int, streams: _TrialSt
     seeds, x0, x1 = p.fs_head(streams)
     done = 0
     while seeds.size and done < budget:
-        y, failmask = p.fs_attempts(streams, x0, x1, had_ok)
         grinding = np.ones(seeds.size, dtype=bool)
         # a budget that runs out on the first attempt makes only that
         # one; an attempt with failmask 0 accepts whatever its challenge,
         # so it is counted but not hashed
-        for a in range(min(2, budget - done)):
+        for y, failmask in p.fs_attempts(streams, x0, x1, had_ok, min(2, budget - done)):
             queries += int(np.count_nonzero(grinding))
-            grinding &= failmask[a] != 0
+            grinding &= failmask != 0
             rows = np.flatnonzero(grinding)
-            ch = _fs_challenges(seeds[rows], y[a][:, rows].T, m)
-            grinding[rows] = ch & failmask[a, rows] != 0
+            ch = _fs_challenges(seeds[rows], y[:, rows].T, m)
+            grinding[rows] = ch & failmask[rows] != 0
         accepts += seeds.size - int(np.count_nonzero(grinding))
         streams.keep(grinding)
         seeds, x0, x1 = seeds[grinding], x0[:, grinding], x1[:, grinding]

@@ -193,3 +193,78 @@ def test_compare_flags_a_readme_command_whose_files_differ(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FLAG README `cvqc-lab jordan-demo --seed 7`" in out
     assert "README data files identical" not in out
+
+
+def test_layer_summary_takes_medians_ratios_and_wins():
+    row = bench._layer_summary([1.0, 2.0, 4.0, 3.0], [0.9, 2.2, 2.0, 1.5])
+    assert (row["a"], row["b"]) == (2.5, 1.75)
+    # per-round ratios 0.9, 1.1, 0.5, 0.5
+    assert row["ratio"] == 0.7 and (row["wins"], row["rounds"]) == (3, 4)
+
+
+def test_layer_verdict_needs_the_ratio_and_the_wins():
+    def verdict(ratio, wins, rounds=20):
+        return bench._layer_verdict({"ratio": ratio, "wins": wins, "rounds": rounds})
+
+    assert verdict(0.9, 16) == "GAIN"
+    assert verdict(0.5, 20) == "GAIN"
+    assert verdict(0.91, 20) == "noise"   # every round won, but by too little
+    assert verdict(0.5, 15) == "noise"    # a large ratio from too few rounds won
+    assert verdict(1.3, 0) == "noise"
+    assert bench._layer_verdict({"skipped": "A: missing"}) == "skipped (A: missing)"
+
+
+def test_time_layers_alternates_sides_and_keeps_the_best_call():
+    # each call advances a fake clock by its next cost
+    order, now = [], [0]
+    costs = {"a": iter([3, 2, 5, 4, 1, 6]), "b": iter([1, 1, 2, 9, 4, 3])}
+
+    def call(tag):
+        def run():
+            order.append(tag)
+            now[0] += next(costs[tag])
+        return run
+
+    calls_a = {"x": call("a"), "only a": call("a"), "broken": call("a")}
+    calls_b = {"x": call("b"), "broken": "TypeError: no such signature"}
+    times = bench._time_layers(calls_a, calls_b, rounds=3, repeat=2, clock=lambda: now[0])
+    assert times["only a"] == "B: missing"
+    assert times["broken"] == "B: TypeError: no such signature"
+    assert order == ["a", "a", "b", "b", "b", "b", "a", "a", "a", "a", "b", "b"]
+    assert times["x"] == ([2, 4, 1], [1, 2, 3])
+
+
+def test_compare_prints_the_layers_with_their_verdicts(tmp_path, capsys):
+    rows = {"seeding rows=300": {"a": 2e-4, "b": 1e-4, "ratio": 0.5, "wins": 21, "rounds": 21},
+            "sweep honest m=20": {"a": 6e-3, "b": 5.9e-3, "ratio": 0.98, "wins": 12, "rounds": 21},
+            "words rows=1": {"skipped": "A: AttributeError: no words"}}
+    layers = {"a": "../parent", "rounds": 21, "rows": rows}
+    (tmp_path / "a.json").write_text(json.dumps({"runs": []}))
+    (tmp_path / "b.json").write_text(json.dumps({"runs": [], "layers": layers}))
+    assert bench.compare(str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 0
+    out = capsys.readouterr().out.splitlines()
+    start = next(i for i, ln in enumerate(out) if ln.startswith("layers: A = ../parent, B = this checkout"))
+    assert "ratio <= 0.9 and B wins >= 80% of rounds" in out[start]
+    assert out[start + 1].split()[-1] == "GAIN" and "wins 21/21" in out[start + 1]
+    assert out[start + 2].split()[-1] == "noise" and "ratio 0.980" in out[start + 2]
+    assert out[start + 3].endswith("skipped (A: AttributeError: no words)")
+
+
+def test_layers_record_times_every_layer_of_both_checkouts(tmp_path, monkeypatch):
+    # both sides are this checkout's src, loaded as two packages
+    for name in ("src", "perfbench"):
+        (tmp_path / name).symlink_to(bench.ROOT / name)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_LAYER_ROUNDS", 1)
+    assert bench.main(["--label", "t", "--layers", "--checkout", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["layers"]["a"] == "."
+    rows = record["layers"]["rows"]
+    assert len(rows) == 4 + 4 + 15
+    assert not [name for name, row in rows.items() if "skipped" in row]
+    assert bench.sys.modules["cvqc_lab_a"] is not bench.sys.modules["cvqc_lab_b"]
+    # the sweep layers are perfbench's operations, each calling into its own side
+    ops = {side: bench._sweep_ops(bench.sys.modules[f"cvqc_lab_{side}"]) for side in "ab"}
+    assert sorted(f"sweep {op.name}" for op in ops["a"]) == [name for name in rows if name.startswith("sweep ")]
+    assert ops["a"][0].call.__globals__["protocol"] is bench.sys.modules["cvqc_lab_a.protocol"]
+    assert ops["b"][0].call.__globals__["protocol"] is bench.sys.modules["cvqc_lab_b.protocol"]

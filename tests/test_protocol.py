@@ -512,11 +512,9 @@ class TestBulkReplay:
         bulk = run_protocol(p, Honest(p), "yes", trials=700, seed=37)
         assert bulk == protocol._run_per_trial(p, Honest(p), "yes", trials=700, seed=37)
 
-    def test_chunked_seeds_match_one_spawn(self):
+    def test_per_trial_seeds_match_one_spawn(self):
         trials = protocol._TRIAL_CHUNK + 5
-        chunks = list(protocol._trial_seeds(38, trials))
-        assert len(chunks) == 2
-        got = [child.generate_state(2) for chunk in chunks for child in chunk]
+        got = [child.generate_state(2) for child in protocol._trial_seeds(38, trials)]
         want = [child.generate_state(2)
                 for child in np.random.SeedSequence(38).spawn(trials)]
         assert np.array_equal(got, want)
@@ -655,21 +653,39 @@ class TestArrayStreams:
                 assert str(ref.value) in str(err.value)
 
 
+def _traced_peak(run, *args, **kwargs) -> int:
+    """tracemalloc's peak in bytes over one call of run, after a call that warms every cache."""
+    run(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        run(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_is_flat_across_chunks():
     # each chunk's streams and verdicts are released before the next is
     # seeded, so three chunks peak where one does
     p = parallel_repeat(toy_protocol(12), 20)
 
     def peak(trials):
-        run_protocol(p, Honest(p), "yes", trials=trials, seed=1)  # warm every cache
-        tracemalloc.start()
-        try:
-            run_protocol(p, Honest(p), "yes", trials=trials, seed=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(run_protocol, p, Honest(p), "yes", trials=trials, seed=1)
 
     assert peak(3 * protocol._TRIAL_CHUNK) <= 1.1 * peak(protocol._TRIAL_CHUNK)
+
+
+def test_per_trial_memory_is_flat_in_trials():
+    # children are spawned _SEED_BATCH at a time, so four times the
+    # trials peak where one share does; spawning a whole bulk chunk of
+    # children at once would add about 0.4 kB a trial, far past the slack
+    base = toy_protocol(4)
+    fs = fiat_shamir(base, OracleTable(60, base.m))
+
+    def peak(trials):
+        return _traced_peak(protocol._run_per_trial, fs, Honest(base), "yes", trials, 38)
+
+    assert peak(2000) <= peak(500) + 20_000
 
 
 class TestOneRowFinalChunk:
@@ -857,6 +873,12 @@ class TestFsBulkReplay:
                 assert 0 < sum(hashed) < st.queries
             else:
                 assert sum(hashed) == st.queries
+
+    def test_one_attempts_words_held_at_a_time(self):
+        # at m = 64 an attempt's 3m words are 12.6 MB over a full chunk, so
+        # reading both attempts' words at once would pass the bound
+        base, fs = self._fs(12, (64,))
+        assert _traced_peak(run_protocol, fs, Honest(base), "yes", trials=20_000, seed=5) <= 36e6
 
     def test_oracle_seed_is_first_output_shifted(self):
         children = np.random.SeedSequence(66).spawn(40)
@@ -1154,6 +1176,60 @@ class TestWideSeeds:
         for adv in (Honest(p), protocol.TestOnly(p)):
             bulk = run_protocol(p, adv, "yes", trials=300, seed=seed)
             assert bulk == protocol._run_per_trial(p, adv, "yes", trials=300, seed=seed)
+
+
+class TestSeedFreeTerms:
+    """The index term kept per chunk shape and the jump terms kept per read,
+    against numpy's PCG64 with the caches cold and warm."""
+
+    SEEDS = TestArrayStreams.SEEDS + TestWideSeeds.SEEDS
+
+    @pytest.mark.parametrize("start,count", [(0, 9), (protocol._TRIAL_CHUNK, 9), (2**32 - 3, 7)])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_match_pcg64_cold_and_warm(self, seed, start, count):
+        # the last shape's indices cross into two words at 2^32
+        children = [np.random.SeedSequence(seed, spawn_key=(start + i,)) for i in range(count)]
+        want = TestArrayStreams._numpy_raw(children, 6)
+        protocol._index_term.cache_clear()
+        for cache in ("cold", "warm"):
+            assert np.array_equal(_outputs(protocol._TrialStreams(seed, start, count), 6), want), cache
+        assert protocol._index_term.cache_info().hits == 1
+
+    def test_index_term_depends_on_the_seed_only_through_its_word_count(self):
+        # up to four words pad to the same pool; 6 and 7 words give two more
+        protocol._index_term.cache_clear()
+        for seed in self.SEEDS:
+            protocol._TrialStreams(seed, 0, 5)
+        assert protocol._index_term.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("rows", [np.array([True, False, True, True, False, True, False, True]),
+                                      np.array([6, 2, 5])])
+    def test_repeated_jumps_after_keep(self, rows, monkeypatch):
+        # the low halves of every other output: each read after the first
+        # output jumps two steps and reuses that jump's increment term
+        want = TestArrayStreams._halves(np.random.SeedSequence(9).spawn(8), 18)
+        every_other = range(0, 12, 4)
+        streams = protocol._TrialStreams(9, 0, 8)
+        assert np.array_equal(streams.words(6, every_other), want[0:12:4])
+        streams.keep(rows)
+        products = []
+        mul128 = protocol._mul128
+        monkeypatch.setattr(protocol, "_mul128", lambda *a: products.append(1) or mul128(*a))
+        for start in (12, 24):
+            products.clear()
+            assert np.array_equal(streams.words(6, every_other), want[start:start + 12:4][:, rows])
+            # three state products, the folding jump's term, one term for k = 2
+            assert len(products) == 3 + 1 + 1
+
+    def test_caches_are_bounded_and_read_only(self):
+        protocol._index_term.cache_clear()
+        for count in range(1, protocol._INDEX_TERMS + 4):
+            protocol._TrialStreams(5, 0, count)
+        info = protocol._index_term.cache_info()
+        assert info.currsize == info.maxsize == protocol._INDEX_TERMS
+        term = protocol._index_term(5, 0, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            term[0, 0] = 1
 
 
 class TestSkip:

@@ -3,6 +3,7 @@
     python3 tools/bench.py --label head --workloads hashed --seeds 1 2 3
     python3 tools/bench.py --label base --checkout ../base-checkout
     python3 tools/bench.py --compare base head
+    python3 tools/bench.py --label head --layers --checkout ../base-checkout
 
 A record runs `perfbench/run.py --trace 0` of a checkout (this
 repository unless --checkout names another) once per seed (1 to 10
@@ -39,19 +40,35 @@ It then prints, per acceptance criterion, each side's elapsed_s median
 and quartiles and its median headroom over the gate runs of its record,
 labels `noise` a criterion whose median moved by less than A's
 interquartile range, and flags a criterion that did not pass in B.
+
+--layers times layers of the stack in one process instead: --checkout's
+src (A) and this repository's (B), each imported under its own package
+name.  The layers are seeding one chunk of streams at 300 to 16,384
+rows, one `words` read at 1 to 16,384 rows, and each run_protocol call
+of perfbench's `sweep` workload.  Over 21 rounds, alternating which
+side goes first, each layer's best of three calls is timed on both
+sides.  The record keeps under "layers" each layer's median per side,
+the median B/A ratio over rounds and the rounds B won, or why it was
+skipped: a layer one side lacks or cannot call.  --compare prints each
+record's layers with the verdict GAIN when the ratio is at most 0.9 and
+B won at least 80% of the rounds, and `noise` otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +145,173 @@ def _src_lines_by_file(checkout: Path) -> dict:
 def _src_lines(checkout: Path) -> int:
     """The line count of checkout's src/cvqc_lab/*.py, as `cat ... | wc -l` gives it."""
     return sum(_src_lines_by_file(checkout).values())
+
+
+def _load_package(checkout: Path, name: str):
+    """checkout's src/cvqc_lab imported as the package `name`, beside any other copy.
+
+    The package imports its modules relatively, so each copy keeps its own.
+    """
+    pkg = checkout / "src" / "cvqc_lab"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_module(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_ops(pkg) -> list:
+    """perfbench's `build_sweep` operations at seed 1, calling into pkg.
+
+    This repository's perfbench/workloads.py is loaded once per package,
+    with `cvqc_lab` and its modules resolving to pkg's while it imports.
+    """
+    perfbench = ROOT / "perfbench"
+    prefix = pkg.__name__ + "."
+    importlib.import_module(prefix + "cli")  # the package imports cli on demand
+    aliases = {"checks": _load_module(perfbench / "checks.py", prefix + "checks"), "cvqc_lab": pkg}
+    aliases.update({"cvqc_lab." + name[len(prefix):]: module
+                    for name, module in sys.modules.items() if name.startswith(prefix)})
+    saved = {name: sys.modules.get(name) for name in aliases}
+    sys.modules.update(aliases)
+    try:
+        workloads = _load_module(perfbench / "workloads.py", prefix + "workloads")
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                del sys.modules[name]
+            else:
+                sys.modules[name] = module
+    with tempfile.TemporaryDirectory() as scratch:
+        return workloads.build_sweep(1, scratch)
+
+
+_SEED_ROWS = (300, 1_000, 10_000, 16_384)
+_WORD_ROWS = (1, 5, 400, 16_384)
+
+
+def _layer_builders(pkg) -> dict:
+    """{layer: build() -> its zero-argument call} over one loaded package.
+
+    Seeding is one chunk's streams; words is one read in honest m = 20's
+    layout (p2's d and the coins, 3m outputs); the sweep operations are
+    perfbench's own, each one run_protocol call.
+    """
+    protocol = pkg.protocol
+
+    def words(rows):
+        streams = protocol._TrialStreams(7, 0, rows)
+        return lambda: streams.words(60, [*range(42, 100, 3), *range(100, 120)])
+
+    builders = {f"seeding rows={rows}": lambda rows=rows: lambda: protocol._TrialStreams(7, 0, rows)
+                for rows in _SEED_ROWS}
+    builders.update({f"words honest m=20 rows={rows}": partial(words, rows) for rows in _WORD_ROWS})
+    builders.update({f"sweep {op.name}": lambda op=op: op.call for op in _sweep_ops(pkg)})
+    return builders
+
+
+def _layer_calls(pkg) -> dict:
+    """{layer: its call, run once, or the reason it cannot run on pkg}."""
+    calls = {}
+    try:
+        builders = _layer_builders(pkg)
+    except Exception as exc:  # a side without the sweep's entry points has no layers
+        print(f"bench: {pkg.__name__} has no layers: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return calls
+    for name, build in builders.items():
+        try:
+            call = build()
+            call()
+        except Exception as exc:  # a layer this side does not have, or calls otherwise
+            call = f"{type(exc).__name__}: {exc}"
+        calls[name] = call
+    return calls
+
+
+def _time_layers(calls_a: dict, calls_b: dict, rounds: int, repeat: int = 3,
+                 clock=time.perf_counter) -> dict:
+    """{layer: ([A's times], [B's times]) or the reason it was skipped}.
+
+    A round times each layer on both sides, the best of repeat calls
+    each, A first in even rounds and B first in odd ones.
+    """
+    times = {}
+    for name in sorted(calls_a.keys() | calls_b.keys()):
+        reasons = [f"{side}: {call if isinstance(call, str) else 'missing'}"
+                   for side, call in (("A", calls_a.get(name)), ("B", calls_b.get(name)))
+                   if not callable(call)]
+        times[name] = "; ".join(reasons) if reasons else ([], [])
+    for r in range(rounds):
+        for name, pair in times.items():
+            if isinstance(pair, str):
+                continue
+            sides = [(calls_a[name], pair[0]), (calls_b[name], pair[1])]
+            for call, out in sides[::-1] if r % 2 else sides:
+                best = math.inf
+                for _ in range(repeat):
+                    t0 = clock()
+                    call()
+                    best = min(best, clock() - t0)
+                out.append(best)
+    return times
+
+
+def _layer_summary(times_a: list, times_b: list) -> dict:
+    """Each side's median, the median of B/A over rounds, and the rounds B won."""
+    return {"a": statistics.median(times_a), "b": statistics.median(times_b),
+            "ratio": statistics.median(b / a for a, b in zip(times_a, times_b)),
+            "wins": sum(b < a for a, b in zip(times_a, times_b)), "rounds": len(times_a)}
+
+
+# alternating rounds of --layers
+_LAYER_ROUNDS = 21
+# a layer gains when B's median ratio is at most this, winning this share of rounds
+_LAYER_GAIN_RATIO, _LAYER_GAIN_WINS = 0.9, 0.8
+
+
+def _layer_verdict(row: dict) -> str:
+    if "skipped" in row:
+        return f"skipped ({row['skipped']})"
+    gain = row["ratio"] <= _LAYER_GAIN_RATIO and row["wins"] >= _LAYER_GAIN_WINS * row["rounds"]
+    return "GAIN" if gain else "noise"
+
+
+def record_layers(args) -> int:
+    """Time the layers of --checkout (A) against this repository (B) into BENCH_<label>.json."""
+    checkout = Path(args.checkout).resolve()
+    calls_a = _layer_calls(_load_package(checkout, "cvqc_lab_a"))
+    calls_b = _layer_calls(_load_package(ROOT, "cvqc_lab_b"))
+    rows = {}
+    for name, pair in sorted(_time_layers(calls_a, calls_b, _LAYER_ROUNDS).items()):
+        rows[name] = {"skipped": pair} if isinstance(pair, str) else _layer_summary(*pair)
+        print(f"{name}: {_layer_verdict(rows[name])}", file=sys.stderr)
+    out = ROOT / f"BENCH_{args.label}.json"
+    bench = json.loads(out.read_text()) if out.is_file() else {"label": args.label, "runs": []}
+    bench["layers"] = {"a": os.path.relpath(checkout, ROOT), "rounds": _LAYER_ROUNDS, "rows": rows}
+    out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+def _compare_layers(bench: dict) -> None:
+    layers = bench["layers"]
+    print(f"layers: A = {layers['a']}, B = this checkout, median s, median B/A over "
+          f"{layers['rounds']} alternating rounds; GAIN: ratio <= {_LAYER_GAIN_RATIO}"
+          f" and B wins >= {_LAYER_GAIN_WINS:.0%} of rounds, else noise")
+    for name, row in layers["rows"].items():
+        if "skipped" in row:
+            print(f"  {name:32s} {_layer_verdict(row)}")
+        else:
+            print(f"  {name:32s} {row['a']:10.4g} -> {row['b']:10.4g}  ratio {row['ratio']:.3f}"
+                  f"  wins {row['wins']}/{row['rounds']}  {_layer_verdict(row)}")
 
 
 def record(args) -> int:
@@ -222,6 +406,9 @@ def compare(name_a: str, name_b: str) -> int:
                   f"  wins {wins}/{len(pairs)}  bound {metric['bound']:.0%}"
                   f"  {'GAIN' if gain else 'no gain'}{'  WORSE' if flag else ''}")
     flagged += _compare_acceptance(name_a, name_b, bench_a, bench_b)
+    for bench in (bench_a, bench_b):
+        if "layers" in bench:
+            _compare_layers(bench)
     return 1 if flagged else 0
 
 
@@ -302,13 +489,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--checkout", default=str(ROOT),
-                    help="checkout whose perfbench/run.py and src/ are run")
+                    help="checkout whose perfbench/run.py and src/ are run; with --layers, "
+                         "the checkout this repository's layers are timed against")
+    ap.add_argument("--layers", action="store_true",
+                    help="record layer timings of --checkout against this repository")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not args.label:
         ap.error("give --label to record or --compare A B")
-    return record(args)
+    return record_layers(args) if args.layers else record(args)
 
 
 if __name__ == "__main__":
